@@ -12,6 +12,7 @@ checks measure, they do not assume.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -21,8 +22,9 @@ from . import geometry as geo
 from .errors import InvalidModelError, NotApplicableError
 from .foliation import (FoliationModel, FrameBatch, _contract3,
                         curvature_components, j_endomorphisms,
-                        nabla_t_components, ricci_horizontal,
-                        torsion_components, vertical_sectional)
+                        lc_curvature_ambient, nabla_t_components,
+                        ricci_horizontal, torsion_components,
+                        vertical_sectional)
 from .geometry import bracket, directional_derivative
 
 #: default tolerance for purely algebraic identities on exact integer data
@@ -63,12 +65,19 @@ class CheckReport:
 
 def frame_batch_for(model: FoliationModel, points: int, seed: int) -> FrameBatch:
     """Adapted frames over the model's deterministic sample, cached so that
-    successive checks on one model share every evaluated tensor."""
+    successive checks on one model share every evaluated tensor.
+
+    The cache is shared with ``with_epsilon`` copies.  A cached batch refers
+    to its model only weakly and leaves the cache when the model is freed, so
+    it neither keeps a finished model and its values alive nor outlives it.
+    """
     tab = model._tables.setdefault("frame_batches", {})
     key = (model.epsilon, points, seed)
     if key not in tab:
-        pts = geo.sample_points(model.chart, points, seed)
-        tab[key] = model.frame_batch(pts)
+        fb = model.frame_batch(geo.sample_points(model.chart, points, seed))
+        fb.model = weakref.proxy(model)
+        weakref.finalize(model, tab.pop, key, None)
+        tab[key] = fb
     return tab[key]
 
 
@@ -308,15 +317,6 @@ def check_einstein(model: FoliationModel, points: int = 32, seed: int = 42,
 # curvature constancy and the rescaled-metric curvature formula
 
 
-def _lc_ambient(fb: FrameBatch, eps_rel: float, d1: str, d2: str, d3: str
-                ) -> np.ndarray:
-    model = fb.model
-    total = model.epsilon * eps_rel
-    entry = lambda a, b, c: model.lc_curvature_entry(total, a, b, c)
-    return _contract3(fb, f"lc_curvature[{round(total, 12)}]", entry, d1, d2, d3,
-                      antisym=(0, 1))
-
-
 def check_curvature_constancy(model: FoliationModel, kappa: float,
                               points: int = 32, seed: int = 42,
                               tol: float = TOL_CURVATURE) -> CheckReport:
@@ -334,7 +334,7 @@ def check_curvature_constancy(model: FoliationModel, kappa: float,
         raise InvalidModelError("curvature constancy requires kappa != 0")
     eps_rel = 1.0 / (2.0 * kappa)
     fb = frame_batch_for(model, points, seed)
-    lhs = _lc_ambient(fb, eps_rel, "v", "all", "all")      # (P, m, F, F, N)
+    lhs = lc_curvature_ambient(fb, eps_rel, "v", "all", "all")  # (P, m, F, F, N)
     ghat = model.metric_matrices(fb.points, eps_scale=eps_rel)
     frame = fb.frame
     gxy = np.einsum("pbn,pnm,pcm->pbc", frame, ghat, frame)
@@ -380,12 +380,12 @@ def check_oneill(model: FoliationModel, points: int = 32, seed: int = 42,
                         antisym=(0, 1))
     worst = 0.0
     for eps in eps_values:
-        direct_h = _lc_ambient(fb, eps, "v", "h", "h")     # (P, m, n, n, N)
+        direct_h = lc_curvature_ambient(fb, eps, "v", "h", "h")  # (P, m, n, n, N)
         closed_h = (-0.5 * ntv_amb
                     - (0.5 / eps) * nablaj_amb
                     + (0.25 / eps) * tj_amb)
         worst = max(worst, float(np.abs(direct_h - closed_h).max()))
-        direct_v = _lc_ambient(fb, eps, "v", "v", "v")
+        direct_v = lc_curvature_ambient(fb, eps, "v", "v", "v")
         worst = max(worst, float(np.abs(direct_v - rv_amb).max()))
     return CheckReport.from_residual("oneill-variation", worst, tol, points,
                                      {"eps_values": list(eps_values)})

@@ -1,9 +1,10 @@
 """Command-line front end: catalog, verification suites, spectra, bounds.
 
 Exit codes: 0 all requested checks pass; 1 at least one check failed or a
-model violated a precondition; 2 usage error; 3 unknown model; 4 operation
-unsupported on the backend; 5 invalid bound inputs.  JSON output is the
-source of truth and is byte-stable for a fixed (configuration, seed).
+model violated a precondition; 2 usage error (an option out of range, or a
+model file that cannot be read as a valid model); 3 unknown model; 4
+operation unsupported on the backend; 5 invalid bound inputs.  JSON output
+is the source of truth and is byte-stable for a fixed (configuration, seed).
 """
 
 from __future__ import annotations
@@ -25,9 +26,15 @@ DEFAULT_CHECKS = ["axioms", "h-type", "torsion-class", "yang-mills",
                   "curvature-constancy", "cd"]
 
 EXIT_CHECK_FAILED = 1
+EXIT_USAGE = 2
 EXIT_UNKNOWN_MODEL = 3
 EXIT_UNSUPPORTED = 4
 EXIT_BAD_BOUNDS = 5
+
+# numeric option ranges: values outside them are usage errors (exit 2)
+POINTS = click.IntRange(min=1)
+DEGREE = click.IntRange(min=1)      # degree 0 holds no nonzero eigenvalue
+TOLERANCE = click.FloatRange(min=0.0, min_open=True)
 
 
 @dataclass
@@ -40,8 +47,15 @@ class RunConfig:
 
 def _load_named_model(name: str, model_file: str | None):
     if model_file is not None:
-        with open(model_file) as fh:
-            return models.load_model(fh.read())
+        try:
+            with open(model_file) as fh:
+                return models.load_model(fh.read())
+        except KeyError as exc:
+            reason = f"missing field {exc}"
+        except (OSError, ValueError, TypeError) as exc:
+            reason = str(exc)
+        click.echo(f"error: model file {model_file}: {reason}", err=True)
+        sys.exit(EXIT_USAGE)
     try:
         return models.get_model(name)
     except KeyError:
@@ -190,9 +204,9 @@ def cmd_catalog(fmt):
 @click.option("--checks", "check_list", default=",".join(DEFAULT_CHECKS),
               show_default=False,
               help="comma-separated subset of: " + ", ".join(DEFAULT_CHECKS))
-@click.option("--points", type=int, default=64, show_default=True)
+@click.option("--points", type=POINTS, default=64, show_default=True)
 @click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--tol", type=float, default=checks.TOL_CURVATURE,
+@click.option("--tol", type=TOLERANCE, default=checks.TOL_CURVATURE,
               show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
               default="text")
@@ -231,7 +245,7 @@ def cmd_verify(model_names, run_all, check_list, points, seed, tol, fmt, out,
 
 @main.command("spectrum")
 @click.argument("model_name")
-@click.option("--degree", type=int, default=2, show_default=True)
+@click.option("--degree", type=DEGREE, default=2, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
               default="text")
 @click.option("--out", type=click.Path(), default=None)
@@ -312,10 +326,11 @@ def cmd_bounds(n, m, K, kappa, quaternionic, fmt):
 @main.command("cd")
 @click.argument("model_name")
 @click.option("--K", "K", type=float, required=True)
-@click.option("--trials", type=int, default=20, show_default=True)
-@click.option("--points", type=int, default=32, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=20,
+              show_default=True)
+@click.option("--points", type=POINTS, default=32, show_default=True)
 @click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@click.option("--tol", type=TOLERANCE, default=1e-9, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
               default="text")
 def cmd_cd(model_name, K, trials, points, seed, tol, fmt):
@@ -335,9 +350,9 @@ def cmd_cd(model_name, K, trials, points, seed, tol, fmt):
 
 @main.command("report")
 @click.argument("model_name")
-@click.option("--points", type=int, default=64, show_default=True)
+@click.option("--points", type=POINTS, default=64, show_default=True)
 @click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--degree", type=int, default=2, show_default=True)
+@click.option("--degree", type=DEGREE, default=2, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_report(model_name, points, seed, degree, out):
     """Full machine-readable report: all checks plus spectrum where defined."""

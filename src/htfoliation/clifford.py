@@ -156,11 +156,6 @@ def wedge_to_cl2(z1, z2) -> CliffordElement:
     return elem + float(z1 @ z2)
 
 
-def cl2_basis(m: int) -> list[Blade]:
-    """Ordered grade-two blade basis (i, j) with i < j."""
-    return [(i, j) for i in range(m) for j in range(i + 1, m)]
-
-
 # ---------------------------------------------------------------------------
 # representations
 

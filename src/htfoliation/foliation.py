@@ -19,10 +19,14 @@ only ever pair like slots), so a single base connection serves the whole
 canonical-variation family; this is exploited by sharing symbolic tables
 across vertical rescalings of one model.
 
-Everything pointwise is obtained by evaluating cached symbolic tables over
-the spanning fields and contracting with adapted-frame expansion
-coefficients; tensoriality of torsion, covariant derivatives and curvature
-in every slot makes the spanning-field extensions legitimate.
+Everything pointwise is obtained by evaluating table entries over the
+spanning fields and contracting with adapted-frame expansion coefficients;
+tensoriality of torsion, covariant derivatives and curvature in every slot
+makes the spanning-field extensions legitimate.  The two-index entries
+(brackets, the connection, torsion, the rescaled Levi-Civita derivative) are
+kept symbolically and shared by a model family; each three-index entry
+(nabla T and both curvatures) is built once per point batch and kept only as
+its evaluated values (FrameBatch.eval_entry).
 """
 
 from __future__ import annotations
@@ -148,10 +152,6 @@ class FoliationModel:
             raise InvalidModelError("sphere backend needs vertical matrices")
         # epsilon-independent symbolic tables, shareable across variations
         self._tables = _tables if _tables is not None else {}
-        # three-index symbolic entries of big sphere models are rebuilt per
-        # point batch instead of being kept (they dominate memory there);
-        # evaluated values are still shared through FrameBatch caches
-        self._cache_heavy_tables = not (backend == SPHERE and N >= 10)
         if backend == GROUP:
             self._group_gamma = self._koszul_table()
 
@@ -177,8 +177,10 @@ class FoliationModel:
         return Split(v=self.vertical_fields[idx - kh])
 
     def with_epsilon(self, epsilon: float) -> "FoliationModel":
-        """Same fields, new vertical metric scale; symbolic tables are shared
-        because the underlying connection does not depend on the scale."""
+        """Same fields, new vertical metric scale (the canonical variation);
+        symbolic tables are shared because the underlying connection does not
+        depend on the scale.  Frame J matrices against the stored vertical
+        fields rescale by epsilon_old / epsilon_new."""
         if epsilon <= 0:
             raise InvalidModelError("epsilon must be positive")
         return FoliationModel(self.name, self.backend, self.chart, self.n,
@@ -395,16 +397,16 @@ class FoliationModel:
             out = out + Split(h=jsum.scale(0.5 / eps_rel))
         return out
 
-    # -- cached symbolic tables ---------------------------------------------
+    # -- table entries over the spanning fields ------------------------------
+    #
+    # Antisymmetric entries are built only for a < b: FrameBatch.eval_entry
+    # canonicalizes every key first.  Two-index entries are kept symbolically
+    # because every three-index entry reuses them.
 
     def _table(self, name: str) -> dict:
         return self._tables.setdefault(name, {})
 
     def bracket_entry(self, a: int, b: int) -> PolyField:
-        if a == b:
-            return PolyField.zero(self.ambient_dim)
-        if a > b:
-            return -self.bracket_entry(b, a)
         tab = self._table("bracket")
         if (a, b) not in tab:
             tab[(a, b)] = bracket(self.span_split(a).total(self.ambient_dim),
@@ -424,10 +426,6 @@ class FoliationModel:
         return tab[(a, b)]
 
     def torsion_entry(self, a: int, b: int) -> Split:
-        if a == b:
-            return Split()
-        if a > b:
-            return -self.torsion_entry(b, a)
         tab = self._table("torsion")
         if (a, b) not in tab:
             tab[(a, b)] = Split(v=self.torsion_transform(self.span_split(a),
@@ -436,39 +434,19 @@ class FoliationModel:
 
     def nabla_t_entry(self, d: int, a: int, b: int) -> Split:
         """(nabla_{E_d} T)(E_a, E_b), vertical-valued."""
-        if a == b:
-            return Split()
-        if a > b:
-            return -self.nabla_t_entry(d, b, a)
-        tab = self._table("nabla_t")
-        if (d, a, b) in tab:
-            return tab[(d, a, b)]
         Ed = self.span_split(d)
-        entry = Split(v=(
+        return Split(v=(
             self.bott_split(Ed, self.torsion_entry(a, b)).total(self.ambient_dim)
             - self.torsion_transform(self.bott_entry(d, a), self.span_split(b))
             - self.torsion_transform(self.span_split(a), self.bott_entry(d, b))))
-        if self._cache_heavy_tables:
-            tab[(d, a, b)] = entry
-        return entry
 
     def curvature_entry(self, a: int, b: int, c: int) -> Split:
         """R(E_a, E_b) E_c with R(U, V) = [nabla_U, nabla_V] - nabla_{[U,V]}."""
-        if a == b:
-            return Split()
-        if a > b:
-            return -self.curvature_entry(b, a, c)
-        tab = self._table("curvature")
-        if (a, b, c) in tab:
-            return tab[(a, b, c)]
         Ea, Eb = self.span_split(a), self.span_split(b)
-        entry = (self.bott_split(Ea, self.bott_entry(b, c))
-                 + (-self.bott_split(Eb, self.bott_entry(a, c)))
-                 + (-self.bott_split(self.bracket_split_entry(a, b),
-                                     self.span_split(c))))
-        if self._cache_heavy_tables:
-            tab[(a, b, c)] = entry
-        return entry
+        return (self.bott_split(Ea, self.bott_entry(b, c))
+                + (-self.bott_split(Eb, self.bott_entry(a, c)))
+                + (-self.bott_split(self.bracket_split_entry(a, b),
+                                    self.span_split(c))))
 
     def lc_entry(self, total_eps: float, a: int, b: int) -> Split:
         """First rescaled-metric derivative table; keyed by the total vertical
@@ -483,24 +461,13 @@ class FoliationModel:
 
     def lc_curvature_entry(self, total_eps: float, a: int, b: int, c: int) -> Split:
         """Curvature of the Levi-Civita connection of the rescaled metric."""
-        if a == b:
-            return Split()
-        if a > b:
-            return -self.lc_curvature_entry(total_eps, b, a, c)
-        tab = self._table("lc_curvature")
-        key = (round(total_eps, 12), a, b, c)
-        if key in tab:
-            return tab[key]
         eps_rel = total_eps / self.epsilon
         Ea, Eb = self.span_split(a), self.span_split(b)
-        entry = (
+        return (
             self.lc_variation_split(Ea, self.lc_entry(total_eps, b, c), eps_rel)
             + (-self.lc_variation_split(Eb, self.lc_entry(total_eps, a, c), eps_rel))
             + (-self.lc_variation_split(self.bracket_split_entry(a, b),
                                         self.span_split(c), eps_rel)))
-        if self._cache_heavy_tables:
-            tab[key] = entry
-        return entry
 
     # -- frames ----------------------------------------------------------------
 
@@ -585,9 +552,9 @@ class FrameBatch:
         """Evaluated table entry over this batch, built lazily.
 
         ``antisym`` names two key positions in which the table is known to be
-        antisymmetric; values are then canonicalized so each symbolic entry is
-        constructed at most once per batch even when the model does not keep
-        the symbolic form.
+        antisymmetric; keys are then canonicalized, so the builder is called
+        at most once per batch for each entry, and only with the first of
+        the two positions below the second.
         """
         store = self._values.setdefault(name, {})
         if key in store:
@@ -718,22 +685,6 @@ def j_map(model: FoliationModel, p) -> TensorAtPoint:
     defining pairing coincide with the torsion component arrays."""
     fb = model.frame_batch(np.atleast_2d(np.asarray(p, dtype=np.float64)))
     return TensorAtPoint("J", torsion_components(fb)[0])
-
-
-def nabla_t(model: FoliationModel, p, direction: int) -> TensorAtPoint:
-    """(nabla_{u_d} T) at p for a frame direction index d (horizontals first)."""
-    fb = model.frame_batch(np.atleast_2d(np.asarray(p, dtype=np.float64)))
-    comps = nabla_t_components(fb, "all")[0]
-    if not 0 <= direction < model.n + model.m:
-        raise IndexError("direction index out of frame range")
-    return TensorAtPoint("nablaT", comps[direction])
-
-
-def curvature(model: FoliationModel, u: int, v: int, w: int, p) -> np.ndarray:
-    """Frame components of R(f_u, f_v) f_w at p, indices over the adapted frame."""
-    fb = model.frame_batch(np.atleast_2d(np.asarray(p, dtype=np.float64)))
-    comps = curvature_components(fb, "all", "all", "all")[0]
-    return comps[u, v, w]
 
 
 def ricci_h(model: FoliationModel, p) -> TensorAtPoint:

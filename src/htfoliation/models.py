@@ -146,12 +146,6 @@ def quaternionic_hopf(k: int, epsilon: float = 4.0,
     return _sphere_model(name, _quaternion_right_blocks(N), epsilon)
 
 
-def canonical_variation(model: FoliationModel, epsilon: float) -> FoliationModel:
-    """Rescale only the vertical metric; frame J matrices against the stored
-    (non-renormalized) vertical fields rescale by epsilon_old/epsilon_new."""
-    return model.with_epsilon(epsilon)
-
-
 def normalize_to_htype(model: FoliationModel, points: int = 16, seed: int = 7,
                        tol: float = 1e-9) -> tuple[FoliationModel, float]:
     """Rescale the vertical metric so the H-type fit gives lambda = 1.
@@ -249,6 +243,8 @@ def load_model(obj, validate_points: int = 16, seed: int = 11,
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise InvalidModelError("a model description is a JSON object")
     kind = obj.get("kind")
     name = obj.get("name", kind or "model")
     epsilon = float(obj.get("epsilon", 1.0))

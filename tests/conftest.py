@@ -1,8 +1,10 @@
 """Session-scoped model fixtures.
 
-Models cache their symbolic tensor tables internally, and vertical
-rescalings share those tables, so building each model once per session keeps
-the suite fast.
+Models keep their two-index symbolic tables (brackets, connection, torsion)
+internally, and vertical rescalings share those tables, so building each
+model once per session keeps the suite fast.  Three-index tensors are cached
+only as values per point batch, so tests that sample new points rebuild
+them.
 """
 
 import pytest

@@ -1,9 +1,11 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
-from htfoliation import checks, models
+from htfoliation import checks, cli, models
 from htfoliation.errors import InvalidModelError, NotApplicableError
 from htfoliation.foliation import FoliationModel
 from htfoliation.geometry import Polynomial, PolyField
@@ -217,3 +219,31 @@ class TestReportSerialization:
                              "points", "details"}
         assert (blob["status"] == "pass") == \
             (blob["max_residual"] <= blob["tolerance"])
+
+
+class TestFrameBatchCache:
+    def test_finished_model_is_freed_without_gc(self):
+        model = models.get_model("complex-hopf-s3")
+        rows = cli.run_checks(model, cli.DEFAULT_CHECKS,
+                              cli.RunConfig(points=4, heavy_points=4))
+        assert {r["status"] for r in rows} == {"pass", "skipped"}
+        # three-index tensors are cached only as values in the point batch
+        assert not {"nabla_t", "curvature", "lc_curvature"} & model._tables.keys()
+        ref = weakref.ref(model)
+        gc.disable()
+        try:
+            del model
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_copy_outlives_the_model_that_built_the_batch(self):
+        model = models.get_model("heisenberg-quat")
+        first = checks.check_yang_mills(model, points=4)
+        # the copy shares the batch cache, whose batch for this key was
+        # built for (and refers to) the model deleted here
+        copy = model.with_epsilon(model.epsilon)
+        del model
+        again = checks.check_yang_mills(copy, points=4)
+        assert again.status == "pass"
+        assert again.to_json() == first.to_json()

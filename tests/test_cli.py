@@ -118,6 +118,47 @@ class TestCd:
         assert "pass" in res.output
 
 
+BAD_OPTIONS = {
+    "verify-points-0": ["verify", "heisenberg", "--points", "0"],
+    "verify-tol-negative": ["verify", "heisenberg", "--tol", "-1"],
+    "verify-tol-0": ["verify", "heisenberg", "--tol", "0"],
+    "spectrum-degree-negative": ["spectrum", "complex-hopf-s3", "--degree", "-1"],
+    "spectrum-degree-0": ["spectrum", "complex-hopf-s3", "--degree", "0"],
+    "cd-trials-0": ["cd", "heisenberg", "--K", "0", "--trials", "0"],
+    "cd-points-0": ["cd", "heisenberg", "--K", "0", "--points", "0"],
+    "cd-tol-negative": ["cd", "heisenberg", "--K", "0", "--tol", "-1"],
+    "report-points-0": ["report", "complex-hopf-s3", "--points", "0"],
+    "report-degree-negative": ["report", "complex-hopf-s3", "--degree", "-1"],
+}
+BAD_MODEL_FILES = {
+    "file-not-json": "not json",
+    "file-not-object": "[1, 2]",
+    "file-missing-k": '{"kind": "complex-hopf"}',
+    "file-null-k": '{"kind": "complex-hopf", "k": null}',
+    "file-epsilon-negative": '{"kind": "complex-hopf", "k": 1, "epsilon": -1}',
+}
+BAD_INPUTS = ([pytest.param(args, None, id=key)
+               for key, args in BAD_OPTIONS.items()]
+              + [pytest.param(["verify", "--model-file"], text, id=key)
+                 for key, text in BAD_MODEL_FILES.items()])
+
+
+@pytest.mark.parametrize("args, model_file", BAD_INPUTS)
+def test_bad_input_fails_closed(runner, tmp_path, args, model_file):
+    if model_file is not None:
+        path = tmp_path / "model.json"
+        path.write_text(model_file)
+        args = args + [str(path)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)    # not an uncaught error
+    assert res.stdout == ""
+    assert "Traceback" not in res.output
+    errors = [line for line in res.stderr.splitlines()
+              if line.lower().startswith("error:")]
+    assert len(errors) == 1
+
+
 class TestReport:
     def test_combined_report(self, runner, tmp_path):
         out = tmp_path / "report.json"

@@ -201,7 +201,7 @@ class TestEpsilonScaling:
         # against the stored (round-unit) vertical fields: J -> J/c under
         # eps -> c*eps, while T as a vertical-vector-valued map is unchanged
         c = 2.5
-        other = models.canonical_variation(s7, c * s7.epsilon)
+        other = s7.with_epsilon(c * s7.epsilon)
         pts = sample_points(s7.chart, 6, 9)
         fb1 = s7.frame_batch(pts)
         fb2 = other.frame_batch(pts)
@@ -214,8 +214,7 @@ class TestEpsilonScaling:
         np.testing.assert_allclose(T1, T2, atol=1e-12)
 
     def test_round_trip_restores_j(self, s3):
-        back = models.canonical_variation(
-            models.canonical_variation(s3, 1.0), s3.epsilon)
+        back = s3.with_epsilon(1.0).with_epsilon(s3.epsilon)
         pts = sample_points(s3.chart, 4, 10)
         np.testing.assert_allclose(
             j_endomorphisms(s3.frame_batch(pts)),

@@ -50,7 +50,7 @@ class TestConstructors:
         with pytest.raises(InvalidModelError):
             models.quaternionic_hopf(1, epsilon=-1.0)
         with pytest.raises(InvalidModelError):
-            models.canonical_variation(models.get_model("heisenberg"), 0.0)
+            models.get_model("heisenberg").with_epsilon(0.0)
 
     def test_quaternionic_vertical_structure(self, s7):
         # the stored round-unit fields are orthonormal on the sphere and
@@ -97,8 +97,7 @@ class TestNormalization:
             models.normalize_to_htype(bad)
 
     def test_variation_roundtrip(self, s3):
-        back = models.canonical_variation(
-            models.canonical_variation(s3, 1.0), 4.0)
+        back = s3.with_epsilon(1.0).with_epsilon(4.0)
         pts = sample_points(s3.chart, 4, 2)
         np.testing.assert_allclose(
             j_endomorphisms(s3.frame_batch(pts)),
