@@ -10,12 +10,17 @@ is the sum of squares of the left-invariant horizontal frame (whose
 divergence correction vanishes).  Both routes stay inside exact polynomial
 arithmetic, and the integration-by-parts identity is verified by tests
 rather than assumed.
+
+Spectra need no integration: the vertical fields are linear, so on the
+sphere the operator maps each space of homogeneous polynomials to itself
+(after lifting the degree-lowering part by ||x||^2), and its exact matrix
+there is diagonalized degree by degree.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -26,8 +31,7 @@ from .errors import (BoundNotApplicableError, InvalidModelError,
                      UnsupportedBackendError)
 from .foliation import SPHERE, FoliationModel, ricci_horizontal
 from .geometry import (Polynomial, PolyField, directional_derivative,
-                       euclidean_gradient, integrate_sphere,
-                       sphere_laplacian)
+                       euclidean_gradient, sphere_laplacian)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +148,7 @@ def check_cd_inequality(model: FoliationModel, K: float,
               for _ in range(fs)]
     pts = fb.points
     cache = fb.mono
-    worst = np.inf
+    margins = []
     for f in fs:
         polys = _gamma_polys(model, f)
         vals = {k: np.atleast_1d(v.evaluate(pts, cache))
@@ -153,10 +157,11 @@ def check_cd_inequality(model: FoliationModel, K: float,
             lhs = vals["gamma2"] + nu * vals["gamma2_v"]
             rhs = (vals["delta_f"] ** 2) / n \
                 + (K - m / nu) * vals["gamma"] + (n / 4.0) * vals["gamma_v"]
-            worst = min(worst, float((lhs - rhs).min()))
-    margin = float(worst)
+            margins.append((lhs - rhs).min())
+    # np.min propagates NaN, so a NaN margin fails instead of being skipped
+    margin = float(np.min(margins, initial=np.inf))
     return CheckReport("cd-inequality", "pass" if margin >= -tol else "fail",
-                       max(0.0, -margin), tol, points,
+                       float(np.maximum(0.0, -margin)), tol, points,
                        {"min_margin": margin, "K": K, "nu_values": list(nus),
                         "trials": len(fs)})
 
@@ -167,17 +172,19 @@ def check_cd_inequality(model: FoliationModel, K: float,
 
 @dataclass
 class SpectrumResult:
-    """Discrete spectrum of the sub-Laplacian on a polynomial subspace.
+    """Discrete spectrum of the sub-Laplacian on polynomials of bounded degree.
 
-    Polynomials of bounded degree restrict to an invariant subspace, so the
-    computed values are exact eigenvalues, not just variational bounds; the
-    representatives satisfy the eigenvalue equation pointwise.
+    The space is invariant, so the computed values are exact eigenvalues,
+    not just variational bounds; the representatives are homogeneous
+    polynomials that satisfy the eigenvalue equation pointwise on the
+    sphere.  ``gram_asymmetry`` is the largest asymmetry of the per-degree
+    operator matrices in the Fischer-orthonormal basis: rounding level when
+    the vertical fields are Killing, of order one when they are not.
     """
 
     model_name: str
     degree: int
     eigenvalues: list[float]
-    gram_condition: float
     gram_asymmetry: float
     eigenfunctions: list[Polynomial] = field(repr=False, default_factory=list)
 
@@ -190,7 +197,6 @@ class SpectrumResult:
     def to_json(self) -> dict:
         return {"model": self.model_name, "degree": self.degree,
                 "eigenvalues": self.eigenvalues,
-                "gram_condition": self.gram_condition,
                 "gram_asymmetry": self.gram_asymmetry}
 
     def to_csv(self) -> str:
@@ -199,61 +205,65 @@ class SpectrumResult:
         return "\n".join(lines) + "\n"
 
 
-def _monomial_basis(n_vars: int, degree: int) -> list[Polynomial]:
-    basis = []
-    for total in range(degree + 1):
-        for exps in itertools.combinations_with_replacement(range(n_vars), total):
-            alpha = [0] * n_vars
-            for i in exps:
-                alpha[i] += 1
-            basis.append(Polynomial.from_dict(n_vars, {tuple(alpha): 1.0}))
-    return basis
+def _degree_block(model: FoliationModel, k: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Matrix of -Delta_H on the homogeneous polynomials of degree k.
+
+    Returns the sorted monomial keys, the Fischer scales sqrt(alpha!) and
+    the matrix in the orthonormal basis x^alpha / sqrt(alpha!).  The
+    sphere backend's vertical fields are linear (its ``vertical_matrices``),
+    so Delta_H x^alpha has parts of degree k and k - 2 only; the latter
+    times ||x||^2 is the same function on the sphere.
+    """
+    N = model.ambient_dim
+    basis = Polynomial.from_dict(N, {
+        tuple(map(combo.count, range(N))): 1.0
+        for combo in itertools.combinations_with_replacement(range(N), k)})
+    keys = basis.keys
+    scale = np.sqrt([math.prod(map(math.factorial, alpha))
+                     for alpha in basis.exponents().tolist()])
+    r2 = Polynomial.sum_of(N, [Polynomial.variable(N, i) ** 2
+                               for i in range(N)])
+    zero = Polynomial.zero(N)
+    A = np.zeros((keys.size, keys.size))
+    for col in range(keys.size):
+        g = Polynomial(N, keys[col:col + 1], np.ones(1))
+        parts = sub_laplacian_poly(model, g).homogeneous_parts()
+        lap = parts.get(k, zero) + parts.get(k - 2, zero) * r2
+        A[np.searchsorted(keys, lap.keys), col] = -lap.coeffs
+    return keys, scale, A * scale[:, None] / scale[None, :]
 
 
-def rayleigh_ritz(model: FoliationModel, degree: int,
-                  null_threshold: float = 1e-10,
-                  max_condition: float = 1e12) -> SpectrumResult:
-    """Spectrum of -Delta_H on polynomials of bounded degree via exact
-    sphere moments.
+def rayleigh_ritz(model: FoliationModel, degree: int) -> SpectrumResult:
+    """Spectrum of -Delta_H on the polynomials of degree <= ``degree``,
+    restricted to the sphere.
 
-    Assembles A[f, g] = -integral f Delta_H g and the mass matrix
-    B[f, g] = integral f g over the monomial basis, projects out the
-    null space of B (monomials are dependent on the sphere through
-    ||x||^2 = 1), and solves the reduced symmetric eigenproblem.
+    That space is the direct sum of the restrictions of the homogeneous
+    spaces P_degree and P_(degree - 1), each invariant because the vertical
+    fields are linear.  On each the operator matrix is symmetric in the
+    Fischer-orthonormal basis (Z_a is skew and ||x||^2 Delta self-adjoint),
+    so one symmetric eigensolve per degree gives the eigenvalues with
+    multiplicities, merged in increasing order.
     """
     if model.backend != SPHERE:
         raise UnsupportedBackendError(
             "spectra require a compact model; the group backend is noncompact")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    basis = _monomial_basis(model.ambient_dim, degree)
-    lap = [sub_laplacian_poly(model, g) for g in basis]
-    dim = len(basis)
-    A = np.empty((dim, dim))
-    B = np.empty((dim, dim))
-    for i, f in enumerate(basis):
-        for j, g in enumerate(basis):
-            A[i, j] = -integrate_sphere(f * lap[j])
-            B[i, j] = integrate_sphere(f * basis[j])
-    asym = float(np.abs(A - A.T).max())
-    A = 0.5 * (A + A.T)
-    evals, evecs = np.linalg.eigh(B)
-    keep = evals > null_threshold * evals.max()
-    cond = float(evals[keep].max() / evals[keep].min())
-    if cond > max_condition:
-        raise InvalidModelError(
-            f"mass matrix ill-conditioned: condition number {cond:.3e}")
-    W = evecs[:, keep] / np.sqrt(evals[keep])
-    reduced = W.T @ A @ W
-    lam, vecs = np.linalg.eigh(reduced)
-    coeffs = W @ vecs
-    funcs = []
-    for k in range(coeffs.shape[1]):
-        f = Polynomial.sum_of(model.ambient_dim,
-                              [float(c) * b for c, b in zip(coeffs[:, k], basis)])
-        funcs.append(f)
-    return SpectrumResult(model.name, degree, [float(v) for v in lam],
-                          cond, asym, funcs)
+    lams, funcs, asym = [], [], 0.0
+    for k in range(max(degree - 1, 0), degree + 1):
+        keys, scale, A = _degree_block(model, k)
+        asym = max(asym, float(np.abs(A - A.T).max()))
+        lam, vecs = np.linalg.eigh(0.5 * (A + A.T))
+        lams.append(lam)
+        for c in (vecs / scale[:, None]).T:
+            nonzero = c != 0.0
+            funcs.append(Polynomial(model.ambient_dim, keys[nonzero],
+                                    c[nonzero]))
+    lam = np.concatenate(lams)
+    order = np.argsort(lam, kind="stable")
+    return SpectrumResult(model.name, degree, [float(lam[i]) for i in order],
+                          asym, [funcs[i] for i in order])
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +322,8 @@ def bounds_clifford(n: int, m: int, kappa: float,
     """
     if kappa <= 0:
         raise BoundNotApplicableError("the bounds require kappa > 0")
+    if n < 1 or m < 1:
+        raise BoundNotApplicableError("ranks must be positive")
     if m < 2:
         raise BoundNotApplicableError("the Clifford-form bounds require m >= 2")
     if quaternionic and m != 3:

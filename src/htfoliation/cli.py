@@ -1,15 +1,17 @@
 """Command-line front end: catalog, verification suites, spectra, bounds.
 
 Exit codes: 0 all requested checks pass; 1 at least one check failed or a
-model violated a precondition; 2 usage error (an option out of range, or a
-model file that cannot be read as a valid model); 3 unknown model; 4
-operation unsupported on the backend; 5 invalid bound inputs.  JSON output
-is the source of truth and is byte-stable for a fixed (configuration, seed).
+model violated a precondition; 2 usage error (an option out of range or
+not a finite number, or a model file that cannot be read as a valid model);
+3 unknown model; 4 operation unsupported on the backend; 5 invalid bound
+inputs.  JSON output is the source of truth and is byte-stable for a fixed
+(configuration, seed).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -31,10 +33,28 @@ EXIT_UNKNOWN_MODEL = 3
 EXIT_UNSUPPORTED = 4
 EXIT_BAD_BOUNDS = 5
 
+
+class FiniteFloatRange(click.FloatRange):
+    """A float range that also rejects nan and +-inf: nan compares false
+    against every bound, and a range open at the top admits inf."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not math.isfinite(rv):
+            self.fail(f"{rv} is not a finite number.", param, ctx)
+        return rv
+
+    def _describe_range(self) -> str:
+        if self.min is None and self.max is None:
+            return "finite"
+        return super()._describe_range()
+
+
 # numeric option ranges: values outside them are usage errors (exit 2)
 POINTS = click.IntRange(min=1)
 DEGREE = click.IntRange(min=1)      # degree 0 holds no nonzero eigenvalue
-TOLERANCE = click.FloatRange(min=0.0, min_open=True)
+TOLERANCE = FiniteFloatRange(min=0.0, min_open=True)
+FINITE = FiniteFloatRange()
 
 
 @dataclass
@@ -294,9 +314,9 @@ def cmd_spectrum(model_name, degree, fmt, out):
 @main.command("bounds")
 @click.option("--n", "n", type=int, required=True)
 @click.option("--m", "m", type=int, required=True)
-@click.option("--K", "K", type=float, default=None,
+@click.option("--K", "K", type=FINITE, default=None,
               help="horizontal Ricci lower bound")
-@click.option("--kappa", type=float, default=None,
+@click.option("--kappa", type=FINITE, default=None,
               help="vertical Clifford structure constant")
 @click.option("--quaternionic", is_flag=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
@@ -325,7 +345,7 @@ def cmd_bounds(n, m, K, kappa, quaternionic, fmt):
 
 @main.command("cd")
 @click.argument("model_name")
-@click.option("--K", "K", type=float, required=True)
+@click.option("--K", "K", type=FINITE, required=True)
 @click.option("--trials", type=click.IntRange(min=1), default=20,
               show_default=True)
 @click.option("--points", type=POINTS, default=32, show_default=True)

@@ -1,10 +1,25 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from htfoliation import analysis
+from htfoliation import analysis, models
 from htfoliation.errors import (BoundNotApplicableError, InvalidModelError,
                                 UnsupportedBackendError)
 from htfoliation.geometry import (MonomialCache, Polynomial, sample_points)
+
+
+def _load_oracle():
+    # the closed-form Hopf spectra, coded apart from the package
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("hopf_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracle = _load_oracle()
 
 
 class TestSubLaplacian:
@@ -120,6 +135,31 @@ class TestRayleighRitz:
             analysis.rayleigh_ritz(heis, 1)
 
 
+class TestClosedFormSpectra:
+    @pytest.mark.parametrize("name, degree, closed_form, base_dim", [
+        ("complex-hopf-s3", 6, oracle.complex_hopf_spectrum, 1),
+        ("complex-hopf-s5", 4, oracle.complex_hopf_spectrum, 2),
+        ("quaternionic-hopf-s7", 3, oracle.quaternionic_hopf_spectrum, 1),
+        ("quaternionic-hopf-s11", 3, oracle.quaternionic_hopf_spectrum, 2),
+    ])
+    def test_eigenvalues_and_multiplicities(self, name, degree, closed_form,
+                                            base_dim, catalog_models):
+        result = analysis.rayleigh_ritz(catalog_models[name], degree)
+        expected = closed_form(base_dim, degree)
+        assert len(result.eigenvalues) == len(expected)
+        np.testing.assert_allclose(result.eigenvalues, expected, rtol=0,
+                                   atol=1e-12)
+
+    def test_non_killing_vertical_field_is_asymmetric(self, s3):
+        # a sheared circle action is not an isometry, so its square is not
+        # self-adjoint
+        shear = models._complex_structure(4)
+        shear[0, 2] = 0.5
+        model = models._sphere_model("sheared-s3", shear[None], 4.0)
+        assert analysis.rayleigh_ritz(model, 2).gram_asymmetry > 0.1
+        assert analysis.rayleigh_ritz(s3, 2).gram_asymmetry < 1e-12
+
+
 class TestIntegrationByParts:
     @pytest.mark.parametrize("name", ["complex-hopf-s3", "quaternionic-hopf-s7"])
     def test_symmetry_and_dirichlet_form(self, name, catalog_models):
@@ -159,6 +199,11 @@ class TestCurvatureDimension:
         rep = analysis.check_cd_inequality(heis_quat, K=0.0, fs=[one],
                                            nus=(1.0,), points=8, seed=4)
         assert rep.details["min_margin"] == 0.0
+
+    def test_nan_k_fails(self, heis):
+        rep = analysis.check_cd_inequality(heis, K=float("nan"), fs=2,
+                                           points=8, seed=4)
+        assert rep.status == "fail"
 
     def test_excessive_k_rejected(self, heis_quat):
         with pytest.raises(InvalidModelError):
@@ -200,3 +245,6 @@ class TestBounds:
             analysis.bounds_clifford(4, 1, 2.0)
         with pytest.raises(BoundNotApplicableError):
             analysis.bounds_clifford(4, 2, 2.0, quaternionic=True)
+        for n in (-4, 0):
+            with pytest.raises(BoundNotApplicableError):
+                analysis.bounds_clifford(n, 3, 2.0, quaternionic=True)

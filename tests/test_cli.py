@@ -108,6 +108,11 @@ class TestBounds:
                                     "--K", "0"]).exit_code == 5
         assert runner.invoke(main, ["bounds", "--n", "4", "--m", "3",
                                     "--K", "1", "--kappa", "1"]).exit_code == 5
+        for n in ("-4", "0"):
+            res = runner.invoke(main, ["bounds", "--n", n, "--m", "3",
+                                       "--kappa", "2"])
+            assert res.exit_code == 5
+            assert res.output == "error: ranks must be positive\n"
 
 
 class TestCd:
@@ -122,11 +127,17 @@ BAD_OPTIONS = {
     "verify-points-0": ["verify", "heisenberg", "--points", "0"],
     "verify-tol-negative": ["verify", "heisenberg", "--tol", "-1"],
     "verify-tol-0": ["verify", "heisenberg", "--tol", "0"],
+    "verify-tol-nan": ["verify", "heisenberg", "--tol", "nan"],
+    "verify-tol-inf": ["verify", "heisenberg", "--tol", "inf"],
     "spectrum-degree-negative": ["spectrum", "complex-hopf-s3", "--degree", "-1"],
     "spectrum-degree-0": ["spectrum", "complex-hopf-s3", "--degree", "0"],
     "cd-trials-0": ["cd", "heisenberg", "--K", "0", "--trials", "0"],
     "cd-points-0": ["cd", "heisenberg", "--K", "0", "--points", "0"],
     "cd-tol-negative": ["cd", "heisenberg", "--K", "0", "--tol", "-1"],
+    "cd-K-nan": ["cd", "heisenberg", "--K", "nan"],
+    "bounds-K-nan": ["bounds", "--n", "4", "--m", "3", "--K", "nan"],
+    "bounds-kappa-nan": ["bounds", "--n", "4", "--m", "3", "--kappa", "nan"],
+    "bounds-kappa-inf": ["bounds", "--n", "4", "--m", "3", "--kappa", "inf"],
     "report-points-0": ["report", "complex-hopf-s3", "--points", "0"],
     "report-degree-negative": ["report", "complex-hopf-s3", "--degree", "-1"],
 }
