@@ -289,6 +289,26 @@ class BoundsResult:
                 "formula": self.formula_used}
 
 
+def _float_ranks(n: int, m: int) -> tuple[float, float]:
+    """The ranks as floats; integer products of ranks this large would
+    overflow the float conversion inside the formulas."""
+    if n < 1 or m < 1:
+        raise BoundNotApplicableError("ranks must be positive")
+    try:
+        return float(n), float(m)
+    except OverflowError:
+        raise BoundNotApplicableError("ranks overflow the float range") from None
+
+
+def _finite_bounds(result: BoundsResult) -> BoundsResult:
+    """Reject bounds that left the float range: an infinite lambda_1 bound
+    or a zero diameter bound states nothing about the inputs."""
+    for value in (result.diameter_bound, result.lambda1_bound):
+        if not 0.0 < value < np.inf:
+            raise BoundNotApplicableError("the bounds overflow the float range")
+    return result
+
+
 def bounds_general(n: int, m: int, K: float) -> BoundsResult:
     """Diameter and first-eigenvalue bounds from a horizontal Ricci lower
     bound K > 0:
@@ -298,12 +318,12 @@ def bounds_general(n: int, m: int, K: float) -> BoundsResult:
     """
     if K <= 0:
         raise BoundNotApplicableError("the bounds require K > 0")
-    if n < 1 or m < 1:
-        raise BoundNotApplicableError("ranks must be positive")
-    diam = 2.0 * np.sqrt(3.0) * np.pi * np.sqrt((n + 4 * m) * (n + 6 * m) / (n * K))
-    lam = n * K / (n + 3 * m - 1)
-    return BoundsResult(n, m, K, "K", False, float(diam), float(lam),
-                        "ricci-lower-bound")
+    nf, mf = _float_ranks(n, m)
+    diam = 2.0 * np.sqrt(3.0) * np.pi * np.sqrt((nf + 4 * mf) * (nf + 6 * mf)
+                                                / (nf * K))
+    lam = nf * K / (nf + 3 * mf - 1)
+    return _finite_bounds(BoundsResult(n, m, K, "K", False, float(diam),
+                                       float(lam), "ricci-lower-bound"))
 
 
 def bounds_clifford(n: int, m: int, kappa: float,
@@ -322,21 +342,20 @@ def bounds_clifford(n: int, m: int, kappa: float,
     """
     if kappa <= 0:
         raise BoundNotApplicableError("the bounds require kappa > 0")
-    if n < 1 or m < 1:
-        raise BoundNotApplicableError("ranks must be positive")
+    nf, mf = _float_ranks(n, m)
     if m < 2:
         raise BoundNotApplicableError("the Clifford-form bounds require m >= 2")
     if quaternionic and m != 3:
         raise BoundNotApplicableError("quaternionic structures have m = 3")
     if quaternionic:
         diam = 2.0 * np.sqrt(6.0) * np.pi / np.sqrt(kappa) \
-            * np.sqrt((n + 12) * (n + 18) / (n * (n + 8)))
-        lam = n * kappa / 2.0
+            * np.sqrt((nf + 12) * (nf + 18) / (nf * (nf + 8)))
+        lam = nf * kappa / 2.0
         formula = "clifford-quaternionic"
     else:
         diam = 4.0 * np.sqrt(3.0) * np.pi / np.sqrt(kappa) \
-            * np.sqrt((n + 4 * m) * (n + 6 * m) / (n * (n + 8 * (m - 1))))
-        lam = kappa * n * (n + 8 * (m - 1)) / (4.0 * (n + 3 * m - 1))
+            * np.sqrt((nf + 4 * mf) * (nf + 6 * mf) / (nf * (nf + 8 * (mf - 1))))
+        lam = kappa * nf * (nf + 8 * (mf - 1)) / (4.0 * (nf + 3 * mf - 1))
         formula = "clifford-general"
-    return BoundsResult(n, m, kappa, "kappa", quaternionic, float(diam),
-                        float(lam), formula)
+    return _finite_bounds(BoundsResult(n, m, kappa, "kappa", quaternionic,
+                                       float(diam), float(lam), formula))

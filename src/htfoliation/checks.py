@@ -295,7 +295,7 @@ def check_einstein(model: FoliationModel, points: int = 32, seed: int = 42,
         predicted = kappa * (n / 4.0 + 2.0 * (m - 1)) * eye[None]
         formula = "kappa*(n/4 + 2(m-1))"
     else:
-        quat = detect_quaternionic(model, min(points, 8), seed, tol)
+        quat = detect_quaternionic(model, points, seed, tol)
         if quat.status == "quaternionic":
             predicted = kappa * (n / 2.0 + 4.0) * eye[None]
             formula = "kappa*(n/2 + 4)"

@@ -9,15 +9,18 @@ making the defining group frame orthonormal).
 The canonical metric connection preserving both distributions ("Bott
 connection" below) is assembled case-wise:
 
-    nabla_X Y = pi_H(nabla^g0_X Y)    X, Y horizontal
+    nabla_X Y = pi_H(D_X Y)           X, Y horizontal
     nabla_Z Y = pi_H([Z, Y])          Z vertical, Y horizontal
     nabla_X W = pi_V([X, W])          X horizontal, W vertical
-    nabla_Z W = pi_V(nabla^g0_Z W)    Z, W vertical
+    nabla_Z W = pi_V(D_Z W)           Z, W vertical
 
-The two metric cases are scale-invariant in epsilon (projected Koszul terms
-only ever pair like slots), so a single base connection serves the whole
-canonical-variation family; this is exploited by sharing symbolic tables
-across vertical rescalings of one model.
+with D the flat ambient derivative.  The like-slot cases are the projected
+Levi-Civita derivative of g0, and D may stand in for it on both backends:
+on the sphere the two differ by a normal term, on a two-step group by terms
+that pi_H kills (X, Y horizontal) or that vanish (Z, W vertical).  Both
+cases are scale-invariant in epsilon, so a single connection serves the
+whole canonical-variation family; this is exploited by sharing symbolic
+tables across vertical rescalings of one model.
 
 Everything pointwise is obtained by evaluating table entries over the
 spanning fields and contracting with adapted-frame expansion coefficients;
@@ -36,7 +39,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import geometry as geo
 from .errors import (DegenerateFrameError, DimensionMismatchError,
                      InvalidModelError)
 from .geometry import (AmbientChart, MonomialCache, Polynomial, PolyField,
@@ -152,8 +154,6 @@ class FoliationModel:
             raise InvalidModelError("sphere backend needs vertical matrices")
         # epsilon-independent symbolic tables, shareable across variations
         self._tables = _tables if _tables is not None else {}
-        if backend == GROUP:
-            self._group_gamma = self._koszul_table()
 
     # -- basic structure -----------------------------------------------------
 
@@ -192,22 +192,19 @@ class FoliationModel:
 
     def vertical_coefficients(self, F: PolyField) -> list[Polynomial]:
         """Coefficients of the vertical part along the stored vertical fields,
-        measured in the base metric (exact on-chart)."""
+        measured in the base metric (exact on-chart).
+
+        Group backend: the coframe dual to the stored frame, theta^a(F) =
+        F^{n+a} - sum_i F^i X_i^{n+a}; this relies on X_i^j = delta_ij and
+        Z_a = d/dz_a, as built by ``group_model_from_matrices``."""
         N = self.ambient_dim
         if self.backend == SPHERE:
             return [F.dot(Z) for Z in self.vertical_fields]
         n = self.n
-        out = []
-        for a in range(self.m):
-            Aa = self.generators[a]
-            terms = [F.components[n + a]]
-            for i in range(n):
-                row = Polynomial.sum_of(N, [
-                    Aa[i, j] * Polynomial.variable(N, j)
-                    for j in range(n) if Aa[i, j] != 0.0])
-                terms.append(-0.5 * (F.components[i] * row))
-            out.append(Polynomial.sum_of(N, terms))
-        return out
+        return [Polynomial.sum_of(N, [F.components[n + a]] + [
+                    -(F.components[i] * self.horizontal_fields[i].components[n + a])
+                    for i in range(n)])
+                for a in range(self.m)]
 
     def pi_v(self, F: PolyField) -> PolyField:
         coeffs = self.vertical_coefficients(F)
@@ -269,73 +266,25 @@ class FoliationModel:
 
     # -- connections -----------------------------------------------------------
 
-    def _koszul_table(self) -> np.ndarray:
-        """Constant frame connection coefficients of the base left-invariant
-        metric: Gamma[alpha, beta, gamma] = <nabla_{E_a} E_b, E_c>."""
-        n, m = self.n, self.m
-        F = n + m
-        c = np.zeros((F, F, F))
-        for a in range(m):
-            c[:n, :n, n + a] = -self.generators[a]
-        return 0.5 * (c - np.transpose(c, (1, 2, 0)) + np.transpose(c, (2, 0, 1)))
-
-    def _group_frame_field(self, alpha: int) -> PolyField:
-        if alpha < self.n:
-            return self.horizontal_fields[alpha]
-        return self.vertical_fields[alpha - self.n]
-
-    def frame_coefficients(self, F: PolyField) -> list[Polynomial]:
-        """Group backend: coefficients of F over the left-invariant frame."""
-        horiz = [F.components[i] for i in range(self.n)]
-        return horiz + self.vertical_coefficients(F)
-
-    def base_levi_civita(self, X: PolyField, Y: PolyField) -> PolyField:
-        """Levi-Civita derivative of the base metric (round or left-invariant)."""
-        if self.backend == SPHERE:
-            return geo.levi_civita(self.chart, X, Y)
-        coeff_y = self.frame_coefficients(Y)
-        coeff_x = self.frame_coefficients(X)
-        terms = []
-        for beta, gy in enumerate(coeff_y):
-            if gy.is_zero:
-                continue
-            terms.append(self._group_frame_field(beta).scale(
-                directional_derivative(X, gy)))
-            for alpha, fx in enumerate(coeff_x):
-                if fx.is_zero:
-                    continue
-                gam = self._group_gamma[alpha, beta]
-                for gamma_idx in np.nonzero(gam)[0]:
-                    terms.append(self._group_frame_field(int(gamma_idx)).scale(
-                        (fx * gy) * float(gam[gamma_idx])))
-        return PolyField.sum_of(self.ambient_dim, terms)
-
     def bott_split(self, F, G) -> Split:
         """The case-wise metric connection preserving both distributions.
 
-        On the sphere backend the Levi-Civita tangential projection is
-        subsumed by pi_H (which also removes the normal direction) and by
-        pi_V (which kills normal components exactly, since p . A p = 0 for
-        skew A), so the raw ambient derivative is projected only once.
-        """
+        The like-slot cases project the flat ambient derivative once: on the
+        sphere pi_H and pi_V also remove the normal direction (p . A p = 0
+        for skew A); on a group pi_H removes the d/dz_a terms by which it
+        differs from nabla^g0 on horizontal fields."""
         Fs, Gs = self.split(F), self.split(G)
         h_part = None
         v_part = None
         if Fs.h is not None and Gs.h is not None:
-            if self.backend == SPHERE:
-                h_part = self.pi_h(directional_derivative(Fs.h, Gs.h))
-            else:
-                h_part = self.pi_h(self.base_levi_civita(Fs.h, Gs.h))
+            h_part = self.pi_h(directional_derivative(Fs.h, Gs.h))
         if Fs.v is not None and Gs.h is not None:
             term = self.pi_h(bracket(Fs.v, Gs.h))
             h_part = term if h_part is None else h_part + term
         if Fs.h is not None and Gs.v is not None:
             v_part = self.pi_v(bracket(Fs.h, Gs.v))
         if Fs.v is not None and Gs.v is not None:
-            if self.backend == SPHERE:
-                term = self.pi_v(directional_derivative(Fs.v, Gs.v))
-            else:
-                term = self.pi_v(self.base_levi_civita(Fs.v, Gs.v))
+            term = self.pi_v(directional_derivative(Fs.v, Gs.v))
             v_part = term if v_part is None else v_part + term
         return Split(h=h_part, v=v_part)
 

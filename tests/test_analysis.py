@@ -248,3 +248,17 @@ class TestBounds:
         for n in (-4, 0):
             with pytest.raises(BoundNotApplicableError):
                 analysis.bounds_clifford(n, 3, 2.0, quaternionic=True)
+        # bounds outside the float range, and ranks beyond it
+        for K in (1e308, 1e-320):
+            with pytest.raises(BoundNotApplicableError):
+                analysis.bounds_general(4, 3, K)
+        for quaternionic in (False, True):
+            with pytest.raises(BoundNotApplicableError):
+                analysis.bounds_clifford(4, 3, 1e308, quaternionic)
+        big = 10 ** 400
+        with pytest.raises(BoundNotApplicableError):
+            analysis.bounds_general(big, 3, 1.0)
+        with pytest.raises(BoundNotApplicableError):
+            analysis.bounds_general(4, big, 1.0)
+        with pytest.raises(BoundNotApplicableError):
+            analysis.bounds_clifford(big, 3, 2.0, quaternionic=True)

@@ -25,6 +25,20 @@ def sheared_heisenberg():
                           generators=heis.generators)
 
 
+def tilted_heisenberg_quat():
+    """Quaternionic Heisenberg model with Z_0 tilted by 0.3 z_0 d/dx_0, so
+    that the vertical span is no longer the centre of the group."""
+    hq = models.get_model("heisenberg-quat")
+    N, n = hq.ambient_dim, hq.n
+    z0 = tuple(1 if i == n else 0 for i in range(N))
+    comps = list(hq.vertical_fields[0].components)
+    comps[0] = Polynomial.from_dict(N, {z0: 0.3})
+    vertical = [PolyField(comps)] + list(hq.vertical_fields[1:])
+    return FoliationModel("tilted", "group", hq.chart, hq.n, hq.m, 1.0,
+                          vertical, hq.horizontal_fields,
+                          generators=hq.generators)
+
+
 def degenerate_two_step():
     """A two-step group from a rank-deficient skew matrix; still a totally
     geodesic foliation, but not of H-type."""
@@ -209,6 +223,33 @@ class TestLemmaIdentities:
     def test_complex_hopf(self, s3):
         for rep in checks.check_lemma_identities(s3, points=8, seed=1):
             assert rep.status == "pass", rep.check_name
+
+
+# Each connection-dependent check on a model or a kappa that breaks it.
+BROKEN_INPUTS = {
+    "yang-mills-sheared": lambda s7: [
+        checks.check_yang_mills(sheared_heisenberg(), points=8, seed=1)],
+    "torsion-class-sheared": lambda s7: [
+        checks.check_torsion_class(sheared_heisenberg(), points=8, seed=1)],
+    "oneill-sheared": lambda s7: [
+        checks.check_oneill(sheared_heisenberg(), points=8, seed=1)],
+    "lemma-identities-tilted": lambda s7: checks.check_lemma_identities(
+        tilted_heisenberg_quat(), points=8, seed=1, kappa=0.0),
+    "einstein-s7-kappa-1": lambda s7: [
+        checks.check_einstein(s7, points=8, seed=1, kappa=1.0)],
+    # not S^3: there curvature constancy holds at kappa = 1 as well (n = 2)
+    "curvature-constancy-s7-kappa-1": lambda s7: [
+        checks.check_curvature_constancy(s7, 1.0, points=8, seed=1)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_INPUTS))
+def test_connection_dependent_checks_can_fail(case, s7):
+    reports = BROKEN_INPUTS[case](s7)
+    assert len(reports) == (6 if case == "lemma-identities-tilted" else 1)
+    for rep in reports:
+        assert rep.status == "fail", rep.check_name
+        assert rep.max_residual > 100 * rep.tolerance, rep.check_name
 
 
 class TestReportSerialization:

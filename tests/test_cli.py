@@ -113,6 +113,19 @@ class TestBounds:
                                        "--kappa", "2"])
             assert res.exit_code == 5
             assert res.output == "error: ranks must be positive\n"
+        # bounds that leave the float range, and ranks beyond it
+        for args in (["--n", "4", "--m", "3", "--K", "1e308"],
+                     ["--n", "4", "--m", "3", "--K", "1e-320"],
+                     ["--n", "4", "--m", "3", "--kappa", "1e308"],
+                     ["--n", "4", "--m", "3", "--kappa", "1e308",
+                      "--quaternionic"],
+                     ["--n", "1" + "0" * 400, "--m", "3", "--K", "1"],
+                     ["--n", "1" + "0" * 400, "--m", "3", "--kappa", "2",
+                      "--quaternionic"]):
+            res = runner.invoke(main, ["bounds"] + args)
+            assert res.exit_code == 5, args
+            assert res.output.startswith("error: ") and \
+                res.output.count("\n") == 1, args
 
 
 class TestCd:

@@ -8,11 +8,27 @@ from htfoliation.checks import frame_batch_for
 from htfoliation.errors import DegenerateFrameError
 from htfoliation.foliation import (Split, curvature_components,
                                    j_endomorphisms, torsion_components)
-from htfoliation.geometry import MonomialCache, PolyField, bracket, sample_points
+from htfoliation.geometry import (MonomialCache, Polynomial, PolyField, bracket,
+                                  sample_points)
 
 
 def span_splits(model):
     return [model.span_split(i) for i in range(model.span_count)]
+
+
+def connection_test_fields(model):
+    """Spanning fields; on groups also f X_i and g Z_a for polynomials f, g
+    with dyadic coefficients.  Every group spanning field has constant frame
+    coefficients, so only these pin the connection down on general fields."""
+    spans = span_splits(model)
+    if model.backend != "group":
+        return spans
+    n = model.n
+    x = [Polynomial.variable(model.ambient_dim, i) for i in range(model.ambient_dim)]
+    f = 0.5 + 0.25 * x[0] - 0.75 * (x[1] * x[n])
+    g = -1.0 + 0.5 * x[n + 1] + 0.125 * (x[2] * x[3])
+    return (spans + [Split(h=X.scale(f)) for X in model.horizontal_fields]
+            + [Split(v=Z.scale(g)) for Z in model.vertical_fields])
 
 
 def eval_max(field_or_poly, pts, cache=None):
@@ -96,12 +112,13 @@ class TestBottConnection:
         rhs = s3.pi_h(bracket(Z, Y))
         assert eval_max(lhs - rhs, pts) < 1e-13
 
-    @pytest.mark.parametrize("name", ["complex-hopf-s3", "heisenberg-quat"])
+    @pytest.mark.parametrize("name", ["complex-hopf-s3", "heisenberg-quat",
+                                      "heisenberg-quat-mixed"])
     def test_metric_compatibility(self, name, catalog_models):
         model = catalog_models[name]
         pts = sample_points(model.chart, 32, 6)
         cache = MonomialCache(pts)
-        spans = span_splits(model)
+        spans = connection_test_fields(model)
         worst = 0.0
         for E in spans:
             Et = E.total(model.ambient_dim)
@@ -114,14 +131,15 @@ class TestBottConnection:
                     worst = max(worst, eval_max(lhs - rhs, pts, cache))
         assert worst < 1e-9
 
-    @pytest.mark.parametrize("name", ["complex-hopf-s3", "heisenberg-quat"])
+    @pytest.mark.parametrize("name", ["complex-hopf-s3", "heisenberg-quat",
+                                      "heisenberg-quat-mixed"])
     def test_connection_torsion_matches_bracket_formula(self, name,
                                                         catalog_models):
         # two routes: nabla_F G - nabla_G F - [F, G] versus -pi_V[h F, h G]
         model = catalog_models[name]
         pts = sample_points(model.chart, 16, 7)
         cache = MonomialCache(pts)
-        spans = span_splits(model)
+        spans = connection_test_fields(model)
         worst = 0.0
         for a, F in enumerate(spans):
             for b in range(a + 1, len(spans)):
