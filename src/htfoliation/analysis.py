@@ -30,8 +30,9 @@ from .checks import CheckReport, frame_batch_for
 from .errors import (BoundNotApplicableError, InvalidModelError,
                      UnsupportedBackendError)
 from .foliation import SPHERE, FoliationModel, ricci_horizontal
-from .geometry import (Polynomial, PolyField, directional_derivative,
-                       euclidean_gradient, sphere_laplacian)
+from .geometry import (MonomialCache, Polynomial, PolyField,
+                       directional_derivative, euclidean_gradient,
+                       sphere_laplacian)
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +148,12 @@ def check_cd_inequality(model: FoliationModel, K: float,
         fs = [_sparse_random_polynomial(model.ambient_dim, 3, rng)
               for _ in range(fs)]
     pts = fb.points
-    cache = fb.mono
     margins = []
     for f in fs:
         polys = _gamma_polys(model, f)
+        # one-off polynomials: a cache per trial keeps their monomials out of
+        # the batch's shared cache and frees them with the trial
+        cache = MonomialCache(pts)
         vals = {k: np.atleast_1d(v.evaluate(pts, cache))
                 for k, v in polys.items()}
         for nu in nus:

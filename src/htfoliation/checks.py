@@ -141,8 +141,7 @@ def check_yang_mills(model: FoliationModel, points: int = 64, seed: int = 42,
     """Horizontal divergence of the torsion: sum_i (nabla_{x_i} T)(x_i, u)
     vanishes for every frame direction u."""
     fb = frame_batch_for(model, points, seed)
-    amb = _contract3(fb, "nabla_t", model.nabla_t_entry, "h", "h", "all",
-                     antisym=(1, 2))
+    amb = _contract3(fb, "nabla_t", model.nabla_t_entry, "h", "h", "all")
     div = np.einsum("piiun->pun", amb)
     worst = float(np.abs(fb.components(div)).max())
     return CheckReport.from_residual("yang-mills", worst, tol, points)
@@ -376,8 +375,7 @@ def check_oneill(model: FoliationModel, points: int = 32, seed: int = 42,
     nablaj_amb = np.einsum("piajk,pkn->piajn", nt_h, fb.x).transpose(0, 2, 1, 3, 4)
     # T(x_i, J_{z_a} x_j)
     tj_amb = np.einsum("pakj,pikn->paijn", J, t_amb)
-    rv_amb = _contract3(fb, "curvature", model.curvature_entry, "v", "v", "v",
-                        antisym=(0, 1))
+    rv_amb = _contract3(fb, "curvature", model.curvature_entry, "v", "v", "v")
     worst = 0.0
     for eps in eps_values:
         direct_h = lc_curvature_ambient(fb, eps, "v", "h", "h")  # (P, m, n, n, N)
@@ -416,8 +414,7 @@ def check_lemma_identities(model: FoliationModel, points: int = 32,
     reports.append(CheckReport.from_residual("nablaJ-skew", skew, tol, points))
 
     full = curvature_components(fb, "all", "all", "all")   # (P, F, F, F, F)
-    amb_nt = _contract3(fb, "nabla_t", model.nabla_t_entry, "all", "all", "all",
-                        antisym=(1, 2))
+    amb_nt = _contract3(fb, "nabla_t", model.nabla_t_entry, "all", "all", "all")
     nt_frame = fb.components(amb_nt)                       # (P, F, F, F, F)
     decomp = np.zeros_like(full)
     decomp[:, :n, :n, :n, :] = full[:, :n, :n, :n, :]

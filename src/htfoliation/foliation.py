@@ -25,16 +25,26 @@ tables across vertical rescalings of one model.
 Everything pointwise is obtained by evaluating table entries over the
 spanning fields and contracting with adapted-frame expansion coefficients;
 tensoriality of torsion, covariant derivatives and curvature in every slot
-makes the spanning-field extensions legitimate.  The two-index entries
-(brackets, the connection, torsion, the rescaled Levi-Civita derivative) are
-kept symbolically and shared by a model family; each three-index entry
-(nabla T and both curvatures) is built once per point batch and kept only as
-its evaluated values (FrameBatch.eval_entry).
+makes the spanning-field extensions legitimate.
+
+The formulas (projections, the connection, torsion, J and the rescaled
+Levi-Civita connection) are written once, against a few field operations
+that both symbolic fields (PolyField) and point jets (PointField) provide.
+The two-index entries (brackets, the connection, torsion, the rescaled
+Levi-Civita derivative) are built symbolically and shared by a model family.
+Each three-index entry (nabla T and both curvatures) applies one more
+derivative to a two-index entry or a spanning field and then only pointwise
+linear algebra, so it is computed at a point batch from the exact order-1
+jets (values and Jacobians) of those entries: the same numbers as
+evaluating its symbolic composition, up to rounding.  It is built for every
+key at once and kept only as values in the batch (FrameBatch.eval_entry).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +52,8 @@ import numpy as np
 from .errors import (DegenerateFrameError, DimensionMismatchError,
                      InvalidModelError)
 from .geometry import (AmbientChart, MonomialCache, Polynomial, PolyField,
-                       bracket, directional_derivative, gram_schmidt_at)
+                       PointField, bracket, directional_derivative,
+                       field_jets, gram_schmidt_at)
 
 GROUP = "group"
 SPHERE = "sphere"
@@ -52,12 +63,13 @@ class Split:
     """A vector field kept as (horizontal part, vertical part).
 
     Either part may be None (meaning zero).  Keeping fields split avoids
-    re-projecting pure fields, which would inflate polynomial degrees.
+    re-projecting pure fields, which would inflate polynomial degrees.  The
+    parts are PolyFields, or PointFields of one point batch.
     """
 
     __slots__ = ("h", "v")
 
-    def __init__(self, h: PolyField | None = None, v: PolyField | None = None):
+    def __init__(self, h=None, v=None):
         self.h = None if (h is not None and h.is_zero()) else h
         self.v = None if (v is not None and v.is_zero()) else v
 
@@ -82,6 +94,18 @@ class Split:
                 return a
             return a + b
         return Split(_merge(self.h, other.h), _merge(self.v, other.v))
+
+    def __sub__(self, other: "Split") -> "Split":
+        return self + (-other)
+
+    def scale(self, s: float) -> "Split":
+        return Split(None if self.h is None else self.h.scale(s),
+                     None if self.v is None else self.v.scale(s))
+
+    def __getitem__(self, index) -> "Split":
+        """Select along the leading axes of PointField parts."""
+        return Split(None if self.h is None else self.h[index],
+                     None if self.v is None else self.v[index])
 
     def evaluate(self, points, cache: MonomialCache | None = None) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -190,35 +214,53 @@ class FoliationModel:
 
     # -- projections and metric ----------------------------------------------
 
-    def vertical_coefficients(self, F: PolyField) -> list[Polynomial]:
-        """Coefficients of the vertical part along the stored vertical fields,
-        measured in the base metric (exact on-chart).
+    @cached_property
+    def _symbolic_fields(self) -> tuple:
+        """The vertical fields, the coframe dual to them and the position
+        field, which the formulas below combine with their arguments.
 
-        Group backend: the coframe dual to the stored frame, theta^a(F) =
-        F^{n+a} - sum_i F^i X_i^{n+a}; this relies on X_i^j = delta_ij and
-        Z_a = d/dz_a, as built by ``group_model_from_matrices``."""
+        The coframe measures vertical parts in the base metric (exact
+        on-chart): on the sphere it is the round-orthonormal vertical fields
+        themselves; on a group theta^a(F) = F^{n+a} - sum_i F^i X_i^{n+a},
+        which relies on X_i^j = delta_ij and Z_a = d/dz_a, as built by
+        ``group_model_from_matrices``."""
         N = self.ambient_dim
-        if self.backend == SPHERE:
-            return [F.dot(Z) for Z in self.vertical_fields]
-        n = self.n
-        return [Polynomial.sum_of(N, [F.components[n + a]] + [
-                    -(F.components[i] * self.horizontal_fields[i].components[n + a])
-                    for i in range(n)])
-                for a in range(self.m)]
+        coframe = self.vertical_fields
+        if self.backend == GROUP:
+            n = self.n
+            coframe = tuple(
+                PolyField([-self.horizontal_fields[i].components[n + a]
+                           for i in range(n)]
+                          + [Polynomial.constant(N, float(j == n + a))
+                             for j in range(n, N)])
+                for a in range(self.m))
+        return self.vertical_fields, coframe, PolyField.position(N)
 
-    def pi_v(self, F: PolyField) -> PolyField:
-        coeffs = self.vertical_coefficients(F)
-        return PolyField.sum_of(self.ambient_dim,
-                                [Z.scale(c) for c, Z in
-                                 zip(coeffs, self.vertical_fields)
-                                 if not c.is_zero])
+    def _fields(self, F) -> tuple:
+        """(vertical fields, coframe, position) in the representation of F:
+        symbolic, or at the points of a jet (FrameBatch.model_fields)."""
+        if not isinstance(F, PointField):
+            return self._symbolic_fields
+        jet = lambda value: PointField(value, at=F.at)
+        vertical, coframe, position = F.at
+        return [jet(Z) for Z in vertical], [jet(t) for t in coframe], jet(position)
 
-    def pi_h(self, F: PolyField) -> PolyField:
+    def vertical_coefficients(self, F) -> list:
+        """Coefficients of the vertical part along the stored vertical fields,
+        measured in the base metric (exact on-chart)."""
+        return [F.dot(theta) for theta in self._fields(F)[1]]
+
+    def pi_v(self, F):
+        vertical = self._fields(F)[0]
+        return type(F).sum_of(self.ambient_dim, [
+            Z.scale(c) for c, Z in zip(self.vertical_coefficients(F), vertical)])
+
+    def pi_h(self, F):
         terms = [F, (-self.pi_v(F))]
         if self.backend == SPHERE:
-            pos = PolyField.position(self.ambient_dim)
+            pos = self._fields(F)[2]
             terms.append(-pos.scale(F.dot(pos)))
-        return PolyField.sum_of(self.ambient_dim, terms)
+        return type(F).sum_of(self.ambient_dim, terms)
 
     def split(self, F) -> Split:
         if isinstance(F, Split):
@@ -265,6 +307,9 @@ class FoliationModel:
         return G
 
     # -- connections -----------------------------------------------------------
+    #
+    # These take Splits (or fields, which are split first) of one kind:
+    # symbolic, or order-1 jets at a point batch.
 
     def bott_split(self, F, G) -> Split:
         """The case-wise metric connection preserving both distributions.
@@ -291,66 +336,53 @@ class FoliationModel:
     def bott(self, F, G) -> PolyField:
         return self.bott_split(F, G).total(self.ambient_dim)
 
-    def torsion_transform(self, F, G) -> PolyField:
+    def torsion_transform(self, F, G) -> Split:
         """T(F, G) = -pi_V([pi_H F, pi_H G]); vertical-valued and tensorial."""
         Fs, Gs = self.split(F), self.split(G)
         if Fs.h is None or Gs.h is None:
-            return PolyField.zero(self.ambient_dim)
-        return -self.pi_v(bracket(Fs.h, Gs.h))
+            return Split()
+        return Split(v=-self.pi_v(bracket(Fs.h, Gs.h)))
 
-    def j_transform(self, W, X) -> PolyField:
+    @cached_property
+    def _j_matrices(self) -> np.ndarray:
+        """B_a with J(Z_a, X) = pi_H(B_a X) / epsilon for horizontal X.
+
+        Sphere: for round-orthonormal linear vertical fields Z_a = A_a p one
+        has <Z_a, T(X, Y)>_0 = 2 <A_a X, Y>, so B_a = 2 A_a.  Group: the
+        horizontal coordinates of J(Z_a, X) are G_a^T applied to those of X,
+        and pi_H lifts them to sum_j c_j X_j, so B_a is G_a^T padded by
+        zeros."""
+        if self.backend == SPHERE:
+            return 2.0 * np.asarray(self.vertical_matrices, dtype=np.float64)
+        n, N = self.n, self.ambient_dim
+        B = np.zeros((self.m, N, N))
+        B[:, :n, :n] = np.transpose(self.generators, (0, 2, 1))
+        return B
+
+    def j_transform(self, W, X) -> Split:
         """The horizontal endomorphism dual to torsion, as a field transformer:
-        <j_transform(W, X), Y>_H = g_V(pi_V W, T(pi_H X, Y)) for horizontal Y.
-
-        Sphere backend: for round-orthonormal linear vertical fields Z_a = A_a p
-        one has <Z_a, T(X, Y)>_0 = 2 <A_a X, Y>, hence the closed form below.
-        """
+        <j_transform(W, X), Y>_H = g_V(pi_V W, T(pi_H X, Y)) for horizontal Y."""
         Ws, Xs = self.split(W), self.split(X)
         if Ws.v is None or Xs.h is None:
-            return PolyField.zero(self.ambient_dim)
+            return Split()
         wc = self.vertical_coefficients(Ws.v)
-        N = self.ambient_dim
-        if self.backend == SPHERE:
-            terms = []
-            for a in range(self.m):
-                if wc[a].is_zero:
-                    continue
-                img = self.pi_h(Xs.h.apply_matrix(self.vertical_matrices[a]))
-                terms.append(img.scale(wc[a] * (2.0 / self.epsilon)))
-            return PolyField.sum_of(N, terms)
-        xh = [Xs.h.components[i] for i in range(self.n)]
-        terms = []
-        for j in range(self.n):
-            cj = Polynomial.sum_of(N, [
-                (self.generators[a][i, j] / self.epsilon) * (wc[a] * xh[i])
-                for a in range(self.m) if not wc[a].is_zero
-                for i in range(self.n)
-                if self.generators[a][i, j] != 0.0 and not xh[i].is_zero])
-            if not cj.is_zero:
-                terms.append(self.horizontal_fields[j].scale(cj))
-        return PolyField.sum_of(N, terms)
+        return Split(h=self.pi_h(type(Xs.h).sum_of(self.ambient_dim, [
+            Xs.h.apply_matrix(B).scale(c * (1.0 / self.epsilon))
+            for c, B in zip(wc, self._j_matrices)])))
 
     def lc_variation_split(self, F, G, eps_rel: float) -> Split:
         """Levi-Civita connection of g_eps = g_H + (1/eps_rel) g_V, with g the
         model metric: nabla^{g_eps}_F G = nabla_F G - T(F,G)/2
         + (J_F G + J_G F)/(2 eps_rel)."""
         Fs, Gs = self.split(F), self.split(G)
-        out = self.bott_split(Fs, Gs)
-        t = self.torsion_transform(Fs, Gs)
-        if not t.is_zero():
-            out = out + Split(v=t.scale(-0.5))
-        jfg = self.j_transform(Fs, Gs)
-        jgf = self.j_transform(Gs, Fs)
-        jsum = jfg + jgf
-        if not jsum.is_zero():
-            out = out + Split(h=jsum.scale(0.5 / eps_rel))
-        return out
+        return (self.bott_split(Fs, Gs)
+                + self.torsion_transform(Fs, Gs).scale(-0.5)
+                + (self.j_transform(Fs, Gs)
+                   + self.j_transform(Gs, Fs)).scale(0.5 / eps_rel))
 
-    # -- table entries over the spanning fields ------------------------------
+    # -- two-index tables over the spanning fields (symbolic) ----------------
     #
-    # Antisymmetric entries are built only for a < b: FrameBatch.eval_entry
-    # canonicalizes every key first.  Two-index entries are kept symbolically
-    # because every three-index entry reuses them.
+    # The antisymmetric ones (brackets, torsion) build a > b as -(b, a).
 
     def _table(self, name: str) -> dict:
         return self._tables.setdefault(name, {})
@@ -358,8 +390,9 @@ class FoliationModel:
     def bracket_entry(self, a: int, b: int) -> PolyField:
         tab = self._table("bracket")
         if (a, b) not in tab:
-            tab[(a, b)] = bracket(self.span_split(a).total(self.ambient_dim),
-                                  self.span_split(b).total(self.ambient_dim))
+            tab[(a, b)] = (-self.bracket_entry(b, a) if a > b else
+                           bracket(self.span_split(a).total(self.ambient_dim),
+                                   self.span_split(b).total(self.ambient_dim)))
         return tab[(a, b)]
 
     def bracket_split_entry(self, a: int, b: int) -> Split:
@@ -377,25 +410,10 @@ class FoliationModel:
     def torsion_entry(self, a: int, b: int) -> Split:
         tab = self._table("torsion")
         if (a, b) not in tab:
-            tab[(a, b)] = Split(v=self.torsion_transform(self.span_split(a),
-                                                         self.span_split(b)))
+            tab[(a, b)] = (-self.torsion_entry(b, a) if a > b else
+                           self.torsion_transform(self.span_split(a),
+                                                  self.span_split(b)))
         return tab[(a, b)]
-
-    def nabla_t_entry(self, d: int, a: int, b: int) -> Split:
-        """(nabla_{E_d} T)(E_a, E_b), vertical-valued."""
-        Ed = self.span_split(d)
-        return Split(v=(
-            self.bott_split(Ed, self.torsion_entry(a, b)).total(self.ambient_dim)
-            - self.torsion_transform(self.bott_entry(d, a), self.span_split(b))
-            - self.torsion_transform(self.span_split(a), self.bott_entry(d, b))))
-
-    def curvature_entry(self, a: int, b: int, c: int) -> Split:
-        """R(E_a, E_b) E_c with R(U, V) = [nabla_U, nabla_V] - nabla_{[U,V]}."""
-        Ea, Eb = self.span_split(a), self.span_split(b)
-        return (self.bott_split(Ea, self.bott_entry(b, c))
-                + (-self.bott_split(Eb, self.bott_entry(a, c)))
-                + (-self.bott_split(self.bracket_split_entry(a, b),
-                                    self.span_split(c))))
 
     def lc_entry(self, total_eps: float, a: int, b: int) -> Split:
         """First rescaled-metric derivative table; keyed by the total vertical
@@ -408,15 +426,40 @@ class FoliationModel:
                                                self.span_split(b), eps_rel)
         return tab[key]
 
-    def lc_curvature_entry(self, total_eps: float, a: int, b: int, c: int) -> Split:
+    # -- three-index entries at a point batch, from 1-jets -------------------
+    #
+    # Each returns point values of shape (P, K1, K2, K3, N) for all keys of
+    # three ranges of spanning indices.  E, and the two-index tables, are
+    # order-1 jets indexed by spanning indices (_Jets).
+
+    def nabla_t_entry(self, fb: "FrameBatch", d, a, b) -> np.ndarray:
+        """(nabla_{E_d} T)(E_a, E_b), vertical-valued."""
+        E, T, C = (_Jets(fb, self.span_split), _Jets(fb, self.torsion_entry),
+                   _Jets(fb, self.bott_entry))
+        return fb.three_index((d, a, b), lambda d, a, b: (
+            self.bott_split(E[d], T[a, b])
+            - self.torsion_transform(C[d, a], E[b])
+            - self.torsion_transform(E[a], C[d, b])))
+
+    def curvature_entry(self, fb: "FrameBatch", a, b, c) -> np.ndarray:
+        """R(E_a, E_b) E_c with R(U, V) = [nabla_U, nabla_V] - nabla_{[U,V]}."""
+        E, C, S = (_Jets(fb, self.span_split), _Jets(fb, self.bott_entry),
+                   _Jets(fb, self.bracket_split_entry))
+        return fb.three_index((a, b, c), lambda a, b, c: (
+            self.bott_split(E[a], C[b, c])
+            - self.bott_split(E[b], C[a, c])
+            - self.bott_split(S[a, b], E[c])))
+
+    def lc_curvature_entry(self, fb: "FrameBatch", total_eps: float,
+                           a, b, c) -> np.ndarray:
         """Curvature of the Levi-Civita connection of the rescaled metric."""
         eps_rel = total_eps / self.epsilon
-        Ea, Eb = self.span_split(a), self.span_split(b)
-        return (
-            self.lc_variation_split(Ea, self.lc_entry(total_eps, b, c), eps_rel)
-            + (-self.lc_variation_split(Eb, self.lc_entry(total_eps, a, c), eps_rel))
-            + (-self.lc_variation_split(self.bracket_split_entry(a, b),
-                                        self.span_split(c), eps_rel)))
+        E, S = _Jets(fb, self.span_split), _Jets(fb, self.bracket_split_entry)
+        L = _Jets(fb, lambda i, j: self.lc_entry(total_eps, i, j))
+        return fb.three_index((a, b, c), lambda a, b, c: (
+            self.lc_variation_split(E[a], L[b, c], eps_rel)
+            - self.lc_variation_split(E[b], L[a, c], eps_rel)
+            - self.lc_variation_split(S[a, b], E[c], eps_rel)))
 
     # -- frames ----------------------------------------------------------------
 
@@ -476,29 +519,34 @@ class FrameBatch:
     def frame(self) -> np.ndarray:
         return np.concatenate([self.x, self.z], axis=1)
 
+    @cached_property
+    def _metric_frame(self) -> np.ndarray:
+        """g(., u_d) as covectors: (P, N, n+m)."""
+        return np.einsum("pnm,pdm->pnd", self.metric, self.frame)
+
     def components(self, ambient: np.ndarray) -> np.ndarray:
         """Measure trailing ambient vectors against the full adapted frame."""
-        return np.einsum("p...n,pnm,pdm->p...d", ambient, self.metric, self.frame)
+        return np.einsum("p...n,pnd->p...d", ambient, self._metric_frame)
 
-    def slot(self, domain: str) -> tuple[list[int], np.ndarray]:
+    def slot(self, domain: str) -> tuple[slice, np.ndarray]:
         """Spanning indices and expansion weights for a contraction slot."""
         model = self.model
         kh = model.span_h_count
         P = self.points.shape[0]
         if domain == "h":
-            return list(range(kh)), self.wh
+            return slice(0, kh), self.wh
         if domain == "v":
-            return list(range(kh, kh + model.m)), self.wv
+            return slice(kh, kh + model.m), self.wv
         if domain == "all":
             W = np.zeros((P, model.n + model.m, kh + model.m))
             W[:, :model.n, :kh] = self.wh
             W[:, model.n:, kh:] = self.wv
-            return list(range(kh + model.m)), W
+            return slice(0, kh + model.m), W
         raise ValueError(f"unknown slot domain {domain!r}")
 
     def eval_entry(self, name: str, key: tuple, builder,
                    antisym: tuple[int, int] | None = None) -> np.ndarray:
-        """Evaluated table entry over this batch, built lazily.
+        """Point values ``builder(*key)`` over this batch, built lazily.
 
         ``antisym`` names two key positions in which the table is known to be
         antisymmetric; keys are then canonicalized, so the builder is called
@@ -520,45 +568,125 @@ class FrameBatch:
                 out = -self.eval_entry(name, tuple(swapped), builder, antisym)
                 store[key] = out
                 return out
-        out = builder(*key).evaluate(self.points, self.mono)
+        out = builder(*key)
         store[key] = out
         return out
+
+    # -- jets ------------------------------------------------------------------
+
+    @cached_property
+    def model_fields(self) -> tuple:
+        """Values of the model's vertical fields (m, P, N), their coframe
+        (m, P, N) and the position field (P, N) at the points: the ``at`` of
+        every jet of this batch, which the formulas combine with jets."""
+        vertical, coframe, position = self.model._symbolic_fields
+        at = lambda fields: np.stack([F.evaluate(self.points, self.mono)
+                                      for F in fields])
+        return at(vertical), at(coframe), at([position])[0]
+
+    def three_index(self, keys, formula) -> np.ndarray:
+        """Point values (P, K1, K2, K3, N) of ``formula(a, b, c) -> Split``
+        over three ranges of spanning indices.
+
+        The formula runs once per first key and per horizontal or vertical
+        block of the other two, with b a column and c a row of indices, so
+        that every Split part is a pure block and no transient array
+        outgrows one block of a two-index table's jets."""
+        k1, k2, k3 = (np.asarray(k, dtype=np.int64) for k in keys)
+        P, N = self.points.shape
+        kh = self.model.span_h_count
+        blocks = lambda k: [pos for pos in (np.flatnonzero(k < kh),
+                                            np.flatnonzero(k >= kh)) if pos.size]
+        out = np.zeros((k1.size, k2.size, k3.size, P, N))
+        for i, a in enumerate(k1):
+            for s2 in blocks(k2):
+                for s3 in blocks(k3):
+                    res = formula(a, k2[s2][:, None], k3[s3][None, :])
+                    for part in (res.h, res.v):
+                        if part is not None:
+                            out[i][np.ix_(s2, s3)] += part.value
+        return np.moveaxis(out, 3, 0)
+
+
+class _Jets:
+    """Order-1 jets at a batch's points of a Split-valued entry with one or
+    two spanning indices (a spanning field, or a two-index table), evaluated
+    lazily per horizontal or vertical block of keys and selected with numpy
+    indexing (ints or broadcasting index arrays, each within one block)."""
+
+    def __init__(self, fb: FrameBatch, entry):
+        self.fb = fb
+        self.entry = entry
+        self._blocks: dict[tuple, Split] = {}
+
+    def _block(self, index) -> tuple[str, object]:
+        """("h" | "v", index within that block) of spanning indices."""
+        kh = self.fb.model.span_h_count
+        arr = np.asarray(index)
+        if (arr < kh).all():
+            return "h", index
+        if (arr >= kh).all():
+            return "v", index - kh
+        raise ValueError("indices mix horizontal and vertical spanning fields")
+
+    def __getitem__(self, index) -> Split:
+        if not isinstance(index, tuple):
+            index = (index,)
+        blocks, local = zip(*(self._block(i) for i in index))
+        if blocks not in self._blocks:
+            self._blocks[blocks] = self._evaluate(blocks)
+        return self._blocks[blocks][local]
+
+    def _evaluate(self, blocks: tuple) -> Split:
+        fb = self.fb
+        kh, K = fb.model.span_h_count, fb.model.span_count
+        ranges = [range(kh) if b == "h" else range(kh, K) for b in blocks]
+        entries = [self.entry(*key) for key in itertools.product(*ranges)]
+        shape = tuple(len(r) for r in ranges)
+        return Split(h=self._part([e.h for e in entries], shape),
+                     v=self._part([e.v for e in entries], shape))
+
+    def _part(self, fields: list, shape: tuple) -> PointField | None:
+        present = [i for i, f in enumerate(fields) if f is not None]
+        if not present:
+            return None
+        P, N = self.fb.points.shape
+        values, jacobians = field_jets([fields[i] for i in present],
+                                       self.fb.mono)
+        value = np.zeros((len(fields), P, N))
+        jacobian = np.zeros((len(fields), P, N, N))
+        value[present] = values
+        jacobian[present] = jacobians
+        return PointField(value.reshape(shape + (P, N)),
+                          jacobian.reshape(shape + (P, N, N)),
+                          self.fb.model_fields)
 
 
 # ---------------------------------------------------------------------------
 # batched tensor evaluation
 
 
-def _contract3(fb: FrameBatch, name: str, entry_fn, d1: str, d2: str, d3: str,
-               antisym: tuple[int, int] | None = None) -> np.ndarray:
-    """Evaluate a 3-slot tensor table over slot domains and contract with the
-    adapted-frame expansions; returns ambient vectors (P, f1, f2, f3, N)."""
-    idx1, W1 = fb.slot(d1)
-    idx2, W2 = fb.slot(d2)
-    idx3, W3 = fb.slot(d3)
-    P, N = fb.points.shape
-    f3 = W3.shape[1]
-    M = np.zeros((len(idx1), len(idx2), P, f3, N))
-    for ia, a in enumerate(idx1):
-        for ib, b in enumerate(idx2):
-            vals = np.stack([fb.eval_entry(name, (a, b, c), entry_fn, antisym)
-                             for c in idx3], axis=0)      # (K3, P, N)
-            M[ia, ib] = np.einsum("pkc,cpn->pkn", W3, vals)
-    M2 = np.einsum("pia,abpkn->bpikn", W1, M)
-    return np.einsum("pjb,bpikn->pijkn", W2, M2)
+def _contract3(fb: FrameBatch, name: str, entry_fn, d1: str, d2: str,
+               d3: str) -> np.ndarray:
+    """A three-index entry, evaluated once per batch over all spanning
+    indices by ``entry_fn(fb, keys1, keys2, keys3)``, contracted with the
+    adapted-frame expansions of the slot domains; returns ambient vectors
+    (P, f1, f2, f3, N)."""
+    span = tuple(range(fb.model.span_count))
+    vals = fb.eval_entry(name, (span,) * 3, lambda *keys: entry_fn(fb, *keys))
+    (s1, W1), (s2, W2), (s3, W3) = fb.slot(d1), fb.slot(d2), fb.slot(d3)
+    return np.einsum("pia,pjb,pkc,pabcn->pijkn", W1, W2, W3,
+                     vals[:, s1, s2, s3], optimize=True)
 
 
 def _contract2(fb: FrameBatch, name: str, entry_fn, d1: str, d2: str,
                antisym: tuple[int, int] | None = None) -> np.ndarray:
-    idx1, W1 = fb.slot(d1)
-    idx2, W2 = fb.slot(d2)
-    P, N = fb.points.shape
-    vals = np.zeros((len(idx1), len(idx2), P, N))
-    for ia, a in enumerate(idx1):
-        for ib, b in enumerate(idx2):
-            vals[ia, ib] = fb.eval_entry(name, (a, b), entry_fn, antisym)
-    M = np.einsum("pjb,abpn->apjn", W2, vals)
-    return np.einsum("pia,apjn->pijn", W1, M)
+    (s1, W1), (s2, W2) = fb.slot(d1), fb.slot(d2)
+    span = range(fb.model.span_count)
+    evaluate = lambda a, b: entry_fn(a, b).evaluate(fb.points, fb.mono)
+    vals = np.array([[fb.eval_entry(name, (a, b), evaluate, antisym)
+                      for b in span[s2]] for a in span[s1]])    # (K1, K2, P, N)
+    return np.einsum("pia,pjb,abpn->pijn", W1, W2, vals, optimize=True)
 
 
 def torsion_components(fb: FrameBatch) -> np.ndarray:
@@ -579,8 +707,7 @@ def j_endomorphisms(fb: FrameBatch) -> np.ndarray:
 def nabla_t_components(fb: FrameBatch, directions: str = "all") -> np.ndarray:
     """(nabla_{u_d} T)(x_i, x_j) components along z_a: shape (P, D, m, n, n)."""
     model = fb.model
-    amb = _contract3(fb, "nabla_t", model.nabla_t_entry, directions, "h", "h",
-                     antisym=(1, 2))
+    amb = _contract3(fb, "nabla_t", model.nabla_t_entry, directions, "h", "h")
     comps = fb.components(amb)                     # (P, D, n, n, n+m)
     return np.transpose(comps[..., model.n:], (0, 1, 4, 2, 3))
 
@@ -589,8 +716,7 @@ def curvature_components(fb: FrameBatch, d1: str = "all", d2: str = "all",
                          d3: str = "all") -> np.ndarray:
     """<R(u_a, u_b) u_c, u_d> over the requested slot domains;
     shape (P, f1, f2, f3, n+m)."""
-    amb = _contract3(fb, "curvature", fb.model.curvature_entry, d1, d2, d3,
-                     antisym=(0, 1))
+    amb = _contract3(fb, "curvature", fb.model.curvature_entry, d1, d2, d3)
     return fb.components(amb)
 
 
@@ -600,9 +726,8 @@ def lc_curvature_ambient(fb: FrameBatch, eps_rel: float, d1: str = "v",
     g_H + (1/eps_rel) g_V; shape (P, f1, f2, f3, N)."""
     model = fb.model
     total = model.epsilon * eps_rel
-    entry = lambda a, b, c: model.lc_curvature_entry(total, a, b, c)
-    return _contract3(fb, f"lc_curvature[{round(total, 12)}]", entry, d1, d2, d3,
-                      antisym=(0, 1))
+    entry = lambda fb, a, b, c: model.lc_curvature_entry(fb, total, a, b, c)
+    return _contract3(fb, f"lc_curvature[{round(total, 12)}]", entry, d1, d2, d3)
 
 
 def ricci_horizontal(fb: FrameBatch) -> np.ndarray:

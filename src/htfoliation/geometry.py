@@ -468,7 +468,7 @@ class PolyField:
 
     def scale(self, s) -> "PolyField":
         """Multiply every component by a scalar or a Polynomial."""
-        return PolyField([c * s for c in self.components])
+        return PolyField([c if c.is_zero else c * s for c in self.components])
 
     @classmethod
     def sum_of(cls, n_vars: int, fields) -> "PolyField":
@@ -482,7 +482,8 @@ class PolyField:
         """Euclidean pairing of components (ambient inner product)."""
         return Polynomial.sum_of(self.n_vars,
                                  [a * b for a, b in
-                                  zip(self.components, other.components)])
+                                  zip(self.components, other.components)
+                                  if not (a.is_zero or b.is_zero)])
 
     def apply_matrix(self, matrix) -> "PolyField":
         """Componentwise linear map F -> A F."""
@@ -509,8 +510,159 @@ class PolyField:
         out = np.stack([c.evaluate(pts, cache) for c in self.components], axis=1)
         return out[0] if single else out
 
+    def jet(self, points, cache: MonomialCache | None = None
+            ) -> tuple[np.ndarray, np.ndarray]:
+        """Order-1 jet at a point batch: values (P, N) and Jacobians
+        (P, N, N) with ``jacobian[p, i, j] = d_j F^i (p)``."""
+        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        values, jacobians = field_jets([self], cache or MonomialCache(pts))
+        return values[0], jacobians[0]
+
     def __repr__(self):
         return f"PolyField({self.n_vars} vars)"
+
+
+#: bound on the products (terms x (1 + partials) x points) gathered at once
+_JET_CHUNK = 1 << 18
+
+
+def field_jets(fields: Sequence[PolyField], cache: MonomialCache
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Order-1 jets of many fields at the cache's points: values (F, P, N)
+    and Jacobians (F, P, N, N), ``jacobians[f, p, i, j] = d_j F_f^i (p)``.
+
+    Fields are taken in groups of at most ``_JET_CHUNK`` products, and a
+    single field beyond that alone, so that memory stays bounded."""
+    P = cache.points.shape[0]
+    N = fields[0].n_vars
+    values = np.empty((len(fields), P, N))
+    jacobians = np.empty((len(fields), P, N, N))
+    cost = [P * (N + 1) * sum(c.n_terms for c in f.components) for f in fields]
+    lo = 0
+    while lo < len(fields):
+        hi, total = lo + 1, cost[lo]
+        while hi < len(fields) and total + cost[hi] <= _JET_CHUNK:
+            total += cost[hi]
+            hi += 1
+        values[lo:hi], jacobians[lo:hi] = _group_jets(fields[lo:hi], cache)
+        lo = hi
+    return values, jacobians
+
+
+def _group_jets(fields: Sequence[PolyField], cache: MonomialCache
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """field_jets for one group.  Every term of every component contributes
+    its value and its partials (exact: a coefficient times an exponent), so
+    all the monomials needed come from one ``MonomialCache.columns`` call;
+    the contributions are then summed per output in key order."""
+    P = cache.points.shape[0]
+    F = len(fields)
+    N = fields[0].n_vars
+    bits = _packing_bits(N)
+    comps = [c for f in fields for c in f.components]
+    keys = np.concatenate([c.keys for c in comps])
+    coeffs = np.concatenate([c.coeffs for c in comps])
+    owner = np.repeat(np.arange(F * N), [c.n_terms for c in comps])
+    # outputs: F * N values, then F * N * N partials (row-major f, i, j)
+    shifts = bits * np.arange(N, dtype=np.int64)
+    exps = (keys[:, None] >> shifts[None, :]) & ((1 << bits) - 1)
+    t, j = np.nonzero(exps)
+    entry_keys = np.concatenate([keys, keys[t] - (np.int64(1) << shifts[j])])
+    entry_coeffs = np.concatenate([coeffs, coeffs[t] * exps[t, j]])
+    entry_out = np.concatenate([owner, F * N + owner[t] * N + j])
+    order = np.argsort(entry_out, kind="stable")
+    entry_keys, entry_coeffs, entry_out = (
+        entry_keys[order], entry_coeffs[order], entry_out[order])
+    uniq, col = np.unique(entry_keys, return_inverse=True)
+    flat = np.zeros((P, F * N * (N + 1)))
+    starts = np.flatnonzero(np.diff(entry_out, prepend=-1))
+    if starts.size:
+        prods = cache.columns(uniq, N, bits)[:, col] * entry_coeffs
+        flat[:, entry_out[starts]] = np.add.reduceat(prods, starts, axis=1)
+    values = flat[:, :F * N].reshape(P, F, N).transpose(1, 0, 2)
+    jacobians = flat[:, F * N:].reshape(P, F, N, N).transpose(1, 0, 2, 3)
+    return values, jacobians
+
+
+class PointField:
+    """A vector field known at a point batch through its order-1 jet.
+
+    ``value`` has shape (..., P, N) and ``jacobian`` (..., P, N, N), with
+    ``jacobian[..., i, j] = d_j F^i``; leading axes index a batch of fields
+    and broadcast in arithmetic.  It offers the field operations that the
+    connection formulas use, so those formulas run unchanged on symbolic
+    fields and on jets.  A derivative consumes the Jacobian, and so does a
+    product with a pointwise scalar: such results are order-0 jets
+    (``jacobian`` None) and cannot be differentiated again, which is all the
+    formulas need.  ``at`` is whatever the creator attaches about the points
+    (the foliation engine: its model's fields there); arithmetic carries it.
+    """
+
+    __slots__ = ("value", "jacobian", "at")
+
+    def __init__(self, value: np.ndarray, jacobian: np.ndarray | None = None,
+                 at=None):
+        self.value = value
+        self.jacobian = jacobian
+        self.at = at
+
+    def _new(self, value, jacobian=None) -> "PointField":
+        return PointField(value, jacobian, self.at)
+
+    def __getitem__(self, index) -> "PointField":
+        """Select fields along the leading axes."""
+        return self._new(self.value[index], None if self.jacobian is None
+                         else self.jacobian[index])
+
+    def __add__(self, other: "PointField") -> "PointField":
+        jac = None
+        if self.jacobian is not None and other.jacobian is not None:
+            jac = self.jacobian + other.jacobian
+        return self._new(self.value + other.value, jac)
+
+    def __neg__(self) -> "PointField":
+        return self._new(-self.value, None if self.jacobian is None
+                         else -self.jacobian)
+
+    def __sub__(self, other: "PointField") -> "PointField":
+        return self + (-other)
+
+    def scale(self, s) -> "PointField":
+        """Multiply by a constant or by pointwise values of shape (..., P)."""
+        if np.ndim(s) == 0:
+            return self._new(self.value * s, None if self.jacobian is None
+                             else self.jacobian * s)
+        return self._new(self.value * s[..., None])
+
+    @classmethod
+    def sum_of(cls, n_vars: int, fields) -> "PointField":
+        fields = list(fields)
+        out = fields[0]
+        for f in fields[1:]:
+            out = out + f
+        return out
+
+    def dot(self, other: "PointField") -> np.ndarray:
+        """Pointwise Euclidean pairing, shape (..., P)."""
+        return np.einsum("...n,...n->...", self.value, other.value)
+
+    def apply_matrix(self, matrix) -> "PointField":
+        A = np.asarray(matrix, dtype=np.float64)
+        return self._new(self.value @ A.T, None if self.jacobian is None
+                         else A @ self.jacobian)
+
+    def along(self, X: "PointField") -> "PointField":
+        """The derivative D_X F, an order-0 jet."""
+        if self.jacobian is None:
+            raise ValueError("an order-0 jet cannot be differentiated")
+        return self._new((self.jacobian @ X.value[..., None])[..., 0])
+
+    def is_zero(self) -> bool:
+        return not self.value.any() and (self.jacobian is None
+                                         or not self.jacobian.any())
+
+    def __repr__(self):
+        return f"PointField({self.value.shape})"
 
 
 @dataclass(frozen=True)
@@ -532,8 +684,11 @@ class AmbientChart:
 # differential operators
 
 
-def directional_derivative(X: PolyField, f):
-    """Exact derivative D_X f = sum_i X^i d_i f for f a Polynomial or PolyField."""
+def directional_derivative(X, f):
+    """Exact derivative D_X f = sum_i X^i d_i f for f a Polynomial or
+    PolyField, or for f a PointField with Jacobians (see PointField.along)."""
+    if isinstance(f, PointField):
+        return f.along(X)
     if isinstance(f, PolyField):
         if f.n_vars != X.n_vars:
             raise DimensionMismatchError("field dimensions differ")

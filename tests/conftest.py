@@ -2,9 +2,10 @@
 
 Models keep their two-index symbolic tables (brackets, connection, torsion)
 internally, and vertical rescalings share those tables, so building each
-model once per session keeps the suite fast.  Three-index tensors are cached
-only as values per point batch, so tests that sample new points rebuild
-them.
+model once per session keeps the suite fast.  Three-index tensors are
+computed at each point batch from 1-jets of those tables and kept only as
+values in the batch, so tests that sample new points recompute them; that
+is cheap, since no three-index entry is built symbolically.
 """
 
 import pytest

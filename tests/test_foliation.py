@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from htfoliation import checks
 from htfoliation import foliation as fol
 from htfoliation import geometry as geo
 from htfoliation import models
@@ -148,7 +151,7 @@ class TestBottConnection:
                        - model.bott_split(G, F).total(model.ambient_dim)
                        - bracket(F.total(model.ambient_dim),
                                  G.total(model.ambient_dim)))
-                formula = model.torsion_transform(F, G)
+                formula = model.torsion_transform(F, G).total(model.ambient_dim)
                 worst = max(worst, eval_max(tor - formula, pts, cache))
         assert worst < 1e-9
 
@@ -270,3 +273,91 @@ class TestGroupCurvatureFlat:
         fb = frame_batch_for(model, 8, 4)
         comps = curvature_components(fb, "all", "all", "all")
         assert np.abs(comps).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the three-index entries against their symbolic composition
+
+def symbolic_nabla_t(model, d, a, b):
+    E = model.span_split
+    return (model.bott_split(E(d), model.torsion_entry(a, b))
+            - model.torsion_transform(model.bott_entry(d, a), E(b))
+            - model.torsion_transform(E(a), model.bott_entry(d, b)))
+
+
+def symbolic_curvature(model, a, b, c):
+    E = model.span_split
+    return (model.bott_split(E(a), model.bott_entry(b, c))
+            - model.bott_split(E(b), model.bott_entry(a, c))
+            - model.bott_split(model.bracket_split_entry(a, b), E(c)))
+
+
+def symbolic_lc_curvature(model, total_eps, a, b, c):
+    E = model.span_split
+    eps_rel = total_eps / model.epsilon
+    lc = lambda i, j: model.lc_entry(total_eps, i, j)
+    return (model.lc_variation_split(E(a), lc(b, c), eps_rel)
+            - model.lc_variation_split(E(b), lc(a, c), eps_rel)
+            - model.lc_variation_split(model.bracket_split_entry(a, b), E(c),
+                                       eps_rel))
+
+
+def oracle_keys(model):
+    """Keys over every (horizontal | vertical) pattern of the three slots,
+    with indices that vary from key to key."""
+    kh, K = model.span_h_count, model.span_count
+    pick = {"h": [0, kh - 1, kh // 2], "v": [kh, K - 1, kh + (K - kh) // 2]}
+    return [tuple(pick[p][i % 3] for i, p in enumerate(pattern))
+            for pattern in ("hhh", "hhv", "hvh", "vhh", "hvv", "vhv", "vvh",
+                            "vvv")]
+
+
+def ghat_scales(name):
+    """Relative vertical scales at which the checks evaluate R^ghat:
+    curvature-constancy at 1 / (2 kappa), check_oneill at its defaults."""
+    kappa = models.get_spec(name).expected_kappa
+    oneill = inspect.signature(checks.check_oneill).parameters["eps_values"]
+    return sorted({*oneill.default, *([1.0 / (2.0 * kappa)] if kappa else [])})
+
+
+class TestJetOracle:
+    """The batched three-index entries, computed from 1-jets of the two-index
+    tables, reproduce the symbolic composition evaluated at the points."""
+
+    @staticmethod
+    def assert_close(got, want):
+        scale = max(1.0, float(np.abs(want).max()))
+        assert float(np.abs(got - want).max()) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name", [s.name for s in models.catalog()])
+    def test_entries_match_symbolic_composition(self, name, catalog_models):
+        model = catalog_models[name]
+        fb = model.frame_batch(sample_points(model.chart, 3, 12))
+        span = range(model.span_count)
+        batched = {"nabla_t": model.nabla_t_entry(fb, span, span, span),
+                   "curvature": model.curvature_entry(fb, span, span, span)}
+        symbolic = {"nabla_t": lambda *k: symbolic_nabla_t(model, *k),
+                    "curvature": lambda *k: symbolic_curvature(model, *k)}
+        for eps_rel in ghat_scales(name):
+            total = model.epsilon * eps_rel
+            batched[eps_rel] = model.lc_curvature_entry(fb, total, span, span,
+                                                        span)
+            symbolic[eps_rel] = (lambda t: lambda *k: symbolic_lc_curvature(
+                model, t, *k))(total)
+        for label, values in batched.items():
+            assert values.shape == (3, *(model.span_count,) * 3,
+                                    model.ambient_dim)
+            for key in oracle_keys(model):
+                want = symbolic[label](*key).evaluate(fb.points, fb.mono)
+                self.assert_close(values[(slice(None),) + key], want)
+
+    def test_key_ranges_in_any_order(self, s7):
+        # a sub-range with horizontal and vertical keys out of order is the
+        # matching slice of the full-range result
+        fb = s7.frame_batch(sample_points(s7.chart, 2, 13))
+        span = range(s7.span_count)
+        full = s7.curvature_entry(fb, span, span, span)
+        keys = ([9, 0, 7], [3, 10], [8, 1, 2, 9])
+        part = s7.curvature_entry(fb, *keys)
+        np.testing.assert_array_equal(part, full[:, keys[0]][:, :, keys[1]]
+                                      [:, :, :, keys[2]])

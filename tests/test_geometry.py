@@ -2,13 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htfoliation import geometry as geo
 from htfoliation.errors import DegenerateFrameError, DimensionMismatchError
 from htfoliation.geometry import (AmbientChart, EUCLIDEAN, MonomialCache,
                                   Polynomial, PolyField, UNIT_SPHERE, bracket,
-                                  directional_derivative, gram_schmidt_at,
-                                  levi_civita, sample_points, sphere_moment)
+                                  directional_derivative, field_jets,
+                                  gram_schmidt_at, levi_civita, sample_points,
+                                  sphere_moment)
 
 
 def rand_field(n, degree, rng, density=0.4):
@@ -207,3 +210,66 @@ class TestSampling:
         pts = sample_points(AmbientChart(EUCLIDEAN, 4), 4, 1)
         assert pts.shape == (4, 4)
         assert np.abs(pts).max() <= 1.0
+
+
+@st.composite
+def dyadic_fields(draw, n_vars=st.integers(1, 5)):
+    """Fields with dyadic coefficients k/8 and at most six terms per
+    component; exponents up to the packing cap at N = 16 (3 bits)."""
+    n = draw(n_vars)
+    top = 7 if n == 16 else 3
+    exps = st.tuples(*[st.integers(0, top)] * n)
+    coeff = st.integers(-16, 16).map(lambda k: k / 8)
+    return PolyField([
+        Polynomial.from_dict(n, draw(st.dictionaries(exps, coeff, max_size=6)))
+        for _ in range(n)])
+
+
+def assert_jet_matches_partials(F, pts):
+    values, jacobian = F.jet(pts)
+    P, N = pts.shape
+    assert values.shape == (P, N) and jacobian.shape == (P, N, N)
+    for i, c in enumerate(F.components):
+        np.testing.assert_allclose(values[:, i], c.evaluate(pts),
+                                   rtol=1e-12, atol=1e-12)
+        for j in range(N):
+            np.testing.assert_allclose(jacobian[:, i, j],
+                                       c.partial(j).evaluate(pts),
+                                       rtol=1e-12, atol=1e-12)
+
+
+class TestJets:
+    @settings(max_examples=40, deadline=None)
+    @given(dyadic_fields(), st.integers(1, 5), st.integers(0, 2 ** 16))
+    def test_jet_is_values_and_partials(self, F, P, seed):
+        pts = np.random.default_rng(seed).uniform(-1, 1, size=(P, F.n_vars))
+        assert_jet_matches_partials(F, pts)
+
+    @settings(max_examples=10, deadline=None)
+    @given(dyadic_fields(n_vars=st.just(16)), st.integers(0, 2 ** 16))
+    def test_packing_edge(self, F, seed):
+        pts = np.random.default_rng(seed).uniform(-1, 1, size=(3, 16))
+        assert_jet_matches_partials(F, pts)
+
+    @pytest.mark.parametrize("n", [1, 7, 16])
+    def test_zero_and_constant_fields(self, n):
+        pts = np.random.default_rng(n).uniform(-1, 1, size=(4, n))
+        values, jacobian = PolyField.zero(n).jet(pts)
+        assert not values.any() and not jacobian.any()
+        vec = np.arange(1.0, n + 1.0) / 4
+        values, jacobian = PolyField.constant(vec).jet(pts)
+        np.testing.assert_array_equal(values, np.broadcast_to(vec, (4, n)))
+        assert not jacobian.any()
+
+    def test_chunked_sums_match(self, monkeypatch):
+        # fields taken in many small groups give the one-group result
+        rng = np.random.default_rng(3)
+        fields = [rand_field(3, 3, rng) for _ in range(4)]
+        pts = rng.uniform(-1, 1, size=(5, 3))
+        whole = field_jets(fields, MonomialCache(pts))
+        monkeypatch.setattr(geo, "_JET_CHUNK", 7)
+        chunked = field_jets(fields, MonomialCache(pts))
+        for a, b in zip(whole, chunked):
+            np.testing.assert_array_equal(a, b)
+        for f, F in enumerate(fields):
+            np.testing.assert_array_equal(chunked[0][f], F.jet(pts)[0])
