@@ -126,8 +126,7 @@ def check_cd_inequality(model: FoliationModel, K: float,
                         fs: Sequence[Polynomial] | int = 20,
                         nus: Sequence[float] = (0.1, 1.0, 10.0),
                         points: int = 32, seed: int = 42,
-                        tol: float = 1e-9,
-                        verify_ricci: bool = True) -> CheckReport:
+                        tol: float = 1e-9) -> CheckReport:
     """Pointwise curvature-dimension inequality CD(K, n/4, m, n):
 
         Gamma_2 + nu Gamma_2^V >= (1/n)(Delta_H f)^2
@@ -137,12 +136,11 @@ def check_cd_inequality(model: FoliationModel, K: float,
     """
     n, m = model.n, model.m
     fb = frame_batch_for(model, points, seed)
-    if verify_ricci:
-        eigmin = float(np.linalg.eigvalsh(ricci_horizontal(fb)).min())
-        if K > eigmin + 1e-9:
-            raise InvalidModelError(
-                f"K = {K} exceeds the measured horizontal Ricci lower bound "
-                f"{eigmin:.6g}")
+    eigmin = float(np.linalg.eigvalsh(ricci_horizontal(fb)).min())
+    if K > eigmin + 1e-9:
+        raise InvalidModelError(
+            f"K = {K} exceeds the measured horizontal Ricci lower bound "
+            f"{eigmin:.6g}")
     if isinstance(fs, int):
         rng = np.random.Generator(np.random.Philox(key=seed + 1))
         fs = [_sparse_random_polynomial(model.ambient_dim, 3, rng)

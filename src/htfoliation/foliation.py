@@ -287,24 +287,38 @@ class FoliationModel:
         return out
 
     def metric_matrices(self, points, eps_scale: float = 1.0) -> np.ndarray:
-        """Pointwise Gram matrices of the (possibly rescaled) model metric."""
+        """Pointwise Gram matrices of g_H + g_V / (epsilon * eps_scale), with
+        g_V = sum_a theta^a (x) theta^a over the coframe and g_H = I - p p^T
+        - g_V on the sphere, the first n coordinates on a group."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        P, N = pts.shape
+        theta = np.stack([t.evaluate(pts) for t in self._symbolic_fields[1]], 1)
+        gv = np.einsum("pan,pam->pnm", theta, theta)
         w = 1.0 / (self.epsilon * eps_scale)
         if self.backend == SPHERE:
-            zvals = np.stack([Z.evaluate(pts) for Z in self.vertical_fields], axis=1)
-            piv = np.einsum("pan,pam->pnm", zvals, zvals)
-            G = np.eye(N)[None] - np.einsum("pn,pm->pnm", pts, pts) - piv + w * piv
-            return G
-        n, m = self.n, self.m
-        theta_v = np.zeros((P, m, N))
-        for a in range(m):
-            theta_v[:, a, :n] = -0.5 * pts[:, :n] @ self.generators[a].T
-            theta_v[:, a, n + a] = 1.0
-        G = np.zeros((P, N, N))
-        G[:, :n, :n] = np.eye(n)[None]
-        G += w * np.einsum("pan,pam->pnm", theta_v, theta_v)
+            pp = np.einsum("pn,pm->pnm", pts, pts)
+            return np.eye(pts.shape[1])[None] - pp - gv + w * gv
+        G = w * gv
+        G[:, :self.n, :self.n] += np.eye(self.n)
         return G
+
+    def metric_lie_derivatives(self, cache: MonomialCache) -> np.ndarray:
+        """(L_W g)(F, G) = (D_W g)(F, G) + g(D_F W, G) + g(F, D_G W) at the
+        cache's points for every spanning triple, (P, K, K, K) indexed
+        [p, W, F, G], from 1-jets.  It is a form plus its transpose in (F, G),
+        since d_k g = h_k + h_k^T with h_k from the coframe (and -e_k p^T on
+        the sphere)."""
+        theta, dtheta = field_jets(self._symbolic_fields[1], cache)
+        h = np.einsum("apnk,apm->pnmk", dtheta, theta)   # half of d_k g_V
+        if self.backend == GROUP:
+            h = h / self.epsilon
+        else:                           # g = I - p p^T + (1/epsilon - 1) g_V
+            h = (1.0 / self.epsilon - 1.0) * h - np.einsum(
+                "nk,pm->pnmk", np.eye(self.ambient_dim), cache.points)
+        val, jac = field_jets(self.horizontal_fields + self.vertical_fields, cache)
+        g_val = np.einsum("pnm,gpm->gpn", self.metric_matrices(cache.points), val)
+        half = (np.einsum("pnmk,wpk,fpn,gpm->pwfg", h, val, val, val, optimize=True)
+                + np.einsum("wpij,fpj,gpi->pwfg", jac, val, g_val, optimize=True))
+        return half + half.transpose(0, 1, 3, 2)
 
     # -- connections -----------------------------------------------------------
     #
@@ -493,7 +507,7 @@ class FoliationModel:
                                               return_coefficients=True)
             if len(xb) != self.n:
                 raise DegenerateFrameError(
-                    f"horizontal span has rank {len(xb)} < {self.n} at point {p_idx}")
+                    f"horizontal span has rank {len(xb)}, expected {self.n}, at point {p_idx}")
             z[p_idx] = np.stack(zb)
             x[p_idx] = np.stack(xb)
             wv[p_idx] = wvp

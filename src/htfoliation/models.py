@@ -231,15 +231,14 @@ def get_model(name: str) -> FoliationModel:
     return build(get_spec(name))
 
 
-def load_model(obj, validate_points: int = 16, seed: int = 11,
-               tol: float = 1e-9) -> FoliationModel:
+def load_model(obj) -> FoliationModel:
     """Build a model from its JSON description and validate it.
 
     Schema: {"kind": str, "name": str, "epsilon": float, "rep": {...}} for
     group kinds (``rep`` as produced by CliffordRepresentation.to_json) or
     {"kind": ..., "name": ..., "epsilon": ..., "k": int} for sphere kinds.
-    The foliation axioms are checked on a default sample before the model is
-    accepted.
+    The foliation axioms are checked on 16 points (seed 11, tolerance 1e-9)
+    before the model is accepted.
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
@@ -263,8 +262,8 @@ def load_model(obj, validate_points: int = 16, seed: int = 11,
         model = quaternionic_hopf(int(obj["k"]), epsilon, name=name)
     else:
         raise InvalidModelError(f"unknown model kind {kind!r}")
-    report = _checks.check_foliation_axioms(model, points=validate_points,
-                                            seed=seed, tol=tol)
+    report = _checks.check_foliation_axioms(model, points=16, seed=11,
+                                            tol=1e-9)
     if report.status != "pass":
         raise InvalidModelError(
             f"model {name!r} violates the foliation axioms "

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from htfoliation import checks, cli, models
-from htfoliation.errors import InvalidModelError, NotApplicableError
+from htfoliation.clifford import build_representation
+from htfoliation.errors import (DegenerateFrameError, InvalidModelError,
+                                NotApplicableError)
 from htfoliation.foliation import FoliationModel
-from htfoliation.geometry import Polynomial, PolyField
+from htfoliation.geometry import Polynomial, PolyField, sample_points
 
 
 def sheared_heisenberg():
@@ -23,6 +25,15 @@ def sheared_heisenberg():
     return FoliationModel("sheared", "group", heis.chart, heis.n, heis.m, 1.0,
                           [bad_vertical], heis.horizontal_fields,
                           generators=heis.generators)
+
+
+def sheared_s3():
+    """S^3 whose circle action is sheared (Z = A p with A no longer skew), so
+    Z is no Killing field, the metric is not bundle-like, and the horizontal
+    spanning fields have rank 3 where n = 2."""
+    shear = models._complex_structure(4)
+    shear[0, 2] = 0.5
+    return models._sphere_model("sheared-s3", shear[None], 4.0)
 
 
 def tilted_heisenberg_quat():
@@ -61,6 +72,16 @@ class TestFoliationAxioms:
     def test_sheared_vertical_fails(self):
         rep = checks.check_foliation_axioms(sheared_heisenberg(),
                                             points=16, seed=1)
+        assert rep.status == "fail"
+
+    def test_sheared_sphere_fails_without_a_frame(self):
+        # this model has no adapted frame, and the check builds none
+        model = sheared_s3()
+        with pytest.raises(DegenerateFrameError,
+                           match="horizontal span has rank 3, expected 2, "
+                                 "at point 0"):
+            model.frame_batch(sample_points(model.chart, 16, 1))
+        rep = checks.check_foliation_axioms(model, points=16, seed=1)
         assert rep.status == "fail"
 
 
@@ -147,6 +168,62 @@ class TestParallelClifford:
     def test_unnormalized_model_rejected(self, round_s7):
         with pytest.raises(InvalidModelError):
             checks.check_parallel_clifford(round_s7, points=8, seed=1)
+
+
+class TestCliffordFit:
+    """The fit of check_parallel_clifford on synthetic arrays.
+
+    No model input makes the check fail: it reaches the fit only on models
+    that pass the H-type fit and have horizontally parallel torsion, and it
+    rejects every other model with InvalidModelError before the fit.  Those
+    are the hypotheses of the paper's structure result, under which the
+    vertical Clifford derivative is -kappa z_a . z_b with one constant
+    kappa, so the fit is fed arrays that break that conclusion."""
+
+    J = build_representation(3, 1).generators              # (3, 4, 4)
+
+    def inputs(self, kappas, J=None):
+        """J at len(kappas) points and nt_v with (nabla_{z_a} J)_{z_b} =
+        -kappa J_a J_b for a != b (as the transposed endomorphism)."""
+        J = self.J if J is None else J
+        m, n = J.shape[:2]
+        nt_v = np.zeros((len(kappas), m, m, n, n))
+        for p, kappa in enumerate(kappas):
+            for a in range(m):
+                for b in range(m):
+                    if a != b:
+                        nt_v[p, a, b] = (-kappa * J[a] @ J[b]).T
+        return np.broadcast_to(J, (len(kappas),) + J.shape), nt_v
+
+    @staticmethod
+    def report(J, nt_v):
+        worst, details = checks.clifford_fit(J, nt_v)
+        return checks.CheckReport.from_residual(
+            "parallel-clifford", worst, checks.TOL_CURVATURE, J.shape[0],
+            details)
+
+    def test_constant_kappa_passes(self):
+        rep = self.report(*self.inputs([2.0, 2.0]))
+        assert rep.status == "pass"
+        assert abs(rep.details["kappa"] - 2.0) < 1e-12
+
+    def test_off_blade_component_fails(self):
+        J, nt_v = self.inputs([2.0, 2.0])
+        nt_v[:, 0, 1] += 0.1 * (self.J[1] @ self.J[2]).T   # blade (1, 2)
+        rep = self.report(J, nt_v)
+        assert rep.status == "fail"
+        assert abs(rep.details["off_blade"] - 0.1) < 1e-12
+
+    def test_varying_kappa_fails(self):
+        rep = self.report(*self.inputs([2.0, 3.0]))
+        assert rep.status == "fail"
+        assert abs(rep.details["kappa_spread"] - 0.5) < 1e-12
+
+    def test_rank_deficient_design_raises(self):
+        J = self.J.copy()
+        J[1] = J[0]                         # J_0 J_2 and J_1 J_2 coincide
+        with pytest.raises(InvalidModelError, match="rank deficient"):
+            checks.clifford_fit(*self.inputs([2.0], J))
 
 
 class TestQuaternionicDetection:

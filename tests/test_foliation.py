@@ -361,3 +361,42 @@ class TestJetOracle:
         part = s7.curvature_entry(fb, *keys)
         np.testing.assert_array_equal(part, full[:, keys[0]][:, :, keys[1]]
                                       [:, :, :, keys[2]])
+
+
+# ---------------------------------------------------------------------------
+# the pointwise Lie derivative of the metric against its symbolic route
+
+def lie_residuals(model, points):
+    """(L_W g)(F, G) = W(g(F, G)) - g([W, F], G) - g(F, [W, G]) over every
+    spanning triple, (P, K, K, K) indexed [p, W, F, G]: the symbolic route
+    of the foliation-axioms check before it used 1-jets, each entry built as
+    a polynomial (brackets and g(F, G) are shared) and then evaluated."""
+    N = model.ambient_dim
+    cache = MonomialCache(points)
+    spans = span_splits(model)
+    fields = [E.total(N) for E in spans]
+    K = len(spans)
+    brackets = [[model.split(bracket(W, F)) for F in fields] for W in fields]
+    out = np.zeros((points.shape[0], K, K, K))
+    for f in range(K):
+        for g in range(f, K):
+            metric = model.metric_poly(spans[f], spans[g])
+            for w, W in enumerate(fields):
+                lie = (geo.directional_derivative(W, metric)
+                       - model.metric_poly(brackets[w][f], spans[g])
+                       - model.metric_poly(spans[f], brackets[w][g]))
+                out[:, w, f, g] = out[:, w, g, f] = lie.evaluate(points, cache)
+    return out
+
+
+class TestMetricLieDerivatives:
+    @pytest.mark.parametrize("name", [s.name for s in models.catalog()])
+    def test_every_spanning_triple_matches_symbolic(self, name,
+                                                    catalog_models):
+        model = catalog_models[name]
+        points = sample_points(model.chart, 3, 12)
+        want = lie_residuals(model, points)
+        # the triples outside the checked (W, F, G) patterns are far from 0
+        assert np.abs(want).max() > 0.5
+        TestJetOracle.assert_close(
+            model.metric_lie_derivatives(MonomialCache(points)), want)
