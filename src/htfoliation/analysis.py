@@ -1,15 +1,30 @@
-"""Sub-Laplacian, Gamma calculus, spectra and closed-form bounds.
+"""Sub-Laplacian, carre du champ, spectra and closed-form bounds.
 
-The horizontal Laplacian is the generator of the Dirichlet form
-E(u, v) = integral of <grad_H u, grad_H v> against the Riemannian measure.
-On sphere models it is computed as the round Laplace-Beltrami operator minus
-the squares of the (round-unit, divergence-free Killing) vertical fields;
-vertical rescaling multiplies the measure by a constant, so Rayleigh
-quotients and the spectrum do not depend on the scale.  On group models it
-is the sum of squares of the left-invariant horizontal frame (whose
-divergence correction vanishes).  Both routes stay inside exact polynomial
-arithmetic, and the integration-by-parts identity is verified by tests
-rather than assumed.
+The horizontal structure is declared once (``operators``), as a list of
+affine first-order operators D_k f = v_k . grad f, v_k(x) = A_k x + c_k,
+with signs s_k, a drift b and the vertical fields Z_a with weight epsilon:
+
+    L = sum_k s_k D_k^2 + b,      Gamma(f, g) = sum_k s_k D_k f D_k g,
+    Gamma^V(f, g) = epsilon sum_a Z_a f Z_a g.
+
+On a sphere the list is d/dx_1 .. d/dx_N (+1), the Euler field
+E = sum_n x_n d/dx_n (-1) and the vertical fields (-1), with
+b = -(N - 2) E: at ||x|| = 1, Delta - E^2 - (N - 2) E is the round
+Laplace-Beltrami operator of the restriction of f, so L is that minus the
+squares of the (round-unit, divergence-free Killing) vertical fields.
+Vertical rescaling multiplies the measure by a constant, so the spectrum
+does not depend on the scale.  On a group the list is the left-invariant
+horizontal frame (+1) and b = 0, since its divergence correction vanishes.
+The integration-by-parts identity is verified by tests rather than assumed.
+
+``sub_laplacian_poly`` applies the list to a polynomial exactly.  The
+iterated forms are evaluated at points instead (``gamma_jets``):
+
+    Gamma_2(f) = sum_k s_k [D_k f [L, D_k] f + Gamma(D_k f)],
+    Gamma_2^V(f) = epsilon sum_a [Z_a f [L, Z_a] f + Gamma(Z_a f)].
+
+Every operator is affine, so the commutators are second-order operators
+and all five quantities need only the 2-jet of f and the operators' 1-jets.
 
 Spectra need no integration: the vertical fields are linear, so on the
 sphere the operator maps each space of homogeneous polynomials to itself
@@ -22,6 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -30,84 +46,158 @@ from .checks import CheckReport, frame_batch_for
 from .errors import (BoundNotApplicableError, InvalidModelError,
                      UnsupportedBackendError)
 from .foliation import SPHERE, FoliationModel, ricci_horizontal
-from .geometry import (MonomialCache, Polynomial, PolyField,
-                       directional_derivative, euclidean_gradient,
-                       sphere_laplacian)
+from .geometry import (UNIT_SPHERE, MonomialCache, Polynomial, PolyField,
+                       directional_derivative, euclidean_gradient, field_jets)
+
+
+# ---------------------------------------------------------------------------
+# the operator list
+
+
+@dataclass(frozen=True)
+class Operators:
+    """The horizontal structure of a model (see the module docstring):
+    D_k = ``fields[k]`` with sign ``signs[k]``, the drift b, and the vertical
+    fields Z_a with weight ``weight``.  Every field is affine."""
+
+    fields: tuple[PolyField, ...]
+    signs: tuple[float, ...]
+    drift: PolyField
+    vertical: tuple[PolyField, ...]
+    weight: float
+
+
+@lru_cache(maxsize=None)
+def _sphere_fields(N: int) -> tuple[tuple[PolyField, ...], PolyField]:
+    """d/dx_1 .. d/dx_N and E of the sphere list in R^N, and its drift;
+    shared because spectra apply the list once per monomial."""
+    euler = PolyField.position(N)
+    return (tuple(PolyField.basis(N, i) for i in range(N)) + (euler,),
+            euler.scale(-(N - 2.0)))
+
+
+def operators(model: FoliationModel) -> Operators:
+    """The model's operator list: the one place where the backends differ."""
+    N = model.ambient_dim
+    if model.backend == SPHERE:
+        fields, drift = _sphere_fields(N)
+        fields = fields + model.vertical_fields
+        signs = (1.0,) * N + (-1.0,) * (1 + model.m)
+    else:
+        fields, signs = model.horizontal_fields, (1.0,) * model.n
+        drift = PolyField.zero(N)
+    return Operators(fields, signs, drift, model.vertical_fields,
+                     model.epsilon)
+
+
+def affine_jets(fields: Sequence[PolyField], cache: MonomialCache
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Values (K, P, N) at the cache's points and the constant Jacobians
+    (K, N, N) of affine fields v(x) = A x + c."""
+    if any(c.degree() > 1 for F in fields for c in F.components):
+        raise InvalidModelError("operator fields must be affine")
+    values, jacobians = field_jets(fields, cache)
+    return values, jacobians[:, 0]
 
 
 # ---------------------------------------------------------------------------
 # differential operators
 
 
+def _on_chart(model: FoliationModel, p) -> np.ndarray:
+    """The point as floats; the sphere formulas hold only at ||p|| = 1."""
+    p = np.asarray(p, dtype=np.float64)
+    if model.chart.kind == UNIT_SPHERE and abs(p @ p - 1.0) > 1e-12:
+        raise InvalidModelError("point is not on the unit sphere")
+    return p
+
+
 def sub_laplacian_poly(model: FoliationModel, f: Polynomial) -> Polynomial:
-    """Horizontal Laplacian of a polynomial, as an on-chart-exact polynomial."""
-    if model.backend == SPHERE:
-        out = sphere_laplacian(f, model.ambient_dim)
-        for Z in model.vertical_fields:
-            out = out - directional_derivative(Z, directional_derivative(Z, f))
-        return out
-    terms = []
-    for X in model.horizontal_fields:
-        terms.append(directional_derivative(X, directional_derivative(X, f)))
-    return Polynomial.sum_of(model.ambient_dim, terms)
+    """Horizontal Laplacian sum_k s_k D_k^2 f + b f of a polynomial, exact;
+    on a sphere it is the right function at ||x|| = 1."""
+    ops = operators(model)
+    return Polynomial.sum_of(model.ambient_dim, [
+        s * directional_derivative(D, directional_derivative(D, f))
+        for s, D in zip(ops.signs, ops.fields)]
+        + [directional_derivative(ops.drift, f)])
 
 
 def sub_laplacian_apply(model: FoliationModel, f: Polynomial, p) -> float:
     """Pointwise value of the horizontal Laplacian (negative operator)."""
-    p = np.asarray(p, dtype=np.float64)
-    if model.backend == SPHERE and abs(p @ p - 1.0) > 1e-12:
-        raise InvalidModelError("point is not on the unit sphere")
-    return float(sub_laplacian_poly(model, f).evaluate(p))
+    return float(sub_laplacian_poly(model, f).evaluate(_on_chart(model, p)))
 
 
-def horizontal_gradient(model: FoliationModel, f: Polynomial) -> PolyField:
-    if model.backend == SPHERE:
-        return model.pi_h(euclidean_gradient(f))
-    return PolyField.sum_of(model.ambient_dim, [
-        X.scale(directional_derivative(X, f)) for X in model.horizontal_fields])
+def gamma_jets(model: FoliationModel, fs: Sequence[Polynomial],
+               cache: MonomialCache) -> dict[str, np.ndarray]:
+    """Gamma(f), Gamma^V(f), Gamma_2(f), Gamma_2^V(f) and Delta_H f at the
+    cache's points for every f in ``fs``, each of shape (F, P), from the
+    2-jets of the fs (one ``field_jets`` call on their gradient fields).
 
+    With S = sum_k s_k v_k v_k^T, L = S : Hess + beta . grad, where the
+    affine beta = sum_k s_k A_k v_k + b has the Jacobian
+    Q = sum_k s_k A_k^2 + A_b.  For an affine T = t . grad with Jacobian
+    A_T, grad(T f) = A_T^T grad f + Hess t, so Gamma(T f) needs no third
+    derivative, and neither does the commutator, in which they cancel:
 
-def vertical_gradient(model: FoliationModel, f: Polynomial) -> PolyField:
-    """Gradient along the leaves with respect to the model metric; the
-    1/epsilon vertical scaling raises the coefficient by epsilon."""
-    return PolyField.sum_of(model.ambient_dim, [
-        Z.scale(model.epsilon * directional_derivative(Z, f))
-        for Z in model.vertical_fields])
+        [L, T] f = (A_T beta - Q t) . grad f
+                   + 2 (A_T S - sum_k s_k (A_k t) v_k^T) : Hess f.
+    """
+    ops = operators(model)
+    grad, hess = field_jets([euclidean_gradient(f) for f in fs], cache)
+    s = np.asarray(ops.signs)
+    v, A = affine_jets(ops.fields, cache)
+    b, Ab = affine_jets([ops.drift], cache)
+    S = np.einsum("k,kpi,kpj->pij", s, v, v)
+    beta = np.einsum("k,kij,kpj->pi", s, A, v) + b[0]
+    Q = np.einsum("k,kij,kjl->il", s, A, A) + Ab[0]
 
+    def along(t, At):
+        """T f, Gamma(T f) and [L, T] f, each (F, K, P), for the affine
+        fields of values t (K, P, N) and Jacobians At (K, N, N)."""
+        Tf = np.einsum("kpi,fpi->fkp", t, grad)
+        dTf = (np.einsum("kji,fpj->fkpi", At, grad)
+               + np.einsum("fpij,kpj->fkpi", hess, t))
+        first = (np.einsum("kij,pj->kpi", At, beta)
+                 - np.einsum("ij,kpj->kpi", Q, t))
+        second = (np.einsum("kil,plj->kpij", At, S)
+                  - np.einsum("l,lij,kpj,lpm->kpim", s, A, t, v,
+                              optimize=True))
+        comm = (np.einsum("kpi,fpi->fkp", first, grad)
+                + 2.0 * np.einsum("kpij,fpij->fkp", second, hess,
+                                  optimize=True))
+        return Tf, np.einsum("fkpi,pij,fkpj->fkp", dTf, S, dTf,
+                             optimize=True), comm
 
-def _gamma_polys(model: FoliationModel, f: Polynomial) -> dict[str, Polynomial]:
-    from .foliation import Split
-    lap = sub_laplacian_poly(model, f)
-    gh = horizontal_gradient(model, f)
-    gv = vertical_gradient(model, f)
-    gamma = model.metric_poly(Split(h=gh), Split(h=gh))
-    gamma_v = model.metric_poly(Split(v=gv), Split(v=gv))
-    gh_lap = horizontal_gradient(model, lap)
-    gv_lap = vertical_gradient(model, lap)
-    gamma2 = 0.5 * sub_laplacian_poly(model, gamma) \
-        - model.metric_poly(Split(h=gh), Split(h=gh_lap))
-    gamma2_v = 0.5 * sub_laplacian_poly(model, gamma_v) \
-        - model.metric_poly(Split(v=gv), Split(v=gv_lap))
-    return {"gamma": gamma, "gamma_v": gamma_v, "gamma2": gamma2,
-            "gamma2_v": gamma2_v, "delta_f": lap}
+    Df, gamma_D, comm_D = along(v, A)
+    Zf, gamma_Z, comm_Z = along(*affine_jets(ops.vertical, cache))
+    return {"gamma": np.einsum("k,fkp->fp", s, Df * Df),
+            "gamma_v": ops.weight * (Zf * Zf).sum(axis=1),
+            "gamma2": np.einsum("k,fkp->fp", s, Df * comm_D + gamma_D),
+            "gamma2_v": ops.weight * (Zf * comm_Z + gamma_Z).sum(axis=1),
+            "delta_f": (np.einsum("pi,fpi->fp", beta, grad)
+                        + np.einsum("pij,fpij->fp", S, hess))}
 
 
 def gamma_calculus(model: FoliationModel, f: Polynomial, p) -> dict[str, float]:
     """Pointwise carre-du-champ data: Gamma(f) = ||grad_H f||^2, its vertical
     companion, both iterated forms, and the horizontal Laplacian."""
-    p = np.asarray(p, dtype=np.float64)
-    polys = _gamma_polys(model, f)
-    return {k: float(v.evaluate(p)) for k, v in polys.items()}
+    pts = _on_chart(model, p)[None]
+    return {k: float(v[0, 0])
+            for k, v in gamma_jets(model, [f], MonomialCache(pts)).items()}
 
 
 def random_polynomial(n_vars: int, degree: int, rng: np.random.Generator
                       ) -> Polynomial:
-    """Dense random polynomial with coefficients uniform in [-1, 1]."""
-    terms = {}
-    for exps in itertools.product(range(degree + 1), repeat=n_vars):
-        if sum(exps) <= degree:
-            terms[exps] = float(rng.uniform(-1.0, 1.0))
-    return Polynomial.from_dict(n_vars, terms)
+    """Dense random polynomial with coefficients uniform in [-1, 1], drawn
+    in lexicographic order of the exponents."""
+    def exponents(n: int, budget: int) -> list[tuple[int, ...]]:
+        if n == 0:
+            return [()]
+        return [(e,) + rest for e in range(budget + 1)
+                for rest in exponents(n - 1, budget - e)]
+    return Polynomial.from_dict(n_vars, {
+        exps: float(rng.uniform(-1.0, 1.0))
+        for exps in exponents(n_vars, degree)})
 
 
 def _sparse_random_polynomial(n_vars: int, degree: int,
@@ -132,7 +222,9 @@ def check_cd_inequality(model: FoliationModel, K: float,
         Gamma_2 + nu Gamma_2^V >= (1/n)(Delta_H f)^2
             + (K - m/nu) Gamma(f) + (n/4) Gamma^V(f)
 
-    for every f and every nu > 0, given Ric_H >= K g_H (verified first).
+    for each sampled f (the given polynomials, or that many random sparse
+    cubics), at each sample point and each nu > 0, given Ric_H >= K g_H
+    (verified first).  The margin is the smallest lhs - rhs found.
     """
     n, m = model.n, model.m
     fb = frame_batch_for(model, points, seed)
@@ -145,20 +237,15 @@ def check_cd_inequality(model: FoliationModel, K: float,
         rng = np.random.Generator(np.random.Philox(key=seed + 1))
         fs = [_sparse_random_polynomial(model.ambient_dim, 3, rng)
               for _ in range(fs)]
-    pts = fb.points
+    if not fs:
+        raise ValueError("the CD check needs at least one trial function")
+    vals = gamma_jets(model, fs, fb.mono)
     margins = []
-    for f in fs:
-        polys = _gamma_polys(model, f)
-        # one-off polynomials: a cache per trial keeps their monomials out of
-        # the batch's shared cache and frees them with the trial
-        cache = MonomialCache(pts)
-        vals = {k: np.atleast_1d(v.evaluate(pts, cache))
-                for k, v in polys.items()}
-        for nu in nus:
-            lhs = vals["gamma2"] + nu * vals["gamma2_v"]
-            rhs = (vals["delta_f"] ** 2) / n \
-                + (K - m / nu) * vals["gamma"] + (n / 4.0) * vals["gamma_v"]
-            margins.append((lhs - rhs).min())
+    for nu in nus:
+        lhs = vals["gamma2"] + nu * vals["gamma2_v"]
+        rhs = (vals["delta_f"] ** 2) / n \
+            + (K - m / nu) * vals["gamma"] + (n / 4.0) * vals["gamma_v"]
+        margins.append((lhs - rhs).min())
     # np.min propagates NaN, so a NaN margin fails instead of being skipped
     margin = float(np.min(margins, initial=np.inf))
     return CheckReport("cd-inequality", "pass" if margin >= -tol else "fail",

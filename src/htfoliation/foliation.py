@@ -267,25 +267,6 @@ class FoliationModel:
             return F
         return Split(h=self.pi_h(F), v=self.pi_v(F))
 
-    def metric_poly(self, F, G, eps_scale: float = 1.0) -> Polynomial:
-        """g(F, G) as a polynomial, with the vertical block scaled by
-        1/(epsilon * eps_scale); eps_scale = 1 is the model metric."""
-        Fs, Gs = self.split(F), self.split(G)
-        out = Polynomial.zero(self.ambient_dim)
-        if Fs.h is not None and Gs.h is not None:
-            if self.backend == SPHERE:
-                out = out + Fs.h.dot(Gs.h)
-            else:
-                for i in range(self.n):
-                    out = out + Fs.h.components[i] * Gs.h.components[i]
-        if Fs.v is not None and Gs.v is not None:
-            vf = self.vertical_coefficients(Fs.v)
-            vg = self.vertical_coefficients(Gs.v)
-            scale = 1.0 / (self.epsilon * eps_scale)
-            for a in range(self.m):
-                out = out + scale * (vf[a] * vg[a])
-        return out
-
     def metric_matrices(self, points, eps_scale: float = 1.0) -> np.ndarray:
         """Pointwise Gram matrices of g_H + g_V / (epsilon * eps_scale), with
         g_V = sum_a theta^a (x) theta^a over the coframe and g_H = I - p p^T

@@ -710,43 +710,6 @@ def euclidean_gradient(f: Polynomial) -> PolyField:
     return PolyField([f.partial(i) for i in range(f.n_vars)])
 
 
-def tangential_projection(F: PolyField) -> PolyField:
-    """Tangential part F - <F, p> p, exact at points with ||p|| = 1."""
-    p = PolyField.position(F.n_vars)
-    return F - p.scale(F.dot(p))
-
-
-def levi_civita(chart: AmbientChart, X: PolyField, Y: PolyField) -> PolyField:
-    """Levi-Civita derivative of the chart's canonical metric.
-
-    Flat chart: the plain directional derivative.  Unit sphere: tangential
-    projection of the ambient derivative; valid at on-sphere points for
-    tangent X.
-    """
-    if X.n_vars != chart.n_vars or Y.n_vars != chart.n_vars:
-        raise DimensionMismatchError("field does not live on this chart")
-    D = directional_derivative(X, Y)
-    if chart.kind == EUCLIDEAN:
-        return D
-    return tangential_projection(D)
-
-
-def sphere_laplacian(f: Polynomial, n_vars: int | None = None) -> Polynomial:
-    """Laplace-Beltrami operator of the round S^{N-1} on a polynomial restriction.
-
-    Uses the homogeneous decomposition: for f_k homogeneous of degree k,
-    Delta_S f_k = (Delta_ambient f_k) - k (k + N - 2) f_k on the sphere.
-    """
-    n = f.n_vars if n_vars is None else n_vars
-    out = Polynomial.zero(f.n_vars)
-    for k, part in f.homogeneous_parts().items():
-        flat = Polynomial.zero(f.n_vars)
-        for i in range(f.n_vars):
-            flat = flat + part.partial(i).partial(i)
-        out = out + flat - (k * (k + n - 2)) * part
-    return out
-
-
 # ---------------------------------------------------------------------------
 # pointwise linear algebra
 

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,10 @@ import pytest
 from htfoliation import analysis, models
 from htfoliation.errors import (BoundNotApplicableError, InvalidModelError,
                                 UnsupportedBackendError)
-from htfoliation.geometry import (MonomialCache, Polynomial, sample_points)
+from htfoliation.geometry import (MonomialCache, Polynomial,
+                                  directional_derivative, integrate_sphere,
+                                  sample_points)
+from symbolic_oracles import gamma_polys, sphere_laplacian, sub_laplacian
 
 
 def _load_oracle():
@@ -39,7 +43,6 @@ class TestSubLaplacian:
     def test_decomposition_oracle(self, s3, s7):
         # the two pieces separately: round Laplacian gives -(N-1) x on
         # coordinates, each vertical square gives -x
-        from htfoliation.geometry import directional_derivative, sphere_laplacian
         for model, N in ((s3, 4), (s7, 8)):
             x = Polynomial.variable(N, 0)
             pts = sample_points(model.chart, 8, 5)
@@ -55,6 +58,23 @@ class TestSubLaplacian:
         with pytest.raises(InvalidModelError):
             analysis.sub_laplacian_apply(s3, Polynomial.variable(4, 0),
                                          np.array([2.0, 0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("name", [s.name for s in models.catalog()
+                                      if s.kind != "htype-group"])
+    def test_operator_list_matches_round_laplacian(self, name,
+                                                   catalog_models):
+        # Delta - E^2 - (N - 2) E is Delta - k (k + N - 2) on degree k, so
+        # the list gives the homogeneous-decomposition polynomial exactly
+        model = catalog_models[name]
+        N = model.ambient_dim
+        for k in range(5):
+            for combo in itertools.combinations_with_replacement(range(N), k):
+                g = Polynomial.from_dict(
+                    N, {tuple(map(combo.count, range(N))): 1.0})
+                got = analysis.sub_laplacian_poly(model, g)
+                want = sub_laplacian(model, g)
+                np.testing.assert_array_equal(got.keys, want.keys)
+                np.testing.assert_array_equal(got.coeffs, want.coeffs)
 
     def test_group_backend(self, heis):
         x = Polynomial.variable(3, 0)
@@ -85,6 +105,50 @@ class TestGammaCalculus:
             vals = analysis.gamma_calculus(s7, f, p)
             total = vals["gamma"] + vals["gamma_v"] / s7.epsilon + p[0] ** 2
             assert abs(total - 1.0) < 1e-12
+
+    def test_off_sphere_point_rejected(self, s3):
+        # the sphere formulas, the 2-jet ones too, hold only at ||p|| = 1
+        f = Polynomial.variable(4, 0) * Polynomial.variable(4, 1)
+        with pytest.raises(InvalidModelError):
+            analysis.gamma_calculus(s3, f, np.array([2.0, 0.0, 0.0, 0.0]))
+
+
+class TestOperatorList:
+    @pytest.mark.parametrize("name", [s.name for s in models.catalog()])
+    def test_symbols_match_adapted_frames(self, name, catalog_models):
+        # sum_k s_k D_k D_k^T and epsilon sum_a Z_a Z_a^T are the horizontal
+        # and vertical blocks of the inverse of the one program metric
+        model = catalog_models[name]
+        fb = model.frame_batch(sample_points(model.chart, 8, 3))
+        ops = analysis.operators(model)
+        v, _ = analysis.affine_jets(ops.fields, fb.mono)
+        w, _ = analysis.affine_jets(ops.vertical, fb.mono)
+        np.testing.assert_allclose(
+            np.einsum("k,kpi,kpj->pij", np.asarray(ops.signs), v, v),
+            np.einsum("pki,pkj->pij", fb.x, fb.x), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(
+            ops.weight * np.einsum("kpi,kpj->pij", w, w),
+            np.einsum("pki,pkj->pij", fb.z, fb.z), rtol=0, atol=1e-13)
+
+
+class TestGammaJets:
+    @pytest.mark.parametrize("name", [s.name for s in models.catalog()])
+    def test_matches_symbolic_route(self, name, catalog_models):
+        # cd trial cubics and a dense quadratic, at three points
+        model = catalog_models[name]
+        N = model.ambient_dim
+        rng = np.random.Generator(np.random.Philox(key=43))
+        fs = [analysis._sparse_random_polynomial(N, 3, rng) for _ in range(2)]
+        fs.append(analysis.random_polynomial(N, 2, rng))
+        pts = sample_points(model.chart, 3, 5)
+        got = analysis.gamma_jets(model, fs, MonomialCache(pts))
+        for i, f in enumerate(fs):
+            for key, poly in gamma_polys(model, f).items():
+                want = poly.evaluate(pts)
+                scale = max(1.0, np.abs(want).max())
+                np.testing.assert_allclose(got[key][i], want, rtol=0,
+                                           atol=1e-12 * scale,
+                                           err_msg=f"{key} of f{i}")
 
 
 class TestRayleighRitz:
@@ -164,8 +228,7 @@ class TestIntegrationByParts:
     @pytest.mark.parametrize("name", ["complex-hopf-s3", "quaternionic-hopf-s7"])
     def test_symmetry_and_dirichlet_form(self, name, catalog_models):
         model = catalog_models[name]
-        from htfoliation.foliation import Split
-        from htfoliation.geometry import integrate_sphere
+        ops = analysis.operators(model)
         rng = np.random.Generator(np.random.Philox(key=17))
         for _ in range(20):
             f = analysis._sparse_random_polynomial(model.ambient_dim, 3, rng)
@@ -174,8 +237,10 @@ class TestIntegrationByParts:
             lg = analysis.sub_laplacian_poly(model, g)
             sym = abs(integrate_sphere(f * lg) - integrate_sphere(g * lf))
             assert sym < 1e-10
-            gh = analysis.horizontal_gradient(model, f)
-            gamma = model.metric_poly(Split(h=gh), Split(h=gh))
+            # Gamma(f) = sum_k s_k (D_k f)^2 from the list, not the 2-jets
+            gamma = Polynomial.sum_of(model.ambient_dim, [
+                s * directional_derivative(D, f) ** 2
+                for s, D in zip(ops.signs, ops.fields)])
             dirichlet = abs(-integrate_sphere(f * lf) - integrate_sphere(gamma))
             assert dirichlet < 1e-10
 
@@ -199,6 +264,11 @@ class TestCurvatureDimension:
         rep = analysis.check_cd_inequality(heis_quat, K=0.0, fs=[one],
                                            nus=(1.0,), points=8, seed=4)
         assert rep.details["min_margin"] == 0.0
+
+    def test_no_trial_functions_rejected(self, heis):
+        # no sampled f would make a vacuous pass
+        with pytest.raises(ValueError):
+            analysis.check_cd_inequality(heis, K=0.0, fs=[], points=8, seed=4)
 
     def test_nan_k_fails(self, heis):
         rep = analysis.check_cd_inequality(heis, K=float("nan"), fs=2,

@@ -10,7 +10,7 @@ from htfoliation.errors import DegenerateFrameError, DimensionMismatchError
 from htfoliation.geometry import (AmbientChart, EUCLIDEAN, MonomialCache,
                                   Polynomial, PolyField, UNIT_SPHERE, bracket,
                                   directional_derivative, field_jets,
-                                  gram_schmidt_at, levi_civita, sample_points,
+                                  gram_schmidt_at, sample_points,
                                   sphere_moment)
 
 
@@ -99,43 +99,6 @@ class TestDerivatives:
             jac = (bracket(bracket(X, Y), Z) + bracket(bracket(Y, Z), X)
                    + bracket(bracket(Z, X), Y))
             assert jac.is_zero()
-
-
-class TestLeviCivita:
-    def test_euclidean_flat(self):
-        chart = AmbientChart(EUCLIDEAN, 3)
-        assert levi_civita(chart, PolyField.basis(3, 0),
-                           PolyField.basis(3, 1)).is_zero()
-
-    def test_great_circle_is_geodesic(self):
-        chart = AmbientChart(UNIT_SPHERE, 3)
-        A = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]], float)
-        R = PolyField.linear(A)
-        val = levi_civita(chart, R, R).evaluate(np.array([1.0, 0.0, 0.0]))
-        np.testing.assert_allclose(val, 0.0, atol=1e-15)
-
-    def test_position_field_identity(self):
-        # second fundamental form: nabla_X p = X for tangent X at on-sphere p
-        chart = AmbientChart(UNIT_SPHERE, 3)
-        pos = PolyField.position(3)
-        X = geo.tangential_projection(PolyField.constant([0.0, 1.0, 0.0]))
-        p = np.array([1.0, 0.0, 0.0])
-        np.testing.assert_allclose(levi_civita(chart, X, pos).evaluate(p),
-                                   X.evaluate(p), atol=1e-15)
-
-    def test_metric_compatibility_and_torsion_free(self):
-        chart = AmbientChart(UNIT_SPHERE, 4)
-        pts = sample_points(chart, 32, 11)
-        rng = np.random.default_rng(3)
-        fields = [geo.tangential_projection(rand_field(4, 1, rng, density=0.8))
-                  for _ in range(3)]
-        X, Y, W = fields
-        lhs = directional_derivative(X, Y.dot(W))
-        rhs = levi_civita(chart, X, Y).dot(W) + Y.dot(levi_civita(chart, X, W))
-        assert np.abs((lhs - rhs).evaluate(pts)).max() < 1e-10
-        tf = levi_civita(chart, X, Y) - levi_civita(chart, Y, X) - bracket(X, Y)
-        tf = geo.tangential_projection(tf)
-        assert np.abs(tf.evaluate(pts)).max() < 1e-10
 
 
 class TestGramSchmidt:
