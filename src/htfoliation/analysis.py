@@ -234,7 +234,8 @@ def check_cd_inequality(model: FoliationModel, K: float,
             f"K = {K} exceeds the measured horizontal Ricci lower bound "
             f"{eigmin:.6g}")
     if isinstance(fs, int):
-        rng = np.random.Generator(np.random.Philox(key=seed + 1))
+        # Philox keys are below 2**128, the largest seed included
+        rng = np.random.Generator(np.random.Philox(key=(seed + 1) % 2 ** 128))
         fs = [_sparse_random_polynomial(model.ambient_dim, 3, rng)
               for _ in range(fs)]
     if not fs:
@@ -293,6 +294,14 @@ class SpectrumResult:
         return "\n".join(lines) + "\n"
 
 
+def fischer_scales(exponents) -> np.ndarray:
+    """sqrt(alpha!) for each exponent tuple alpha.  Each alpha! is rounded to
+    a float first: an int above 2**63 (21! and up) would make numpy build an
+    object array that np.sqrt rejects."""
+    return np.sqrt([float(math.prod(map(math.factorial, alpha)))
+                    for alpha in exponents])
+
+
 def _degree_block(model: FoliationModel, k: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Matrix of -Delta_H on the homogeneous polynomials of degree k.
@@ -308,8 +317,7 @@ def _degree_block(model: FoliationModel, k: int
         tuple(map(combo.count, range(N))): 1.0
         for combo in itertools.combinations_with_replacement(range(N), k)})
     keys = basis.keys
-    scale = np.sqrt([math.prod(map(math.factorial, alpha))
-                     for alpha in basis.exponents().tolist()])
+    scale = fischer_scales(basis.exponents().tolist())
     r2 = Polynomial.sum_of(N, [Polynomial.variable(N, i) ** 2
                                for i in range(N)])
     zero = Polynomial.zero(N)

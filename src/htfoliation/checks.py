@@ -194,33 +194,37 @@ def check_parallel_clifford(model: FoliationModel, points: int = 32,
 def clifford_fit(J: np.ndarray, nt_v: np.ndarray) -> tuple[float, dict]:
     """The least-squares fit of check_parallel_clifford for m >= 2, on J
     (P, m, n, n) and nt_v (P, m, m, n, n): the worst of the fit residual, the
-    largest off-blade coefficient and the spread of kappa, and the details."""
-    P, m = J.shape[:2]
-    pairs = [(c, d) for c in range(m) for d in range(c + 1, m)]
-    worst_fit = 0.0
-    off_blade = 0.0
-    kappa_estimates = []
-    for p in range(P):
-        design = np.stack([(J[p, c] @ J[p, d]).ravel() for (c, d) in pairs],
-                          axis=1)
-        if np.linalg.matrix_rank(design, tol=1e-8) < len(pairs):
-            raise InvalidModelError(
-                "grade-two operator images are rank deficient; the vertical "
-                "Clifford fit is not identifiable on this model")
-        for a in range(m):
-            for b in range(m):
-                target = nt_v[p, a, b].T.ravel()   # endomorphism of (n_a J)_b
-                psi, *_ = np.linalg.lstsq(design, target, rcond=None)
-                worst_fit = max(worst_fit,
-                                float(np.abs(design @ psi - target).max()))
-                for idx, (c, d) in enumerate(pairs):
-                    if a != b and (c, d) == (min(a, b), max(a, b)):
-                        sign = 1.0 if a < b else -1.0
-                        kappa_estimates.append(-sign * float(psi[idx]))
-                    else:
-                        off_blade = max(off_blade, abs(float(psi[idx])))
-    kappa = float(np.mean(kappa_estimates))
-    spread = float(np.abs(np.asarray(kappa_estimates) - kappa).max())
+    largest off-blade coefficient and the spread of kappa, and the details.
+
+    At each point the design has one column per pair c < d, the grade-two
+    image J_c J_d, and the targets one column per (a, b), the endomorphism
+    of (nabla_{z_a} J)_{z_b}; one stacked SVD checks the rank and solves
+    every column at every point."""
+    P, m, n = J.shape[:3]
+    c, d = np.triu_indices(m, 1)
+    design = (J[:, c] @ J[:, d]).reshape(P, c.size, n * n).transpose(0, 2, 1)
+    target = nt_v.transpose(0, 1, 2, 4, 3).reshape(P, m * m, n * n)
+    target = target.transpose(0, 2, 1)                    # (P, n*n, m*m)
+    U, s, Vt = np.linalg.svd(design, full_matrices=False)
+    if (s[:, -1] <= 1e-8).any():      # rank below the pair count somewhere
+        raise InvalidModelError(
+            "grade-two operator images are rank deficient; the vertical "
+            "Clifford fit is not identifiable on this model")
+    psi = Vt.transpose(0, 2, 1) @ ((U.transpose(0, 2, 1) @ target)
+                                   / s[:, :, None])       # (P, pairs, m*m)
+    worst_fit = float(np.abs(design @ psi - target).max())
+    # for a != b, the coefficient of the pair {a, b} in column (a, b) is
+    # -kappa when a < b and +kappa when a > b; every other one is off-blade
+    pair = np.zeros((m, m), dtype=np.int64)
+    pair[c, d] = pair[d, c] = np.arange(c.size)
+    a, b = np.nonzero(~np.eye(m, dtype=bool))             # (a, b) row-major
+    blade, column = pair[a, b], a * m + b
+    on_blade = np.zeros((c.size, m * m), dtype=bool)
+    on_blade[blade, column] = True
+    estimates = (np.where(a < b, -1.0, 1.0) * psi[:, blade, column]).ravel()
+    off_blade = float(np.abs(psi[:, ~on_blade]).max())
+    kappa = float(np.mean(estimates))
+    spread = float(np.abs(estimates - kappa).max())
     return max(worst_fit, off_blade, spread), {
         "kappa": kappa, "kappa_spread": spread, "fit_residual": worst_fit,
         "off_blade": off_blade}
@@ -401,13 +405,17 @@ def check_lemma_identities(model: FoliationModel, points: int = 32,
     full = curvature_components(fb, "all", "all", "all")   # (P, F, F, F, F)
     amb_nt = _contract3(fb, "nabla_t", model.nabla_t_entry, "all", "all", "all")
     nt_frame = fb.components(amb_nt)                       # (P, F, F, F, F)
-    decomp = np.zeros_like(full)
-    decomp[:, :n, :n, :n, :] = full[:, :n, :n, :n, :]
-    decomp[:, n:, n:, n:, :] = full[:, n:, n:, n:, :]
-    decomp += nt_frame.transpose(0, 2, 3, 1, 4)  # (nabla_W T)(U, V), W = slot 3
+    del amb_nt
+    # R - R_H - R_V - (nabla_W T)(U, V), W = slot 3, in one buffer
+    resid = full.copy()
+    resid[:, :n, :n, :n, :] = 0.0
+    resid[:, n:, n:, n:, :] = 0.0
+    resid -= nt_frame.transpose(0, 2, 3, 1, 4)
+    del nt_frame
     reports.append(CheckReport.from_residual(
-        "curvature-decomposition", float(np.abs(full - decomp).max()),
+        "curvature-decomposition", float(np.abs(resid, out=resid).max()),
         tol, points))
+    del resid
 
     t_comp = torsion_components(fb)
     J = j_endomorphisms(fb)

@@ -2,10 +2,10 @@
 
 Exit codes: 0 all requested checks pass; 1 at least one check failed or a
 model violated a precondition; 2 usage error (an option out of range or
-not a finite number, or a model file that cannot be read as a valid model);
-3 unknown model; 4 operation unsupported on the backend; 5 invalid bound
-inputs.  JSON output is the source of truth and is byte-stable for a fixed
-(configuration, seed).
+not a finite number, an empty check list, or a model file that cannot be
+read as a valid model); 3 unknown model; 4 operation unsupported on the
+backend; 5 invalid bound inputs.  JSON output is the source of truth and is
+byte-stable for a fixed (configuration, seed).
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ class FiniteFloatRange(click.FloatRange):
 
 # numeric option ranges: values outside them are usage errors (exit 2)
 POINTS = click.IntRange(min=1)
+SEED = click.IntRange(0, 2 ** 128 - 1)   # the keys numpy's Philox accepts
 DEGREE = click.IntRange(min=1)      # degree 0 holds no nonzero eigenvalue
 TOLERANCE = FiniteFloatRange(min=0.0, min_open=True)
 FINITE = FiniteFloatRange()
@@ -225,7 +226,7 @@ def cmd_catalog(fmt):
               show_default=False,
               help="comma-separated subset of: " + ", ".join(DEFAULT_CHECKS))
 @click.option("--points", type=POINTS, default=64, show_default=True)
-@click.option("--seed", type=int, default=42, show_default=True)
+@click.option("--seed", type=SEED, default=42, show_default=True)
 @click.option("--tol", type=TOLERANCE, default=checks.TOL_CURVATURE,
               show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
@@ -240,6 +241,8 @@ def cmd_verify(model_names, run_all, check_list, points, seed, tol, fmt, out,
     # one point batch per model: every check then shares evaluated tables
     cfg = RunConfig(points=points, seed=seed, tol=tol, heavy_points=points)
     selected = [c.strip() for c in check_list.split(",") if c.strip()]
+    if not selected:
+        raise click.UsageError("no checks selected")
     for c in selected:
         if c not in DEFAULT_CHECKS:
             raise click.UsageError(f"unknown check {c!r}")
@@ -349,7 +352,7 @@ def cmd_bounds(n, m, K, kappa, quaternionic, fmt):
 @click.option("--trials", type=click.IntRange(min=1), default=20,
               show_default=True)
 @click.option("--points", type=POINTS, default=32, show_default=True)
-@click.option("--seed", type=int, default=42, show_default=True)
+@click.option("--seed", type=SEED, default=42, show_default=True)
 @click.option("--tol", type=TOLERANCE, default=1e-9, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
               default="text")
@@ -371,7 +374,7 @@ def cmd_cd(model_name, K, trials, points, seed, tol, fmt):
 @main.command("report")
 @click.argument("model_name")
 @click.option("--points", type=POINTS, default=64, show_default=True)
-@click.option("--seed", type=int, default=42, show_default=True)
+@click.option("--seed", type=SEED, default=42, show_default=True)
 @click.option("--degree", type=DEGREE, default=2, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_report(model_name, points, seed, degree, out):

@@ -520,8 +520,11 @@ class FrameBatch:
         return np.einsum("pnm,pdm->pnd", self.metric, self.frame)
 
     def components(self, ambient: np.ndarray) -> np.ndarray:
-        """Measure trailing ambient vectors against the full adapted frame."""
-        return np.einsum("p...n,pnd->p...d", ambient, self._metric_frame)
+        """Measure trailing ambient vectors against the full adapted frame:
+        one matmul per point of the (rows, N) flattened ambient values."""
+        P, N = self.points.shape
+        flat = ambient.reshape(P, -1, N) @ self._metric_frame
+        return flat.reshape(ambient.shape[:-1] + (flat.shape[-1],))
 
     def slot(self, domain: str) -> tuple[slice, np.ndarray]:
         """Spanning indices and expansion weights for a contraction slot."""
@@ -580,8 +583,8 @@ class FrameBatch:
         return at(vertical), at(coframe), at([position])[0]
 
     def three_index(self, keys, formula) -> np.ndarray:
-        """Point values (P, K1, K2, K3, N) of ``formula(a, b, c) -> Split``
-        over three ranges of spanning indices.
+        """Point values of ``formula(a, b, c) -> Split`` over three ranges of
+        spanning indices, as a C-contiguous (P, K1, K2, K3, N) array.
 
         The formula runs once per first key and per horizontal or vertical
         block of the other two, with b a column and c a row of indices, so
@@ -592,15 +595,16 @@ class FrameBatch:
         kh = self.model.span_h_count
         blocks = lambda k: [pos for pos in (np.flatnonzero(k < kh),
                                             np.flatnonzero(k >= kh)) if pos.size]
-        out = np.zeros((k1.size, k2.size, k3.size, P, N))
+        out = np.zeros((P, k1.size, k2.size, k3.size, N))
         for i, a in enumerate(k1):
             for s2 in blocks(k2):
                 for s3 in blocks(k3):
                     res = formula(a, k2[s2][:, None], k3[s3][None, :])
                     for part in (res.h, res.v):
-                        if part is not None:
-                            out[i][np.ix_(s2, s3)] += part.value
-        return np.moveaxis(out, 3, 0)
+                        if part is not None:     # (B2, B3, P, N)
+                            out[:, i, s2[:, None], s3] += np.moveaxis(
+                                part.value, 2, 0)
+        return out
 
 
 class _Jets:
@@ -646,12 +650,13 @@ class _Jets:
         if not present:
             return None
         P, N = self.fb.points.shape
-        values, jacobians = field_jets([fields[i] for i in present],
-                                       self.fb.mono)
-        value = np.zeros((len(fields), P, N))
-        jacobian = np.zeros((len(fields), P, N, N))
-        value[present] = values
-        jacobian[present] = jacobians
+        jets = field_jets([fields[i] for i in present], self.fb.mono)
+        if len(present) < len(fields):          # absent parts are zero jets
+            padded = [np.zeros((len(fields),) + a.shape[1:]) for a in jets]
+            for full, a in zip(padded, jets):
+                full[present] = a
+            jets = padded
+        value, jacobian = jets
         return PointField(value.reshape(shape + (P, N)),
                           jacobian.reshape(shape + (P, N, N)),
                           self.fb.model_fields)
@@ -666,12 +671,20 @@ def _contract3(fb: FrameBatch, name: str, entry_fn, d1: str, d2: str,
     """A three-index entry, evaluated once per batch over all spanning
     indices by ``entry_fn(fb, keys1, keys2, keys3)``, contracted with the
     adapted-frame expansions of the slot domains; returns ambient vectors
-    (P, f1, f2, f3, N)."""
+    (P, f1, f2, f3, N).
+
+    One batched matmul per slot, each on a view of the previous result
+    that selects the slot's spanning range along a leading axis, so the
+    stored values are never copied."""
     span = tuple(range(fb.model.span_count))
     vals = fb.eval_entry(name, (span,) * 3, lambda *keys: entry_fn(fb, *keys))
     (s1, W1), (s2, W2), (s3, W3) = fb.slot(d1), fb.slot(d2), fb.slot(d3)
-    return np.einsum("pia,pjb,pkc,pabcn->pijkn", W1, W2, W3,
-                     vals[:, s1, s2, s3], optimize=True)
+    P, K, N = vals.shape[0], vals.shape[1], vals.shape[-1]
+    f1, f2 = W1.shape[1], W2.shape[1]
+    out = W1 @ vals[:, s1].reshape(P, -1, K * K * N)      # (P, f1, K*K*N)
+    out = W2[:, None] @ out.reshape(P, f1, K, K * N)[:, :, s2]
+    out = W3[:, None, None] @ out.reshape(P, f1, f2, K, N)[:, :, :, s3]
+    return out                                            # (P, f1, f2, f3, N)
 
 
 def _contract2(fb: FrameBatch, name: str, entry_fn, d1: str, d2: str,
@@ -681,7 +694,9 @@ def _contract2(fb: FrameBatch, name: str, entry_fn, d1: str, d2: str,
     evaluate = lambda a, b: entry_fn(a, b).evaluate(fb.points, fb.mono)
     vals = np.array([[fb.eval_entry(name, (a, b), evaluate, antisym)
                       for b in span[s2]] for a in span[s1]])    # (K1, K2, P, N)
-    return np.einsum("pia,pjb,abpn->pijn", W1, W2, vals, optimize=True)
+    K1, K2, P, N = vals.shape
+    out = W1 @ np.moveaxis(vals, 2, 0).reshape(P, K1, K2 * N)
+    return W2[:, None] @ out.reshape(P, -1, K2, N)      # (P, f1, f2, N)
 
 
 def torsion_components(fb: FrameBatch) -> np.ndarray:

@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,13 @@ class TestRayleighRitz:
     def test_group_backend_unsupported(self, heis):
         with pytest.raises(UnsupportedBackendError):
             analysis.rayleigh_ritz(heis, 1)
+
+    def test_fischer_scale_beyond_int64(self):
+        # 21! > 2**63: the scale must still be a float array, as it is below
+        scale = analysis.fischer_scales([(21, 0, 0, 0), (20, 0, 0, 1)])
+        assert scale.dtype == np.float64
+        assert scale[0] == np.sqrt(float(math.factorial(21)))
+        assert scale[1] == np.sqrt(np.array(math.factorial(20)))
 
 
 class TestClosedFormSpectra:

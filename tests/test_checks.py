@@ -226,6 +226,84 @@ class TestCliffordFit:
             checks.clifford_fit(*self.inputs([2.0], J))
 
 
+def clifford_fit_loop(J, nt_v):
+    """The fit of check_parallel_clifford as it was first written, one
+    lstsq per point and per (a, b); a test oracle for the batched fit."""
+    P, m = J.shape[:2]
+    pairs = [(c, d) for c in range(m) for d in range(c + 1, m)]
+    worst_fit = 0.0
+    off_blade = 0.0
+    kappa_estimates = []
+    for p in range(P):
+        design = np.stack([(J[p, c] @ J[p, d]).ravel() for (c, d) in pairs],
+                          axis=1)
+        if np.linalg.matrix_rank(design, tol=1e-8) < len(pairs):
+            raise InvalidModelError(
+                "grade-two operator images are rank deficient; the vertical "
+                "Clifford fit is not identifiable on this model")
+        for a in range(m):
+            for b in range(m):
+                target = nt_v[p, a, b].T.ravel()
+                psi, *_ = np.linalg.lstsq(design, target, rcond=None)
+                worst_fit = max(worst_fit,
+                                float(np.abs(design @ psi - target).max()))
+                for idx, (c, d) in enumerate(pairs):
+                    if a != b and (c, d) == (min(a, b), max(a, b)):
+                        sign = 1.0 if a < b else -1.0
+                        kappa_estimates.append(-sign * float(psi[idx]))
+                    else:
+                        off_blade = max(off_blade, abs(float(psi[idx])))
+    kappa = float(np.mean(kappa_estimates))
+    spread = float(np.abs(np.asarray(kappa_estimates) - kappa).max())
+    return max(worst_fit, off_blade, spread), {
+        "kappa": kappa, "kappa_spread": spread, "fit_residual": worst_fit,
+        "off_blade": off_blade}
+
+
+class TestCliffordFitAgainstLoop:
+    """The batched fit reproduces the per-point loop within 1e-12."""
+
+    @staticmethod
+    def assert_same_fit(J, nt_v):
+        worst, details = checks.clifford_fit(J, nt_v)
+        want_worst, want = clifford_fit_loop(J, nt_v)
+        assert abs(worst - want_worst) <= 1e-12
+        for key in ("kappa", "kappa_spread", "off_blade", "fit_residual"):
+            assert abs(details[key] - want[key]) <= 1e-12, key
+
+    def test_synthetic_inputs(self):
+        fit = TestCliffordFit()
+        J, nt_v = fit.inputs([2.0, 2.0])
+        self.assert_same_fit(J, nt_v)
+        self.assert_same_fit(*fit.inputs([2.0, 3.0]))
+        nt_v = nt_v.copy()
+        nt_v[:, 0, 1] += 0.1 * (fit.J[1] @ fit.J[2]).T
+        self.assert_same_fit(J, nt_v)
+
+    @pytest.mark.parametrize("name", ["heisenberg-oct",
+                                      "quaternionic-hopf-s7"])
+    def test_catalog_models(self, name, catalog_models):
+        fb = checks.frame_batch_for(catalog_models[name], 8, 5)
+        J = checks.j_endomorphisms(fb)
+        nt_v = checks.nabla_t_components(fb, "v")
+        self.assert_same_fit(J, nt_v)
+        # a perturbed nt_v, so that every detail is away from zero
+        rng = np.random.default_rng(0)
+        self.assert_same_fit(J, nt_v + 1e-3 * rng.standard_normal(nt_v.shape))
+
+    def test_rank_deficient_raises_the_same_error(self):
+        fit = TestCliffordFit()
+        J = fit.J.copy()
+        J[1] = J[0]
+        inputs = fit.inputs([2.0, 2.0], J)
+        errors = []
+        for fn in (checks.clifford_fit, clifford_fit_loop):
+            with pytest.raises(InvalidModelError) as exc:
+                fn(*inputs)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+
+
 class TestQuaternionicDetection:
     def test_group_pure_is_quaternionic(self, heis_quat):
         rep = checks.detect_quaternionic(heis_quat, points=4, seed=1)

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import htfoliation
 from click.testing import CliRunner
 
 from htfoliation.cli import main
@@ -57,6 +63,21 @@ class TestVerify:
         res = runner.invoke(main, ["verify", "heisenberg", "--checks", "magic"])
         assert res.exit_code == 2
 
+    def test_empty_check_selection_usage_error(self, runner):
+        for checks in (",", " , ,", ""):
+            res = runner.invoke(main, ["verify", "heisenberg", "--checks",
+                                       checks])
+            assert res.exit_code == 2
+            assert res.stdout == ""
+            assert "error: no checks selected" in res.stderr.lower()
+
+    def test_largest_seed_accepted(self, runner):
+        for cmd in (["verify", "heisenberg", "--checks", "h-type,cd"],
+                    ["cd", "heisenberg", "--K", "0", "--trials", "1"]):
+            res = runner.invoke(main, cmd + ["--points", "4",
+                                             "--seed", str(2 ** 128 - 1)])
+            assert res.exit_code == 0, res.output
+
     def test_reports_byte_identical(self, runner):
         args = ["verify", "heisenberg", "--points", "8", "--seed", "7",
                 "--checks", "axioms,h-type,yang-mills", "--format", "json"]
@@ -74,6 +95,25 @@ class TestVerify:
                                    "--points", "8", "--format", "json"])
         assert res.exit_code == 0
         assert json.loads(res.output)[0]["model"] == "file-model"
+
+
+def test_report_bytes_do_not_depend_on_blas_threads():
+    """The contractions run through BLAS; the JSON report must come out the
+    same with one and with two OpenBLAS threads."""
+    src = str(Path(htfoliation.__file__).resolve().parents[1])
+    args = [sys.executable, "-m", "htfoliation.cli", "verify",
+            "heisenberg-oct", "quaternionic-hopf-s7", "--points", "16",
+            "--format", "json"]
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs.append(subprocess.Popen(args, env=env, stdout=subprocess.PIPE))
+    outputs = [run.communicate()[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])
 
 
 class TestSpectrum:
@@ -142,17 +182,23 @@ BAD_OPTIONS = {
     "verify-tol-0": ["verify", "heisenberg", "--tol", "0"],
     "verify-tol-nan": ["verify", "heisenberg", "--tol", "nan"],
     "verify-tol-inf": ["verify", "heisenberg", "--tol", "inf"],
+    "verify-seed-negative": ["verify", "heisenberg", "--seed", "-1",
+                             "--points", "4"],
+    "verify-seed-2**128": ["verify", "heisenberg", "--seed", str(2 ** 128)],
+    "verify-checks-empty": ["verify", "heisenberg", "--checks", ","],
     "spectrum-degree-negative": ["spectrum", "complex-hopf-s3", "--degree", "-1"],
     "spectrum-degree-0": ["spectrum", "complex-hopf-s3", "--degree", "0"],
     "cd-trials-0": ["cd", "heisenberg", "--K", "0", "--trials", "0"],
     "cd-points-0": ["cd", "heisenberg", "--K", "0", "--points", "0"],
     "cd-tol-negative": ["cd", "heisenberg", "--K", "0", "--tol", "-1"],
     "cd-K-nan": ["cd", "heisenberg", "--K", "nan"],
+    "cd-seed-negative": ["cd", "heisenberg", "--K", "0", "--seed", "-1"],
     "bounds-K-nan": ["bounds", "--n", "4", "--m", "3", "--K", "nan"],
     "bounds-kappa-nan": ["bounds", "--n", "4", "--m", "3", "--kappa", "nan"],
     "bounds-kappa-inf": ["bounds", "--n", "4", "--m", "3", "--kappa", "inf"],
     "report-points-0": ["report", "complex-hopf-s3", "--points", "0"],
     "report-degree-negative": ["report", "complex-hopf-s3", "--degree", "-1"],
+    "report-seed-negative": ["report", "complex-hopf-s3", "--seed", "-1"],
 }
 BAD_MODEL_FILES = {
     "file-not-json": "not json",

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 
 import numpy as np
 import pytest
@@ -404,3 +405,62 @@ class TestMetricLieDerivatives:
         assert np.abs(want).max() > 0.5
         TestJetOracle.assert_close(
             model.metric_lie_derivatives(MonomialCache(points)), want)
+
+
+# ---------------------------------------------------------------------------
+# the contraction layer against plain einsum
+
+DOMAINS = ("h", "v", "all")
+
+
+class TestContraction:
+    """_contract3, _contract2 and components, which run as chains of batched
+    matmuls, agree with one einsum over the same stored values."""
+
+    @staticmethod
+    def assert_close(got, want):
+        assert got.shape == want.shape
+        scale = max(1.0, float(np.abs(want).max()))
+        assert float(np.abs(got - want).max()) <= 1e-12 * scale
+
+    @pytest.fixture(scope="class", params=["quaternionic-hopf-s7",
+                                           "heisenberg-quat-mixed"])
+    def batch(self, request, catalog_models):
+        model = catalog_models[request.param]
+        return model.frame_batch(sample_points(model.chart, 4, 21))
+
+    @pytest.mark.parametrize("table", ["nabla_t", "curvature"])
+    def test_contract3_every_slot_domain(self, batch, table):
+        entry = getattr(batch.model, f"{table}_entry")
+        span = tuple(range(batch.model.span_count))
+        for d1, d2, d3 in itertools.product(DOMAINS, repeat=3):
+            got = fol._contract3(batch, table, entry, d1, d2, d3)
+            vals = batch._values[table][(span,) * 3]
+            (s1, W1), (s2, W2), (s3, W3) = map(batch.slot, (d1, d2, d3))
+            want = np.einsum("pia,pjb,pkc,pabcn->pijkn", W1, W2, W3,
+                             vals[:, s1, s2, s3])
+            self.assert_close(got, want)
+            self.assert_close(batch.components(got), np.einsum(
+                "pijkn,pnd->pijkd", got, batch._metric_frame))
+
+    def test_contract2_every_slot_domain(self, batch):
+        model = batch.model
+        span = range(model.span_count)
+        for d1, d2 in itertools.product(DOMAINS, repeat=2):
+            got = fol._contract2(batch, "torsion", model.torsion_entry, d1, d2,
+                                 antisym=(0, 1))
+            (s1, W1), (s2, W2) = batch.slot(d1), batch.slot(d2)
+            vals = np.array([[model.torsion_entry(a, b).evaluate(batch.points)
+                              for b in span[s2]] for a in span[s1]])
+            want = np.einsum("pia,pjb,abpn->pijn", W1, W2, vals)
+            self.assert_close(got, want)
+            self.assert_close(batch.components(got), np.einsum(
+                "pijn,pnd->pijd", got, batch._metric_frame))
+
+    def test_three_index_is_point_major_and_contiguous(self, batch):
+        model = batch.model
+        span = range(model.span_count)
+        values = model.curvature_entry(batch, span, span, span)
+        assert values.shape == (4, *(model.span_count,) * 3,
+                                model.ambient_dim)
+        assert values.flags.c_contiguous and values.flags.owndata
