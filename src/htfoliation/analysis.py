@@ -27,9 +27,12 @@ Every operator is affine, so the commutators are second-order operators
 and all five quantities need only the 2-jet of f and the operators' 1-jets.
 
 Spectra need no integration: the vertical fields are linear, so on the
-sphere the operator maps each space of homogeneous polynomials to itself
-(after lifting the degree-lowering part by ||x||^2), and its exact matrix
-there is diagonalized degree by degree.
+sphere the operator maps each space P_k of homogeneous polynomials to
+itself (after lifting the degree-lowering part by ||x||^2).  Its exact
+matrix there comes from moves on the packed exponents, read off the same
+list (an affine D sends x^alpha to sum_r alpha_r (A x + c)_r x^(alpha-e_r)),
+and is diagonalized block by block along the connected components of its
+sparsity pattern.
 """
 
 from __future__ import annotations
@@ -44,10 +47,11 @@ import numpy as np
 
 from .checks import CheckReport, frame_batch_for
 from .errors import (BoundNotApplicableError, InvalidModelError,
-                     UnsupportedBackendError)
+                     SizeLimitError, UnsupportedBackendError)
 from .foliation import SPHERE, FoliationModel, ricci_horizontal
 from .geometry import (UNIT_SPHERE, MonomialCache, Polynomial, PolyField,
-                       directional_derivative, euclidean_gradient, field_jets)
+                       directional_derivative, euclidean_gradient,
+                       exponent_shifts, field_jets)
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +74,7 @@ class Operators:
 @lru_cache(maxsize=None)
 def _sphere_fields(N: int) -> tuple[tuple[PolyField, ...], PolyField]:
     """d/dx_1 .. d/dx_N and E of the sphere list in R^N, and its drift;
-    shared because spectra apply the list once per monomial."""
+    shared across calls, which keeps their memoized partials."""
     euler = PolyField.position(N)
     return (tuple(PolyField.basis(N, i) for i in range(N)) + (euler,),
             euler.scale(-(N - 2.0)))
@@ -302,15 +306,74 @@ def fischer_scales(exponents) -> np.ndarray:
                     for alpha in exponents])
 
 
-def _degree_block(model: FoliationModel, k: int
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Matrix of -Delta_H on the homogeneous polynomials of degree k.
+def monomial_count(n_vars: int, k: int) -> int:
+    """dim P_k: the number of monomials of degree k in ``n_vars`` variables."""
+    return math.comb(n_vars + k - 1, k)
+
+
+#: Largest dim P_k whose spectrum ``rayleigh_ritz`` computes, checked before
+#: P_k is enumerated.  Every catalog sphere reaches degree 6 below it; the
+#: moves on P_6 of quaternionic-hopf-s11 (12376 monomials) give 340k
+#: triples in 0.4 s.
+MAX_DEGREE_MONOMIALS = 15_000
+#: Largest sum of squared block sizes over the two degrees of a spectrum,
+#: checked before any eigensolve: the eigenvectors are kept, 16 bytes per
+#: block entry.  Measured on 2 vCPUs: quaternionic-hopf-s11 at degree 6
+#: (16 blocks per degree, 10.8M entries) takes 3.3 s and 260 MB, and
+#: complex-hopf-s3 at degree 30 (4 blocks per degree, 13.6M) 4.4 s and
+#: 345 MB.
+MAX_BLOCK_ENTRIES = 16_000_000
+
+
+def _coalesce(col, key, coef):
+    """Sum the terms that share a (column, monomial) pair; drop exact zeros."""
+    if col.size == 0:
+        return col, key, coef
+    order = np.lexsort((key, col))
+    col, key, coef = col[order], key[order], coef[order]
+    starts = np.flatnonzero(np.r_[True, (col[1:] != col[:-1])
+                                  | (key[1:] != key[:-1])])
+    acc = np.add.reduceat(coef, starts)
+    keep = acc != 0.0
+    return col[starts][keep], key[starts][keep], acc[keep]
+
+
+def _apply_affine(A: np.ndarray, c: np.ndarray, shifts: np.ndarray, mask: int,
+                  col, key, coef):
+    """The operator v . grad, v = A x + c, on the terms ``coef x^key`` of each
+    column, by moves on the packed exponents:
+
+        x^alpha -> sum_r alpha_r (sum_t A[r, t] x^(alpha - e_r + e_t)
+                                  + c_r x^(alpha - e_r)).
+    """
+    unit = np.int64(1) << shifts
+    out = []
+    for r in range(shifts.size):
+        alpha_r = (key >> shifts[r]) & mask
+        sel = np.flatnonzero(alpha_r)
+        if sel.size == 0:
+            continue
+        lowered, weight = key[sel] - unit[r], coef[sel] * alpha_r[sel]
+        out += [(col[sel], lowered + unit[t], weight * A[r, t])
+                for t in np.flatnonzero(A[r])]
+        if c[r] != 0.0:
+            out.append((col[sel], lowered, weight * c[r]))
+    if not out:
+        return col[:0], key[:0], coef[:0]
+    return _coalesce(*map(np.concatenate, zip(*out)))
+
+
+def _degree_block(model: FoliationModel, k: int) -> tuple[np.ndarray, ...]:
+    """Matrix of -Delta_H on the homogeneous polynomials of degree k, as
+    coalesced nonzero triples (rows, cols, values).
 
     Returns the sorted monomial keys, the Fischer scales sqrt(alpha!) and
-    the matrix in the orthonormal basis x^alpha / sqrt(alpha!).  The
-    sphere backend's vertical fields are linear (its ``vertical_matrices``),
-    so Delta_H x^alpha has parts of degree k and k - 2 only; the latter
-    times ||x||^2 is the same function on the sphere.
+    the triples in the orthonormal basis x^alpha / sqrt(alpha!).  Each
+    operator of the list is affine, so it acts on the exponent arrays
+    (``_apply_affine``): each D_k twice, the drift once.  The sphere
+    backend's vertical fields are linear (its ``vertical_matrices``), so
+    Delta_H x^alpha has parts of degree k and k - 2 only; the latter times
+    ||x||^2 = sum_i x_i^2 is the same function on the sphere.
     """
     N = model.ambient_dim
     basis = Polynomial.from_dict(N, {
@@ -318,16 +381,63 @@ def _degree_block(model: FoliationModel, k: int
         for combo in itertools.combinations_with_replacement(range(N), k)})
     keys = basis.keys
     scale = fischer_scales(basis.exponents().tolist())
-    r2 = Polynomial.sum_of(N, [Polynomial.variable(N, i) ** 2
-                               for i in range(N)])
-    zero = Polynomial.zero(N)
-    A = np.zeros((keys.size, keys.size))
-    for col in range(keys.size):
-        g = Polynomial(N, keys[col:col + 1], np.ones(1))
-        parts = sub_laplacian_poly(model, g).homogeneous_parts()
-        lap = parts.get(k, zero) + parts.get(k - 2, zero) * r2
-        A[np.searchsorted(keys, lap.keys), col] = -lap.coeffs
-    return keys, scale, A * scale[:, None] / scale[None, :]
+    shifts, mask = exponent_shifts(N)
+    ops = operators(model)
+    values, jacobians = affine_jets(ops.fields + (ops.drift,),
+                                    MonomialCache(np.zeros((1, N))))
+    terms = []
+    for A, c, s, times in zip(jacobians, values[:, 0], ops.signs + (1.0,),
+                              [2] * len(ops.fields) + [1]):
+        term = (np.arange(keys.size), keys, np.full(keys.size, s))
+        for _ in range(times):
+            term = _apply_affine(A, c, shifts, mask, *term)
+        terms.append(term)
+    col, key, coef = _coalesce(*map(np.concatenate, zip(*terms)))
+    degree = Polynomial(N, key).exponents().sum(axis=1)
+    low = degree == k - 2
+    lifted = (key[low][:, None] + (np.int64(2) << shifts)).ravel()
+    col, key, coef = _coalesce(
+        np.concatenate([col[degree == k], np.repeat(col[low], N)]),
+        np.concatenate([key[degree == k], lifted]),
+        np.concatenate([coef[degree == k], np.repeat(coef[low], N)]))
+    rows = np.searchsorted(keys, key)
+    return keys, scale, rows, col, -coef * scale[rows] / scale[col]
+
+
+def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Connected components of the undirected graph on range(n) with edges
+    (rows, cols), labelled by their smallest node: a union-find that hooks
+    each root to the smallest label across its edges, then compresses
+    paths, until every edge joins equal labels."""
+    label = np.arange(n)
+    while True:
+        lr, lc = label[rows], label[cols]
+        if np.array_equal(lr, lc):
+            return label
+        lo = np.minimum(lr, lc)
+        np.minimum.at(label, lr, lo)
+        np.minimum.at(label, lc, lo)
+        while not np.array_equal(label[label], label):
+            label = label[label]
+
+
+def _blocks(label: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+            vals: np.ndarray):
+    """The diagonal blocks of a sparse matrix whose symmetrized pattern has
+    the component labels ``label``: (members, dense block) pairs, with the
+    members in increasing order."""
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.r_[True, np.diff(label[order]) != 0])
+    by_block = np.argsort(label[rows], kind="stable")
+    roots, entry_roots = label[order[starts]], label[rows[by_block]]
+    lo = np.searchsorted(entry_roots, roots, "left")
+    hi = np.searchsorted(entry_roots, roots, "right")
+    for members, a, b in zip(np.split(order, starts[1:]), lo, hi):
+        e = by_block[a:b]
+        block = np.zeros((members.size, members.size))
+        block[np.searchsorted(members, rows[e]),
+              np.searchsorted(members, cols[e])] = vals[e]
+        yield members, block
 
 
 def rayleigh_ritz(model: FoliationModel, degree: int) -> SpectrumResult:
@@ -338,24 +448,43 @@ def rayleigh_ritz(model: FoliationModel, degree: int) -> SpectrumResult:
     spaces P_degree and P_(degree - 1), each invariant because the vertical
     fields are linear.  On each the operator matrix is symmetric in the
     Fischer-orthonormal basis (Z_a is skew and ||x||^2 Delta self-adjoint),
-    so one symmetric eigensolve per degree gives the eigenvalues with
-    multiplicities, merged in increasing order.
+    and splits into blocks along the connected components of its sparsity
+    pattern, so one symmetric eigensolve per block gives the eigenvalues
+    with multiplicities, merged in increasing order.  A degree with
+    dim P_degree above ``MAX_DEGREE_MONOMIALS`` is refused before any work,
+    and one whose blocks exceed ``MAX_BLOCK_ENTRIES`` before any eigensolve.
     """
     if model.backend != SPHERE:
         raise UnsupportedBackendError(
             "spectra require a compact model; the group backend is noncompact")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    lams, funcs, asym = [], [], 0.0
+    N = model.ambient_dim
+    size = monomial_count(N, degree)
+    if size > MAX_DEGREE_MONOMIALS:
+        raise SizeLimitError(
+            f"degree {degree} spans {size} monomials in {N} variables, more "
+            f"than the {MAX_DEGREE_MONOMIALS} a spectrum is computed for")
+    parts, entries = [], 0
     for k in range(max(degree - 1, 0), degree + 1):
-        keys, scale, A = _degree_block(model, k)
-        asym = max(asym, float(np.abs(A - A.T).max()))
-        lam, vecs = np.linalg.eigh(0.5 * (A + A.T))
-        lams.append(lam)
-        for c in (vecs / scale[:, None]).T:
-            nonzero = c != 0.0
-            funcs.append(Polynomial(model.ambient_dim, keys[nonzero],
-                                    c[nonzero]))
+        keys, scale, rows, cols, vals = _degree_block(model, k)
+        label = _components(keys.size, rows, cols)
+        entries += int((np.bincount(label) ** 2).sum())
+        parts.append((keys, scale, label, rows, cols, vals))
+    if entries > MAX_BLOCK_ENTRIES:
+        raise SizeLimitError(
+            f"degree {degree} splits into blocks with {entries} entries, "
+            f"more than the {MAX_BLOCK_ENTRIES} a spectrum is computed for")
+    lams, funcs, asym = [], [], 0.0
+    for keys, scale, label, rows, cols, vals in parts:
+        for members, A in _blocks(label, rows, cols, vals):
+            asym = max(asym, float(np.abs(A - A.T).max()))
+            lam, vecs = np.linalg.eigh(0.5 * (A + A.T))
+            lams.append(lam)
+            for c in (vecs / scale[members, None]).T:
+                nonzero = c != 0.0
+                funcs.append(Polynomial(N, keys[members][nonzero],
+                                        c[nonzero]))
     lam = np.concatenate(lams)
     order = np.argsort(lam, kind="stable")
     return SpectrumResult(model.name, degree, [float(lam[i]) for i in order],

@@ -322,7 +322,7 @@ def check_curvature_constancy(model: FoliationModel, kappa: float,
         raise InvalidModelError("curvature constancy requires kappa != 0")
     eps_rel = 1.0 / (2.0 * kappa)
     fb = frame_batch_for(model, points, seed)
-    lhs = lc_curvature_ambient(fb, eps_rel, "v", "all", "all")  # (P, m, F, F, N)
+    lhs = lc_curvature_ambient(fb, eps_rel, "all", "all")  # (P, m, F, F, N)
     ghat = model.metric_matrices(fb.points, eps_scale=eps_rel)
     frame = fb.frame
     gxy = np.einsum("pbn,pnm,pcm->pbc", frame, ghat, frame)
@@ -367,12 +367,12 @@ def check_oneill(model: FoliationModel, points: int = 32, seed: int = 42,
     rv_amb = _contract3(fb, "curvature", model.curvature_entry, "v", "v", "v")
     worst = 0.0
     for eps in eps_values:
-        direct_h = lc_curvature_ambient(fb, eps, "v", "h", "h")  # (P, m, n, n, N)
+        direct_h = lc_curvature_ambient(fb, eps, "h", "h")  # (P, m, n, n, N)
         closed_h = (-0.5 * ntv_amb
                     - (0.5 / eps) * nablaj_amb
                     + (0.25 / eps) * tj_amb)
         worst = max(worst, float(np.abs(direct_h - closed_h).max()))
-        direct_v = lc_curvature_ambient(fb, eps, "v", "v", "v")
+        direct_v = lc_curvature_ambient(fb, eps, "v", "v")
         worst = max(worst, float(np.abs(direct_v - rv_amb).max()))
     return CheckReport.from_residual("oneill-variation", worst, tol, points,
                                      {"eps_values": list(eps_values)})

@@ -2,10 +2,11 @@
 
 Exit codes: 0 all requested checks pass; 1 at least one check failed or a
 model violated a precondition; 2 usage error (an option out of range or
-not a finite number, an empty check list, or a model file that cannot be
-read as a valid model); 3 unknown model; 4 operation unsupported on the
-backend; 5 invalid bound inputs.  JSON output is the source of truth and is
-byte-stable for a fixed (configuration, seed).
+not a finite number, an empty check list, a spectrum degree beyond the
+size limits, or a model file that cannot be read as a valid model); 3
+unknown model; 4 operation unsupported on the backend; 5 invalid bound
+inputs.  JSON output is the source of truth and is byte-stable for a fixed
+(configuration, seed).
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 
 from . import analysis, checks, models
 from .errors import (BoundNotApplicableError, InvalidModelError,
-                     NotApplicableError, UnsupportedBackendError)
+                     NotApplicableError, SizeLimitError,
+                     UnsupportedBackendError)
 from .foliation import ricci_horizontal
 
 DEFAULT_CHECKS = ["axioms", "h-type", "torsion-class", "yang-mills",
@@ -100,6 +102,15 @@ def _emit(payload, fmt: str, out: str | None, text_renderer):
         with open(out, "w") as fh:
             fh.write(blob)
     click.echo(blob, nl=False)
+
+
+def _spectrum(model, degree: int):
+    """``rayleigh_ritz``, with a degree beyond its size limits a usage error."""
+    try:
+        return analysis.rayleigh_ritz(model, degree)
+    except SizeLimitError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_USAGE)
 
 
 def run_checks(model, selected: list[str], cfg: RunConfig,
@@ -278,7 +289,7 @@ def cmd_spectrum(model_name, degree, fmt, out):
     model = _load_named_model(model_name, None)
     spec = _spec_for(model.name)
     try:
-        result = analysis.rayleigh_ritz(model, degree)
+        result = _spectrum(model, degree)
     except UnsupportedBackendError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_UNSUPPORTED)
@@ -382,13 +393,14 @@ def cmd_report(model_name, points, seed, degree, out):
     model = _load_named_model(model_name, None)
     spec = _spec_for(model.name)
     cfg = RunConfig(points=points, seed=seed, heavy_points=points)
+    # the spectrum first, so that a refused degree costs no checks
+    result = _spectrum(model, degree) if model.backend == "sphere" else None
     rows = run_checks(model, DEFAULT_CHECKS, cfg,
                       expected_class=spec.expected_class if spec else None,
                       expected_kappa=spec.expected_kappa if spec else None)
     payload = {"model": model.name, "n": model.n, "m": model.m,
                "epsilon": model.epsilon, "checks": rows}
-    if model.backend == "sphere":
-        result = analysis.rayleigh_ritz(model, degree)
+    if result is not None:
         payload["spectrum"] = result.to_json()
         payload["spectrum"]["lambda1"] = result.smallest_nonzero()
     blob = json.dumps(payload, indent=2, sort_keys=True) + "\n"

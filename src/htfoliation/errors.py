@@ -29,3 +29,8 @@ class NotApplicableError(HTFoliationError, ValueError):
 
 class BoundNotApplicableError(HTFoliationError, ValueError):
     """Closed-form bound evaluated outside its hypotheses (e.g. K <= 0)."""
+
+
+class SizeLimitError(HTFoliationError, ValueError):
+    """The request exceeds a fixed size limit of the package (e.g. a
+    spectrum degree whose space of homogeneous polynomials is too large)."""

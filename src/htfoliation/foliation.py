@@ -412,13 +412,18 @@ class FoliationModel:
 
     def lc_entry(self, total_eps: float, a: int, b: int) -> Split:
         """First rescaled-metric derivative table; keyed by the total vertical
-        scale so canonical-variation copies of one model share entries."""
+        scale so canonical-variation copies of one model share entries.
+        ``lc_variation_split`` on the spanning fields, with its connection
+        and torsion terms read from their tables."""
         tab = self._table("lc")
         key = (round(total_eps, 12), a, b)
         if key not in tab:
             eps_rel = total_eps / self.epsilon
-            tab[key] = self.lc_variation_split(self.span_split(a),
-                                               self.span_split(b), eps_rel)
+            Ea, Eb = self.span_split(a), self.span_split(b)
+            tab[key] = (self.bott_entry(a, b)
+                        + self.torsion_entry(a, b).scale(-0.5)
+                        + (self.j_transform(Ea, Eb)
+                           + self.j_transform(Eb, Ea)).scale(0.5 / eps_rel))
         return tab[key]
 
     # -- three-index entries at a point batch, from 1-jets -------------------
@@ -667,9 +672,10 @@ class _Jets:
 
 
 def _contract3(fb: FrameBatch, name: str, entry_fn, d1: str, d2: str,
-               d3: str) -> np.ndarray:
+               d3: str, first_only: bool = False) -> np.ndarray:
     """A three-index entry, evaluated once per batch over all spanning
-    indices by ``entry_fn(fb, keys1, keys2, keys3)``, contracted with the
+    indices by ``entry_fn(fb, keys1, keys2, keys3)`` (with ``first_only``,
+    over those of the domain ``d1`` in the first slot), contracted with the
     adapted-frame expansions of the slot domains; returns ambient vectors
     (P, f1, f2, f3, N).
 
@@ -677,9 +683,13 @@ def _contract3(fb: FrameBatch, name: str, entry_fn, d1: str, d2: str,
     that selects the slot's spanning range along a leading axis, so the
     stored values are never copied."""
     span = tuple(range(fb.model.span_count))
-    vals = fb.eval_entry(name, (span,) * 3, lambda *keys: entry_fn(fb, *keys))
     (s1, W1), (s2, W2), (s3, W3) = fb.slot(d1), fb.slot(d2), fb.slot(d3)
-    P, K, N = vals.shape[0], vals.shape[1], vals.shape[-1]
+    keys1 = span[s1] if first_only else span
+    vals = fb.eval_entry(name, (keys1, span, span),
+                         lambda *keys: entry_fn(fb, *keys))
+    if first_only:
+        s1 = slice(None)
+    P, K, N = vals.shape[0], vals.shape[2], vals.shape[-1]
     f1, f2 = W1.shape[1], W2.shape[1]
     out = W1 @ vals[:, s1].reshape(P, -1, K * K * N)      # (P, f1, K*K*N)
     out = W2[:, None] @ out.reshape(P, f1, K, K * N)[:, :, s2]
@@ -730,14 +740,18 @@ def curvature_components(fb: FrameBatch, d1: str = "all", d2: str = "all",
     return fb.components(amb)
 
 
-def lc_curvature_ambient(fb: FrameBatch, eps_rel: float, d1: str = "v",
-                         d2: str = "all", d3: str = "all") -> np.ndarray:
-    """Ambient values of the Levi-Civita curvature of the rescaled metric
-    g_H + (1/eps_rel) g_V; shape (P, f1, f2, f3, N)."""
+def lc_curvature_ambient(fb: FrameBatch, eps_rel: float, d2: str = "all",
+                         d3: str = "all") -> np.ndarray:
+    """Ambient values of R^ghat(z_a, u_b) u_c, the Levi-Civita curvature of
+    the rescaled metric ghat = g_H + (1/eps_rel) g_V with a vertical first
+    slot, over the slot domains d2 and d3; shape (P, m, f2, f3, N).  Every
+    reader needs only that first slot, so the entry is built and kept only
+    over the vertical first keys."""
     model = fb.model
     total = model.epsilon * eps_rel
     entry = lambda fb, a, b, c: model.lc_curvature_entry(fb, total, a, b, c)
-    return _contract3(fb, f"lc_curvature[{round(total, 12)}]", entry, d1, d2, d3)
+    return _contract3(fb, f"lc_curvature[{round(total, 12)}]", entry, "v",
+                      d2, d3, first_only=True)
 
 
 def ricci_horizontal(fb: FrameBatch) -> np.ndarray:

@@ -40,6 +40,15 @@ def _packing_bits(n_vars: int) -> int:
     return min(15, 63 // n_vars)
 
 
+def exponent_shifts(n_vars: int) -> tuple[np.ndarray, int]:
+    """Bit offset of each variable's exponent in a packed key, and the mask
+    of one exponent field: exponent i of ``key`` is
+    ``(key >> shifts[i]) & mask``, and adding ``1 << shifts[i]`` multiplies
+    the monomial by x_i."""
+    bits = _packing_bits(n_vars)
+    return bits * np.arange(n_vars, dtype=np.int64), (1 << bits) - 1
+
+
 def _dedup(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort by key, merge duplicates, drop exact-zero coefficients."""
     if keys.size == 0:
@@ -135,8 +144,7 @@ class Polynomial:
 
     def exponents(self) -> np.ndarray:
         """Decode packed keys into an (n_terms, n_vars) exponent array."""
-        shifts = self._bits * np.arange(self.n_vars, dtype=np.int64)
-        mask = (1 << self._bits) - 1
+        shifts, mask = exponent_shifts(self.n_vars)
         return ((self.keys[:, None] >> shifts[None, :]) & mask).astype(np.int64)
 
     def max_var_degrees(self) -> np.ndarray:

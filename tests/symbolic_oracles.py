@@ -2,10 +2,16 @@
 
 Each builds its result as exact polynomials, independently of the code it
 checks: the model metric through the projections ``pi_h``/``pi_v``, the
-round Laplacian through the homogeneous decomposition, and the Gamma
-calculus as products of polynomials.
+round Laplacian through the homogeneous decomposition, the Gamma
+calculus as products of polynomials, and the spectral matrices one
+monomial at a time.
 """
 
+import itertools
+
+import numpy as np
+
+from htfoliation.analysis import fischer_scales, sub_laplacian_poly
 from htfoliation.foliation import SPHERE, Split
 from htfoliation.geometry import (Polynomial, PolyField, directional_derivative,
                                   euclidean_gradient)
@@ -89,3 +95,25 @@ def gamma_polys(model, f: Polynomial) -> dict[str, Polynomial]:
         - metric_poly(model, Split(v=gv), Split(v=gv_lap))
     return {"gamma": gamma, "gamma_v": gamma_v, "gamma2": gamma2,
             "gamma2_v": gamma2_v, "delta_f": lap}
+
+
+def degree_block_dense(model, k: int):
+    """Sorted keys, Fischer scales and the dense matrix of -Delta_H on the
+    homogeneous polynomials of degree k, from ``sub_laplacian_poly`` of each
+    monomial with the degree-(k - 2) part lifted by ||x||^2."""
+    N = model.ambient_dim
+    basis = Polynomial.from_dict(N, {
+        tuple(map(combo.count, range(N))): 1.0
+        for combo in itertools.combinations_with_replacement(range(N), k)})
+    keys = basis.keys
+    scale = fischer_scales(basis.exponents().tolist())
+    r2 = Polynomial.sum_of(N, [Polynomial.variable(N, i) ** 2
+                               for i in range(N)])
+    zero = Polynomial.zero(N)
+    A = np.zeros((keys.size, keys.size))
+    for col in range(keys.size):
+        g = Polynomial(N, keys[col:col + 1], np.ones(1))
+        parts = sub_laplacian_poly(model, g).homogeneous_parts()
+        lap = parts.get(k, zero) + parts.get(k - 2, zero) * r2
+        A[np.searchsorted(keys, lap.keys), col] = -lap.coeffs
+    return keys, scale, A * scale[:, None] / scale[None, :]

@@ -8,11 +8,13 @@ import pytest
 
 from htfoliation import analysis, models
 from htfoliation.errors import (BoundNotApplicableError, InvalidModelError,
-                                UnsupportedBackendError)
+                                SizeLimitError, UnsupportedBackendError)
 from htfoliation.geometry import (MonomialCache, Polynomial,
                                   directional_derivative, integrate_sphere,
                                   sample_points)
-from symbolic_oracles import gamma_polys, sphere_laplacian, sub_laplacian
+from symbolic_oracles import (degree_block_dense, gamma_polys,
+                              sphere_laplacian, sub_laplacian)
+from test_checks import sheared_s3
 
 
 def _load_oracle():
@@ -213,6 +215,7 @@ class TestClosedFormSpectra:
         ("complex-hopf-s5", 4, oracle.complex_hopf_spectrum, 2),
         ("quaternionic-hopf-s7", 3, oracle.quaternionic_hopf_spectrum, 1),
         ("quaternionic-hopf-s11", 3, oracle.quaternionic_hopf_spectrum, 2),
+        ("quaternionic-hopf-s11", 6, oracle.quaternionic_hopf_spectrum, 2),
     ])
     def test_eigenvalues_and_multiplicities(self, name, degree, closed_form,
                                             base_dim, catalog_models):
@@ -225,11 +228,93 @@ class TestClosedFormSpectra:
     def test_non_killing_vertical_field_is_asymmetric(self, s3):
         # a sheared circle action is not an isometry, so its square is not
         # self-adjoint
-        shear = models._complex_structure(4)
-        shear[0, 2] = 0.5
-        model = models._sphere_model("sheared-s3", shear[None], 4.0)
-        assert analysis.rayleigh_ritz(model, 2).gram_asymmetry > 0.1
+        assert analysis.rayleigh_ritz(sheared_s3(), 2).gram_asymmetry > 0.1
         assert analysis.rayleigh_ritz(s3, 2).gram_asymmetry < 1e-12
+
+
+SPHERE_MODELS = [s.name for s in models.catalog() if s.kind != "htype-group"]
+
+
+class TestMoveEngine:
+    """The P_k matrices built by exponent moves, and their blocks."""
+
+    @pytest.mark.parametrize("name", SPHERE_MODELS + ["sheared-s3"])
+    def test_matches_the_per_monomial_route(self, name, catalog_models):
+        model = sheared_s3() if name == "sheared-s3" else catalog_models[name]
+        for k in range(4):
+            keys, scale, want = degree_block_dense(model, k)
+            got_keys, got_scale, rows, cols, vals = analysis._degree_block(
+                model, k)
+            np.testing.assert_array_equal(got_keys, keys)
+            np.testing.assert_array_equal(got_scale, scale)
+            assert np.unique(rows * keys.size + cols).size == rows.size
+            assert vals.all()
+            got = np.zeros_like(want)
+            got[rows, cols] = vals
+            assert np.array_equal(got, want), (name, k)
+
+    def test_spectra_build_no_polynomial(self, s7, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sub_laplacian_poly called")
+        monkeypatch.setattr(analysis, "sub_laplacian_poly", refuse)
+        assert len(analysis.rayleigh_ritz(s7, 3).eigenvalues) == 156
+
+    def test_monomial_count(self):
+        for n_vars, k in [(1, 5), (4, 0), (4, 3), (12, 6)]:
+            assert analysis.monomial_count(n_vars, k) == sum(
+                1 for _ in itertools.combinations_with_replacement(
+                    range(n_vars), k))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_components_match_scipy(self, seed):
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        sparse = pytest.importorskip("scipy.sparse")
+        rng = np.random.default_rng(seed)
+        n = 60
+        rows, cols = rng.integers(0, n, size=(2, 45))
+        label = analysis._components(n, rows, cols)
+        _, want = csgraph.connected_components(
+            sparse.coo_matrix((np.ones(rows.size), (rows, cols)), (n, n)),
+            directed=True, connection="weak")
+        pairs = set(zip(label.tolist(), want.tolist()))
+        assert len(pairs) == len(set(label.tolist())) == len(set(want.tolist()))
+        for c in set(label.tolist()):     # labelled by the smallest member
+            assert np.flatnonzero(label == c)[0] == c
+
+    def test_blocks_reassemble_the_matrix(self, s7):
+        keys, _, rows, cols, vals = analysis._degree_block(s7, 4)
+        label = analysis._components(keys.size, rows, cols)
+        dense = np.zeros((keys.size, keys.size))
+        dense[rows, cols] = vals
+        rebuilt = np.zeros_like(dense)
+        seen = []
+        for members, block in analysis._blocks(label, rows, cols, vals):
+            assert (np.diff(members) > 0).all()
+            rebuilt[np.ix_(members, members)] = block
+            seen.append(members)
+        assert len(seen) > 1
+        np.testing.assert_array_equal(np.sort(np.concatenate(seen)),
+                                      np.arange(keys.size))
+        np.testing.assert_array_equal(rebuilt, dense)
+
+
+class TestSizeLimits:
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("ran past the size check")
+
+    def test_degree_refused_before_enumeration(self, s3, monkeypatch):
+        # dim P_3 in 4 variables is 20
+        monkeypatch.setattr(analysis, "MAX_DEGREE_MONOMIALS", 19)
+        monkeypatch.setattr(analysis, "_degree_block", self.refuse)
+        with pytest.raises(SizeLimitError, match="20 monomials"):
+            analysis.rayleigh_ritz(s3, 3)
+
+    def test_blocks_refused_before_eigensolve(self, s3, monkeypatch):
+        monkeypatch.setattr(analysis, "MAX_BLOCK_ENTRIES", 10)
+        monkeypatch.setattr(analysis.np.linalg, "eigh", self.refuse)
+        with pytest.raises(SizeLimitError, match="entries"):
+            analysis.rayleigh_ritz(s3, 2)
 
 
 class TestIntegrationByParts:

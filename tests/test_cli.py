@@ -9,6 +9,7 @@ import pytest
 import htfoliation
 from click.testing import CliRunner
 
+from htfoliation import analysis
 from htfoliation.cli import main
 from htfoliation.clifford import build_representation
 
@@ -227,6 +228,20 @@ def test_bad_input_fails_closed(runner, tmp_path, args, model_file):
     errors = [line for line in res.stderr.splitlines()
               if line.lower().startswith("error:")]
     assert len(errors) == 1
+
+
+@pytest.mark.parametrize("command", ["spectrum", "report"])
+def test_oversized_degree_fails_closed(runner, monkeypatch, command):
+    # the limit is lowered, so the refused degree allocates nothing large;
+    # dim P_3 in the 4 variables of S^3 is 20
+    monkeypatch.setattr(analysis, "MAX_DEGREE_MONOMIALS", 19)
+    res = runner.invoke(main, [command, "complex-hopf-s3", "--degree", "3"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "error: degree 3 spans 20 monomials in 4 variables, more than the "
+        "19 a spectrum is computed for"]
 
 
 class TestReport:

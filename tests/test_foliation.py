@@ -368,6 +368,53 @@ class TestJetOracle:
                                       [:, :, :, keys[2]])
 
 
+class TestGhatTable:
+    """The rescaled Levi-Civita table, read from the connection and torsion
+    tables, and R^ghat, built only over the vertical first keys."""
+
+    @staticmethod
+    def assert_same(got, want):
+        for g, w in ((got.h, want.h), (got.v, want.v)):
+            assert (g is None) == (w is None)
+            if g is not None:
+                for a, b in zip(g.components, w.components):
+                    np.testing.assert_array_equal(a.keys, b.keys)
+                    np.testing.assert_array_equal(a.coeffs, b.coeffs)
+
+    @pytest.mark.parametrize("name", [s.name for s in models.catalog()])
+    def test_lc_entry_is_the_variation_formula(self, name, catalog_models):
+        # keys over every (horizontal | vertical) pair of slots
+        model = catalog_models[name]
+        kh, K = model.span_h_count, model.span_count
+        picks = sorted({0, kh // 2, kh - 1, kh, K - 1})
+        for eps_rel in ghat_scales(name):
+            for a, b in itertools.product(picks, repeat=2):
+                self.assert_same(
+                    model.lc_entry(model.epsilon * eps_rel, a, b),
+                    model.lc_variation_split(model.span_split(a),
+                                             model.span_split(b), eps_rel))
+
+    @pytest.mark.parametrize("name", ["quaternionic-hopf-s7",
+                                      "heisenberg-quat-mixed"])
+    def test_vertical_first_slot_is_a_slice_of_the_full_build(
+            self, name, catalog_models):
+        model = catalog_models[name]
+        pts = sample_points(model.chart, 4, 22)
+        kh, span = model.span_h_count, tuple(range(model.span_count))
+        for eps_rel in ghat_scales(name):
+            total = model.epsilon * eps_rel
+            label = f"lc_curvature[{round(total, 12)}]"
+            entry = lambda fb, *keys: model.lc_curvature_entry(fb, total, *keys)
+            fb, full = model.frame_batch(pts), model.frame_batch(pts)
+            for d2, d3 in itertools.product(DOMAINS, repeat=2):
+                got = fol.lc_curvature_ambient(fb, eps_rel, d2, d3)
+                want = fol._contract3(full, label, entry, "v", d2, d3)
+                assert np.array_equal(got, want), (d2, d3)
+            (stored,) = fb._values[label].values()
+            assert np.array_equal(stored,
+                                  full._values[label][(span,) * 3][:, kh:])
+
+
 # ---------------------------------------------------------------------------
 # the pointwise Lie derivative of the metric against its symbolic route
 

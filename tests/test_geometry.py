@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -186,6 +187,94 @@ def dyadic_fields(draw, n_vars=st.integers(1, 5)):
     return PolyField([
         Polynomial.from_dict(n, draw(st.dictionaries(exps, coeff, max_size=6)))
         for _ in range(n)])
+
+
+@st.composite
+def dyadic_polys(draw, n_vars: int, count: int = 1):
+    """``count`` polynomials in ``n_vars`` variables with dyadic coefficients
+    k/8 and at most six terms; exponents up to 3, up to the packing cap 7
+    at N = 16.  Sums and products of a few of them are exact."""
+    top = 7 if n_vars == 16 else 3
+    exps = st.tuples(*[st.integers(0, top)] * n_vars)
+    coeff = st.integers(-16, 16).map(lambda k: k / 8)
+    return [Polynomial.from_dict(n_vars,
+                                 draw(st.dictionaries(exps, coeff, max_size=6)))
+            for _ in range(count)]
+
+
+def poly_triples():
+    return st.integers(1, 4).flatmap(lambda n: dyadic_polys(n, 3))
+
+
+def assert_same(p, q):
+    np.testing.assert_array_equal(p.keys, q.keys)
+    np.testing.assert_array_equal(p.coeffs, q.coeffs)
+
+
+class TestPolynomialProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(poly_triples())
+    def test_ring_laws(self, polys):
+        p, q, r = polys
+        n = p.n_vars
+        one, zero = Polynomial.constant(n, 1.0), Polynomial.zero(n)
+        assert_same(p + q, q + p)
+        assert_same((p + q) + r, p + (q + r))
+        assert_same(p * q, q * p)
+        assert_same((p * q) * r, p * (q * r))
+        assert_same(p * (q + r), p * q + p * r)
+        assert_same(p * one, p)
+        assert_same(p + zero, p)
+        assert (p - p).is_zero and (p * zero).is_zero
+
+    @settings(max_examples=60, deadline=None)
+    @given(poly_triples())
+    def test_leibniz_rule(self, polys):
+        p, q, _ = polys
+        for i in range(p.n_vars):
+            assert_same((p * q).partial(i),
+                        p.partial(i) * q + p * q.partial(i))
+
+    @settings(max_examples=60, deadline=None)
+    @given(poly_triples())
+    def test_partials_commute_on_products(self, polys):
+        f = polys[0] * polys[1]
+        for i, j in itertools.product(range(f.n_vars), repeat=2):
+            assert_same(f.partial(i).partial(j), f.partial(j).partial(i))
+
+    @settings(max_examples=60, deadline=None)
+    @given(poly_triples(), st.integers(0, 2 ** 16))
+    def test_evaluate_matches_naive(self, polys, seed):
+        f = polys[0] * polys[1] + polys[2]
+        pts = np.random.default_rng(seed).uniform(-1, 1, size=(3, f.n_vars))
+        want = [sum(c * math.prod(float(x) ** e for x, e in zip(pt, exps))
+                    for exps, c in f.terms_dict().items()) for pt in pts]
+        np.testing.assert_allclose(f.evaluate(pts), want, rtol=1e-12,
+                                   atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 3, 12, 16]).flatmap(dyadic_polys))
+    def test_packed_keys_round_trip(self, polys):
+        # the exponent moves of the spectra work on packed keys directly
+        (f,) = polys
+        shifts, mask = geo.exponent_shifts(f.n_vars)
+        exps = f.exponents()
+        assert exps.max(initial=0) <= mask
+        np.testing.assert_array_equal((exps << shifts).sum(axis=1), f.keys)
+        assert_same(Polynomial.from_dict(f.n_vars, f.terms_dict()), f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 15), st.integers(0, 7), st.integers(0, 7))
+    def test_packing_edge_overflow(self, i, a, b):
+        # N = 16 packs 3 bits per variable: x_i^a x_i^b past degree 7 must
+        # raise instead of carrying into the next variable's field
+        power = lambda e: Polynomial.from_dict(
+            16, {tuple(e if v == i else 0 for v in range(16)): 1.0})
+        if a + b > 7:
+            with pytest.raises(OverflowError):
+                power(a) * power(b)
+        else:
+            assert (power(a) * power(b)).terms_dict() == power(a + b).terms_dict()
 
 
 def assert_jet_matches_partials(F, pts):
