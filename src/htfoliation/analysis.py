@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -49,7 +49,7 @@ from .checks import CheckReport, frame_batch_for
 from .errors import (BoundNotApplicableError, InvalidModelError,
                      SizeLimitError, UnsupportedBackendError)
 from .foliation import SPHERE, FoliationModel, ricci_horizontal
-from .geometry import (UNIT_SPHERE, MonomialCache, Polynomial, PolyField,
+from .geometry import (MonomialCache, Polynomial, PolyField,
                        directional_derivative, euclidean_gradient,
                        exponent_shifts, field_jets)
 
@@ -108,14 +108,6 @@ def affine_jets(fields: Sequence[PolyField], cache: MonomialCache
 # differential operators
 
 
-def _on_chart(model: FoliationModel, p) -> np.ndarray:
-    """The point as floats; the sphere formulas hold only at ||p|| = 1."""
-    p = np.asarray(p, dtype=np.float64)
-    if model.chart.kind == UNIT_SPHERE and abs(p @ p - 1.0) > 1e-12:
-        raise InvalidModelError("point is not on the unit sphere")
-    return p
-
-
 def sub_laplacian_poly(model: FoliationModel, f: Polynomial) -> Polynomial:
     """Horizontal Laplacian sum_k s_k D_k^2 f + b f of a polynomial, exact;
     on a sphere it is the right function at ||x|| = 1."""
@@ -124,11 +116,6 @@ def sub_laplacian_poly(model: FoliationModel, f: Polynomial) -> Polynomial:
         s * directional_derivative(D, directional_derivative(D, f))
         for s, D in zip(ops.signs, ops.fields)]
         + [directional_derivative(ops.drift, f)])
-
-
-def sub_laplacian_apply(model: FoliationModel, f: Polynomial, p) -> float:
-    """Pointwise value of the horizontal Laplacian (negative operator)."""
-    return float(sub_laplacian_poly(model, f).evaluate(_on_chart(model, p)))
 
 
 def gamma_jets(model: FoliationModel, fs: Sequence[Polynomial],
@@ -180,28 +167,6 @@ def gamma_jets(model: FoliationModel, fs: Sequence[Polynomial],
             "gamma2_v": ops.weight * (Zf * comm_Z + gamma_Z).sum(axis=1),
             "delta_f": (np.einsum("pi,fpi->fp", beta, grad)
                         + np.einsum("pij,fpij->fp", S, hess))}
-
-
-def gamma_calculus(model: FoliationModel, f: Polynomial, p) -> dict[str, float]:
-    """Pointwise carre-du-champ data: Gamma(f) = ||grad_H f||^2, its vertical
-    companion, both iterated forms, and the horizontal Laplacian."""
-    pts = _on_chart(model, p)[None]
-    return {k: float(v[0, 0])
-            for k, v in gamma_jets(model, [f], MonomialCache(pts)).items()}
-
-
-def random_polynomial(n_vars: int, degree: int, rng: np.random.Generator
-                      ) -> Polynomial:
-    """Dense random polynomial with coefficients uniform in [-1, 1], drawn
-    in lexicographic order of the exponents."""
-    def exponents(n: int, budget: int) -> list[tuple[int, ...]]:
-        if n == 0:
-            return [()]
-        return [(e,) + rest for e in range(budget + 1)
-                for rest in exponents(n - 1, budget - e)]
-    return Polynomial.from_dict(n_vars, {
-        exps: float(rng.uniform(-1.0, 1.0))
-        for exps in exponents(n_vars, degree)})
 
 
 def _sparse_random_polynomial(n_vars: int, degree: int,
@@ -268,18 +233,16 @@ class SpectrumResult:
     """Discrete spectrum of the sub-Laplacian on polynomials of bounded degree.
 
     The space is invariant, so the computed values are exact eigenvalues,
-    not just variational bounds; the representatives are homogeneous
-    polynomials that satisfy the eigenvalue equation pointwise on the
-    sphere.  ``gram_asymmetry`` is the largest asymmetry of the per-degree
-    operator matrices in the Fischer-orthonormal basis: rounding level when
-    the vertical fields are Killing, of order one when they are not.
+    not just variational bounds.  ``gram_asymmetry`` is the largest
+    asymmetry of the per-degree operator matrices in the
+    Fischer-orthonormal basis: rounding level when the vertical fields are
+    Killing, of order one when they are not.
     """
 
     model_name: str
     degree: int
     eigenvalues: list[float]
     gram_asymmetry: float
-    eigenfunctions: list[Polynomial] = field(repr=False, default_factory=list)
 
     def smallest_nonzero(self, tol: float = 1e-8) -> float:
         for ev in self.eigenvalues:
@@ -317,11 +280,16 @@ def monomial_count(n_vars: int, k: int) -> int:
 #: triples in 0.4 s.
 MAX_DEGREE_MONOMIALS = 15_000
 #: Largest sum of squared block sizes over the two degrees of a spectrum,
-#: checked before any eigensolve: the eigenvectors are kept, 16 bytes per
-#: block entry.  Measured on 2 vCPUs: quaternionic-hopf-s11 at degree 6
-#: (16 blocks per degree, 10.8M entries) takes 3.3 s and 260 MB, and
-#: complex-hopf-s3 at degree 30 (4 blocks per degree, 13.6M) 4.4 s and
-#: 345 MB.
+#: checked before any block is assembled.  Blocks are solved one at a time
+#: and only their eigenvalues kept, so it bounds the eigensolve time (below
+#: the largest block size times this sum) and the dense buffers of the
+#: largest block (8 bytes per entry each).  Measured on 2 vCPUs through the
+#: CLI at the largest degree each catalog sphere is admitted for:
+#: complex-hopf-s3 at 30 (13.6M entries, largest block 1376) 1.9 s and
+#: 100 MB, complex-hopf-s5 at 13 (14.0M, 1092) 1.8 s and 87 MB,
+#: quaternionic-hopf-s7 at 8 (6.6M, 835) 1.1 s and 78 MB, and
+#: quaternionic-hopf-s11 at 6 (10.8M, 880) 1.8 s and 132 MB, most of it
+#: the exponent moves.
 MAX_BLOCK_ENTRIES = 16_000_000
 
 
@@ -376,12 +344,11 @@ def _degree_block(model: FoliationModel, k: int) -> tuple[np.ndarray, ...]:
     ||x||^2 = sum_i x_i^2 is the same function on the sphere.
     """
     N = model.ambient_dim
-    basis = Polynomial.from_dict(N, {
-        tuple(map(combo.count, range(N))): 1.0
-        for combo in itertools.combinations_with_replacement(range(N), k)})
-    keys = basis.keys
-    scale = fischer_scales(basis.exponents().tolist())
     shifts, mask = exponent_shifts(N)
+    combos = np.array(list(itertools.combinations_with_replacement(range(N), k)),
+                      dtype=np.int64)
+    keys = np.sort((np.int64(1) << shifts)[combos].sum(axis=1))
+    scale = fischer_scales(Polynomial(N, keys).exponents().tolist())
     ops = operators(model)
     values, jacobians = affine_jets(ops.fields + (ops.drift,),
                                     MonomialCache(np.zeros((1, N))))
@@ -467,28 +434,21 @@ def rayleigh_ritz(model: FoliationModel, degree: int) -> SpectrumResult:
             f"than the {MAX_DEGREE_MONOMIALS} a spectrum is computed for")
     parts, entries = [], 0
     for k in range(max(degree - 1, 0), degree + 1):
-        keys, scale, rows, cols, vals = _degree_block(model, k)
+        keys, _, rows, cols, vals = _degree_block(model, k)
         label = _components(keys.size, rows, cols)
         entries += int((np.bincount(label) ** 2).sum())
-        parts.append((keys, scale, label, rows, cols, vals))
+        parts.append((label, rows, cols, vals))
     if entries > MAX_BLOCK_ENTRIES:
         raise SizeLimitError(
             f"degree {degree} splits into blocks with {entries} entries, "
             f"more than the {MAX_BLOCK_ENTRIES} a spectrum is computed for")
-    lams, funcs, asym = [], [], 0.0
-    for keys, scale, label, rows, cols, vals in parts:
-        for members, A in _blocks(label, rows, cols, vals):
+    lams, asym = [], 0.0
+    for label, rows, cols, vals in parts:
+        for _, A in _blocks(label, rows, cols, vals):
             asym = max(asym, float(np.abs(A - A.T).max()))
-            lam, vecs = np.linalg.eigh(0.5 * (A + A.T))
-            lams.append(lam)
-            for c in (vecs / scale[members, None]).T:
-                nonzero = c != 0.0
-                funcs.append(Polynomial(N, keys[members][nonzero],
-                                        c[nonzero]))
-    lam = np.concatenate(lams)
-    order = np.argsort(lam, kind="stable")
-    return SpectrumResult(model.name, degree, [float(lam[i]) for i in order],
-                          asym, [funcs[i] for i in order])
+            lams.append(np.linalg.eigvalsh(0.5 * (A + A.T)))
+    lam = np.sort(np.concatenate(lams))
+    return SpectrumResult(model.name, degree, lam.tolist(), asym)
 
 
 # ---------------------------------------------------------------------------

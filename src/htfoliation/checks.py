@@ -11,7 +11,6 @@ checks measure, they do not assume.
 
 from __future__ import annotations
 
-import json
 import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -459,7 +458,3 @@ def check_lemma_identities(model: FoliationModel, points: int = 32,
     reports.append(CheckReport.from_residual(
         "ym-helper-trace", float(np.abs(lhs_e - rhs_e).max()), tol, points))
     return reports
-
-
-def reports_to_json(reports) -> str:
-    return json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True)

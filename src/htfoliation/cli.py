@@ -287,7 +287,7 @@ def cmd_spectrum(model_name, degree, fmt, out):
     """Sub-Laplacian spectrum on polynomials of bounded degree, with the
     measured first nonzero eigenvalue against the closed-form bound."""
     model = _load_named_model(model_name, None)
-    spec = _spec_for(model.name)
+    spec = models.get_spec(model.name)
     try:
         result = _spectrum(model, degree)
     except UnsupportedBackendError as exc:
@@ -295,16 +295,18 @@ def cmd_spectrum(model_name, degree, fmt, out):
         sys.exit(EXIT_UNSUPPORTED)
     lam1 = result.smallest_nonzero()
     bound = None
-    if spec and spec.expected_kappa and model.m >= 2:
-        quat = checks.detect_quaternionic(model).status == "quaternionic"
+    if spec.expected_kappa and model.m >= 2:
+        quaternionic = spec.kind == "quaternionic-hopf"
         bound = analysis.bounds_clifford(model.n, model.m, spec.expected_kappa,
-                                         quaternionic=quat).lambda1_bound
+                                         quaternionic=quaternionic).lambda1_bound
     payload = result.to_json()
     payload["lambda1"] = lam1
     payload["lambda1_bound"] = bound
     payload["gap"] = None if bound is None else lam1 - bound
 
     def render(payload):
+        if fmt == "csv":
+            return result.to_csv()
         lines = [f"model {payload['model']}, degree {payload['degree']}",
                  "eigenvalues: " + ", ".join(f"{v:.9g}"
                                              for v in payload["eigenvalues"])]
@@ -315,14 +317,7 @@ def cmd_spectrum(model_name, degree, fmt, out):
                          f"(gap {lam1 - bound:.3e})")
         return "\n".join(lines) + "\n"
 
-    if fmt == "csv":
-        blob = result.to_csv()
-        if out:
-            with open(out, "w") as fh:
-                fh.write(blob)
-        click.echo(blob, nl=False)
-    else:
-        _emit(payload, fmt, out, render)
+    _emit(payload, fmt, out, render)
 
 
 @main.command("bounds")
@@ -403,11 +398,7 @@ def cmd_report(model_name, points, seed, degree, out):
     if result is not None:
         payload["spectrum"] = result.to_json()
         payload["spectrum"]["lambda1"] = result.smallest_nonzero()
-    blob = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(blob)
-    click.echo(blob, nl=False)
+    _emit(payload, "json", out, None)
     bad = [r for r in rows if r["status"] in ("fail", "error")]
     sys.exit(EXIT_CHECK_FAILED if bad else 0)
 

@@ -117,30 +117,6 @@ class Split:
         return out
 
 
-@dataclass
-class AdaptedFrameAt:
-    """Orthonormal adapted frame at a point, with spanning-field expansions.
-
-    ``horizontal[i] = sum_k h_coefficients[i, k] * horizontal_fields[k](point)``
-    and likewise for the vertical block; the expansions are what make
-    pointwise tensor contraction against the symbolic tables possible.
-    """
-
-    point: np.ndarray
-    horizontal: np.ndarray        # (n, N)
-    vertical: np.ndarray          # (m, N)
-    h_coefficients: np.ndarray    # (n, Kh)
-    v_coefficients: np.ndarray    # (m, Kv)
-
-
-@dataclass
-class TensorAtPoint:
-    """Component array of a named tensor in the adapted frame at one point."""
-
-    kind: str
-    components: np.ndarray
-
-
 class FoliationModel:
     """A foliated model space on a Euclidean or unit-sphere ambient chart."""
 
@@ -463,10 +439,6 @@ class FoliationModel:
 
     # -- frames ----------------------------------------------------------------
 
-    def adapted_frame(self, p) -> AdaptedFrameAt:
-        fb = self.frame_batch(np.atleast_2d(np.asarray(p, dtype=np.float64)))
-        return AdaptedFrameAt(fb.points[0], fb.x[0], fb.z[0], fb.wh[0], fb.wv[0])
-
     def frame_batch(self, points) -> "FrameBatch":
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         P, N = pts.shape
@@ -770,21 +742,15 @@ def vertical_sectional(fb: FrameBatch) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# single-point operation wrappers
+# single points
 
 
-def torsion(model: FoliationModel, p) -> TensorAtPoint:
-    fb = model.frame_batch(np.atleast_2d(np.asarray(p, dtype=np.float64)))
-    return TensorAtPoint("torsion", torsion_components(fb)[0])
+def torsion(model: FoliationModel, p) -> np.ndarray:
+    """T^a_{ij} at one point, (m, n, n); by the defining pairing these are
+    also the frame matrices (J_{z_a})_{ij} = <J_{z_a} x_i, x_j>."""
+    return torsion_components(model.frame_batch(p))[0]
 
 
-def j_map(model: FoliationModel, p) -> TensorAtPoint:
-    """Frame matrices (J_{z_a})_{ij} = <J_{z_a} x_i, x_j>, which by the
-    defining pairing coincide with the torsion component arrays."""
-    fb = model.frame_batch(np.atleast_2d(np.asarray(p, dtype=np.float64)))
-    return TensorAtPoint("J", torsion_components(fb)[0])
-
-
-def ricci_h(model: FoliationModel, p) -> TensorAtPoint:
-    fb = model.frame_batch(np.atleast_2d(np.asarray(p, dtype=np.float64)))
-    return TensorAtPoint("ricci_h", ricci_horizontal(fb)[0])
+def ricci_h(model: FoliationModel, p) -> np.ndarray:
+    """Ric_H(x_i, x_j) at one point, (n, n)."""
+    return ricci_horizontal(model.frame_batch(p))[0]

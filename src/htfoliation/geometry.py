@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -162,25 +162,6 @@ class Polynomial:
         if self.is_zero:
             return -1
         return int(self.exponents().sum(axis=1).max())
-
-    def max_abs_coeff(self) -> float:
-        if self.is_zero:
-            return 0.0
-        return float(np.abs(self.coeffs).max())
-
-    def terms_dict(self) -> dict[tuple[int, ...], float]:
-        exps = self.exponents()
-        return {tuple(int(e) for e in exps[t]): float(self.coeffs[t])
-                for t in range(self.n_terms)}
-
-    def homogeneous_parts(self) -> dict[int, "Polynomial"]:
-        """Split into homogeneous components keyed by total degree."""
-        if self.is_zero:
-            return {}
-        degs = self.exponents().sum(axis=1)
-        return {int(d): Polynomial(self.n_vars, self.keys[degs == d],
-                                   self.coeffs[degs == d])
-                for d in np.unique(degs)}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -505,9 +486,6 @@ class PolyField:
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
 
-    def max_abs_coeff(self) -> float:
-        return max(c.max_abs_coeff() for c in self.components)
-
     def evaluate(self, points, cache: MonomialCache | None = None) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
         single = pts.ndim == 1
@@ -782,6 +760,9 @@ def _double_factorial(k: int) -> int:
 
 @lru_cache(maxsize=None)
 def _sphere_moment_fraction(n_vars: int, alpha: tuple[int, ...]) -> Fraction:
+    """Normalized moment (1/|S^{N-1}|) * integral of x^alpha over S^{N-1},
+    exact by the double-factorial product formula; zero whenever an
+    exponent is odd."""
     if any(a % 2 == 1 for a in alpha):
         return Fraction(0)
     total = sum(alpha)
@@ -792,18 +773,6 @@ def _sphere_moment_fraction(n_vars: int, alpha: tuple[int, ...]) -> Fraction:
     for k in range(total // 2):
         den *= n_vars + 2 * k
     return Fraction(num, den)
-
-
-def sphere_moment(n_vars: int, alpha: Iterable[int]) -> float:
-    """Normalized moment (1/|S^{N-1}|) * integral of x^alpha over S^{N-1}.
-
-    Exact via the double-factorial product formula; zero whenever any
-    exponent is odd.
-    """
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != n_vars:
-        raise DimensionMismatchError("multi-index length does not match n_vars")
-    return float(_sphere_moment_fraction(n_vars, alpha))
 
 
 def integrate_sphere(poly: Polynomial) -> float:

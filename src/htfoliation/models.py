@@ -146,26 +146,6 @@ def quaternionic_hopf(k: int, epsilon: float = 4.0,
     return _sphere_model(name, _quaternion_right_blocks(N), epsilon)
 
 
-def normalize_to_htype(model: FoliationModel, points: int = 16, seed: int = 7,
-                       tol: float = 1e-9) -> tuple[FoliationModel, float]:
-    """Rescale the vertical metric so the H-type fit gives lambda = 1.
-
-    The measured lambda scales inversely with epsilon, so the normalizing
-    scale is epsilon * lambda.  Raises InvalidModelError when lambda is not
-    constant across points and vertical directions.
-    """
-    report = _checks.check_h_type(model, points=points, seed=seed, tol=tol)
-    lam = report.details["lambda"]
-    anisotropy = max(report.details["lambda_spread"],
-                     report.details["fit_residual"])
-    if anisotropy > tol * max(1.0, abs(lam)):
-        raise InvalidModelError(
-            f"model is not uniformly of H-type: anisotropy {anisotropy:.3e}")
-    if abs(lam - 1.0) <= tol:
-        return model, lam
-    return model.with_epsilon(model.epsilon * lam), lam
-
-
 # ---------------------------------------------------------------------------
 # catalog
 

@@ -9,10 +9,12 @@ import itertools
 
 import numpy as np
 
-from htfoliation import analysis, checks, clifford as cl, models
+import clifford_algebra as ca
+from htfoliation import analysis, checks, clifford as cl
 from htfoliation.foliation import (nabla_t_components, ricci_horizontal,
                                    vertical_sectional)
 from htfoliation.geometry import Polynomial, integrate_sphere
+from test_models import normalize_to_htype
 
 SEED = 42
 GROUP_NAMES = ["heisenberg", "heisenberg-quat", "heisenberg-quat-mixed",
@@ -41,10 +43,10 @@ def test_criterion_01_clifford_relations():
                     target = -2.0 * eye if i == j else 0.0
                     worst = max(worst, np.abs(anti - target).max())
     assert worst < 1e-12
-    assert [cl.minimal_dimension(m) for m in range(1, 9)] == \
+    assert [ca.minimal_dimension(m) for m in range(1, 9)] == \
         [2, 4, 4, 8, 8, 8, 8, 16]
     for m in range(1, 9):
-        assert cl.minimal_dimension(m + 8) == 16 * cl.minimal_dimension(m)
+        assert ca.minimal_dimension(m + 8) == 16 * ca.minimal_dimension(m)
     announce(1, f"anticommutation/skewness exact (residual {worst:.1e}), "
                 "minimal dimensions follow the doubling recursion")
 
@@ -56,7 +58,7 @@ def test_criterion_02_axioms_and_h_type(catalog_models):
         ax = checks.check_foliation_axioms(model, points=64, seed=SEED)
         assert ax.status == "pass", name
         worst_ax = max(worst_ax, ax.max_residual)
-        normalized, _ = models.normalize_to_htype(model)
+        normalized, _ = normalize_to_htype(model)
         ht = checks.check_h_type(normalized, points=64, seed=SEED)
         assert ht.status == "pass", name
         worst_lam = max(worst_lam, abs(ht.details["lambda"] - 1.0))

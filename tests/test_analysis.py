@@ -12,8 +12,10 @@ from htfoliation.errors import (BoundNotApplicableError, InvalidModelError,
 from htfoliation.geometry import (MonomialCache, Polynomial,
                                   directional_derivative, integrate_sphere,
                                   sample_points)
-from symbolic_oracles import (degree_block_dense, gamma_polys,
-                              sphere_laplacian, sub_laplacian)
+from symbolic_oracles import (degree_block_dense, eigenpairs, gamma_calculus,
+                              gamma_polys, random_polynomial,
+                              sphere_laplacian, sub_laplacian,
+                              sub_laplacian_apply)
 from test_checks import sheared_s3
 
 
@@ -33,15 +35,15 @@ class TestSubLaplacian:
     def test_linear_eigenfunctions(self, s3, s7):
         p3 = sample_points(s3.chart, 1, 5)[0]
         x = Polynomial.variable(4, 0)
-        assert abs(analysis.sub_laplacian_apply(s3, x, p3) + 2 * p3[0]) < 1e-12
+        assert abs(sub_laplacian_apply(s3, x, p3) + 2 * p3[0]) < 1e-12
         p7 = sample_points(s7.chart, 1, 5)[0]
         x8 = Polynomial.variable(8, 0)
-        assert abs(analysis.sub_laplacian_apply(s7, x8, p7) + 4 * p7[0]) < 1e-12
+        assert abs(sub_laplacian_apply(s7, x8, p7) + 4 * p7[0]) < 1e-12
 
     def test_constants_killed(self, s7):
         p7 = sample_points(s7.chart, 1, 5)[0]
         one = Polynomial.constant(8, 1.0)
-        assert analysis.sub_laplacian_apply(s7, one, p7) == 0.0
+        assert sub_laplacian_apply(s7, one, p7) == 0.0
 
     def test_decomposition_oracle(self, s3, s7):
         # the two pieces separately: round Laplacian gives -(N-1) x on
@@ -59,8 +61,8 @@ class TestSubLaplacian:
 
     def test_off_sphere_point_rejected(self, s3):
         with pytest.raises(InvalidModelError):
-            analysis.sub_laplacian_apply(s3, Polynomial.variable(4, 0),
-                                         np.array([2.0, 0.0, 0.0, 0.0]))
+            sub_laplacian_apply(s3, Polynomial.variable(4, 0),
+                                np.array([2.0, 0.0, 0.0, 0.0]))
 
     @pytest.mark.parametrize("name", [s.name for s in models.catalog()
                                       if s.kind != "htype-group"])
@@ -82,19 +84,18 @@ class TestSubLaplacian:
     def test_group_backend(self, heis):
         x = Polynomial.variable(3, 0)
         p = np.array([0.1, 0.2, 0.3])
-        assert analysis.sub_laplacian_apply(heis, x, p) == 0.0
-        assert analysis.sub_laplacian_apply(heis, x * x, p) == 2.0
+        assert sub_laplacian_apply(heis, x, p) == 0.0
+        assert sub_laplacian_apply(heis, x * x, p) == 2.0
 
 
 class TestGammaCalculus:
     def test_constant_vanishes(self, heis):
-        vals = analysis.gamma_calculus(heis, Polynomial.constant(3, 1.0),
-                                       np.zeros(3))
+        vals = gamma_calculus(heis, Polynomial.constant(3, 1.0), np.zeros(3))
         assert all(v == 0.0 for v in vals.values())
 
     def test_heisenberg_coordinate(self, heis):
-        vals = analysis.gamma_calculus(heis, Polynomial.variable(3, 0),
-                                       np.array([0.2, -0.4, 0.1]))
+        vals = gamma_calculus(heis, Polynomial.variable(3, 0),
+                              np.array([0.2, -0.4, 0.1]))
         assert vals["gamma"] == 1.0
         assert vals["gamma_v"] == 0.0
         assert vals["delta_f"] == 0.0
@@ -105,7 +106,7 @@ class TestGammaCalculus:
         f = Polynomial.variable(8, 0)
         pts = sample_points(s7.chart, 8, 6)
         for p in pts:
-            vals = analysis.gamma_calculus(s7, f, p)
+            vals = gamma_calculus(s7, f, p)
             total = vals["gamma"] + vals["gamma_v"] / s7.epsilon + p[0] ** 2
             assert abs(total - 1.0) < 1e-12
 
@@ -113,7 +114,7 @@ class TestGammaCalculus:
         # the sphere formulas, the 2-jet ones too, hold only at ||p|| = 1
         f = Polynomial.variable(4, 0) * Polynomial.variable(4, 1)
         with pytest.raises(InvalidModelError):
-            analysis.gamma_calculus(s3, f, np.array([2.0, 0.0, 0.0, 0.0]))
+            gamma_calculus(s3, f, np.array([2.0, 0.0, 0.0, 0.0]))
 
 
 class TestOperatorList:
@@ -142,7 +143,7 @@ class TestGammaJets:
         N = model.ambient_dim
         rng = np.random.Generator(np.random.Philox(key=43))
         fs = [analysis._sparse_random_polynomial(N, 3, rng) for _ in range(2)]
-        fs.append(analysis.random_polynomial(N, 2, rng))
+        fs.append(random_polynomial(N, 2, rng))
         pts = sample_points(model.chart, 3, 5)
         got = analysis.gamma_jets(model, fs, MonomialCache(pts))
         for i, f in enumerate(fs):
@@ -183,13 +184,24 @@ class TestRayleighRitz:
             assert abs(result.eigenvalues[0]) < 1e-10
 
     def test_eigenfunctions_satisfy_equation_pointwise(self, s3):
-        result = analysis.rayleigh_ritz(s3, 2)
+        lams, funcs = eigenpairs(s3, 2)
         pts = sample_points(s3.chart, 16, 3)
         cache = MonomialCache(pts)
-        for lam, f in zip(result.eigenvalues, result.eigenfunctions):
+        for lam, f in zip(lams, funcs):
             lap = analysis.sub_laplacian_poly(s3, f).evaluate(pts, cache)
             residual = np.abs(lap + lam * f.evaluate(pts, cache)).max()
             assert residual < 1e-8
+
+    @pytest.mark.parametrize("name, degree", [("complex-hopf-s3", 2),
+                                              ("quaternionic-hopf-s7", 3)])
+    def test_eigenvalues_match_the_eigenpair_oracle(self, name, degree,
+                                                    catalog_models):
+        model = catalog_models[name]
+        lams, funcs = eigenpairs(model, degree)
+        assert len(funcs) == lams.size
+        np.testing.assert_allclose(
+            analysis.rayleigh_ritz(model, degree).eigenvalues, lams,
+            rtol=0, atol=1e-12)
 
     def test_min_max_monotonicity(self, s3, s7):
         for model in (s3, s7):
@@ -313,6 +325,7 @@ class TestSizeLimits:
     def test_blocks_refused_before_eigensolve(self, s3, monkeypatch):
         monkeypatch.setattr(analysis, "MAX_BLOCK_ENTRIES", 10)
         monkeypatch.setattr(analysis.np.linalg, "eigh", self.refuse)
+        monkeypatch.setattr(analysis.np.linalg, "eigvalsh", self.refuse)
         with pytest.raises(SizeLimitError, match="entries"):
             analysis.rayleigh_ritz(s3, 2)
 
@@ -346,7 +359,7 @@ class TestCurvatureDimension:
 
     def test_heisenberg_quadratics(self, heis):
         rng = np.random.Generator(np.random.Philox(key=3))
-        fs = [analysis.random_polynomial(3, 2, rng) for _ in range(20)]
+        fs = [random_polynomial(3, 2, rng) for _ in range(20)]
         rep = analysis.check_cd_inequality(heis, K=0.0, fs=fs,
                                            nus=(0.1, 1.0, 10.0),
                                            points=16, seed=4)

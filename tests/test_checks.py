@@ -410,7 +410,7 @@ def test_connection_dependent_checks_can_fail(case, s7):
 class TestReportSerialization:
     def test_schema_and_invariant(self, heis):
         rep = checks.check_h_type(heis, points=8, seed=1)
-        blob = json.loads(checks.reports_to_json([rep]))[0]
+        blob = json.loads(json.dumps(rep.to_json()))
         assert set(blob) == {"check", "status", "max_residual", "tolerance",
                              "points", "details"}
         assert (blob["status"] == "pass") == \

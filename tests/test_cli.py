@@ -9,7 +9,7 @@ import pytest
 import htfoliation
 from click.testing import CliRunner
 
-from htfoliation import analysis
+from htfoliation import analysis, checks, models
 from htfoliation.cli import main
 from htfoliation.clifford import build_representation
 
@@ -133,6 +133,23 @@ class TestSpectrum:
     def test_group_backend_exit_code(self, runner):
         res = runner.invoke(main, ["spectrum", "heisenberg", "--degree", "1"])
         assert res.exit_code == 4
+
+    def test_quaternionic_branch_read_from_the_catalog(self, runner,
+                                                        catalog_models):
+        # every catalog sphere that gets a bound: the catalog family agrees
+        # with the measured J_1 J_2 J_3, and the bound is the sharp one
+        sharp = {"quaternionic-hopf-s7": 4.0, "quaternionic-hopf-s11": 8.0}
+        bounded = [s for s in models.catalog() if s.kind != "htype-group"
+                   and s.expected_kappa and s.m >= 2]
+        assert sorted(s.name for s in bounded) == sorted(sharp)
+        for spec in bounded:
+            detected = checks.detect_quaternionic(catalog_models[spec.name])
+            assert (spec.kind == "quaternionic-hopf") == \
+                (detected.status == "quaternionic"), spec.name
+            res = runner.invoke(main, ["spectrum", spec.name, "--degree", "2",
+                                       "--format", "json"])
+            assert res.exit_code == 0
+            assert json.loads(res.output)["lambda1_bound"] == sharp[spec.name]
 
 
 class TestBounds:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import clifford_algebra as ca
 from htfoliation import clifford as cl
 from htfoliation.errors import DimensionMismatchError
 
@@ -20,51 +21,51 @@ CL2_TABLE = {
 
 class TestGeometricProduct:
     def test_defining_relations(self):
-        e0 = cl.CliffordElement.generator(2, 0)
-        e1 = cl.CliffordElement.generator(2, 1)
-        assert (e0 * e0).approx_eq(cl.CliffordElement.scalar(2, -1))
+        e0 = ca.CliffordElement.generator(2, 0)
+        e1 = ca.CliffordElement.generator(2, 1)
+        assert (e0 * e0).approx_eq(ca.CliffordElement.scalar(2, -1))
         assert (e0 * e1).approx_eq(-(e1 * e0))
         b = e0 * e1
-        assert (b * b).approx_eq(cl.CliffordElement.scalar(2, -1))
+        assert (b * b).approx_eq(ca.CliffordElement.scalar(2, -1))
 
     def test_against_blade_table_oracle(self):
         for (ba, bb), (bc, sign) in CL2_TABLE.items():
-            a = cl.CliffordElement(2, {ba: 1.0})
-            b = cl.CliffordElement(2, {bb: 1.0})
-            expect = cl.CliffordElement(2, {bc: float(sign)})
+            a = ca.CliffordElement(2, {ba: 1.0})
+            b = ca.CliffordElement(2, {bb: 1.0})
+            expect = ca.CliffordElement(2, {bc: float(sign)})
             assert (a * b).approx_eq(expect), (ba, bb)
 
     def test_associativity_random(self):
         rng = np.random.default_rng(2)
         blades = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
         for _ in range(50):
-            a, b, c = (cl.CliffordElement(
+            a, b, c = (ca.CliffordElement(
                 3, {bl: float(rng.integers(-2, 3)) for bl in blades})
                 for _ in range(3))
             assert ((a * b) * c).approx_eq(a * (b * c))
 
     def test_mismatched_m(self):
         with pytest.raises(DimensionMismatchError):
-            cl.geometric_product(cl.CliffordElement.generator(2, 0),
-                                 cl.CliffordElement.generator(3, 0))
+            ca.geometric_product(ca.CliffordElement.generator(2, 0),
+                                 ca.CliffordElement.generator(3, 0))
 
 
 class TestWedge:
     def test_orthogonal_pair(self):
-        w = cl.wedge_to_cl2([1, 0, 0], [0, 1, 0])
-        assert w.approx_eq(cl.CliffordElement(3, {(0, 1): 1.0}))
+        w = ca.wedge_to_cl2([1, 0, 0], [0, 1, 0])
+        assert w.approx_eq(ca.CliffordElement(3, {(0, 1): 1.0}))
         assert w.grades() == {2}
 
     def test_self_wedge_vanishes(self):
-        assert cl.wedge_to_cl2([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]).max_abs_coeff() == 0
+        assert ca.wedge_to_cl2([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]).max_abs_coeff() == 0
 
     def test_bilinear_expansion(self):
         # (e0 + e1) ^ e1 = e0 e1 + <e0+e1, e1> + e1 e1 + ... = e0.e1 by the oracle
-        w = cl.wedge_to_cl2([1, 1], [0, 1])
-        direct = cl.geometric_product(cl.CliffordElement.from_vector([1, 1]),
-                                      cl.CliffordElement.from_vector([0, 1])) + 1.0
+        w = ca.wedge_to_cl2([1, 1], [0, 1])
+        direct = ca.geometric_product(ca.CliffordElement.from_vector([1, 1]),
+                                      ca.CliffordElement.from_vector([0, 1])) + 1.0
         assert w.approx_eq(direct)
-        assert w.approx_eq(cl.CliffordElement(2, {(0, 1): 1.0}))
+        assert w.approx_eq(ca.CliffordElement(2, {(0, 1): 1.0}))
 
 
 class TestRepresentations:
@@ -72,7 +73,7 @@ class TestRepresentations:
     @pytest.mark.parametrize("mult", [1, 2])
     def test_relations_exact(self, m, mult):
         rep = cl.build_representation(m, mult)
-        assert rep.n == mult * cl.minimal_dimension(m)
+        assert rep.n == mult * ca.minimal_dimension(m)
         eye = np.eye(rep.n)
         for i in range(m):
             assert np.abs(rep.generators[i] + rep.generators[i].T).max() == 0.0
@@ -83,10 +84,10 @@ class TestRepresentations:
                 assert np.abs(anti - target).max() == 0.0
 
     def test_minimal_dimension_table_and_recursion(self):
-        assert [cl.minimal_dimension(m) for m in range(1, 9)] == \
+        assert [ca.minimal_dimension(m) for m in range(1, 9)] == \
             [2, 4, 4, 8, 8, 8, 8, 16]
         for m in range(1, 9):
-            assert cl.minimal_dimension(m + 8) == 16 * cl.minimal_dimension(m)
+            assert ca.minimal_dimension(m + 8) == 16 * ca.minimal_dimension(m)
 
     def test_minimal_dimension_lower_bounds(self):
         # independent impossibility arguments below d(m):
@@ -127,7 +128,7 @@ class TestRepresentations:
             for _ in range(10):
                 z = rng.standard_normal(m)
                 z /= np.linalg.norm(z)
-                Jz = cl.represent(rep, cl.CliffordElement.from_vector(z))
+                Jz = ca.represent(rep, ca.CliffordElement.from_vector(z))
                 assert np.abs(Jz.T @ Jz - np.eye(rep.n)).max() < 1e-12
 
     def test_represent_is_homomorphism(self):
@@ -135,23 +136,23 @@ class TestRepresentations:
         rng = np.random.default_rng(6)
         blades = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
         for _ in range(200):
-            a = cl.CliffordElement(3, {b: float(rng.integers(-3, 4))
+            a = ca.CliffordElement(3, {b: float(rng.integers(-3, 4))
                                        for b in blades})
-            b = cl.CliffordElement(3, {b2: float(rng.integers(-3, 4))
+            b = ca.CliffordElement(3, {b2: float(rng.integers(-3, 4))
                                        for b2 in blades})
-            lhs = cl.represent(rep, a * b)
-            rhs = cl.represent(rep, a) @ cl.represent(rep, b)
+            lhs = ca.represent(rep, a * b)
+            rhs = ca.represent(rep, a) @ ca.represent(rep, b)
             assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_represent_identity_and_generators(self):
         rep = cl.build_representation(2)
         np.testing.assert_array_equal(
-            cl.represent(rep, cl.CliffordElement.scalar(2, 1.0)), np.eye(4))
+            ca.represent(rep, ca.CliffordElement.scalar(2, 1.0)), np.eye(4))
         np.testing.assert_array_equal(
-            cl.represent(rep, cl.CliffordElement.generator(2, 0)),
+            ca.represent(rep, ca.CliffordElement.generator(2, 0)),
             rep.generators[0])
         np.testing.assert_array_equal(
-            cl.represent(rep, cl.CliffordElement(2, {(0, 1): 1.0})),
+            ca.represent(rep, ca.CliffordElement(2, {(0, 1): 1.0})),
             rep.generators[0] @ rep.generators[1])
 
     def test_chirality_blocks(self):
@@ -192,26 +193,26 @@ class TestRepresentations:
 
 class TestJAlgebra:
     def test_m1_is_line(self):
-        rep = cl.analyze_j_algebra(cl.build_representation(1))
+        rep = ca.analyze_j_algebra(cl.build_representation(1))
         assert rep.lie_dimension == 1 and rep.closed_under_bracket
 
     def test_m2_closes_to_so3(self):
-        rep = cl.analyze_j_algebra(cl.build_representation(2))
+        rep = ca.analyze_j_algebra(cl.build_representation(2))
         assert rep.lie_dimension == 3
         assert not rep.closed_under_bracket
 
     def test_m3_pure_is_quaternionic(self):
-        rep = cl.analyze_j_algebra(cl.build_representation(3))
+        rep = ca.analyze_j_algebra(cl.build_representation(3))
         assert rep.lie_dimension == 3
         assert rep.closed_under_bracket
         assert rep.sigma_scalar in (1, -1)
 
     def test_m3_mixed_is_so4(self):
-        rep = cl.analyze_j_algebra(cl.build_representation(3, 2, [1, -1]))
+        rep = ca.analyze_j_algebra(cl.build_representation(3, 2, [1, -1]))
         assert rep.lie_dimension == 6
         assert rep.sigma_scalar is None
 
     @pytest.mark.parametrize("m", [2, 4, 5, 6, 7])
     def test_generic_dimension_is_so_m_plus_1(self, m):
-        rep = cl.analyze_j_algebra(cl.build_representation(m))
+        rep = ca.analyze_j_algebra(cl.build_representation(m))
         assert rep.lie_dimension == m * (m + 1) // 2

@@ -11,8 +11,8 @@ from htfoliation.errors import DegenerateFrameError, DimensionMismatchError
 from htfoliation.geometry import (AmbientChart, EUCLIDEAN, MonomialCache,
                                   Polynomial, PolyField, UNIT_SPHERE, bracket,
                                   directional_derivative, field_jets,
-                                  gram_schmidt_at, sample_points,
-                                  sphere_moment)
+                                  gram_schmidt_at, sample_points)
+from symbolic_oracles import sphere_moment, terms_dict
 
 
 def rand_field(n, degree, rng, density=0.4):
@@ -41,7 +41,7 @@ class TestPolynomial:
     def test_partial(self):
         x = Polynomial.variable(2, 0)
         f = x * x * x
-        assert f.partial(0).terms_dict() == {(2, 0): 3.0}
+        assert terms_dict(f.partial(0)) == {(2, 0): 3.0}
         assert f.partial(1).is_zero
 
     def test_evaluate_matches_direct(self):
@@ -49,7 +49,7 @@ class TestPolynomial:
         f = rand_field(3, 3, rng).components[0]
         pts = rng.uniform(-1, 1, size=(5, 3))
         expected = np.array([
-            sum(c * np.prod(p ** np.array(e)) for e, c in f.terms_dict().items())
+            sum(c * np.prod(p ** np.array(e)) for e, c in terms_dict(f).items())
             for p in pts])
         np.testing.assert_allclose(f.evaluate(pts), expected, atol=1e-12)
 
@@ -77,9 +77,9 @@ class TestDerivatives:
         x1 = Polynomial.variable(2, 0)
         x2 = Polynomial.variable(2, 1)
         d1 = PolyField.basis(2, 0)
-        assert directional_derivative(d1, x1 * x1).terms_dict() == {(1, 0): 2.0}
+        assert terms_dict(directional_derivative(d1, x1 * x1)) == {(1, 0): 2.0}
         X = PolyField([Polynomial.zero(2), x1])   # x1 d/dx2
-        assert directional_derivative(X, x2).terms_dict() == {(1, 0): 1.0}
+        assert terms_dict(directional_derivative(X, x2)) == {(1, 0): 1.0}
 
     def test_bracket_examples(self):
         d1 = PolyField.basis(3, 0)
@@ -90,7 +90,7 @@ class TestDerivatives:
         Y = PolyField([Polynomial.zero(3), Polynomial.constant(3, 1), 0.5 * x])
         br = bracket(X, Y)
         assert br.components[0].is_zero and br.components[1].is_zero
-        assert br.components[2].terms_dict() == {(0, 0, 0): 1.0}
+        assert terms_dict(br.components[2]) == {(0, 0, 0): 1.0}
         assert bracket(X, X).is_zero()
 
     def test_jacobi_identity_exact(self):
@@ -248,7 +248,7 @@ class TestPolynomialProperties:
         f = polys[0] * polys[1] + polys[2]
         pts = np.random.default_rng(seed).uniform(-1, 1, size=(3, f.n_vars))
         want = [sum(c * math.prod(float(x) ** e for x, e in zip(pt, exps))
-                    for exps, c in f.terms_dict().items()) for pt in pts]
+                    for exps, c in terms_dict(f).items()) for pt in pts]
         np.testing.assert_allclose(f.evaluate(pts), want, rtol=1e-12,
                                    atol=1e-12)
 
@@ -261,7 +261,7 @@ class TestPolynomialProperties:
         exps = f.exponents()
         assert exps.max(initial=0) <= mask
         np.testing.assert_array_equal((exps << shifts).sum(axis=1), f.keys)
-        assert_same(Polynomial.from_dict(f.n_vars, f.terms_dict()), f)
+        assert_same(Polynomial.from_dict(f.n_vars, terms_dict(f)), f)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 15), st.integers(0, 7), st.integers(0, 7))
@@ -274,7 +274,7 @@ class TestPolynomialProperties:
             with pytest.raises(OverflowError):
                 power(a) * power(b)
         else:
-            assert (power(a) * power(b)).terms_dict() == power(a + b).terms_dict()
+            assert terms_dict(power(a) * power(b)) == terms_dict(power(a + b))
 
 
 def assert_jet_matches_partials(F, pts):

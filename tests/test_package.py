@@ -1,0 +1,110 @@
+"""The package holds what ``htfoliation`` runs, and the README runs.
+
+Every module-level function or class of ``src/htfoliation``, and every
+method that is not a dunder, is referenced outside its own definition: by
+the package, by the benchmark harness (the non-test modules of
+``perfbench``) or by a code block of the README.  Reference routes and
+helpers that only tests use live in ``tests/``.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "htfoliation"
+README = (ROOT / "README.md").read_text()
+
+#: definitions that stay although nothing above references them
+ALLOWED = {
+    "FiniteFloatRange.convert": "called by click",
+    "FiniteFloatRange._describe_range": "called by click",
+    "check_oneill": "registered as a check by ROADMAP item 3",
+}
+
+IDENTIFIER = re.compile(r"[A-Za-z_][\w.]*")
+
+
+def _is_command(node) -> bool:
+    """A click command or group: the CLI runs it by name."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group")
+               for d in node.decorator_list)
+
+
+def _definitions(tree):
+    """(qualified name, name, node) of the module-level functions and
+    classes, and of the methods that are not dunders."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not _is_command(node):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) \
+                        and not re.fullmatch(r"__\w+__", item.name):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def _references(tree):
+    """(name, line) of every name, attribute, and identifier-like string
+    (``getattr`` and patch targets such as "analysis.rayleigh_ritz")."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and IDENTIFIER.fullmatch(node.value)):
+            for part in node.value.split("."):
+                yield part, node.lineno
+
+
+def unreferenced() -> list[str]:
+    sources = sorted(PACKAGE.glob("*.py")) + [
+        p for p in sorted((ROOT / "perfbench").glob("*.py"))
+        if not p.name.startswith("test_")]
+    refs, defs = [], []
+    for path in sources:
+        tree = ast.parse(path.read_text())
+        refs += [(path, line, name) for name, line in _references(tree)]
+        if path.parent == PACKAGE:
+            defs += [(path, qual, name, node)
+                     for qual, name, node in _definitions(tree)]
+    for block in re.findall(r"```[^\n]*\n(.*?)```", README, re.S):
+        refs += [(None, 0, word) for word in re.findall(r"[A-Za-z_]\w*", block)]
+    return [qual for path, qual, name, node in defs
+            if not any(ref == name and not (
+                where == path and node.lineno <= line <= node.end_lineno)
+                for where, line, ref in refs)]
+
+
+def test_package_defines_only_what_it_uses():
+    assert sorted(unreferenced()) == sorted(ALLOWED)
+
+
+def test_readme_library_tour_states_its_values():
+    """Runs the ``## Library tour`` block; each bare expression must give
+    the value its trailing comment states ("4.0", or "12 * Identity")."""
+    block = re.search(r"## Library tour\n\n```python\n(.*?)```", README,
+                      re.S).group(1)
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for stmt in ast.parse(block).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"),
+                 namespace)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"),
+                     namespace)
+        comment = lines[stmt.end_lineno - 1].split("#", 1)[1].split()
+        want = float(comment[0])
+        if comment[1:3] == ["*", "Identity"]:
+            want = want * np.eye(len(value))
+        np.testing.assert_allclose(value, want, rtol=0, atol=1e-9,
+                                   err_msg=ast.unparse(stmt))
+        checked += 1
+    assert checked == 6
