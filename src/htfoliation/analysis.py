@@ -338,10 +338,12 @@ def _degree_block(model: FoliationModel, k: int) -> tuple[np.ndarray, ...]:
     Returns the sorted monomial keys, the Fischer scales sqrt(alpha!) and
     the triples in the orthonormal basis x^alpha / sqrt(alpha!).  Each
     operator of the list is affine, so it acts on the exponent arrays
-    (``_apply_affine``): each D_k twice, the drift once.  The sphere
-    backend's vertical fields are linear (its ``vertical_matrices``), so
-    Delta_H x^alpha has parts of degree k and k - 2 only; the latter times
-    ||x||^2 = sum_i x_i^2 is the same function on the sphere.
+    (``_apply_affine``): each D_k twice, the drift once, each coalesced into
+    a running sum so that only one operator's raw terms exist at a time.
+    The sphere backend's vertical fields are linear (its
+    ``vertical_matrices``), so Delta_H x^alpha has parts of degree k and
+    k - 2 only; the latter times ||x||^2 = sum_i x_i^2 is the same function
+    on the sphere.
     """
     N = model.ambient_dim
     shifts, mask = exponent_shifts(N)
@@ -352,14 +354,14 @@ def _degree_block(model: FoliationModel, k: int) -> tuple[np.ndarray, ...]:
     ops = operators(model)
     values, jacobians = affine_jets(ops.fields + (ops.drift,),
                                     MonomialCache(np.zeros((1, N))))
-    terms = []
+    col, key, coef = (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)
     for A, c, s, times in zip(jacobians, values[:, 0], ops.signs + (1.0,),
                               [2] * len(ops.fields) + [1]):
         term = (np.arange(keys.size), keys, np.full(keys.size, s))
         for _ in range(times):
             term = _apply_affine(A, c, shifts, mask, *term)
-        terms.append(term)
-    col, key, coef = _coalesce(*map(np.concatenate, zip(*terms)))
+        col, key, coef = _coalesce(*map(np.concatenate,
+                                        zip((col, key, coef), term)))
     degree = Polynomial(N, key).exponents().sum(axis=1)
     low = degree == k - 2
     lifted = (key[low][:, None] + (np.int64(2) << shifts)).ravel()

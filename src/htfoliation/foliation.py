@@ -19,25 +19,28 @@ Levi-Civita derivative of g0, and D may stand in for it on both backends:
 on the sphere the two differ by a normal term, on a two-step group by terms
 that pi_H kills (X, Y horizontal) or that vanish (Z, W vertical).  Both
 cases are scale-invariant in epsilon, so a single connection serves the
-whole canonical-variation family; this is exploited by sharing symbolic
-tables across vertical rescalings of one model.
+whole canonical-variation family.
 
-Everything pointwise is obtained by evaluating table entries over the
-spanning fields and contracting with adapted-frame expansion coefficients;
+Everything pointwise is obtained by evaluating entries over the spanning
+fields and contracting with adapted-frame expansion coefficients;
 tensoriality of torsion, covariant derivatives and curvature in every slot
 makes the spanning-field extensions legitimate.
 
 The formulas (projections, the connection, torsion, J and the rescaled
 Levi-Civita connection) are written once, against a few field operations
 that both symbolic fields (PolyField) and point jets (PointField) provide.
-The two-index entries (brackets, the connection, torsion, the rescaled
-Levi-Civita derivative) are built symbolically and shared by a model family.
-Each three-index entry (nabla T and both curvatures) applies one more
-derivative to a two-index entry or a spanning field and then only pointwise
-linear algebra, so it is computed at a point batch from the exact order-1
-jets (values and Jacobians) of those entries: the same numbers as
-evaluating its symbolic composition, up to rounding.  It is built for every
-key at once and kept only as values in the batch (FrameBatch.eval_entry).
+Every spanning field is a polynomial of degree <= 2, so its order-2 jet at a
+point batch is exact and cheap: values and Jacobians at the points, and one
+point-independent Hessian from the exact partials d_j E_a, the model's only
+symbolic table.  A two-index entry (the split bracket, the connection,
+torsion, the rescaled Levi-Civita derivative) applies one derivative to
+spanning fields, so the formulas give it as an order-1 jet at the batch.  A
+three-index entry (nabla T and both curvatures) applies one more derivative
+to a two-index entry or a spanning field and then only pointwise linear
+algebra, so the formulas give its values from those order-1 jets.  Both
+kinds are built per block of horizontal and vertical keys, for every key at
+once, and equal the symbolic compositions up to rounding.  Only three-index
+values and the torsion values are kept, in the batch (FrameBatch.eval_entry).
 """
 
 from __future__ import annotations
@@ -54,6 +57,9 @@ from .errors import (DegenerateFrameError, DimensionMismatchError,
 from .geometry import (AmbientChart, MonomialCache, Polynomial, PolyField,
                        PointField, bracket, directional_derivative,
                        field_jets, gram_schmidt_at)
+
+#: highest polynomial degree of a spanning field: it makes Hessians constant
+MAX_SPAN_DEGREE = 2
 
 GROUP = "group"
 SPHERE = "sphere"
@@ -83,37 +89,32 @@ class Split:
         return self.h + self.v
 
     def __neg__(self) -> "Split":
-        return Split(None if self.h is None else -self.h,
-                     None if self.v is None else -self.v)
+        return Split._of(None if self.h is None else -self.h,
+                         None if self.v is None else -self.v)
 
-    def __add__(self, other: "Split") -> "Split":
-        def _merge(a, b):
-            if a is None:
-                return b
+    def _merge(self, other: "Split", op, lone) -> "Split":
+        """Combine part by part: ``op(a, b)``, or ``lone(b)`` for b alone."""
+        def merge(a, b):
             if b is None:
                 return a
-            return a + b
-        return Split(_merge(self.h, other.h), _merge(self.v, other.v))
+            return lone(b) if a is None else op(a, b)
+        return Split(merge(self.h, other.h), merge(self.v, other.v))
+
+    def __add__(self, other: "Split") -> "Split":
+        return self._merge(other, lambda a, b: a + b, lambda b: b)
 
     def __sub__(self, other: "Split") -> "Split":
-        return self + (-other)
+        return self._merge(other, lambda a, b: a - b, lambda b: -b)
 
     def scale(self, s: float) -> "Split":
         return Split(None if self.h is None else self.h.scale(s),
                      None if self.v is None else self.v.scale(s))
 
-    def __getitem__(self, index) -> "Split":
-        """Select along the leading axes of PointField parts."""
-        return Split(None if self.h is None else self.h[index],
-                     None if self.v is None else self.v[index])
-
-    def evaluate(self, points, cache: MonomialCache | None = None) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        out = np.zeros_like(pts)
-        if self.h is not None:
-            out += self.h.evaluate(pts, cache)
-        if self.v is not None:
-            out += self.v.evaluate(pts, cache)
+    @classmethod
+    def _of(cls, h, v) -> "Split":
+        """A Split of parts known to be nonzero (or None), unchecked."""
+        out = cls.__new__(cls)
+        out.h, out.v = h, v
         return out
 
 
@@ -152,7 +153,15 @@ class FoliationModel:
             raise InvalidModelError("group backend needs generator matrices")
         if backend == SPHERE and vertical_matrices is None:
             raise InvalidModelError("sphere backend needs vertical matrices")
-        # epsilon-independent symbolic tables, shareable across variations
+        for i, F in enumerate(self.horizontal_fields + self.vertical_fields):
+            keys = np.concatenate([c.keys for c in F.components])
+            degree = Polynomial(N, keys, np.ones(keys.size)).degree()
+            if degree > MAX_SPAN_DEGREE:
+                raise InvalidModelError(
+                    f"spanning field {i} of {name!r} has degree {degree}; "
+                    f"the jet engine needs degree <= {MAX_SPAN_DEGREE}")
+        # epsilon-independent symbolic table (span_partials) and the cached
+        # frame batches, shared across variations
         self._tables = _tables if _tables is not None else {}
 
     # -- basic structure -----------------------------------------------------
@@ -169,17 +178,23 @@ class FoliationModel:
     def span_count(self) -> int:
         return len(self.horizontal_fields) + self.m
 
-    def span_split(self, idx: int) -> Split:
-        """Spanning field by combined index: horizontals first, then verticals."""
-        kh = self.span_h_count
-        if idx < kh:
-            return Split(h=self.horizontal_fields[idx])
-        return Split(v=self.vertical_fields[idx - kh])
+    @property
+    def span_partials(self) -> dict:
+        """The exact partials d_j E_a of the spanning fields (horizontals
+        first, then verticals), keyed (a, j): the one symbolic table, built
+        on first use and shared with ``with_epsilon`` copies."""
+        tab = self._tables.get("span_partials")
+        if tab is None:
+            spans = self.horizontal_fields + self.vertical_fields
+            tab = self._tables["span_partials"] = {
+                (a, j): PolyField([c.partial(j) for c in E.components])
+                for a, E in enumerate(spans) for j in range(self.ambient_dim)}
+        return tab
 
     def with_epsilon(self, epsilon: float) -> "FoliationModel":
         """Same fields, new vertical metric scale (the canonical variation);
-        symbolic tables are shared because the underlying connection does not
-        depend on the scale.  Frame J matrices against the stored vertical
+        the symbolic table is shared because the underlying connection does
+        not depend on the scale.  Frame J matrices against the stored vertical
         fields rescale by epsilon_old / epsilon_new."""
         if epsilon <= 0:
             raise InvalidModelError("epsilon must be positive")
@@ -193,7 +208,7 @@ class FoliationModel:
     @cached_property
     def _symbolic_fields(self) -> tuple:
         """The vertical fields, the coframe dual to them and the position
-        field, which the formulas below combine with their arguments.
+        field, which the projections combine with their arguments.
 
         The coframe measures vertical parts in the base metric (exact
         on-chart): on the sphere it is the round-orthonormal vertical fields
@@ -212,31 +227,33 @@ class FoliationModel:
                 for a in range(self.m))
         return self.vertical_fields, coframe, PolyField.position(N)
 
-    def _fields(self, F) -> tuple:
-        """(vertical fields, coframe, position) in the representation of F:
-        symbolic, or at the points of a jet (FrameBatch.model_fields)."""
-        if not isinstance(F, PointField):
-            return self._symbolic_fields
-        jet = lambda value: PointField(value, at=F.at)
-        vertical, coframe, position = F.at
-        return [jet(Z) for Z in vertical], [jet(t) for t in coframe], jet(position)
-
     def vertical_coefficients(self, F) -> list:
         """Coefficients of the vertical part along the stored vertical fields,
-        measured in the base metric (exact on-chart)."""
-        return [F.dot(theta) for theta in self._fields(F)[1]]
+        measured in the base metric (exact on-chart): Polynomials, or scalar
+        jets at the points of a jet."""
+        coframe = (F.at.coframe if isinstance(F, PointField)
+                   else self._symbolic_fields[1])
+        return [F.dot(theta) for theta in coframe]
 
     def pi_v(self, F):
-        vertical = self._fields(F)[0]
-        return type(F).sum_of(self.ambient_dim, [
-            Z.scale(c) for c, Z in zip(self.vertical_coefficients(F), vertical)])
+        """The vertical part, along the stored vertical fields; on a jet, one
+        pointwise projector matrix with its 1-jet (``FieldsAt``)."""
+        if isinstance(F, PointField):
+            return F.apply_matrix(*F.at.pi_v)
+        return PolyField.sum_of(self.ambient_dim, [
+            Z.scale(c) for c, Z in zip(self.vertical_coefficients(F),
+                                       self._symbolic_fields[0])])
 
     def pi_h(self, F):
+        """The horizontal part (tangent to the sphere on that backend); on a
+        jet, one pointwise projector matrix with its 1-jet."""
+        if isinstance(F, PointField):
+            return F.apply_matrix(*F.at.pi_h)
         terms = [F, (-self.pi_v(F))]
         if self.backend == SPHERE:
-            pos = self._fields(F)[2]
+            pos = self._symbolic_fields[2]
             terms.append(-pos.scale(F.dot(pos)))
-        return type(F).sum_of(self.ambient_dim, terms)
+        return PolyField.sum_of(self.ambient_dim, terms)
 
     def split(self, F) -> Split:
         if isinstance(F, Split):
@@ -308,11 +325,12 @@ class FoliationModel:
         return self.bott_split(F, G).total(self.ambient_dim)
 
     def torsion_transform(self, F, G) -> Split:
-        """T(F, G) = -pi_V([pi_H F, pi_H G]); vertical-valued and tensorial."""
+        """T(F, G) = -pi_V([pi_H F, pi_H G]) = pi_V([pi_H G, pi_H F]);
+        vertical-valued and tensorial."""
         Fs, Gs = self.split(F), self.split(G)
         if Fs.h is None or Gs.h is None:
             return Split()
-        return Split(v=-self.pi_v(bracket(Fs.h, Gs.h)))
+        return Split(v=self.pi_v(bracket(Gs.h, Fs.h)))
 
     @cached_property
     def _j_matrices(self) -> np.ndarray:
@@ -338,7 +356,7 @@ class FoliationModel:
             return Split()
         wc = self.vertical_coefficients(Ws.v)
         return Split(h=self.pi_h(type(Xs.h).sum_of(self.ambient_dim, [
-            Xs.h.apply_matrix(B).scale(c * (1.0 / self.epsilon))
+            Xs.h.apply_matrix(B / self.epsilon).scale(c)
             for c, B in zip(wc, self._j_matrices)])))
 
     def lc_variation_split(self, F, G, eps_rel: float) -> Split:
@@ -351,91 +369,67 @@ class FoliationModel:
                 + (self.j_transform(Fs, Gs)
                    + self.j_transform(Gs, Fs)).scale(0.5 / eps_rel))
 
-    # -- two-index tables over the spanning fields (symbolic) ----------------
+    # -- two-index entries at a point batch, from 2-jets ---------------------
     #
-    # The antisymmetric ones (brackets, torsion) build a > b as -(b, a).
+    # Each takes index arrays of spanning fields, each within the horizontal
+    # or the vertical block, that broadcast against each other (np.ix_
+    # layout), and returns the entry at the batch's points as a Split of
+    # jets: order-1 jets, or values only with ``order=0``.
 
-    def _table(self, name: str) -> dict:
-        return self._tables.setdefault(name, {})
+    def bracket_entry(self, fb: "FrameBatch", a, b, order: int = 1) -> Split:
+        """[E_a, E_b], split."""
+        E, N = fb.spanning(order), self.ambient_dim
+        return self.split(bracket(E(a).total(N), E(b).total(N)))
 
-    def bracket_entry(self, a: int, b: int) -> PolyField:
-        tab = self._table("bracket")
-        if (a, b) not in tab:
-            tab[(a, b)] = (-self.bracket_entry(b, a) if a > b else
-                           bracket(self.span_split(a).total(self.ambient_dim),
-                                   self.span_split(b).total(self.ambient_dim)))
-        return tab[(a, b)]
+    def bott_entry(self, fb: "FrameBatch", a, b, order: int = 1) -> Split:
+        E = fb.spanning(order)
+        return self.bott_split(E(a), E(b))
 
-    def bracket_split_entry(self, a: int, b: int) -> Split:
-        tab = self._table("bracket_split")
-        if (a, b) not in tab:
-            tab[(a, b)] = self.split(self.bracket_entry(a, b))
-        return tab[(a, b)]
+    def torsion_entry(self, fb: "FrameBatch", a, b, order: int = 1) -> Split:
+        E = fb.spanning(order)
+        return self.torsion_transform(E(a), E(b))
 
-    def bott_entry(self, a: int, b: int) -> Split:
-        tab = self._table("bott")
-        if (a, b) not in tab:
-            tab[(a, b)] = self.bott_split(self.span_split(a), self.span_split(b))
-        return tab[(a, b)]
-
-    def torsion_entry(self, a: int, b: int) -> Split:
-        tab = self._table("torsion")
-        if (a, b) not in tab:
-            tab[(a, b)] = (-self.torsion_entry(b, a) if a > b else
-                           self.torsion_transform(self.span_split(a),
-                                                  self.span_split(b)))
-        return tab[(a, b)]
-
-    def lc_entry(self, total_eps: float, a: int, b: int) -> Split:
-        """First rescaled-metric derivative table; keyed by the total vertical
-        scale so canonical-variation copies of one model share entries.
-        ``lc_variation_split`` on the spanning fields, with its connection
-        and torsion terms read from their tables."""
-        tab = self._table("lc")
-        key = (round(total_eps, 12), a, b)
-        if key not in tab:
-            eps_rel = total_eps / self.epsilon
-            Ea, Eb = self.span_split(a), self.span_split(b)
-            tab[key] = (self.bott_entry(a, b)
-                        + self.torsion_entry(a, b).scale(-0.5)
-                        + (self.j_transform(Ea, Eb)
-                           + self.j_transform(Eb, Ea)).scale(0.5 / eps_rel))
-        return tab[key]
+    def lc_entry(self, fb: "FrameBatch", total_eps: float, a, b,
+                 order: int = 1) -> Split:
+        """The rescaled Levi-Civita derivative at the total vertical scale."""
+        E = fb.spanning(order)
+        return self.lc_variation_split(E(a), E(b), total_eps / self.epsilon)
 
     # -- three-index entries at a point batch, from 1-jets -------------------
     #
     # Each returns point values of shape (P, K1, K2, K3, N) for all keys of
-    # three ranges of spanning indices.  E, and the two-index tables, are
-    # order-1 jets indexed by spanning indices (_Jets).
+    # three ranges of spanning indices.  The formulas read the spanning
+    # fields and the two-index entries as jets truncated to values (keep 0),
+    # so they compute no derivative that they do not use.
 
     def nabla_t_entry(self, fb: "FrameBatch", d, a, b) -> np.ndarray:
         """(nabla_{E_d} T)(E_a, E_b), vertical-valued."""
-        E, T, C = (_Jets(fb, self.span_split), _Jets(fb, self.torsion_entry),
-                   _Jets(fb, self.bott_entry))
-        return fb.three_index((d, a, b), lambda d, a, b: (
-            self.bott_split(E[d], T[a, b])
-            - self.torsion_transform(C[d, a], E[b])
-            - self.torsion_transform(E[a], C[d, b])))
+        E, T, C = (fb.spanning(keep=0), fb.pairs(self.torsion_entry),
+                   fb.pairs(self.bott_entry))
+        return fb.assemble((d, a, b), lambda d, a, b: (
+            self.bott_split(E(d), T(a, b))
+            - self.torsion_transform(C(d, a), E(b))
+            - self.torsion_transform(E(a), C(d, b))))
 
     def curvature_entry(self, fb: "FrameBatch", a, b, c) -> np.ndarray:
         """R(E_a, E_b) E_c with R(U, V) = [nabla_U, nabla_V] - nabla_{[U,V]}."""
-        E, C, S = (_Jets(fb, self.span_split), _Jets(fb, self.bott_entry),
-                   _Jets(fb, self.bracket_split_entry))
-        return fb.three_index((a, b, c), lambda a, b, c: (
-            self.bott_split(E[a], C[b, c])
-            - self.bott_split(E[b], C[a, c])
-            - self.bott_split(S[a, b], E[c])))
+        E, C, S = (fb.spanning(keep=0), fb.pairs(self.bott_entry),
+                   fb.pairs(self.bracket_entry))
+        return fb.assemble((a, b, c), lambda a, b, c: (
+            self.bott_split(E(a), C(b, c))
+            - self.bott_split(E(b), C(a, c))
+            - self.bott_split(S(a, b), E(c))))
 
     def lc_curvature_entry(self, fb: "FrameBatch", total_eps: float,
                            a, b, c) -> np.ndarray:
         """Curvature of the Levi-Civita connection of the rescaled metric."""
         eps_rel = total_eps / self.epsilon
-        E, S = _Jets(fb, self.span_split), _Jets(fb, self.bracket_split_entry)
-        L = _Jets(fb, lambda i, j: self.lc_entry(total_eps, i, j))
-        return fb.three_index((a, b, c), lambda a, b, c: (
-            self.lc_variation_split(E[a], L[b, c], eps_rel)
-            - self.lc_variation_split(E[b], L[a, c], eps_rel)
-            - self.lc_variation_split(S[a, b], E[c], eps_rel)))
+        E, S = fb.spanning(keep=0), fb.pairs(self.bracket_entry)
+        L = fb.pairs(lambda fb, i, j: self.lc_entry(fb, total_eps, i, j))
+        return fb.assemble((a, b, c), lambda a, b, c: (
+            self.lc_variation_split(E(a), L(b, c), eps_rel)
+            - self.lc_variation_split(E(b), L(a, c), eps_rel)
+            - self.lc_variation_split(S(a, b), E(c), eps_rel)))
 
     # -- frames ----------------------------------------------------------------
 
@@ -550,93 +544,145 @@ class FrameBatch:
     # -- jets ------------------------------------------------------------------
 
     @cached_property
-    def model_fields(self) -> tuple:
-        """Values of the model's vertical fields (m, P, N), their coframe
-        (m, P, N) and the position field (P, N) at the points: the ``at`` of
-        every jet of this batch, which the formulas combine with jets."""
-        vertical, coframe, position = self.model._symbolic_fields
-        at = lambda fields: np.stack([F.evaluate(self.points, self.mono)
-                                      for F in fields])
-        return at(vertical), at(coframe), at([position])[0]
+    def _fields_at(self) -> "FieldsAt":
+        """The model's coframe and projections at the points, from the
+        1-jets of its vertical fields and coframe: pi_V = sum_a Z_a theta^a,
+        and pi_H = I - pi_V (- p p^T on the sphere)."""
+        P, N = self.points.shape
+        vertical, coframe, _ = self.model._symbolic_fields
+        z, dz = field_jets(vertical, self.mono)              # (m, P, N[, N])
+        t, dt = field_jets(coframe, self.mono)
+        pv = np.einsum("api,apj->pij", z, t)
+        dpv = (np.einsum("apik,apj->pikj", dz, t)            # [p, i, k, j]
+               + np.einsum("api,apjk->pikj", z, dt))
+        ph, dph = np.eye(N) - pv, -dpv
+        if self.model.backend == SPHERE:
+            p, eye = self.points, np.eye(N)
+            ph -= p[:, :, None] * p[:, None, :]
+            dph -= (eye[None, :, :, None] * p[:, None, None, :]
+                    + p[:, :, None, None] * eye[None, None])
+        return FieldsAt(tuple(PointField(t[a], dt[a]) for a in range(len(t))),
+                        (pv, dpv), (ph, dph))
 
-    def three_index(self, keys, formula) -> np.ndarray:
-        """Point values of ``formula(a, b, c) -> Split`` over three ranges of
-        spanning indices, as a C-contiguous (P, K1, K2, K3, N) array.
+    @cached_property
+    def _span_jets(self) -> tuple[PointField, PointField]:
+        """Order-2 jets of the horizontal (Kh, P, N) and the vertical
+        (m, P, N) spanning fields: values and Jacobians at the points, and
+        Hessians (K, 1, N, N, N), the same at every point, from the 1-jets of
+        the exact partials d_j E_a (of degree <= 1) at one point."""
+        model = self.model
+        N, K, kh = model.ambient_dim, model.span_count, model.span_h_count
+        value, jac = field_jets(model.horizontal_fields + model.vertical_fields,
+                                self.mono)
+        partials = model.span_partials
+        hess = field_jets([partials[a, j] for a in range(K) for j in range(N)],
+                          MonomialCache(self.points[:1]))[1]
+        # hess[a * N + j, 0, i, k] = d_k d_j E_a^i
+        hess = np.ascontiguousarray(
+            hess.reshape(K, N, 1, N, N).transpose(0, 2, 3, 1, 4))
+        at = self._fields_at
+        return (PointField(value[:kh], jac[:kh], hess[:kh], at),
+                PointField(value[kh:], jac[kh:], hess[kh:], at))
 
-        The formula runs once per first key and per horizontal or vertical
-        block of the other two, with b a column and c a row of indices, so
-        that every Split part is a pure block and no transient array
-        outgrows one block of a two-index table's jets."""
-        k1, k2, k3 = (np.asarray(k, dtype=np.int64) for k in keys)
+    def spanning(self, keep: int = 2):
+        """The spanning fields as Splits of jets: ``E(index)`` for an index
+        array (np.ix_ layout) within the horizontal or the vertical block of
+        combined indices, horizontals first.  ``keep`` truncates what
+        formulas compute from them (see PointField)."""
+        kh = self.model.span_h_count
+        h, v = (PointField(f.value, f.jacobian, f.hessian, f.at, keep)
+                for f in self._span_jets)
+
+        def E(index) -> Split:
+            index = np.asarray(index)
+            if _block(index, kh) == "h":
+                return Split._of(_take(h, (index,)), None)
+            return Split._of(None, _take(v, (index - kh,)))
+        return E
+
+    def pairs(self, entry):
+        """A two-index entry ``entry(fb, a, b) -> Split`` as jets truncated to
+        values (keep 0): ``S(a, b)`` for index arrays within one block each.
+        Each block pair is built on first use, over the whole blocks, and is
+        kept only by the returned function, which reads it as views."""
+        kh, K = self.model.span_h_count, self.model.span_count
+        full = {"h": np.arange(kh), "v": np.arange(kh, K)}
+        offset = {"h": 0, "v": kh}
+        blocks: dict[tuple, list] = {}
+
+        def S(a, b) -> Split:
+            ka, kb = _block(np.asarray(a), kh), _block(np.asarray(b), kh)
+            if (ka, kb) not in blocks:
+                res = entry(self, full[ka][:, None], full[kb][None, :])
+                blocks[ka, kb] = [None if f is None else
+                                  PointField(f.value, f.jacobian, None, f.at, 0)
+                                  for f in (res.h, res.v)]
+            index = (np.asarray(a) - offset[ka], np.asarray(b) - offset[kb])
+            return Split._of(*(None if f is None else _take(f, index)
+                               for f in blocks[ka, kb]))
+        return S
+
+    def assemble(self, keys, formula) -> np.ndarray:
+        """Point values of ``formula(*index arrays) -> Split`` over ranges of
+        spanning indices, as a C-contiguous (P, K1, ..., N) array.
+
+        The formula runs once per combination of the horizontal and vertical
+        blocks of the ranges, on index arrays in np.ix_ layout, so that every
+        Split part is a pure block and whole blocks of jets are read as
+        views."""
+        ks = [np.asarray(k, dtype=np.int64) for k in keys]
         P, N = self.points.shape
         kh = self.model.span_h_count
-        blocks = lambda k: [pos for pos in (np.flatnonzero(k < kh),
-                                            np.flatnonzero(k >= kh)) if pos.size]
-        out = np.zeros((P, k1.size, k2.size, k3.size, N))
-        for i, a in enumerate(k1):
-            for s2 in blocks(k2):
-                for s3 in blocks(k3):
-                    res = formula(a, k2[s2][:, None], k3[s3][None, :])
-                    for part in (res.h, res.v):
-                        if part is not None:     # (B2, B3, P, N)
-                            out[:, i, s2[:, None], s3] += np.moveaxis(
-                                part.value, 2, 0)
+        out = np.zeros((P, *(k.size for k in ks), N))
+        blocks = [[pos for pos in (np.flatnonzero(k < kh),
+                                   np.flatnonzero(k >= kh)) if pos.size]
+                  for k in ks]
+        for sel in itertools.product(*blocks):
+            res = formula(*np.ix_(*(k[pos] for k, pos in zip(ks, sel))))
+            contiguous = all(pos[-1] - pos[0] + 1 == pos.size for pos in sel)
+            at = (slice(None),) + (
+                tuple(slice(pos[0], pos[-1] + 1) for pos in sel) if contiguous
+                else np.ix_(*sel))
+            for part in (res.h, res.v):
+                if part is not None:              # (B1, ..., P, N)
+                    out[at] += np.moveaxis(part.value, -2, 0)
         return out
 
 
-class _Jets:
-    """Order-1 jets at a batch's points of a Split-valued entry with one or
-    two spanning indices (a spanning field, or a two-index table), evaluated
-    lazily per horizontal or vertical block of keys and selected with numpy
-    indexing (ints or broadcasting index arrays, each within one block)."""
+@dataclass(frozen=True)
+class FieldsAt:
+    """The model's fields at a batch's points, which the formulas combine
+    with the jets there (``PointField.at``): the coframe as order-1 jets, and
+    pi_V and pi_H as pointwise matrices with their 1-jets, the arguments of
+    ``PointField.apply_matrix``."""
 
-    def __init__(self, fb: FrameBatch, entry):
-        self.fb = fb
-        self.entry = entry
-        self._blocks: dict[tuple, Split] = {}
+    coframe: tuple[PointField, ...]
+    pi_v: tuple[np.ndarray, np.ndarray]
+    pi_h: tuple[np.ndarray, np.ndarray]
 
-    def _block(self, index) -> tuple[str, object]:
-        """("h" | "v", index within that block) of spanning indices."""
-        kh = self.fb.model.span_h_count
-        arr = np.asarray(index)
-        if (arr < kh).all():
-            return "h", index
-        if (arr >= kh).all():
-            return "v", index - kh
-        raise ValueError("indices mix horizontal and vertical spanning fields")
 
-    def __getitem__(self, index) -> Split:
-        if not isinstance(index, tuple):
-            index = (index,)
-        blocks, local = zip(*(self._block(i) for i in index))
-        if blocks not in self._blocks:
-            self._blocks[blocks] = self._evaluate(blocks)
-        return self._blocks[blocks][local]
+def _block(index: np.ndarray, kh: int) -> str:
+    """"h" or "v": the block of spanning indices that ``index`` lies in."""
+    if index.max() < kh:
+        return "h"
+    if index.min() >= kh:
+        return "v"
+    raise ValueError("indices mix horizontal and vertical spanning fields")
 
-    def _evaluate(self, blocks: tuple) -> Split:
-        fb = self.fb
-        kh, K = fb.model.span_h_count, fb.model.span_count
-        ranges = [range(kh) if b == "h" else range(kh, K) for b in blocks]
-        entries = [self.entry(*key) for key in itertools.product(*ranges)]
-        shape = tuple(len(r) for r in ranges)
-        return Split(h=self._part([e.h for e in entries], shape),
-                     v=self._part([e.v for e in entries], shape))
 
-    def _part(self, fields: list, shape: tuple) -> PointField | None:
-        present = [i for i, f in enumerate(fields) if f is not None]
-        if not present:
-            return None
-        P, N = self.fb.points.shape
-        jets = field_jets([fields[i] for i in present], self.fb.mono)
-        if len(present) < len(fields):          # absent parts are zero jets
-            padded = [np.zeros((len(fields),) + a.shape[1:]) for a in jets]
-            for full, a in zip(padded, jets):
-                full[present] = a
-            jets = padded
-        value, jacobian = jets
-        return PointField(value.reshape(shape + (P, N)),
-                          jacobian.reshape(shape + (P, N, N)),
-                          self.fb.model_fields)
+def _take(field: PointField, index: tuple) -> PointField:
+    """``field[index]`` for index arrays in np.ix_ layout (each varying along
+    its own axis, in increasing order): a view when each covers its whole
+    axis in order, as the blocks read by ``FrameBatch.assemble`` do."""
+    shape = np.broadcast_shapes(*(i.shape for i in index))
+    axes = [[ax for ax, n in enumerate(i.shape) if n > 1] for i in index]
+    order = [ax for a in axes for ax in a]
+    if (all(len(a) <= 1 for a in axes) and order == sorted(set(order))
+            and all(i.size == n and (i.ravel() == np.arange(n)).all()
+                    for i, n in zip(index, field.value.shape))):
+        return field._map(lambda part: part.reshape(
+            shape + part.shape[len(index):]))
+    return field[index]
 
 
 # ---------------------------------------------------------------------------
@@ -669,22 +715,25 @@ def _contract3(fb: FrameBatch, name: str, entry_fn, d1: str, d2: str,
     return out                                            # (P, f1, f2, f3, N)
 
 
-def _contract2(fb: FrameBatch, name: str, entry_fn, d1: str, d2: str,
-               antisym: tuple[int, int] | None = None) -> np.ndarray:
+def _contract2(fb: FrameBatch, name: str, entry_fn, d1: str,
+               d2: str) -> np.ndarray:
+    """The values of a two-index entry ``entry_fn(fb, keys1, keys2, order=0)``,
+    evaluated once per batch over all spanning indices, contracted with the
+    adapted-frame expansions of the slot domains; returns ambient vectors
+    (P, f1, f2, N)."""
     (s1, W1), (s2, W2) = fb.slot(d1), fb.slot(d2)
-    span = range(fb.model.span_count)
-    evaluate = lambda a, b: entry_fn(a, b).evaluate(fb.points, fb.mono)
-    vals = np.array([[fb.eval_entry(name, (a, b), evaluate, antisym)
-                      for b in span[s2]] for a in span[s1]])    # (K1, K2, P, N)
-    K1, K2, P, N = vals.shape
-    out = W1 @ np.moveaxis(vals, 2, 0).reshape(P, K1, K2 * N)
-    return W2[:, None] @ out.reshape(P, -1, K2, N)      # (P, f1, f2, N)
+    span = tuple(range(fb.model.span_count))
+    vals = fb.eval_entry(name, (span, span), lambda *keys: fb.assemble(
+        keys, lambda a, b: entry_fn(fb, a, b, order=0)))    # (P, K, K, N)
+    P, K, N = vals.shape[0], vals.shape[2], vals.shape[-1]
+    out = W1 @ vals[:, s1].reshape(P, -1, K * N)           # (P, f1, K*N)
+    return W2[:, None] @ out.reshape(P, -1, K, N)[:, :, s2]
 
 
 def torsion_components(fb: FrameBatch) -> np.ndarray:
     """T^a_{ij} = g(T(x_i, x_j), z_a); antisymmetric in (i, j); shape (P,m,n,n)."""
     model = fb.model
-    amb = _contract2(fb, "torsion", model.torsion_entry, "h", "h", antisym=(0, 1))
+    amb = _contract2(fb, "torsion", model.torsion_entry, "h", "h")
     comps = fb.components(amb)                     # (P, n, n, n+m)
     return np.transpose(comps[..., model.n:], (0, 3, 1, 2))
 

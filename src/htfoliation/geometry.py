@@ -496,14 +496,6 @@ class PolyField:
         out = np.stack([c.evaluate(pts, cache) for c in self.components], axis=1)
         return out[0] if single else out
 
-    def jet(self, points, cache: MonomialCache | None = None
-            ) -> tuple[np.ndarray, np.ndarray]:
-        """Order-1 jet at a point batch: values (P, N) and Jacobians
-        (P, N, N) with ``jacobian[p, i, j] = d_j F^i (p)``."""
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        values, jacobians = field_jets([self], cache or MonomialCache(pts))
-        return values[0], jacobians[0]
-
     def __repr__(self):
         return f"PolyField({self.n_vars} vars)"
 
@@ -570,55 +562,97 @@ def _group_jets(fields: Sequence[PolyField], cache: MonomialCache
     return values, jacobians
 
 
-class PointField:
-    """A vector field known at a point batch through its order-1 jet.
+class PointScalar:
+    """A function known at a point batch through its order-1 jet: ``value``
+    (..., P) and ``gradient`` (..., P, N), or None for an order-0 jet.  It is
+    what ``PointField.dot`` returns and what ``PointField.scale`` takes, as
+    Polynomial is for PolyField."""
 
-    ``value`` has shape (..., P, N) and ``jacobian`` (..., P, N, N), with
-    ``jacobian[..., i, j] = d_j F^i``; leading axes index a batch of fields
+    __slots__ = ("value", "gradient")
+
+    def __init__(self, value: np.ndarray, gradient: np.ndarray | None = None):
+        self.value = value
+        self.gradient = gradient
+
+
+class PointField:
+    """A vector field known at a point batch through its jet of order <= 2.
+
+    ``value`` has shape (..., P, N), ``jacobian`` (..., P, N, N) with
+    ``jacobian[..., i, j] = d_j F^i``, and ``hessian`` (..., P, N, N, N) with
+    ``hessian[..., i, j, k] = d_j d_k F^i``, where P may be 1 for a Hessian
+    that does not depend on the point.  Leading axes index a batch of fields
     and broadcast in arithmetic.  It offers the field operations that the
     connection formulas use, so those formulas run unchanged on symbolic
-    fields and on jets.  A derivative consumes the Jacobian, and so does a
-    product with a pointwise scalar: such results are order-0 jets
-    (``jacobian`` None) and cannot be differentiated again, which is all the
-    formulas need.  ``at`` is whatever the creator attaches about the points
-    (the foliation engine: its model's fields there); arithmetic carries it.
+    fields and on jets.
+
+    The arithmetic is truncated Taylor arithmetic (Griewank and Walther,
+    *Evaluating Derivatives*, ch. 13): a sum or a product has the lowest
+    order of its operands, products follow the Leibniz rule, and a
+    derivative ``along`` a field lowers the order by one.  Products with
+    pointwise scalars and matrices, which are known to order 1, stop at
+    order 1.  ``keep`` caps the order that sums, products and derivatives
+    compute, for results of which only lower orders are read; linear maps
+    with constant coefficients keep every part.  ``at`` is whatever the
+    creator attaches about the points (the foliation engine: its model's
+    fields there); arithmetic carries it.
     """
 
-    __slots__ = ("value", "jacobian", "at")
+    __slots__ = ("value", "jacobian", "hessian", "at", "keep")
 
     def __init__(self, value: np.ndarray, jacobian: np.ndarray | None = None,
-                 at=None):
+                 hessian: np.ndarray | None = None, at=None, keep: int = 2):
         self.value = value
         self.jacobian = jacobian
+        self.hessian = None if jacobian is None else hessian
         self.at = at
+        self.keep = keep
 
-    def _new(self, value, jacobian=None) -> "PointField":
-        return PointField(value, jacobian, self.at)
+    @property
+    def order(self) -> int:
+        return 0 if self.jacobian is None else 1 if self.hessian is None else 2
+
+    def _new(self, value, jacobian=None, hessian=None,
+             keep=None) -> "PointField":
+        return PointField(value, jacobian, hessian, self.at,
+                          self.keep if keep is None else keep)
+
+    def _map(self, fn) -> "PointField":
+        """Apply one linear map to every stored part."""
+        return self._new(*(None if part is None else fn(part) for part in
+                           (self.value, self.jacobian, self.hessian)))
 
     def __getitem__(self, index) -> "PointField":
         """Select fields along the leading axes."""
-        return self._new(self.value[index], None if self.jacobian is None
-                         else self.jacobian[index])
+        return self._map(lambda part: part[index])
+
+    def _combine(self, other: "PointField", op) -> "PointField":
+        keep = min(self.keep, other.keep)
+        order = min(self.order, other.order, keep)
+        pairs = zip((self.value, self.jacobian, self.hessian),
+                    (other.value, other.jacobian, other.hessian))
+        return self._new(*(op(a, b) for a, b in list(pairs)[:order + 1]),
+                         keep=keep)
 
     def __add__(self, other: "PointField") -> "PointField":
-        jac = None
-        if self.jacobian is not None and other.jacobian is not None:
-            jac = self.jacobian + other.jacobian
-        return self._new(self.value + other.value, jac)
-
-    def __neg__(self) -> "PointField":
-        return self._new(-self.value, None if self.jacobian is None
-                         else -self.jacobian)
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "PointField") -> "PointField":
-        return self + (-other)
+        return self._combine(other, np.subtract)
+
+    def __neg__(self) -> "PointField":
+        return self._map(np.negative)
 
     def scale(self, s) -> "PointField":
-        """Multiply by a constant or by pointwise values of shape (..., P)."""
-        if np.ndim(s) == 0:
-            return self._new(self.value * s, None if self.jacobian is None
-                             else self.jacobian * s)
-        return self._new(self.value * s[..., None])
+        """Multiply by a constant or by a PointScalar (Leibniz rule)."""
+        if not isinstance(s, PointScalar):
+            return self._map(lambda part: part * s)
+        value = self.value * s.value[..., None]
+        if min(self.order, self.keep) < 1 or s.gradient is None:
+            return self._new(value)
+        jacobian = self.jacobian * s.value[..., None, None]
+        jacobian += self.value[..., :, None] * s.gradient[..., None, :]
+        return self._new(value, jacobian)
 
     @classmethod
     def sum_of(cls, n_vars: int, fields) -> "PointField":
@@ -628,27 +662,82 @@ class PointField:
             out = out + f
         return out
 
-    def dot(self, other: "PointField") -> np.ndarray:
-        """Pointwise Euclidean pairing, shape (..., P)."""
-        return np.einsum("...n,...n->...", self.value, other.value)
+    def dot(self, other: "PointField") -> PointScalar:
+        """Pointwise Euclidean pairing, a scalar jet of order <= 1."""
+        value = np.einsum("...n,...n->...", self.value, other.value)
+        if min(self.order, other.order, self.keep, other.keep) < 1:
+            return PointScalar(value)
+        grad = ((other.value[..., None, :] @ self.jacobian)
+                + (self.value[..., None, :] @ other.jacobian))[..., 0, :]
+        return PointScalar(value, grad)
 
-    def apply_matrix(self, matrix) -> "PointField":
+    def apply_matrix(self, matrix, jacobian=None) -> "PointField":
+        """F -> A F for a constant matrix A (N, N), or for pointwise matrices
+        A (P, N, N) known through their 1-jet, given as ``jacobian``
+        (P, N, N, N) with ``jacobian[p, i, k, j] = d_k A^i_j``."""
         A = np.asarray(matrix, dtype=np.float64)
-        return self._new(self.value @ A.T, None if self.jacobian is None
-                         else A @ self.jacobian)
+        if jacobian is None:
+            hessian = self.hessian
+            if hessian is not None:
+                flat = hessian.reshape(hessian.shape[:-2] + (-1,))
+                hessian = (A @ flat).reshape(hessian.shape)
+            return self._new(self.value @ A.T, None if self.jacobian is None
+                             else A @ self.jacobian, hessian)
+        value = (A @ self.value[..., None])[..., 0]
+        if min(self.order, self.keep) < 1:
+            return self._new(value)
+        out = A @ self.jacobian
+        out += _per_point(jacobian, self.value)
+        return self._new(value, out)
 
     def along(self, X: "PointField") -> "PointField":
-        """The derivative D_X F, an order-0 jet."""
+        """The derivative D_X F, one order below F (and no higher than X)."""
         if self.jacobian is None:
             raise ValueError("an order-0 jet cannot be differentiated")
-        return self._new((self.jacobian @ X.value[..., None])[..., 0])
+        keep = min(self.keep, X.keep)
+        value = (self.jacobian @ X.value[..., None])[..., 0]
+        if min(self.order - 1, X.order, keep) < 1:
+            return self._new(value, keep=keep)
+        out = self.jacobian @ X.jacobian
+        out += _hessian_along(self.hessian, X.value)
+        return self._new(value, out, keep=keep)
 
     def is_zero(self) -> bool:
-        return not self.value.any() and (self.jacobian is None
-                                         or not self.jacobian.any())
+        return not any(part is not None and part.any() for part in
+                       (self.value, self.jacobian, self.hessian))
 
     def __repr__(self):
-        return f"PointField({self.value.shape})"
+        return f"PointField({self.value.shape}, order {self.order})"
+
+
+def _per_point(T: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j T[p, a, k, j] x[..., p, j], shape (..., P, N, N): one matmul per
+    point over every leading entry of x, in place of a matrix-vector product
+    per entry."""
+    P, N = x.shape[-2:]
+    xt = x.reshape(-1, P, N).transpose(1, 2, 0)              # (P, N, L)
+    out = T.reshape(P, -1, N) @ xt                           # (P, N*N, L)
+    return np.moveaxis(out, -1, 0).reshape(x.shape[:-2] + T.shape[:-1])
+
+
+def _hessian_along(H: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j H[..., i, k, j] x[..., p, j] = sum_j H[..., i, j, k] x[..., p, j]
+    (Hessians are symmetric), shape (..., P, N, N).  A Hessian the same at
+    every point, (..., 1, N, N, N), is applied to every leading entry of x
+    in one matmul when the leading shapes broadcast as an outer product."""
+    lh, lx = H.shape[:-4], x.shape[:-2]
+    P, N = x.shape[-2:]
+    if (H.shape[-4] != 1 or len(lh) != len(lx)
+            or any(a > 1 and b > 1 for a, b in zip(lh, lx))):
+        return (H @ x[..., None, :, None])[..., 0]
+    d = len(lh)
+    out = H.reshape(-1, N) @ x.reshape(-1, N).T
+    out = out.reshape(lh + (N, N) + lx + (P,))
+    # interleave the leading axes of H and x, then the point and (i, k) axes
+    order = [ax for k in range(d) for ax in (k, d + 2 + k)]
+    order += [2 * d + 2, d, d + 1]
+    return out.transpose(order).reshape(
+        tuple(a * b for a, b in zip(lh, lx)) + (P, N, N))
 
 
 @dataclass(frozen=True)

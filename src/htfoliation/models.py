@@ -111,13 +111,12 @@ def _sphere_model(name: str, matrices: np.ndarray, epsilon: float) -> FoliationM
     m, N = matrices.shape[0], matrices.shape[1]
     chart = AmbientChart(UNIT_SPHERE, N)
     vertical = [PolyField.linear(A) for A in matrices]
-    model = FoliationModel(name, SPHERE, chart, N - 1 - m, m, epsilon,
-                           vertical, horizontal_fields=[],
-                           vertical_matrices=matrices)
+    build = lambda horizontal: FoliationModel(
+        name, SPHERE, chart, N - 1 - m, m, epsilon, vertical, horizontal,
+        vertical_matrices=matrices)
     # horizontal spanning family: projections of the ambient basis
-    horizontal = tuple(model.pi_h(PolyField.basis(N, mu)) for mu in range(N))
-    model.horizontal_fields = horizontal
-    return model
+    pi_h = build([]).pi_h
+    return build([pi_h(PolyField.basis(N, mu)) for mu in range(N)])
 
 
 def complex_hopf(k: int, epsilon: float = 4.0,

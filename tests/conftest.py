@@ -1,11 +1,12 @@
 """Session-scoped model fixtures.
 
-Models keep their two-index symbolic tables (brackets, connection, torsion)
-internally, and vertical rescalings share those tables, so building each
-model once per session keeps the suite fast.  Three-index tensors are
-computed at each point batch from 1-jets of those tables and kept only as
-values in the batch, so tests that sample new points recompute them; that
-is cheap, since no three-index entry is built symbolically.
+Building each model once per session keeps the suite fast: a model keeps
+the exact partials of its spanning fields, its cached point batches, and
+(in ``symbolic_oracles``) the symbolic oracle tables built for it, and
+vertical rescalings share the first two.  Connection and curvature entries
+are computed at each point batch from jets of the spanning fields and kept
+only as values in the batch, so tests that sample new points recompute
+them; that is cheap, since no entry is built symbolically.
 """
 
 import pytest

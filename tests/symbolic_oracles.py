@@ -3,13 +3,15 @@ and the polynomial helpers that only tests use.
 
 Each route builds its result as exact polynomials, independently of the
 code it checks: the model metric through the projections ``pi_h``/``pi_v``,
-the round Laplacian through the homogeneous decomposition, the Gamma
-calculus as products of polynomials, and the spectral matrices one
-monomial at a time.  ``eigenpairs`` adds the eigenfunctions that the
-package's spectra do not build.
+the connection tables and the three-index entries as compositions of the
+connection formulas on polynomial fields, the round Laplacian through the
+homogeneous decomposition, the Gamma calculus as products of polynomials,
+and the spectral matrices one monomial at a time.  ``eigenpairs`` adds the
+eigenfunctions that the package's spectra do not build.
 """
 
 import itertools
+import weakref
 
 import numpy as np
 
@@ -18,9 +20,11 @@ from htfoliation.analysis import (_blocks, _components, _degree_block,
                                   sub_laplacian_poly)
 from htfoliation.errors import DimensionMismatchError, InvalidModelError
 from htfoliation.foliation import SPHERE, Split
-from htfoliation.geometry import (UNIT_SPHERE, MonomialCache, Polynomial,
-                                  PolyField, _sphere_moment_fraction,
-                                  directional_derivative, euclidean_gradient)
+from htfoliation.geometry import (UNIT_SPHERE, MonomialCache, PointField,
+                                  Polynomial, PolyField,
+                                  _sphere_moment_fraction, bracket,
+                                  directional_derivative, euclidean_gradient,
+                                  field_jets)
 
 
 def terms_dict(f: Polynomial) -> dict[tuple[int, ...], float]:
@@ -101,6 +105,111 @@ def eigenpairs(model, degree: int) -> tuple[np.ndarray, list[Polynomial]]:
     lam = np.concatenate(lams)
     order = np.argsort(lam, kind="stable")
     return lam[order], [funcs[i] for i in order]
+
+
+def order2_jet(F: PolyField, pts, order: int = 2, **kwargs):
+    """The jet of a field of degree <= 2 at the points: with ``order=1`` its
+    values (P, N) and Jacobians (P, N, N); with ``order=2`` a PointField
+    (``kwargs`` passed on) that adds the constant Hessian, from the 1-jets of
+    the partials."""
+    value, jacobian = (a[0] for a in field_jets([F], MonomialCache(pts)))
+    if order == 1:
+        return value, jacobian
+    partials = [PolyField([c.partial(j) for c in F.components])
+                for j in range(F.n_vars)]
+    hessian = field_jets(partials, MonomialCache(pts[:1]))[1]  # [j, 0, i, k]
+    return PointField(value, jacobian, hessian.transpose(1, 2, 0, 3), **kwargs)
+
+
+def span_split(model, idx: int) -> Split:
+    """Spanning field by combined index: horizontals first, then verticals."""
+    kh = model.span_h_count
+    if idx < kh:
+        return Split(h=model.horizontal_fields[idx])
+    return Split(v=model.vertical_fields[idx - kh])
+
+
+class SymbolicTables:
+    """The two-index entries over a model's spanning fields as exact
+    polynomial fields (Splits), each built on first use and kept: the split
+    bracket, the connection, torsion and the rescaled Levi-Civita derivative
+    at a total vertical scale.  The antisymmetric ones build a > b as
+    -(b, a)."""
+
+    def __init__(self, model):
+        self.model = model
+        self._cache: dict = {}
+
+    def _entry(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def span(self, idx: int) -> Split:
+        return span_split(self.model, idx)
+
+    def bracket(self, a: int, b: int) -> Split:
+        model, N = self.model, self.model.ambient_dim
+        if a > b:
+            return -self.bracket(b, a)
+        return self._entry(("bracket", a, b), lambda: model.split(
+            bracket(self.span(a).total(N), self.span(b).total(N))))
+
+    def bott(self, a: int, b: int) -> Split:
+        return self._entry(("bott", a, b), lambda: self.model.bott_split(
+            self.span(a), self.span(b)))
+
+    def torsion(self, a: int, b: int) -> Split:
+        if a > b:
+            return -self.torsion(b, a)
+        return self._entry(("torsion", a, b), lambda: (
+            self.model.torsion_transform(self.span(a), self.span(b))))
+
+    def lc(self, total_eps: float, a: int, b: int) -> Split:
+        eps_rel = total_eps / self.model.epsilon
+        return self._entry(("lc", round(total_eps, 12), a, b), lambda: (
+            self.model.lc_variation_split(self.span(a), self.span(b),
+                                          eps_rel)))
+
+
+_TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def symbolic_tables(model) -> SymbolicTables:
+    """The model's SymbolicTables, shared by every test of a session."""
+    if model not in _TABLES:
+        _TABLES[model] = SymbolicTables(model)
+    return _TABLES[model]
+
+
+def symbolic_nabla_t(model, d, a, b) -> Split:
+    """(nabla_{E_d} T)(E_a, E_b) as a polynomial field."""
+    tab = symbolic_tables(model)
+    E = tab.span
+    return (model.bott_split(E(d), tab.torsion(a, b))
+            - model.torsion_transform(tab.bott(d, a), E(b))
+            - model.torsion_transform(E(a), tab.bott(d, b)))
+
+
+def symbolic_curvature(model, a, b, c) -> Split:
+    """R(E_a, E_b) E_c as a polynomial field."""
+    tab = symbolic_tables(model)
+    E = tab.span
+    return (model.bott_split(E(a), tab.bott(b, c))
+            - model.bott_split(E(b), tab.bott(a, c))
+            - model.bott_split(tab.bracket(a, b), E(c)))
+
+
+def symbolic_lc_curvature(model, total_eps, a, b, c) -> Split:
+    """R^ghat(E_a, E_b) E_c at the total vertical scale, as a polynomial
+    field."""
+    tab = symbolic_tables(model)
+    E = tab.span
+    eps_rel = total_eps / model.epsilon
+    lc = lambda i, j: tab.lc(total_eps, i, j)
+    return (model.lc_variation_split(E(a), lc(b, c), eps_rel)
+            - model.lc_variation_split(E(b), lc(a, c), eps_rel)
+            - model.lc_variation_split(tab.bracket(a, b), E(c), eps_rel))
 
 
 def metric_poly(model, F, G, eps_scale: float = 1.0) -> Polynomial:

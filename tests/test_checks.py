@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from htfoliation import checks, cli, models
+from htfoliation import foliation as fol
 from htfoliation.clifford import build_representation
 from htfoliation.errors import (DegenerateFrameError, InvalidModelError,
                                 NotApplicableError)
@@ -405,6 +406,42 @@ def test_connection_dependent_checks_can_fail(case, s7):
     for rep in reports:
         assert rep.status == "fail", rep.check_name
         assert rep.max_residual > 100 * rep.tolerance, rep.check_name
+
+
+def test_lemma_residuals_cover_every_component():
+    # on the tilted model, each reported residual is the largest entry of
+    # the identity evaluated as one array over every component
+    model = tilted_heisenberg_quat()
+    reports = {r.check_name: r.max_residual for r in
+               checks.check_lemma_identities(model, points=8, seed=1,
+                                             kappa=0.5)}
+    fb = checks.frame_batch_for(model, 8, 1)
+    n = model.n
+    full = fol.curvature_components(fb, "all", "all", "all")
+    nt = fb.components(fol._contract3(fb, "nabla_t", model.nabla_t_entry,
+                                      "all", "all", "all"))
+    resid = full - nt.transpose(0, 2, 3, 1, 4)
+    resid[:, :n, :n, :n] = 0.0
+    resid[:, n:, n:, n:] = 0.0
+    T, J = fol.torsion_components(fb), fol.j_endomorphisms(fb)
+    nt_v = fol.nabla_t_components(fb, "v")
+    rh = full[:, :n, :n, :n, :n].transpose(0, 1, 2, 4, 3)
+    comm = (np.einsum("pijkl,palu->pijaku", rh, J)
+            - np.einsum("pakl,pijlu->pijaku", J, rh))
+    cov = (np.einsum("pbij,pbaku->pijaku", T, nt_v.transpose(0, 1, 2, 4, 3))
+           + np.einsum("pabij,pbku->pijaku", nt_v, J))
+    kap = np.zeros_like(comm)
+    for a in range(model.m):
+        for b in set(range(model.m)) - {a}:
+            jab = J[:, a] @ J[:, b]
+            kap[:, :, :, a] += 0.5 * (
+                np.einsum("pji,pkl->pijkl", J[:, b], jab)
+                - np.einsum("pji,pkl->pijkl", jab, J[:, b]))
+    for name, want in (("curvature-decomposition", np.abs(resid).max()),
+                       ("commutator-covariant", np.abs(comm - cov).max()),
+                       ("commutator-kappa", np.abs(comm - kap).max())):
+        assert want > 1e-3, name
+        assert reports[name] == pytest.approx(want, rel=1e-12), name
 
 
 class TestReportSerialization:

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import itertools
 
@@ -9,16 +10,18 @@ from htfoliation import foliation as fol
 from htfoliation import geometry as geo
 from htfoliation import models
 from htfoliation.checks import frame_batch_for
-from htfoliation.errors import DegenerateFrameError
+from htfoliation.errors import DegenerateFrameError, InvalidModelError
 from htfoliation.foliation import (Split, curvature_components,
                                    j_endomorphisms, torsion_components)
 from htfoliation.geometry import (MonomialCache, Polynomial, PolyField, bracket,
-                                  sample_points)
-from symbolic_oracles import metric_poly
+                                  field_jets, sample_points)
+from symbolic_oracles import (metric_poly, order2_jet, span_split,
+                              symbolic_curvature, symbolic_lc_curvature,
+                              symbolic_nabla_t, symbolic_tables)
 
 
 def span_splits(model):
-    return [model.span_split(i) for i in range(model.span_count)]
+    return [span_split(model, i) for i in range(model.span_count)]
 
 
 def connection_test_fields(model):
@@ -98,7 +101,8 @@ class TestBottConnection:
         model = heis_quat
         for a in range(model.span_count):
             for b in range(model.span_count):
-                assert model.bott_entry(a, b).total(model.ambient_dim).is_zero()
+                assert symbolic_tables(model).bott(a, b).total(
+                    model.ambient_dim).is_zero()
         gens = model.generators
         F = model.n + model.m
         c = np.zeros((F, F, F))
@@ -209,7 +213,8 @@ class TestTorsionAndJ:
         J = j_endomorphisms(fb)
         Z = s7.vertical_fields[1]
         X = s7.horizontal_fields[2]
-        out = s7.j_transform(Split(v=Z), Split(h=X)).evaluate(fb.points, fb.mono)
+        out = s7.j_transform(Split(v=Z), Split(h=X)).total(8).evaluate(
+            fb.points, fb.mono)
         # expand X(p) and round-unit Z in the adapted frame and apply J there
         xc = np.einsum("pn,pnm,pim->pi", X.evaluate(fb.points, fb.mono),
                        fb.metric, fb.x)
@@ -281,30 +286,6 @@ class TestGroupCurvatureFlat:
 # ---------------------------------------------------------------------------
 # the three-index entries against their symbolic composition
 
-def symbolic_nabla_t(model, d, a, b):
-    E = model.span_split
-    return (model.bott_split(E(d), model.torsion_entry(a, b))
-            - model.torsion_transform(model.bott_entry(d, a), E(b))
-            - model.torsion_transform(E(a), model.bott_entry(d, b)))
-
-
-def symbolic_curvature(model, a, b, c):
-    E = model.span_split
-    return (model.bott_split(E(a), model.bott_entry(b, c))
-            - model.bott_split(E(b), model.bott_entry(a, c))
-            - model.bott_split(model.bracket_split_entry(a, b), E(c)))
-
-
-def symbolic_lc_curvature(model, total_eps, a, b, c):
-    E = model.span_split
-    eps_rel = total_eps / model.epsilon
-    lc = lambda i, j: model.lc_entry(total_eps, i, j)
-    return (model.lc_variation_split(E(a), lc(b, c), eps_rel)
-            - model.lc_variation_split(E(b), lc(a, c), eps_rel)
-            - model.lc_variation_split(model.bracket_split_entry(a, b), E(c),
-                                       eps_rel))
-
-
 def oracle_keys(model):
     """Keys over every (horizontal | vertical) pattern of the three slots,
     with indices that vary from key to key."""
@@ -339,6 +320,7 @@ class TestJetOracle:
         span = range(model.span_count)
         batched = {"nabla_t": model.nabla_t_entry(fb, span, span, span),
                    "curvature": model.curvature_entry(fb, span, span, span)}
+        N = model.ambient_dim
         symbolic = {"nabla_t": lambda *k: symbolic_nabla_t(model, *k),
                     "curvature": lambda *k: symbolic_curvature(model, *k)}
         for eps_rel in ghat_scales(name):
@@ -351,7 +333,8 @@ class TestJetOracle:
             assert values.shape == (3, *(model.span_count,) * 3,
                                     model.ambient_dim)
             for key in oracle_keys(model):
-                want = symbolic[label](*key).evaluate(fb.points, fb.mono)
+                want = symbolic[label](*key).total(N).evaluate(fb.points,
+                                                               fb.mono)
                 self.assert_close(values[(slice(None),) + key], want)
 
     def test_key_ranges_in_any_order(self, s7):
@@ -366,31 +349,123 @@ class TestJetOracle:
                                       [:, :, :, keys[2]])
 
 
-class TestGhatTable:
-    """The rescaled Levi-Civita table, read from the connection and torsion
-    tables, and R^ghat, built only over the vertical first keys."""
+def part_sum(split, attr, index):
+    """The sum over the present parts of a Split of jets of one attribute
+    (value or jacobian) at a leading index; 0 when both parts are zero."""
+    return sum(getattr(part, attr)[index] for part in (split.h, split.v)
+               if part is not None)
 
-    @staticmethod
-    def assert_same(got, want):
-        for g, w in ((got.h, want.h), (got.v, want.v)):
-            assert (g is None) == (w is None)
-            if g is not None:
-                for a, b in zip(g.components, w.components):
-                    np.testing.assert_array_equal(a.keys, b.keys)
-                    np.testing.assert_array_equal(a.coeffs, b.coeffs)
+
+class TestPairJets:
+    """The two-index entries, built at a point batch from the 2-jets of the
+    spanning fields, are the 1-jets of their symbolic tables."""
 
     @pytest.mark.parametrize("name", [s.name for s in models.catalog()])
-    def test_lc_entry_is_the_variation_formula(self, name, catalog_models):
-        # keys over every (horizontal | vertical) pair of slots
+    def test_entries_are_the_jets_of_the_symbolic_tables(self, name,
+                                                          catalog_models):
         model = catalog_models[name]
-        kh, K = model.span_h_count, model.span_count
-        picks = sorted({0, kh // 2, kh - 1, kh, K - 1})
+        N, kh, K = model.ambient_dim, model.span_h_count, model.span_count
+        fb = model.frame_batch(sample_points(model.chart, 3, 14))
+        tab = symbolic_tables(model)
+        builders = {"bracket": (model.bracket_entry, tab.bracket),
+                    "bott": (model.bott_entry, tab.bott),
+                    "torsion": (model.torsion_entry, tab.torsion)}
         for eps_rel in ghat_scales(name):
-            for a, b in itertools.product(picks, repeat=2):
-                self.assert_same(
-                    model.lc_entry(model.epsilon * eps_rel, a, b),
-                    model.lc_variation_split(model.span_split(a),
-                                             model.span_split(b), eps_rel))
+            total = model.epsilon * eps_rel
+            builders[eps_rel] = (
+                functools.partial(lc_builder, model, total),
+                functools.partial(tab.lc, total))
+        # whole blocks are built; keys covering each block pair are compared
+        blocks = (np.arange(kh), np.arange(kh, K))
+        picks = [sorted({0, kh // 2, kh - 1}), sorted({0, (K - kh) // 2,
+                                                       K - kh - 1})]
+        for label, (batch, symbolic) in builders.items():
+            for (ka, pa), (kb, pb) in itertools.product(zip(blocks, picks),
+                                                        repeat=2):
+                jets = batch(fb, *np.ix_(ka, kb))
+                values = batch(fb, *np.ix_(ka, kb), order=0)
+                assert all(p.order == 1 for p in (jets.h, jets.v) if p), label
+                assert all(p.order == 0 for p in (values.h, values.v) if p)
+                for i, j in itertools.product(pa, pb):
+                    value, jacobian = field_jets(
+                        [symbolic(ka[i], kb[j]).total(N)], fb.mono)
+                    for got, want in (
+                            (part_sum(jets, "value", (i, j)), value[0]),
+                            (part_sum(jets, "jacobian", (i, j)), jacobian[0]),
+                            (part_sum(values, "value", (i, j)), value[0])):
+                        TestJetOracle.assert_close(got + np.zeros_like(want),
+                                                   want)
+
+
+def lc_builder(model, total_eps, fb, a, b, **kwargs):
+    return model.lc_entry(fb, total_eps, a, b, **kwargs)
+
+
+class TestJetProjections:
+    """pi_H, pi_V and J on order-2 jets at a batch equal the 1-jets of the
+    symbolic projections, and the batch never multiplies polynomials."""
+
+    @pytest.mark.parametrize("name", ["quaternionic-hopf-s7", "heisenberg-quat",
+                                      "complex-hopf-s3"])
+    def test_projections_of_order_two_jets(self, name, catalog_models):
+        model = catalog_models[name]
+        N = model.ambient_dim
+        fb = model.frame_batch(sample_points(model.chart, 4, 15))
+        rng = np.random.default_rng(4)
+        F = PolyField([Polynomial.from_dict(N, {
+            tuple(int(i == k) + int(i == l) for i in range(N)):
+                float(rng.integers(-3, 4))
+            for k in range(N) for l in range(k, N) if rng.random() < 0.3})
+            for _ in range(N)]) + PolyField.constant(rng.integers(-2, 3, N))
+        f = order2_jet(F, fb.points, at=fb._span_jets[0].at)
+        E = fb.spanning()
+        kh = model.span_h_count
+        X, Z = model.horizontal_fields[1], model.vertical_fields[0]
+        for got, want in (
+                (model.pi_h(f), model.pi_h(F)),
+                (model.pi_v(f), model.pi_v(F)),
+                (model.pi_h(E(np.array([1])).h[0]), model.pi_h(X)),
+                (model.j_transform(E(np.array([kh])), Split(h=f)).h,
+                 model.j_transform(Split(v=Z), Split(h=F)).h)):
+            value, jacobian = field_jets([want], fb.mono)
+            assert got.order == 1
+            TestJetOracle.assert_close(np.squeeze(got.value), value[0])
+            TestJetOracle.assert_close(np.squeeze(got.jacobian), jacobian[0])
+
+    def test_cubic_spanning_field_is_refused(self, heis):
+        x0 = Polynomial.variable(3, 0)
+        cubic = PolyField([x0 * x0 * x0] + list(heis.horizontal_fields[0]
+                                                .components[1:]))
+        with pytest.raises(InvalidModelError) as err:
+            fol.FoliationModel("cubic", "group", heis.chart, heis.n, heis.m,
+                               1.0, heis.vertical_fields,
+                               [cubic, heis.horizontal_fields[1]],
+                               generators=heis.generators)
+        message = str(err.value)
+        assert "\n" not in message and "degree 3" in message
+
+    def test_three_index_entries_multiply_no_polynomial(self, s7, monkeypatch):
+        calls = []
+        mul = Polynomial.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        monkeypatch.setattr(Polynomial, "__rmul__", counted)
+        assert (Polynomial.variable(2, 0) * 2.0).n_terms == 1 and calls
+        calls.clear()
+        fb = s7.frame_batch(sample_points(s7.chart, 4, 16))
+        span = range(s7.span_count)
+        s7.nabla_t_entry(fb, span, span, span)
+        s7.curvature_entry(fb, span, span, span)
+        s7.lc_curvature_entry(fb, s7.epsilon * 0.25, span, span, span)
+        fol.torsion_components(fb)
+        assert calls == []
+
+
+class TestGhatTable:
+    """R^ghat, built only over the vertical first keys."""
 
     @pytest.mark.parametrize("name", ["quaternionic-hopf-s7",
                                       "heisenberg-quat-mixed"])
@@ -492,10 +567,11 @@ class TestContraction:
         model = batch.model
         span = range(model.span_count)
         for d1, d2 in itertools.product(DOMAINS, repeat=2):
-            got = fol._contract2(batch, "torsion", model.torsion_entry, d1, d2,
-                                 antisym=(0, 1))
+            got = fol._contract2(batch, "torsion", model.torsion_entry, d1, d2)
             (s1, W1), (s2, W2) = batch.slot(d1), batch.slot(d2)
-            vals = np.array([[model.torsion_entry(a, b).evaluate(batch.points)
+            tab = symbolic_tables(model)
+            vals = np.array([[tab.torsion(a, b).total(model.ambient_dim)
+                              .evaluate(batch.points)
                               for b in span[s2]] for a in span[s1]])
             want = np.einsum("pia,pjb,abpn->pijn", W1, W2, vals)
             self.assert_close(got, want)

@@ -12,7 +12,7 @@ from htfoliation.geometry import (AmbientChart, EUCLIDEAN, MonomialCache,
                                   Polynomial, PolyField, UNIT_SPHERE, bracket,
                                   directional_derivative, field_jets,
                                   gram_schmidt_at, sample_points)
-from symbolic_oracles import sphere_moment, terms_dict
+from symbolic_oracles import order2_jet, sphere_moment, terms_dict
 
 
 def rand_field(n, degree, rng, density=0.4):
@@ -277,8 +277,12 @@ class TestPolynomialProperties:
             assert terms_dict(power(a) * power(b)) == terms_dict(power(a + b))
 
 
+def jet(F, pts):
+    return order2_jet(F, pts, order=1)
+
+
 def assert_jet_matches_partials(F, pts):
-    values, jacobian = F.jet(pts)
+    values, jacobian = jet(F, pts)
     P, N = pts.shape
     assert values.shape == (P, N) and jacobian.shape == (P, N, N)
     for i, c in enumerate(F.components):
@@ -306,10 +310,10 @@ class TestJets:
     @pytest.mark.parametrize("n", [1, 7, 16])
     def test_zero_and_constant_fields(self, n):
         pts = np.random.default_rng(n).uniform(-1, 1, size=(4, n))
-        values, jacobian = PolyField.zero(n).jet(pts)
+        values, jacobian = jet(PolyField.zero(n), pts)
         assert not values.any() and not jacobian.any()
         vec = np.arange(1.0, n + 1.0) / 4
-        values, jacobian = PolyField.constant(vec).jet(pts)
+        values, jacobian = jet(PolyField.constant(vec), pts)
         np.testing.assert_array_equal(values, np.broadcast_to(vec, (4, n)))
         assert not jacobian.any()
 
@@ -324,4 +328,112 @@ class TestJets:
         for a, b in zip(whole, chunked):
             np.testing.assert_array_equal(a, b)
         for f, F in enumerate(fields):
-            np.testing.assert_array_equal(chunked[0][f], F.jet(pts)[0])
+            np.testing.assert_array_equal(chunked[0][f], jet(F, pts)[0])
+
+
+# ---------------------------------------------------------------------------
+# truncated Taylor arithmetic on point jets
+
+
+def assert_jets_equal(got, want_field, pts, order):
+    """``got`` has the given order and the jet of the symbolic field to it
+    (the Hessian only for fields of degree <= 2)."""
+    assert got.order == order
+    want = order2_jet(want_field, pts)
+    for g, w in ((got.value, want.value), (got.jacobian, want.jacobian),
+                 (got.hessian, want.hessian))[:order + 1]:
+        scale = max(1.0, float(np.abs(w).max()))
+        assert float(np.abs(np.broadcast_to(g, w.shape) - w).max()) \
+            <= 1e-12 * scale
+
+
+class TestTaylorArithmetic:
+    """PointField arithmetic on order-2 jets of degree-2 fields equals the
+    jets of the symbolic results, truncated to the documented order."""
+
+    @pytest.fixture(params=[0, 1, 2])
+    def fields(self, request):
+        rng = np.random.default_rng(request.param)
+        pts = rng.uniform(-1, 1, size=(5, 4))
+        return [rand_field(4, 2, rng, density=0.6) for _ in range(3)], pts
+
+    def test_linear_maps_keep_order_two(self, fields):
+        (F, G, _), pts = fields
+        A = np.arange(16.0).reshape(4, 4) / 8 - 1
+        f, g = order2_jet(F, pts), order2_jet(G, pts)
+        assert_jets_equal(f + g, F + G, pts, 2)
+        assert_jets_equal(f - g.scale(0.5), F - G.scale(0.5), pts, 2)
+        assert_jets_equal(f.apply_matrix(A), F.apply_matrix(A), pts, 2)
+
+    def test_products_follow_leibniz(self, fields):
+        (F, G, H), pts = fields
+        f, g, h = (order2_jet(X, pts) for X in (F, G, H))
+        product = f.dot(g)
+        poly = F.dot(G)
+        np.testing.assert_allclose(product.value, poly.evaluate(pts),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            product.gradient, geo.euclidean_gradient(poly).evaluate(pts),
+            rtol=1e-12, atol=1e-12)
+        jets = field_jets([H.scale(poly)], MonomialCache(pts))
+        got = h.scale(product)
+        assert got.order == 1
+        for g_part, w in ((got.value, jets[0][0]), (got.jacobian, jets[1][0])):
+            np.testing.assert_allclose(g_part, w, rtol=1e-12, atol=1e-11)
+
+    def test_along_lowers_the_order(self, fields):
+        (F, X, _), pts = fields
+        got = order2_jet(F, pts).along(order2_jet(X, pts))
+        jets = field_jets([directional_derivative(X, F)], MonomialCache(pts))
+        assert got.order == 1
+        np.testing.assert_allclose(got.value, jets[0][0], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got.jacobian, jets[1][0], rtol=1e-12,
+                                   atol=1e-12)
+        assert got.along(order2_jet(X, pts)).order == 0
+        with pytest.raises(ValueError):
+            got.along(order2_jet(X, pts)).along(order2_jet(X, pts))
+
+    def test_pointwise_matrix_uses_its_jet(self, fields):
+        # A(x) = G(x) H(x)^T, known to order 1, applied to F
+        (F, G, H), pts = fields
+        g, h = jet(G, pts), jet(H, pts)
+        A = np.einsum("pi,pj->pij", g[0], h[0])
+        dA = (np.einsum("pik,pj->pikj", g[1], h[0])
+              + np.einsum("pi,pjk->pikj", g[0], h[1]))
+        got = order2_jet(F, pts).apply_matrix(A, dA)
+        jets = field_jets([G.scale(H.dot(F))], MonomialCache(pts))
+        assert got.order == 1
+        np.testing.assert_allclose(got.value, jets[0][0], rtol=1e-12, atol=1e-11)
+        np.testing.assert_allclose(got.jacobian, jets[1][0], rtol=1e-12,
+                                   atol=1e-11)
+
+    def test_keep_truncates_results_not_inputs(self, fields):
+        (F, G, _), pts = fields
+        f, g = order2_jet(F, pts, keep=0), order2_jet(G, pts)
+        for got in (f + g, f.along(g), g.along(f), f.scale(f.dot(g))):
+            assert got.order == 0 and got.keep == 0
+        full = order2_jet(F, pts).along(g)
+        np.testing.assert_array_equal(f.along(g).value, full.value)
+        assert (-f).order == 2          # constant linear maps keep every part
+
+    def test_leading_axes_broadcast(self, fields):
+        # a column of fields along a row of directions: the Hessian term of
+        # along runs as one matmul over every pair
+        (F, G, H), pts = fields
+        stack = lambda fs: geo.PointField(
+            *(np.stack([getattr(order2_jet(X, pts), a) for X in fs])
+              for a in ("value", "jacobian", "hessian")))
+        fs, xs = stack([F, G])[:, None], stack([G, H, F])[None, :]
+        got = fs.along(xs)
+        assert got.value.shape == (2, 3, 5, 4)
+        for i, X in enumerate([F, G]):
+            for j, Y in enumerate([G, H, F]):
+                want = order2_jet(X, pts).along(order2_jet(Y, pts))
+                np.testing.assert_allclose(got.jacobian[i, j], want.jacobian,
+                                           rtol=1e-13, atol=1e-13)
+        # fields paired with directions entry by entry take the plain route
+        pairs = stack([F, G]).along(stack([G, H]))
+        for i, (X, Y) in enumerate([(F, G), (G, H)]):
+            want = order2_jet(X, pts).along(order2_jet(Y, pts))
+            np.testing.assert_allclose(pairs.jacobian[i], want.jacobian,
+                                       rtol=1e-13, atol=1e-13)
