@@ -403,16 +403,17 @@ def check_lemma_identities(model: FoliationModel, points: int = 32,
 
     # R - R_H - R_V - (nabla_W T)(U, V), W = slot 3, for U horizontal and
     # then vertical, so that the component arrays exist one half at a time;
-    # R_H and R_V are the all-horizontal and all-vertical blocks
+    # R_H and R_V are the all-horizontal and all-vertical blocks of R, and
+    # the nabla T term is subtracted on every block
     worst = 0.0
     for domain, block in (("h", slice(None, n)), ("v", slice(n, None))):
         resid = curvature_components(fb, domain, "all", "all")  # [p, u, v, w]
         if domain == "h":              # R_H(x_i, x_j) as endomorphisms
             rh_endo = resid[:, :, :n, :n, :n].transpose(0, 1, 2, 4, 3).copy()
+        resid[:, :, block, block] = 0.0
         resid -= fb.components(_contract3(
             fb, "nabla_t", model.nabla_t_entry, "all", domain, "all")
         ).transpose(0, 2, 3, 1, 4)
-        resid[:, :, block, block] = 0.0
         worst = max(worst, float(np.abs(resid, out=resid).max()))
         del resid
     reports.append(CheckReport.from_residual(

@@ -89,8 +89,8 @@ class Split:
         return self.h + self.v
 
     def __neg__(self) -> "Split":
-        return Split._of(None if self.h is None else -self.h,
-                         None if self.v is None else -self.v)
+        return Split(None if self.h is None else -self.h,
+                     None if self.v is None else -self.v)
 
     def _merge(self, other: "Split", op, lone) -> "Split":
         """Combine part by part: ``op(a, b)``, or ``lone(b)`` for b alone."""
@@ -110,12 +110,22 @@ class Split:
         return Split(None if self.h is None else self.h.scale(s),
                      None if self.v is None else self.v.scale(s))
 
-    @classmethod
-    def _of(cls, h, v) -> "Split":
-        """A Split of parts known to be nonzero (or None), unchecked."""
-        out = cls.__new__(cls)
-        out.h, out.v = h, v
-        return out
+
+def vertical_part(F: PolyField, vertical, coframe) -> PolyField:
+    """sum_a Z_a theta^a(F): the part of F along the vertical fields Z_a,
+    measured by the coframe theta^a dual to them."""
+    return PolyField.sum_of(F.n_vars, [Z.scale(F.dot(theta))
+                                       for Z, theta in zip(vertical, coframe)])
+
+
+def horizontal_part(F: PolyField, vertical, coframe,
+                    position: PolyField | None = None) -> PolyField:
+    """F minus its vertical part and, given the position field p of the
+    unit sphere, minus its normal part <F, p> p."""
+    terms = [F, -vertical_part(F, vertical, coframe)]
+    if position is not None:
+        terms.append(-position.scale(F.dot(position)))
+    return PolyField.sum_of(F.n_vars, terms)
 
 
 class FoliationModel:
@@ -240,20 +250,16 @@ class FoliationModel:
         pointwise projector matrix with its 1-jet (``FieldsAt``)."""
         if isinstance(F, PointField):
             return F.apply_matrix(*F.at.pi_v)
-        return PolyField.sum_of(self.ambient_dim, [
-            Z.scale(c) for c, Z in zip(self.vertical_coefficients(F),
-                                       self._symbolic_fields[0])])
+        return vertical_part(F, *self._symbolic_fields[:2])
 
     def pi_h(self, F):
         """The horizontal part (tangent to the sphere on that backend); on a
         jet, one pointwise projector matrix with its 1-jet."""
         if isinstance(F, PointField):
             return F.apply_matrix(*F.at.pi_h)
-        terms = [F, (-self.pi_v(F))]
-        if self.backend == SPHERE:
-            pos = self._symbolic_fields[2]
-            terms.append(-pos.scale(F.dot(pos)))
-        return PolyField.sum_of(self.ambient_dim, terms)
+        vertical, coframe, position = self._symbolic_fields
+        return horizontal_part(F, vertical, coframe,
+                               position if self.backend == SPHERE else None)
 
     def split(self, F) -> Split:
         if isinstance(F, Split):
@@ -374,25 +380,25 @@ class FoliationModel:
     # Each takes index arrays of spanning fields, each within the horizontal
     # or the vertical block, that broadcast against each other (np.ix_
     # layout), and returns the entry at the batch's points as a Split of
-    # jets: order-1 jets, or values only with ``order=0``.
+    # jets: order-1 jets, or values only with ``keep=0`` (see PointField).
 
-    def bracket_entry(self, fb: "FrameBatch", a, b, order: int = 1) -> Split:
+    def bracket_entry(self, fb: "FrameBatch", a, b, keep: int = 1) -> Split:
         """[E_a, E_b], split."""
-        E, N = fb.spanning(order), self.ambient_dim
+        E, N = fb.spanning(keep), self.ambient_dim
         return self.split(bracket(E(a).total(N), E(b).total(N)))
 
-    def bott_entry(self, fb: "FrameBatch", a, b, order: int = 1) -> Split:
-        E = fb.spanning(order)
+    def bott_entry(self, fb: "FrameBatch", a, b, keep: int = 1) -> Split:
+        E = fb.spanning(keep)
         return self.bott_split(E(a), E(b))
 
-    def torsion_entry(self, fb: "FrameBatch", a, b, order: int = 1) -> Split:
-        E = fb.spanning(order)
+    def torsion_entry(self, fb: "FrameBatch", a, b, keep: int = 1) -> Split:
+        E = fb.spanning(keep)
         return self.torsion_transform(E(a), E(b))
 
     def lc_entry(self, fb: "FrameBatch", total_eps: float, a, b,
-                 order: int = 1) -> Split:
+                 keep: int = 1) -> Split:
         """The rescaled Levi-Civita derivative at the total vertical scale."""
-        E = fb.spanning(order)
+        E = fb.spanning(keep)
         return self.lc_variation_split(E(a), E(b), total_eps / self.epsilon)
 
     # -- three-index entries at a point batch, from 1-jets -------------------
@@ -596,8 +602,8 @@ class FrameBatch:
         def E(index) -> Split:
             index = np.asarray(index)
             if _block(index, kh) == "h":
-                return Split._of(_take(h, (index,)), None)
-            return Split._of(None, _take(v, (index - kh,)))
+                return Split(_take(h, (index,)), None)
+            return Split(None, _take(v, (index - kh,)))
         return E
 
     def pairs(self, entry):
@@ -618,8 +624,8 @@ class FrameBatch:
                                   PointField(f.value, f.jacobian, None, f.at, 0)
                                   for f in (res.h, res.v)]
             index = (np.asarray(a) - offset[ka], np.asarray(b) - offset[kb])
-            return Split._of(*(None if f is None else _take(f, index)
-                               for f in blocks[ka, kb]))
+            return Split(*(None if f is None else _take(f, index)
+                           for f in blocks[ka, kb]))
         return S
 
     def assemble(self, keys, formula) -> np.ndarray:
@@ -717,14 +723,14 @@ def _contract3(fb: FrameBatch, name: str, entry_fn, d1: str, d2: str,
 
 def _contract2(fb: FrameBatch, name: str, entry_fn, d1: str,
                d2: str) -> np.ndarray:
-    """The values of a two-index entry ``entry_fn(fb, keys1, keys2, order=0)``,
+    """The values of a two-index entry ``entry_fn(fb, keys1, keys2, keep=0)``,
     evaluated once per batch over all spanning indices, contracted with the
     adapted-frame expansions of the slot domains; returns ambient vectors
     (P, f1, f2, N)."""
     (s1, W1), (s2, W2) = fb.slot(d1), fb.slot(d2)
     span = tuple(range(fb.model.span_count))
     vals = fb.eval_entry(name, (span, span), lambda *keys: fb.assemble(
-        keys, lambda a, b: entry_fn(fb, a, b, order=0)))    # (P, K, K, N)
+        keys, lambda a, b: entry_fn(fb, a, b, keep=0)))    # (P, K, K, N)
     P, K, N = vals.shape[0], vals.shape[2], vals.shape[-1]
     out = W1 @ vals[:, s1].reshape(P, -1, K * N)           # (P, f1, K*N)
     return W2[:, None] @ out.reshape(P, -1, K, N)[:, :, s2]

@@ -23,7 +23,7 @@ import numpy as np
 from . import checks as _checks
 from .clifford import CliffordRepresentation, build_representation
 from .errors import InvalidModelError
-from .foliation import GROUP, SPHERE, FoliationModel
+from .foliation import GROUP, SPHERE, FoliationModel, horizontal_part
 from .geometry import (AmbientChart, EUCLIDEAN, UNIT_SPHERE, Polynomial,
                        PolyField)
 
@@ -111,12 +111,13 @@ def _sphere_model(name: str, matrices: np.ndarray, epsilon: float) -> FoliationM
     m, N = matrices.shape[0], matrices.shape[1]
     chart = AmbientChart(UNIT_SPHERE, N)
     vertical = [PolyField.linear(A) for A in matrices]
-    build = lambda horizontal: FoliationModel(
-        name, SPHERE, chart, N - 1 - m, m, epsilon, vertical, horizontal,
-        vertical_matrices=matrices)
-    # horizontal spanning family: projections of the ambient basis
-    pi_h = build([]).pi_h
-    return build([pi_h(PolyField.basis(N, mu)) for mu in range(N)])
+    # horizontal spanning family: projections of the ambient basis (on the
+    # sphere the vertical fields are their own coframe)
+    position = PolyField.position(N)
+    horizontal = [horizontal_part(PolyField.basis(N, mu), vertical, vertical,
+                                  position) for mu in range(N)]
+    return FoliationModel(name, SPHERE, chart, N - 1 - m, m, epsilon,
+                          vertical, horizontal, vertical_matrices=matrices)
 
 
 def complex_hopf(k: int, epsilon: float = 4.0,

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import weakref
 
@@ -420,9 +421,10 @@ def test_lemma_residuals_cover_every_component():
     full = fol.curvature_components(fb, "all", "all", "all")
     nt = fb.components(fol._contract3(fb, "nabla_t", model.nabla_t_entry,
                                       "all", "all", "all"))
-    resid = full - nt.transpose(0, 2, 3, 1, 4)
+    resid = full.copy()
     resid[:, :n, :n, :n] = 0.0
     resid[:, n:, n:, n:] = 0.0
+    resid -= nt.transpose(0, 2, 3, 1, 4)
     T, J = fol.torsion_components(fb), fol.j_endomorphisms(fb)
     nt_v = fol.nabla_t_components(fb, "v")
     rh = full[:, :n, :n, :n, :n].transpose(0, 1, 2, 4, 3)
@@ -442,6 +444,53 @@ def test_lemma_residuals_cover_every_component():
                        ("commutator-kappa", np.abs(comm - kap).max())):
         assert want > 1e-3, name
         assert reports[name] == pytest.approx(want, rel=1e-12), name
+
+
+def test_decomposition_subtracts_nabla_t_on_every_block(monkeypatch):
+    # with R replaced by zero, the decomposition residual is the largest
+    # entry of (nabla_W T)(U, V) over every component; on the tilted model
+    # it lies in the all-horizontal and all-vertical blocks, which R_H and
+    # R_V cancel in R but not in nabla T
+    model = tilted_heisenberg_quat()
+    fb = checks.frame_batch_for(model, 8, 1)
+    n = model.n
+    nt = fb.components(fol._contract3(fb, "nabla_t", model.nabla_t_entry,
+                                      "all", "all", "all"))
+    nt = nt.transpose(0, 2, 3, 1, 4)                       # [p, u, v, w]
+    same = np.zeros(nt.shape[1:4], dtype=bool)
+    same[:n, :n, :n] = same[n:, n:, n:] = True
+    assert np.abs(nt[:, same]).max() > 1.5 * np.abs(nt[:, ~same]).max()
+    real = checks.curvature_components
+    monkeypatch.setattr(checks, "curvature_components",
+                        lambda *args: np.zeros_like(real(*args)))
+    reports = {r.check_name: r.max_residual for r in
+               checks.check_lemma_identities(model, points=8, seed=1)}
+    assert reports["curvature-decomposition"] == pytest.approx(
+        np.abs(nt).max(), rel=1e-12)
+
+
+@pytest.mark.parametrize("kinds", ["".join(k) for k in
+                                   itertools.product("hv", repeat=3)])
+def test_decomposition_cancels_only_same_kind_blocks_of_r(kinds, monkeypatch):
+    # R is one unit entry R(U, V)W with U, V, W of the given kinds, and nabla T
+    # is zero: R_H and R_V cancel it only when all three are of one kind
+    model = models.get_model("heisenberg-quat")
+    n = model.n
+    real_r, real_c3 = checks.curvature_components, checks._contract3
+    pos = [0 if k == "h" else n for k in kinds]
+
+    def spike(fb, domain, *rest):
+        out = np.zeros_like(real_r(fb, domain, *rest))
+        if domain == kinds[0]:
+            out[:, 0, pos[1], pos[2], 0] = 1.0
+        return out
+    monkeypatch.setattr(checks, "curvature_components", spike)
+    monkeypatch.setattr(checks, "_contract3",
+                        lambda *args: np.zeros_like(real_c3(*args)))
+    reports = {r.check_name: r.max_residual for r in
+               checks.check_lemma_identities(model, points=4, seed=1)}
+    want = 0.0 if len(set(kinds)) == 1 else 1.0
+    assert reports["curvature-decomposition"] == want
 
 
 class TestReportSerialization:

@@ -383,7 +383,7 @@ class TestPairJets:
             for (ka, pa), (kb, pb) in itertools.product(zip(blocks, picks),
                                                         repeat=2):
                 jets = batch(fb, *np.ix_(ka, kb))
-                values = batch(fb, *np.ix_(ka, kb), order=0)
+                values = batch(fb, *np.ix_(ka, kb), keep=0)
                 assert all(p.order == 1 for p in (jets.h, jets.v) if p), label
                 assert all(p.order == 0 for p in (values.h, values.v) if p)
                 for i, j in itertools.product(pa, pb):
