@@ -41,11 +41,23 @@ algebra, so the formulas give its values from those order-1 jets.  Both
 kinds are built per block of horizontal and vertical keys, for every key at
 once, and equal the symbolic compositions up to rounding.  Only three-index
 values and the torsion values are kept, in the batch (FrameBatch.eval_entry).
+
+Every two-index entry is a projection of one derivative table,
+D(a, b) = D_{E_a} E_b (Derivatives), in the cases of ``bott_split``: the
+bracket is D(a, b) - D(b, a), with D(b, a) read as a transposed view.  A
+three-index build (PairBuild) makes one table with one derivative per block
+pair (hh, hv, vh, vv), which all its two-index entries read.  A block whose
+parts are all exactly 0.0 is stored as None, so no projection or formula
+term runs on it; on a group that is every block but hh.  Each block is
+dropped once the last two-index block of the build that reads it has read
+it, and the table goes when the build returns; a two-index entry built on
+its own makes a table for that one call.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -370,8 +382,13 @@ class FoliationModel:
         model metric: nabla^{g_eps}_F G = nabla_F G - T(F,G)/2
         + (J_F G + J_G F)/(2 eps_rel)."""
         Fs, Gs = self.split(F), self.split(G)
-        return (self.bott_split(Fs, Gs)
-                + self.torsion_transform(Fs, Gs).scale(-0.5)
+        return self._lc(Fs, Gs, eps_rel, self.bott_split(Fs, Gs),
+                        self.torsion_transform(Fs, Gs))
+
+    def _lc(self, Fs: Split, Gs: Split, eps_rel: float, bott: Split,
+            torsion: Split) -> Split:
+        """``lc_variation_split`` given nabla_F G and T(F, G)."""
+        return (bott + torsion.scale(-0.5)
                 + (self.j_transform(Fs, Gs)
                    + self.j_transform(Gs, Fs)).scale(0.5 / eps_rel))
 
@@ -381,47 +398,97 @@ class FoliationModel:
     # or the vertical block, that broadcast against each other (np.ix_
     # layout), and returns the entry at the batch's points as a Split of
     # jets: order-1 jets, or values only with ``keep=0`` (see PointField).
+    # Each reads D(a, b) = D_{E_a} E_b off the batch's derivative table
+    # (FrameBatch.derivatives), in the cases of ``bott_split``; a block of D
+    # that is exactly zero is None there, and no projection runs on it.
 
     def bracket_entry(self, fb: "FrameBatch", a, b, keep: int = 1) -> Split:
-        """[E_a, E_b], split."""
-        E, N = fb.spanning(keep), self.ambient_dim
-        return self.split(bracket(E(a).total(N), E(b).total(N)))
+        """[E_a, E_b] = D(a, b) - D(b, a), split."""
+        D = fb.derivatives(keep)
+        F = _minus(D(a, b), D(b, a))
+        D.release(a, b)
+        return Split() if F is None else self.split(F)
 
     def bott_entry(self, fb: "FrameBatch", a, b, keep: int = 1) -> Split:
-        E = fb.spanning(keep)
-        return self.bott_split(E(a), E(b))
+        D = fb.derivatives(keep)
+        F = self._bott_field(D, a, b)
+        D.release(a, b)
+        return self._onto(_block(b, self.span_h_count), F)
 
     def torsion_entry(self, fb: "FrameBatch", a, b, keep: int = 1) -> Split:
-        E = fb.spanning(keep)
-        return self.torsion_transform(E(a), E(b))
+        D = fb.derivatives(keep)
+        F = self._torsion_field(D, a, b)
+        D.release(a, b)
+        return self._onto("v", F)
 
     def lc_entry(self, fb: "FrameBatch", total_eps: float, a, b,
                  keep: int = 1) -> Split:
         """The rescaled Levi-Civita derivative at the total vertical scale."""
-        E = fb.spanning(keep)
-        return self.lc_variation_split(E(a), E(b), total_eps / self.epsilon)
+        D, E = fb.derivatives(keep), fb.spanning(keep)
+        bott, torsion = self._bott_field(D, a, b), self._torsion_field(D, a, b)
+        D.release(a, b)
+        bott = self._onto(_block(b, self.span_h_count), bott)
+        torsion = self._onto("v", torsion)
+        return self._lc(E(a), E(b), total_eps / self.epsilon, bott, torsion)
+
+    # Each builder reads what it needs of D, then releases its pair (a, b),
+    # and only then projects, so that the table drops a D block read for
+    # the last time in a build before the projections run (a like-slot
+    # block lives on only as the view being projected).
+
+    def _bott_field(self, D: "Derivatives", a, b) -> PointField | None:
+        """The field that ``bott_split`` of E_a and E_b projects onto the
+        block of b: D(a, b) for like blocks, the bracket for mixed ones."""
+        kh = self.span_h_count
+        if _block(a, kh) == _block(b, kh):
+            return D(a, b)
+        return _minus(D(a, b), D(b, a))
+
+    def _torsion_field(self, D: "Derivatives", a, b) -> PointField | None:
+        """The field that ``torsion_transform`` of E_a and E_b projects
+        vertically: [E_b, E_a] on two horizontal blocks, else zero."""
+        kh = self.span_h_count
+        if _block(a, kh) == "v" or _block(b, kh) == "v":
+            return None
+        return _minus(D(b, a), D(a, b))
+
+    def _onto(self, kind: str, F: PointField | None) -> Split:
+        """pi_H F or pi_V F, for ``kind`` "h" or "v"."""
+        if F is None:
+            return Split()
+        return Split(h=self.pi_h(F)) if kind == "h" else Split(v=self.pi_v(F))
 
     # -- three-index entries at a point batch, from 1-jets -------------------
     #
     # Each returns point values of shape (P, K1, K2, K3, N) for all keys of
     # three ranges of spanning indices.  The formulas read the spanning
     # fields and the two-index entries as jets truncated to values (keep 0),
-    # so they compute no derivative that they do not use.
+    # so they compute no derivative that they do not use.  The two-index
+    # entries are declared with the key slots they are read at, so that each
+    # block of the derivative table is dropped once its last reader has read
+    # it (PairBuild).
 
     def nabla_t_entry(self, fb: "FrameBatch", d, a, b) -> np.ndarray:
         """(nabla_{E_d} T)(E_a, E_b), vertical-valued."""
-        E, T, C = (fb.spanning(keep=0), fb.pairs(self.torsion_entry),
-                   fb.pairs(self.bott_entry))
-        return fb.assemble((d, a, b), lambda d, a, b: (
-            self.bott_split(E(d), T(a, b))
-            - self.torsion_transform(C(d, a), E(b))
-            - self.torsion_transform(E(a), C(d, b))))
+        E, build = fb.spanning(keep=0), PairBuild(fb, (d, a, b))
+        T = build.pairs(self.torsion_entry, (1, 2))
+        C = build.pairs(self.bott_entry, (0, 1), (0, 2))
+
+        def formula(d, a, b):
+            # C before T: C reads D(d, a) as a view, and T, the last reader
+            # of the hh block, computes its bracket and then drops the block
+            Cda, Cdb = C(d, a), C(d, b)
+            return (self.bott_split(E(d), T(a, b))
+                    - self.torsion_transform(Cda, E(b))
+                    - self.torsion_transform(E(a), Cdb))
+        return build.assemble(formula)
 
     def curvature_entry(self, fb: "FrameBatch", a, b, c) -> np.ndarray:
         """R(E_a, E_b) E_c with R(U, V) = [nabla_U, nabla_V] - nabla_{[U,V]}."""
-        E, C, S = (fb.spanning(keep=0), fb.pairs(self.bott_entry),
-                   fb.pairs(self.bracket_entry))
-        return fb.assemble((a, b, c), lambda a, b, c: (
+        E, build = fb.spanning(keep=0), PairBuild(fb, (a, b, c))
+        C = build.pairs(self.bott_entry, (1, 2), (0, 2))
+        S = build.pairs(self.bracket_entry, (0, 1))
+        return build.assemble(lambda a, b, c: (
             self.bott_split(E(a), C(b, c))
             - self.bott_split(E(b), C(a, c))
             - self.bott_split(S(a, b), E(c))))
@@ -430,9 +497,11 @@ class FoliationModel:
                            a, b, c) -> np.ndarray:
         """Curvature of the Levi-Civita connection of the rescaled metric."""
         eps_rel = total_eps / self.epsilon
-        E, S = fb.spanning(keep=0), fb.pairs(self.bracket_entry)
-        L = fb.pairs(lambda fb, i, j: self.lc_entry(fb, total_eps, i, j))
-        return fb.assemble((a, b, c), lambda a, b, c: (
+        E, build = fb.spanning(keep=0), PairBuild(fb, (a, b, c))
+        L = build.pairs(lambda fb, i, j: self.lc_entry(fb, total_eps, i, j),
+                        (1, 2), (0, 2))
+        S = build.pairs(self.bracket_entry, (0, 1))
+        return build.assemble(lambda a, b, c: (
             self.lc_variation_split(E(a), L(b, c), eps_rel)
             - self.lc_variation_split(E(b), L(a, c), eps_rel)
             - self.lc_variation_split(S(a, b), E(c), eps_rel)))
@@ -486,6 +555,7 @@ class FrameBatch:
     wh: np.ndarray       # (P, n, Kh)
     wv: np.ndarray       # (P, m, m)
     _values: dict = field(default_factory=dict)
+    _derivatives: "Derivatives | None" = field(default=None, repr=False)
 
     @property
     def frame(self) -> np.ndarray:
@@ -606,27 +676,12 @@ class FrameBatch:
             return Split(None, _take(v, (index - kh,)))
         return E
 
-    def pairs(self, entry):
-        """A two-index entry ``entry(fb, a, b) -> Split`` as jets truncated to
-        values (keep 0): ``S(a, b)`` for index arrays within one block each.
-        Each block pair is built on first use, over the whole blocks, and is
-        kept only by the returned function, which reads it as views."""
-        kh, K = self.model.span_h_count, self.model.span_count
-        full = {"h": np.arange(kh), "v": np.arange(kh, K)}
-        offset = {"h": 0, "v": kh}
-        blocks: dict[tuple, list] = {}
-
-        def S(a, b) -> Split:
-            ka, kb = _block(np.asarray(a), kh), _block(np.asarray(b), kh)
-            if (ka, kb) not in blocks:
-                res = entry(self, full[ka][:, None], full[kb][None, :])
-                blocks[ka, kb] = [None if f is None else
-                                  PointField(f.value, f.jacobian, None, f.at, 0)
-                                  for f in (res.h, res.v)]
-            index = (np.asarray(a) - offset[ka], np.asarray(b) - offset[kb])
-            return Split(*(None if f is None else _take(f, index)
-                           for f in blocks[ka, kb]))
-        return S
+    def derivatives(self, keep: int) -> "Derivatives":
+        """The derivative table that two-index entries read: that of the
+        running three-index build (``PairBuild.assemble``) if it has this
+        ``keep``, else a new one, which lives as long as its caller."""
+        D = self._derivatives
+        return D if D is not None and D.keep == keep else Derivatives(self, keep)
 
     def assemble(self, keys, formula) -> np.ndarray:
         """Point values of ``formula(*index arrays) -> Split`` over ranges of
@@ -667,8 +722,127 @@ class FieldsAt:
     pi_h: tuple[np.ndarray, np.ndarray]
 
 
-def _block(index: np.ndarray, kh: int) -> str:
+class Derivatives:
+    """The derivative table D(a, b) = D_{E_a} E_b of the spanning fields at a
+    batch's points, which every two-index entry is read off: ``D(a, b)`` for
+    index arrays in np.ix_ layout, each within one block, as a jet laid out
+    by (a, b), or None where it is zero.
+
+    Each block pair (hh, hv, vh, vv) is one derivative of order-2 jets, of
+    order 1 (values only with ``keep=0``), built on first use over the whole
+    blocks and read as views, transposed for D(b, a).  A block whose parts
+    are all exactly 0.0 is stored as None: on a group every block but hh,
+    since Z_a = d/dz_a is constant and no spanning field depends on z.
+    ``readers`` counts, per block, the two-index entries still to read it
+    (see ``release``); without it no block is dropped.
+    """
+
+    def __init__(self, fb: FrameBatch, keep: int,
+                 readers: Counter | None = None):
+        self.keep = keep
+        self._E = fb.spanning(keep)
+        self._model = fb.model
+        self._blocks: dict[tuple[str, str], PointField | None] = {}
+        self._readers = readers
+
+    def __call__(self, a, b) -> PointField | None:
+        a, b = np.asarray(a), np.asarray(b)
+        model = self._model
+        kh, N = model.span_h_count, model.ambient_dim
+        ka, kb = _block(a, kh), _block(b, kh)
+        wa, wb = _whole(model, ka), _whole(model, kb)
+        if (ka, kb) not in self._blocks:
+            E = self._E
+            F = E(wb[None, :]).total(N).along(E(wa[:, None]).total(N))
+            self._blocks[ka, kb] = None if F.is_zero() else F
+        F = self._blocks[ka, kb]
+        return None if F is None else _take(F, (a - wa[0], b - wb[0]))
+
+    def release(self, a, b) -> None:
+        """Count the two-index entry at (a, b) as done reading the blocks
+        of (a, b) and (b, a), and drop each block that has no reader left."""
+        if self._readers is None:
+            return
+        kh = self._model.span_h_count
+        ka, kb = _block(a, kh), _block(b, kh)
+        for pair in {(ka, kb), (kb, ka)}:
+            self._readers[pair] -= 1
+            if self._readers[pair] <= 0:
+                self._blocks.pop(pair, None)
+
+
+class PairBuild:
+    """One three-index build over ranges of spanning indices: the two-index
+    entries that its formula reads, and the derivative table they share.
+
+    ``pairs`` declares an entry with the key slots it is read at, and
+    returns ``S(a, b)`` for index arrays within one block each; each block
+    pair is built on first use, over the whole blocks, and kept as jets
+    truncated to values (keep 0), read as views.  While ``assemble`` runs,
+    the batch lends the build's derivative table to the entries, so each D
+    block is built once.  A block is dropped as soon as the last declared
+    block pair that reads it has read it, before that pair's projections,
+    and the table goes when the build returns."""
+
+    def __init__(self, fb: FrameBatch, keys):
+        self._fb = fb
+        self._keys = keys
+        kh = fb.model.span_h_count
+        self._kinds = [[kind for kind, inside in (("h", k < kh), ("v", k >= kh))
+                        if inside.any()]
+                       for k in (np.asarray(k, dtype=np.int64) for k in keys)]
+        self._readers: Counter = Counter()
+
+    def pairs(self, entry, *slots):
+        """``entry(fb, a, b) -> Split``, read at the key slot pairs
+        ``slots`` of the build."""
+        fb, model = self._fb, self._fb.model
+        kh = model.span_h_count
+        for ka, kb in {(x, y) for i, j in slots
+                       for x in self._kinds[i] for y in self._kinds[j]}:
+            self._readers.update({(ka, kb), (kb, ka)})
+        blocks: dict[tuple, list] = {}
+
+        def S(a, b) -> Split:
+            ka, kb = _block(a, kh), _block(b, kh)
+            wa, wb = _whole(model, ka), _whole(model, kb)
+            if (ka, kb) not in blocks:
+                res = entry(fb, wa[:, None], wb[None, :])
+                blocks[ka, kb] = [None if f is None else
+                                  PointField(f.value, f.jacobian, None, f.at, 0)
+                                  for f in (res.h, res.v)]
+            index = (np.asarray(a) - wa[0], np.asarray(b) - wb[0])
+            return Split(*(None if f is None else _take(f, index)
+                           for f in blocks[ka, kb]))
+        return S
+
+    def assemble(self, formula) -> np.ndarray:
+        """``FrameBatch.assemble`` over the build's keys, with its
+        derivative table lent to the batch."""
+        fb = self._fb
+        fb._derivatives = Derivatives(fb, 1, self._readers)
+        try:
+            return fb.assemble(self._keys, formula)
+        finally:
+            fb._derivatives = None
+
+
+def _minus(F: PointField | None, G: PointField | None) -> PointField | None:
+    """F - G for jets of which either may be None (zero)."""
+    if G is None:
+        return F
+    return -G if F is None else F - G
+
+
+def _whole(model: FoliationModel, kind: str) -> np.ndarray:
+    """The spanning indices of the block ``kind`` ("h" or "v")."""
+    kh = model.span_h_count
+    return np.arange(kh) if kind == "h" else np.arange(kh, model.span_count)
+
+
+def _block(index, kh: int) -> str:
     """"h" or "v": the block of spanning indices that ``index`` lies in."""
+    index = np.asarray(index)
     if index.max() < kh:
         return "h"
     if index.min() >= kh:
@@ -678,16 +852,21 @@ def _block(index: np.ndarray, kh: int) -> str:
 
 def _take(field: PointField, index: tuple) -> PointField:
     """``field[index]`` for index arrays in np.ix_ layout (each varying along
-    its own axis, in increasing order): a view when each covers its whole
-    axis in order, as the blocks read by ``FrameBatch.assemble`` do."""
+    its own axis): a view when each covers its whole axis in order, as the
+    blocks read by ``FrameBatch.assemble`` do, transposed when the arrays
+    vary along the axes in another order, as for D(b, a) in
+    ``Derivatives``."""
     shape = np.broadcast_shapes(*(i.shape for i in index))
     axes = [[ax for ax, n in enumerate(i.shape) if n > 1] for i in index]
     order = [ax for a in axes for ax in a]
-    if (all(len(a) <= 1 for a in axes) and order == sorted(set(order))
+    if (all(len(a) <= 1 for a in axes) and len(set(order)) == len(order)
             and all(i.size == n and (i.ravel() == np.arange(n)).all()
                     for i, n in zip(index, field.value.shape))):
-        return field._map(lambda part: part.reshape(
-            shape + part.shape[len(index):]))
+        lead = len(index)
+        perm = sorted(range(lead), key=lambda k: axes[k][0] if axes[k] else -1)
+        return field._map(lambda part: part.transpose(
+            perm + list(range(lead, part.ndim))).reshape(
+                shape + part.shape[lead:]))
     return field[index]
 
 

@@ -13,11 +13,13 @@ from htfoliation.checks import frame_batch_for
 from htfoliation.errors import DegenerateFrameError, InvalidModelError
 from htfoliation.foliation import (Split, curvature_components,
                                    j_endomorphisms, torsion_components)
-from htfoliation.geometry import (MonomialCache, Polynomial, PolyField, bracket,
-                                  field_jets, sample_points)
+from htfoliation.geometry import (MonomialCache, PointField, Polynomial,
+                                  PolyField, bracket, field_jets,
+                                  sample_points)
 from symbolic_oracles import (metric_poly, order2_jet, span_split,
                               symbolic_curvature, symbolic_lc_curvature,
                               symbolic_nabla_t, symbolic_tables)
+from test_checks import tilted_heisenberg_quat
 
 
 def span_splits(model):
@@ -358,19 +360,24 @@ def part_sum(split, attr, index):
 
 class TestPairJets:
     """The two-index entries, built at a point batch from the 2-jets of the
-    spanning fields, are the 1-jets of their symbolic tables."""
+    spanning fields, are the 1-jets of their symbolic tables.  The tilted
+    heisenberg-quat is the group model on which D_{Z_a} E_b is not zero."""
 
-    @pytest.mark.parametrize("name", [s.name for s in models.catalog()])
+    @pytest.mark.parametrize("name", [s.name for s in models.catalog()]
+                             + ["tilted-heisenberg-quat"])
     def test_entries_are_the_jets_of_the_symbolic_tables(self, name,
                                                           catalog_models):
-        model = catalog_models[name]
+        if name == "tilted-heisenberg-quat":
+            model, scales = tilted_heisenberg_quat(), "heisenberg-quat"
+        else:
+            model, scales = catalog_models[name], name
         N, kh, K = model.ambient_dim, model.span_h_count, model.span_count
         fb = model.frame_batch(sample_points(model.chart, 3, 14))
         tab = symbolic_tables(model)
         builders = {"bracket": (model.bracket_entry, tab.bracket),
                     "bott": (model.bott_entry, tab.bott),
                     "torsion": (model.torsion_entry, tab.torsion)}
-        for eps_rel in ghat_scales(name):
+        for eps_rel in ghat_scales(scales):
             total = model.epsilon * eps_rel
             builders[eps_rel] = (
                 functools.partial(lc_builder, model, total),
@@ -399,6 +406,59 @@ class TestPairJets:
 
 def lc_builder(model, total_eps, fb, a, b, **kwargs):
     return model.lc_entry(fb, total_eps, a, b, **kwargs)
+
+
+class TestDerivativeTable:
+    """The two-index entries of one three-index build are read off one
+    derivative table D(a, b) = D_{E_a} E_b, built once per block pair and
+    gone when the build returns; its zero blocks are found by value."""
+
+    @pytest.mark.parametrize("name", ["quaternionic-hopf-s7",
+                                      "heisenberg-quat"])
+    @pytest.mark.parametrize("entry", ["nabla_t", "curvature",
+                                       "lc_curvature"])
+    def test_one_derivative_per_block_pair(self, name, entry, catalog_models,
+                                           monkeypatch):
+        model = catalog_models[name]
+        fb = model.frame_batch(sample_points(model.chart, 3, 17))
+        along, derivatives = PointField.along, fol.Derivatives
+        counted, tables = [], []
+
+        def count(self, X):
+            # a derivative of an order-2 spanning jet that keeps its 1-jet
+            if self.order == 2 and min(self.keep, X.keep) >= 1:
+                counted.append(self.value.shape)
+            return along(self, X)
+
+        class Recorded(derivatives):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tables.append(self)
+        monkeypatch.setattr(PointField, "along", count)
+        monkeypatch.setattr(fol, "Derivatives", Recorded)
+        span = range(model.span_count)
+        if entry == "lc_curvature":
+            model.lc_curvature_entry(fb, model.epsilon * 0.25, span, span,
+                                     span)
+        else:
+            getattr(model, f"{entry}_entry")(fb, span, span, span)
+        assert 0 < len(counted) <= 4, counted
+        assert len(tables) == 1 and tables[0]._blocks == {}
+        assert fb._derivatives is None
+
+    def test_zero_blocks_are_decided_by_value(self, heis_quat):
+        # Z_a = d/dz_a and no spanning field depends on z, so every block
+        # with a vertical field on either side is exactly zero; the tilt
+        # s z_0 d/dx_0 of Z_0 makes the vertical-first blocks nonzero
+        for model, zero in ((heis_quat, True), (tilted_heisenberg_quat(),
+                                                False)):
+            kh, K = model.span_h_count, model.span_count
+            h, v = np.arange(kh), np.arange(kh, K)
+            D = model.frame_batch(sample_points(model.chart, 3, 18)) \
+                .derivatives(1)
+            assert D(*np.ix_(h, h)) is not None
+            for a, b in ((v, h), (v, v)):
+                assert (D(*np.ix_(a, b)) is None) == zero, model.name
 
 
 class TestJetProjections:
