@@ -37,30 +37,37 @@ torsion, the rescaled Levi-Civita derivative) applies one derivative to
 spanning fields, so the formulas give it as an order-1 jet at the batch.  A
 three-index entry (nabla T and both curvatures) applies one more derivative
 to a two-index entry or a spanning field and then only pointwise linear
-algebra, so the formulas give its values from those order-1 jets.  Both
-kinds are built per block of horizontal and vertical keys, for every key at
-once, and equal the symbolic compositions up to rounding.  Only three-index
-values and the torsion values are kept, in the batch (FrameBatch.eval_entry).
+algebra, so the formulas give its values from those order-1 jets.  Only
+three-index values and the torsion values are kept, in the batch
+(FrameBatch.eval_entry).
 
-Every two-index entry is a projection of one derivative table,
+Entries are addressed by blocks: "h" for the horizontal spanning fields,
+"v" for the vertical ones, horizontals first.  A two-index entry is built
+over two whole blocks; a three-index entry over one block string per slot
+("hv", or "v" for R^ghat, which is read only with a vertical first slot),
+by running its formula once per block triple on slots (Slot: a block and
+its axis), which place whole blocks of jets as views.  Both equal the
+symbolic compositions up to rounding.
+
+Every two-index entry is a projection of the derivative table
 D(a, b) = D_{E_a} E_b (Derivatives), in the cases of ``bott_split``: the
 bracket is D(a, b) - D(b, a), with D(b, a) read as a transposed view.  A
-three-index build (PairBuild) makes one table with one derivative per block
-pair (hh, hv, vh, vv), which all its two-index entries read.  A block whose
-parts are all exactly 0.0 is stored as None, so no projection or formula
-term runs on it; on a group that is every block but hh.  Each block is
-dropped once the last two-index block of the build that reads it has read
-it, and the table goes when the build returns; a two-index entry built on
-its own makes a table for that one call.
+block pair whose parts are all exactly 0.0 is stored as None, so no
+projection or formula term runs on it; on a group that is every pair but
+hh.  A three-index build (PairBuild) makes one table per block group
+({h, h}, {h, v}, {v, v}) when its formula first reads a two-index entry of
+that group, and builds every declared entry of the group from it at once;
+the table drops its blocks when the last of them has read it, before that
+one projects, so no table is alive while a formula term runs.  The torsion
+values, a two-index entry kept on its own, read one table per block pair.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -152,8 +159,9 @@ class FoliationModel:
                  _tables: dict | None = None):
         if backend not in (GROUP, SPHERE):
             raise InvalidModelError(f"unknown backend {backend!r}")
-        if epsilon <= 0:
-            raise InvalidModelError("epsilon must be positive")
+        if not 0 < epsilon < np.inf:
+            raise InvalidModelError(
+                f"epsilon must be positive and finite, not {epsilon!r}")
         N = chart.n_vars
         expected = n + m if backend == GROUP else n + m + 1
         if N != expected:
@@ -218,8 +226,6 @@ class FoliationModel:
         the symbolic table is shared because the underlying connection does
         not depend on the scale.  Frame J matrices against the stored vertical
         fields rescale by epsilon_old / epsilon_new."""
-        if epsilon <= 0:
-            raise InvalidModelError("epsilon must be positive")
         return FoliationModel(self.name, self.backend, self.chart, self.n,
                               self.m, epsilon, self.vertical_fields,
                               self.horizontal_fields, self.generators,
@@ -339,9 +345,6 @@ class FoliationModel:
             v_part = term if v_part is None else v_part + term
         return Split(h=h_part, v=v_part)
 
-    def bott(self, F, G) -> PolyField:
-        return self.bott_split(F, G).total(self.ambient_dim)
-
     def torsion_transform(self, F, G) -> Split:
         """T(F, G) = -pi_V([pi_H F, pi_H G]) = pi_V([pi_H G, pi_H F]);
         vertical-valued and tensorial."""
@@ -394,63 +397,58 @@ class FoliationModel:
 
     # -- two-index entries at a point batch, from 2-jets ---------------------
     #
-    # Each takes index arrays of spanning fields, each within the horizontal
-    # or the vertical block, that broadcast against each other (np.ix_
-    # layout), and returns the entry at the batch's points as a Split of
-    # jets: order-1 jets, or values only with ``keep=0`` (see PointField).
-    # Each reads D(a, b) = D_{E_a} E_b off the batch's derivative table
-    # (FrameBatch.derivatives), in the cases of ``bott_split``; a block of D
-    # that is exactly zero is None there, and no projection runs on it.
+    # Each takes a derivative table D (Derivatives) and the blocks ("h" or
+    # "v") of its two slots, and returns the entry over the whole blocks,
+    # laid out by (a, b), as a Split of jets: order-1 jets, or values only
+    # on a table of ``keep=0`` (see PointField).  Each reads D(a, b) =
+    # D_{E_a} E_b in the cases of ``bott_split``; a block of D that is
+    # exactly zero is None there, and no projection runs on it.  Each
+    # releases the table once it has read it, and only then projects, so
+    # that the last reader of a table projects no D block that it keeps.
 
-    def bracket_entry(self, fb: "FrameBatch", a, b, keep: int = 1) -> Split:
+    def bracket_entry(self, D: "Derivatives", ka: str, kb: str) -> Split:
         """[E_a, E_b] = D(a, b) - D(b, a), split."""
-        D = fb.derivatives(keep)
-        F = _minus(D(a, b), D(b, a))
-        D.release(a, b)
+        F = _minus(D(ka, kb), D.back(ka, kb))
+        D.release()
         return Split() if F is None else self.split(F)
 
-    def bott_entry(self, fb: "FrameBatch", a, b, keep: int = 1) -> Split:
-        D = fb.derivatives(keep)
-        F = self._bott_field(D, a, b)
-        D.release(a, b)
-        return self._onto(_block(b, self.span_h_count), F)
+    def bott_entry(self, D: "Derivatives", ka: str, kb: str) -> Split:
+        F = self._bott_field(D, ka, kb)
+        D.release()
+        return self._onto(kb, F)
 
-    def torsion_entry(self, fb: "FrameBatch", a, b, keep: int = 1) -> Split:
-        D = fb.derivatives(keep)
-        F = self._torsion_field(D, a, b)
-        D.release(a, b)
+    def torsion_entry(self, D: "Derivatives", ka: str, kb: str) -> Split:
+        F = self._torsion_field(D, ka, kb)
+        D.release()
         return self._onto("v", F)
 
-    def lc_entry(self, fb: "FrameBatch", total_eps: float, a, b,
-                 keep: int = 1) -> Split:
+    def lc_entry(self, D: "Derivatives", total_eps: float, ka: str,
+                 kb: str) -> Split:
         """The rescaled Levi-Civita derivative at the total vertical scale."""
-        D, E = fb.derivatives(keep), fb.spanning(keep)
-        bott, torsion = self._bott_field(D, a, b), self._torsion_field(D, a, b)
-        D.release(a, b)
-        bott = self._onto(_block(b, self.span_h_count), bott)
-        torsion = self._onto("v", torsion)
-        return self._lc(E(a), E(b), total_eps / self.epsilon, bott, torsion)
+        bott, torsion = (self._bott_field(D, ka, kb),
+                         self._torsion_field(D, ka, kb))
+        D.release()
+        bott, torsion = self._onto(kb, bott), self._onto("v", torsion)
+        a, b = _pair(ka, kb)
+        return self._lc(D.E(a), D.E(b), total_eps / self.epsilon, bott,
+                        torsion)
 
-    # Each builder reads what it needs of D, then releases its pair (a, b),
-    # and only then projects, so that the table drops a D block read for
-    # the last time in a build before the projections run (a like-slot
-    # block lives on only as the view being projected).
-
-    def _bott_field(self, D: "Derivatives", a, b) -> PointField | None:
+    @staticmethod
+    def _bott_field(D: "Derivatives", ka: str, kb: str) -> PointField | None:
         """The field that ``bott_split`` of E_a and E_b projects onto the
         block of b: D(a, b) for like blocks, the bracket for mixed ones."""
-        kh = self.span_h_count
-        if _block(a, kh) == _block(b, kh):
-            return D(a, b)
-        return _minus(D(a, b), D(b, a))
+        if ka == kb:
+            return D(ka, kb)
+        return _minus(D(ka, kb), D.back(ka, kb))
 
-    def _torsion_field(self, D: "Derivatives", a, b) -> PointField | None:
+    @staticmethod
+    def _torsion_field(D: "Derivatives", ka: str,
+                       kb: str) -> PointField | None:
         """The field that ``torsion_transform`` of E_a and E_b projects
         vertically: [E_b, E_a] on two horizontal blocks, else zero."""
-        kh = self.span_h_count
-        if _block(a, kh) == "v" or _block(b, kh) == "v":
+        if ka == "v" or kb == "v":
             return None
-        return _minus(D(b, a), D(a, b))
+        return _minus(D.back(ka, kb), D(ka, kb))
 
     def _onto(self, kind: str, F: PointField | None) -> Split:
         """pi_H F or pi_V F, for ``kind`` "h" or "v"."""
@@ -460,28 +458,26 @@ class FoliationModel:
 
     # -- three-index entries at a point batch, from 1-jets -------------------
     #
-    # Each returns point values of shape (P, K1, K2, K3, N) for all keys of
-    # three ranges of spanning indices.  The formulas read the spanning
-    # fields and the two-index entries as jets truncated to values (keep 0),
-    # so they compute no derivative that they do not use.  The two-index
-    # entries are declared with the key slots they are read at, so that each
-    # block of the derivative table is dropped once its last reader has read
-    # it (PairBuild).
+    # Each takes one block string per slot ("hv" for every spanning index,
+    # "v" for the vertical ones only) and returns point values of shape
+    # (P, K1, K2, K3, N) over them.  The formula runs on slots (Slot), once
+    # per block triple.  It reads the spanning fields and the two-index
+    # entries as jets truncated to values (keep 0), so it computes no
+    # derivative that it does not use.  The two-index entries are declared
+    # with the key slots they are read at, so that each is built before any
+    # formula term runs (PairBuild).
 
     def nabla_t_entry(self, fb: "FrameBatch", d, a, b) -> np.ndarray:
         """(nabla_{E_d} T)(E_a, E_b), vertical-valued."""
         E, build = fb.spanning(keep=0), PairBuild(fb, (d, a, b))
-        T = build.pairs(self.torsion_entry, (1, 2))
+        # C before T: T, which makes a new array from D(h, h), is then the
+        # last reader of the hh table and projects no D block
         C = build.pairs(self.bott_entry, (0, 1), (0, 2))
-
-        def formula(d, a, b):
-            # C before T: C reads D(d, a) as a view, and T, the last reader
-            # of the hh block, computes its bracket and then drops the block
-            Cda, Cdb = C(d, a), C(d, b)
-            return (self.bott_split(E(d), T(a, b))
-                    - self.torsion_transform(Cda, E(b))
-                    - self.torsion_transform(E(a), Cdb))
-        return build.assemble(formula)
+        T = build.pairs(self.torsion_entry, (1, 2))
+        return build.assemble(lambda d, a, b: (
+            self.bott_split(E(d), T(a, b))
+            - self.torsion_transform(C(d, a), E(b))
+            - self.torsion_transform(E(a), C(d, b))))
 
     def curvature_entry(self, fb: "FrameBatch", a, b, c) -> np.ndarray:
         """R(E_a, E_b) E_c with R(U, V) = [nabla_U, nabla_V] - nabla_{[U,V]}."""
@@ -498,7 +494,7 @@ class FoliationModel:
         """Curvature of the Levi-Civita connection of the rescaled metric."""
         eps_rel = total_eps / self.epsilon
         E, build = fb.spanning(keep=0), PairBuild(fb, (a, b, c))
-        L = build.pairs(lambda fb, i, j: self.lc_entry(fb, total_eps, i, j),
+        L = build.pairs(lambda D, ka, kb: self.lc_entry(D, total_eps, ka, kb),
                         (1, 2), (0, 2))
         S = build.pairs(self.bracket_entry, (0, 1))
         return build.assemble(lambda a, b, c: (
@@ -555,7 +551,6 @@ class FrameBatch:
     wh: np.ndarray       # (P, n, Kh)
     wv: np.ndarray       # (P, m, m)
     _values: dict = field(default_factory=dict)
-    _derivatives: "Derivatives | None" = field(default=None, repr=False)
 
     @property
     def frame(self) -> np.ndarray:
@@ -661,53 +656,49 @@ class FrameBatch:
                 PointField(value[kh:], jac[kh:], hess[kh:], at))
 
     def spanning(self, keep: int = 2):
-        """The spanning fields as Splits of jets: ``E(index)`` for an index
-        array (np.ix_ layout) within the horizontal or the vertical block of
-        combined indices, horizontals first.  ``keep`` truncates what
+        """The spanning fields as Splits of jets: ``E(slot)`` for the whole
+        block of a Slot, placed along its axis.  ``keep`` truncates what
         formulas compute from them (see PointField)."""
-        kh = self.model.span_h_count
         h, v = (PointField(f.value, f.jacobian, f.hessian, f.at, keep)
                 for f in self._span_jets)
 
-        def E(index) -> Split:
-            index = np.asarray(index)
-            if _block(index, kh) == "h":
-                return Split(_take(h, (index,)), None)
-            return Split(None, _take(v, (index - kh,)))
+        def E(slot: Slot) -> Split:
+            if slot.block == "h":
+                return Split(_place(h, slot), None)
+            return Split(None, _place(v, slot))
         return E
 
-    def derivatives(self, keep: int) -> "Derivatives":
-        """The derivative table that two-index entries read: that of the
-        running three-index build (``PairBuild.assemble``) if it has this
-        ``keep``, else a new one, which lives as long as its caller."""
-        D = self._derivatives
-        return D if D is not None and D.keep == keep else Derivatives(self, keep)
+    def assemble(self, blocks, formula) -> np.ndarray:
+        """Point values of ``formula(*slots) -> Split`` over one block string
+        per key axis ("h", "v" or "hv": the spanning indices of those
+        blocks, horizontals first), as a C-contiguous (P, K1, ..., N) array.
 
-    def assemble(self, keys, formula) -> np.ndarray:
-        """Point values of ``formula(*index arrays) -> Split`` over ranges of
-        spanning indices, as a C-contiguous (P, K1, ..., N) array.
-
-        The formula runs once per combination of the horizontal and vertical
-        blocks of the ranges, on index arrays in np.ix_ layout, so that every
-        Split part is a pure block and whole blocks of jets are read as
-        views."""
-        ks = [np.asarray(k, dtype=np.int64) for k in keys]
+        The formula runs once per combination of the blocks, on one Slot per
+        axis, so that every Split part is a pure block and whole blocks of
+        jets are read as views."""
         P, N = self.points.shape
-        kh = self.model.span_h_count
-        out = np.zeros((P, *(k.size for k in ks), N))
-        blocks = [[pos for pos in (np.flatnonzero(k < kh),
-                                   np.flatnonzero(k >= kh)) if pos.size]
-                  for k in ks]
-        for sel in itertools.product(*blocks):
-            res = formula(*np.ix_(*(k[pos] for k, pos in zip(ks, sel))))
-            contiguous = all(pos[-1] - pos[0] + 1 == pos.size for pos in sel)
-            at = (slice(None),) + (
-                tuple(slice(pos[0], pos[-1] + 1) for pos in sel) if contiguous
-                else np.ix_(*sel))
+        size = {"h": self.model.span_h_count, "v": self.model.m}
+        out = np.zeros((P, *(sum(size[k] for k in s) for s in blocks), N))
+        for kinds in itertools.product(*blocks):
+            res = formula(*(Slot(k, axis, len(blocks))
+                            for axis, k in enumerate(kinds)))
+            at = [slice(None)]
+            for s, k in zip(blocks, kinds):
+                start = sum(size[x] for x in s[:s.index(k)])
+                at.append(slice(start, start + size[k]))
             for part in (res.h, res.v):
                 if part is not None:              # (B1, ..., P, N)
-                    out[at] += np.moveaxis(part.value, -2, 0)
+                    out[tuple(at)] += np.moveaxis(part.value, -2, 0)
         return out
+
+
+class Slot(NamedTuple):
+    """One key axis of a formula: the block ("h" or "v") of spanning indices
+    that it runs over, its position, and the number of key axes."""
+
+    block: str
+    axis: int
+    rank: int
 
 
 @dataclass(frozen=True)
@@ -724,107 +715,91 @@ class FieldsAt:
 
 class Derivatives:
     """The derivative table D(a, b) = D_{E_a} E_b of the spanning fields at a
-    batch's points, which every two-index entry is read off: ``D(a, b)`` for
-    index arrays in np.ix_ layout, each within one block, as a jet laid out
-    by (a, b), or None where it is zero.
+    batch's points, which every two-index entry is read off: ``D(ka, kb)``
+    over the whole blocks ka and kb ("h" or "v"), as a jet laid out by
+    (a, b), or None where it is zero.
 
-    Each block pair (hh, hv, vh, vv) is one derivative of order-2 jets, of
-    order 1 (values only with ``keep=0``), built on first use over the whole
-    blocks and read as views, transposed for D(b, a).  A block whose parts
-    are all exactly 0.0 is stored as None: on a group every block but hh,
-    since Z_a = d/dz_a is constant and no spanning field depends on z.
-    ``readers`` counts, per block, the two-index entries still to read it
-    (see ``release``); without it no block is dropped.
+    Each block pair is one derivative of order-2 jets, of order 1 (values
+    only with ``keep=0``), built on first use.  A block whose parts are all
+    exactly 0.0 is stored as None: on a group every block but hh, since
+    Z_a = d/dz_a is constant and no spanning field depends on z.  The table
+    serves ``readers`` two-index entries, each of which calls ``release``
+    once it has read it; it drops its blocks when the last one does.
     """
 
-    def __init__(self, fb: FrameBatch, keep: int,
-                 readers: Counter | None = None):
-        self.keep = keep
-        self._E = fb.spanning(keep)
-        self._model = fb.model
+    def __init__(self, fb: FrameBatch, keep: int, readers: int = 1):
+        self.E = fb.spanning(keep)
+        self._n_vars = fb.model.ambient_dim
         self._blocks: dict[tuple[str, str], PointField | None] = {}
         self._readers = readers
 
-    def __call__(self, a, b) -> PointField | None:
-        a, b = np.asarray(a), np.asarray(b)
-        model = self._model
-        kh, N = model.span_h_count, model.ambient_dim
-        ka, kb = _block(a, kh), _block(b, kh)
-        wa, wb = _whole(model, ka), _whole(model, kb)
+    def __call__(self, ka: str, kb: str) -> PointField | None:
         if (ka, kb) not in self._blocks:
-            E = self._E
-            F = E(wb[None, :]).total(N).along(E(wa[:, None]).total(N))
+            a, b = _pair(ka, kb)
+            N = self._n_vars
+            F = self.E(b).total(N).along(self.E(a).total(N))
             self._blocks[ka, kb] = None if F.is_zero() else F
-        F = self._blocks[ka, kb]
-        return None if F is None else _take(F, (a - wa[0], b - wb[0]))
+        return self._blocks[ka, kb]
 
-    def release(self, a, b) -> None:
-        """Count the two-index entry at (a, b) as done reading the blocks
-        of (a, b) and (b, a), and drop each block that has no reader left."""
-        if self._readers is None:
-            return
-        kh = self._model.span_h_count
-        ka, kb = _block(a, kh), _block(b, kh)
-        for pair in {(ka, kb), (kb, ka)}:
-            self._readers[pair] -= 1
-            if self._readers[pair] <= 0:
-                self._blocks.pop(pair, None)
+    def back(self, ka: str, kb: str) -> PointField | None:
+        """D(b, a), laid out by (a, b): a transposed view."""
+        F = self(kb, ka)
+        return None if F is None else F._map(lambda part: part.swapaxes(0, 1))
+
+    def release(self) -> None:
+        """Count one reader as done, and drop every block after the last."""
+        self._readers -= 1
+        if self._readers == 0:
+            self._blocks.clear()
 
 
 class PairBuild:
-    """One three-index build over ranges of spanning indices: the two-index
-    entries that its formula reads, and the derivative table they share.
+    """One three-index build over one block string per key axis: the
+    two-index entries that its formula reads, and their derivative tables.
 
-    ``pairs`` declares an entry with the key slots it is read at, and
-    returns ``S(a, b)`` for index arrays within one block each; each block
-    pair is built on first use, over the whole blocks, and kept as jets
-    truncated to values (keep 0), read as views.  While ``assemble`` runs,
-    the batch lends the build's derivative table to the entries, so each D
-    block is built once.  A block is dropped as soon as the last declared
-    block pair that reads it has read it, before that pair's projections,
-    and the table goes when the build returns."""
+    ``pairs`` declares an entry with the key slot pairs it is read at, and
+    returns ``S(a, b)`` for two Slots, a placed view of the entry over their
+    whole blocks, kept as jets truncated to values (keep 0).  The block
+    pairs of the declared entries fall into three groups, {h, h}, {h, v} and
+    {v, v}.  When the formula first reads a pair of a group, one derivative
+    table is made for the group and handed to every declared entry of the
+    group, in declaration order; the last of them releases it.  So no table
+    is alive while a formula term runs."""
 
-    def __init__(self, fb: FrameBatch, keys):
+    def __init__(self, fb: FrameBatch, blocks):
         self._fb = fb
-        self._keys = keys
-        kh = fb.model.span_h_count
-        self._kinds = [[kind for kind, inside in (("h", k < kh), ("v", k >= kh))
-                        if inside.any()]
-                       for k in (np.asarray(k, dtype=np.int64) for k in keys)]
-        self._readers: Counter = Counter()
+        self._blocks = blocks
+        self._groups: dict[str, list] = {}
 
     def pairs(self, entry, *slots):
-        """``entry(fb, a, b) -> Split``, read at the key slot pairs
+        """``entry(D, ka, kb) -> Split``, read at the key slot pairs
         ``slots`` of the build."""
-        fb, model = self._fb, self._fb.model
-        kh = model.span_h_count
-        for ka, kb in {(x, y) for i, j in slots
-                       for x in self._kinds[i] for y in self._kinds[j]}:
-            self._readers.update({(ka, kb), (kb, ka)})
-        blocks: dict[tuple, list] = {}
+        built: dict[tuple[str, str], list] = {}
+        for ka, kb in sorted({(x, y) for i, j in slots
+                              for x in self._blocks[i]
+                              for y in self._blocks[j]}):
+            self._groups.setdefault(_group(ka, kb), []).append(
+                (entry, built, ka, kb))
 
-        def S(a, b) -> Split:
-            ka, kb = _block(a, kh), _block(b, kh)
-            wa, wb = _whole(model, ka), _whole(model, kb)
-            if (ka, kb) not in blocks:
-                res = entry(fb, wa[:, None], wb[None, :])
-                blocks[ka, kb] = [None if f is None else
-                                  PointField(f.value, f.jacobian, None, f.at, 0)
-                                  for f in (res.h, res.v)]
-            index = (np.asarray(a) - wa[0], np.asarray(b) - wb[0])
-            return Split(*(None if f is None else _take(f, index)
-                           for f in blocks[ka, kb]))
+        def S(a: Slot, b: Slot) -> Split:
+            if (a.block, b.block) not in built:
+                self._build(_group(a.block, b.block))
+            return Split(*(None if f is None else _place(f, a, b)
+                           for f in built[a.block, b.block]))
         return S
 
+    def _build(self, group: str) -> None:
+        readers = self._groups.pop(group)
+        D = Derivatives(self._fb, 1, len(readers))
+        for entry, built, ka, kb in readers:
+            res = entry(D, ka, kb)
+            built[ka, kb] = [None if f is None else
+                             PointField(f.value, f.jacobian, None, f.at, 0)
+                             for f in (res.h, res.v)]
+
     def assemble(self, formula) -> np.ndarray:
-        """``FrameBatch.assemble`` over the build's keys, with its
-        derivative table lent to the batch."""
-        fb = self._fb
-        fb._derivatives = Derivatives(fb, 1, self._readers)
-        try:
-            return fb.assemble(self._keys, formula)
-        finally:
-            fb._derivatives = None
+        """``FrameBatch.assemble`` over the build's blocks."""
+        return self._fb.assemble(self._blocks, formula)
 
 
 def _minus(F: PointField | None, G: PointField | None) -> PointField | None:
@@ -834,40 +809,27 @@ def _minus(F: PointField | None, G: PointField | None) -> PointField | None:
     return -G if F is None else F - G
 
 
-def _whole(model: FoliationModel, kind: str) -> np.ndarray:
-    """The spanning indices of the block ``kind`` ("h" or "v")."""
-    kh = model.span_h_count
-    return np.arange(kh) if kind == "h" else np.arange(kh, model.span_count)
+def _pair(ka: str, kb: str) -> tuple[Slot, Slot]:
+    """The slots of a two-index entry over the blocks ka and kb."""
+    return Slot(ka, 0, 2), Slot(kb, 1, 2)
 
 
-def _block(index, kh: int) -> str:
-    """"h" or "v": the block of spanning indices that ``index`` lies in."""
-    index = np.asarray(index)
-    if index.max() < kh:
-        return "h"
-    if index.min() >= kh:
-        return "v"
-    raise ValueError("indices mix horizontal and vertical spanning fields")
+def _group(ka: str, kb: str) -> str:
+    """The block group of a block pair: "hh", "hv" or "vv"."""
+    return "".join(sorted(ka + kb))
 
 
-def _take(field: PointField, index: tuple) -> PointField:
-    """``field[index]`` for index arrays in np.ix_ layout (each varying along
-    its own axis): a view when each covers its whole axis in order, as the
-    blocks read by ``FrameBatch.assemble`` do, transposed when the arrays
-    vary along the axes in another order, as for D(b, a) in
-    ``Derivatives``."""
-    shape = np.broadcast_shapes(*(i.shape for i in index))
-    axes = [[ax for ax, n in enumerate(i.shape) if n > 1] for i in index]
-    order = [ax for a in axes for ax in a]
-    if (all(len(a) <= 1 for a in axes) and len(set(order)) == len(order)
-            and all(i.size == n and (i.ravel() == np.arange(n)).all()
-                    for i, n in zip(index, field.value.shape))):
-        lead = len(index)
-        perm = sorted(range(lead), key=lambda k: axes[k][0] if axes[k] else -1)
-        return field._map(lambda part: part.transpose(
-            perm + list(range(lead, part.ndim))).reshape(
-                shape + part.shape[lead:]))
-    return field[index]
+def _place(field: PointField, *slots: Slot) -> PointField:
+    """A jet laid out by the whole blocks of ``slots``, in their order, as a
+    view laid out by their axes, of length 1 along every other key axis."""
+    lead = len(slots)
+    order = sorted(range(lead), key=lambda k: slots[k].axis)
+    shape = [1] * slots[0].rank
+    for slot, n in zip(slots, field.value.shape):
+        shape[slot.axis] = n
+    return field._map(lambda part: part.transpose(
+        order + list(range(lead, part.ndim))).reshape(
+            tuple(shape) + part.shape[lead:]))
 
 
 # ---------------------------------------------------------------------------
@@ -877,19 +839,18 @@ def _take(field: PointField, index: tuple) -> PointField:
 def _contract3(fb: FrameBatch, name: str, entry_fn, d1: str, d2: str,
                d3: str, first_only: bool = False) -> np.ndarray:
     """A three-index entry, evaluated once per batch over all spanning
-    indices by ``entry_fn(fb, keys1, keys2, keys3)`` (with ``first_only``,
-    over those of the domain ``d1`` in the first slot), contracted with the
-    adapted-frame expansions of the slot domains; returns ambient vectors
-    (P, f1, f2, f3, N).
+    indices by ``entry_fn(fb, blocks1, blocks2, blocks3)`` (with
+    ``first_only``, over the blocks of the domain ``d1`` in the first slot),
+    contracted with the adapted-frame expansions of the slot domains;
+    returns ambient vectors (P, f1, f2, f3, N).
 
     One batched matmul per slot, each on a view of the previous result
     that selects the slot's spanning range along a leading axis, so the
     stored values are never copied."""
-    span = tuple(range(fb.model.span_count))
     (s1, W1), (s2, W2), (s3, W3) = fb.slot(d1), fb.slot(d2), fb.slot(d3)
-    keys1 = span[s1] if first_only else span
-    vals = fb.eval_entry(name, (keys1, span, span),
-                         lambda *keys: entry_fn(fb, *keys))
+    first = {"all": "hv"}.get(d1, d1) if first_only else "hv"
+    vals = fb.eval_entry(name, (first, "hv", "hv"),
+                         lambda *blocks: entry_fn(fb, *blocks))
     if first_only:
         s1 = slice(None)
     P, K, N = vals.shape[0], vals.shape[2], vals.shape[-1]
@@ -902,14 +863,15 @@ def _contract3(fb: FrameBatch, name: str, entry_fn, d1: str, d2: str,
 
 def _contract2(fb: FrameBatch, name: str, entry_fn, d1: str,
                d2: str) -> np.ndarray:
-    """The values of a two-index entry ``entry_fn(fb, keys1, keys2, keep=0)``,
-    evaluated once per batch over all spanning indices, contracted with the
+    """The values of a two-index entry ``entry_fn(D, ka, kb)``, each block
+    pair read off its own derivative table of values (keep 0), evaluated
+    once per batch over all spanning indices, contracted with the
     adapted-frame expansions of the slot domains; returns ambient vectors
     (P, f1, f2, N)."""
     (s1, W1), (s2, W2) = fb.slot(d1), fb.slot(d2)
-    span = tuple(range(fb.model.span_count))
-    vals = fb.eval_entry(name, (span, span), lambda *keys: fb.assemble(
-        keys, lambda a, b: entry_fn(fb, a, b, keep=0)))    # (P, K, K, N)
+    vals = fb.eval_entry(name, ("hv", "hv"), lambda *blocks: fb.assemble(
+        blocks, lambda a, b: entry_fn(Derivatives(fb, 0), a.block,
+                                      b.block)))                # (P, K, K, N)
     P, K, N = vals.shape[0], vals.shape[2], vals.shape[-1]
     out = W1 @ vals[:, s1].reshape(P, -1, K * N)           # (P, f1, K*N)
     return W2[:, None] @ out.reshape(P, -1, K, N)[:, :, s2]

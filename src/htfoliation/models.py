@@ -125,8 +125,6 @@ def complex_hopf(k: int, epsilon: float = 4.0,
     """Circle fibration of S^{2k+1} over complex projective k-space."""
     if k < 1:
         raise InvalidModelError("k must be >= 1")
-    if epsilon <= 0:
-        raise InvalidModelError("epsilon must be positive")
     N = 2 * k + 2
     if name is None:
         name = f"complex-hopf-s{N - 1}"
@@ -138,8 +136,6 @@ def quaternionic_hopf(k: int, epsilon: float = 4.0,
     """SU(2) fibration of S^{4k+3} over quaternionic projective k-space."""
     if k < 1:
         raise InvalidModelError("k must be >= 1")
-    if epsilon <= 0:
-        raise InvalidModelError("epsilon must be positive")
     N = 4 * k + 4
     if name is None:
         name = f"quaternionic-hopf-s{N - 1}"

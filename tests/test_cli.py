@@ -224,6 +224,10 @@ BAD_MODEL_FILES = {
     "file-missing-k": '{"kind": "complex-hopf"}',
     "file-null-k": '{"kind": "complex-hopf", "k": null}',
     "file-epsilon-negative": '{"kind": "complex-hopf", "k": 1, "epsilon": -1}',
+    "file-epsilon-inf":
+        '{"kind": "complex-hopf", "k": 1, "epsilon": Infinity}',
+    "file-epsilon-1e999": '{"kind": "complex-hopf", "k": 1, "epsilon": 1e999}',
+    "file-epsilon-nan": '{"kind": "complex-hopf", "k": 1, "epsilon": NaN}',
 }
 BAD_INPUTS = ([pytest.param(args, None, id=key)
                for key, args in BAD_OPTIONS.items()]

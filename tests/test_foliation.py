@@ -119,7 +119,7 @@ class TestBottConnection:
         Z = s3.vertical_fields[0]
         Y = s3.horizontal_fields[1]
         pts = sample_points(s3.chart, 8, 2)
-        lhs = s3.bott(Split(v=Z), Split(h=Y))
+        lhs = s3.bott_split(Split(v=Z), Split(h=Y)).total(s3.ambient_dim)
         rhs = s3.pi_h(bracket(Z, Y))
         assert eval_max(lhs - rhs, pts) < 1e-13
 
@@ -319,16 +319,15 @@ class TestJetOracle:
     def test_entries_match_symbolic_composition(self, name, catalog_models):
         model = catalog_models[name]
         fb = model.frame_batch(sample_points(model.chart, 3, 12))
-        span = range(model.span_count)
-        batched = {"nabla_t": model.nabla_t_entry(fb, span, span, span),
-                   "curvature": model.curvature_entry(fb, span, span, span)}
+        every = ("hv",) * 3
+        batched = {"nabla_t": model.nabla_t_entry(fb, *every),
+                   "curvature": model.curvature_entry(fb, *every)}
         N = model.ambient_dim
         symbolic = {"nabla_t": lambda *k: symbolic_nabla_t(model, *k),
                     "curvature": lambda *k: symbolic_curvature(model, *k)}
         for eps_rel in ghat_scales(name):
             total = model.epsilon * eps_rel
-            batched[eps_rel] = model.lc_curvature_entry(fb, total, span, span,
-                                                        span)
+            batched[eps_rel] = model.lc_curvature_entry(fb, total, *every)
             symbolic[eps_rel] = (lambda t: lambda *k: symbolic_lc_curvature(
                 model, t, *k))(total)
         for label, values in batched.items():
@@ -338,17 +337,6 @@ class TestJetOracle:
                 want = symbolic[label](*key).total(N).evaluate(fb.points,
                                                                fb.mono)
                 self.assert_close(values[(slice(None),) + key], want)
-
-    def test_key_ranges_in_any_order(self, s7):
-        # a sub-range with horizontal and vertical keys out of order is the
-        # matching slice of the full-range result
-        fb = s7.frame_batch(sample_points(s7.chart, 2, 13))
-        span = range(s7.span_count)
-        full = s7.curvature_entry(fb, span, span, span)
-        keys = ([9, 0, 7], [3, 10], [8, 1, 2, 9])
-        part = s7.curvature_entry(fb, *keys)
-        np.testing.assert_array_equal(part, full[:, keys[0]][:, :, keys[1]]
-                                      [:, :, :, keys[2]])
 
 
 def part_sum(split, attr, index):
@@ -383,19 +371,20 @@ class TestPairJets:
                 functools.partial(lc_builder, model, total),
                 functools.partial(tab.lc, total))
         # whole blocks are built; keys covering each block pair are compared
-        blocks = (np.arange(kh), np.arange(kh, K))
+        start = {"h": 0, "v": kh}
         picks = [sorted({0, kh // 2, kh - 1}), sorted({0, (K - kh) // 2,
                                                        K - kh - 1})]
         for label, (batch, symbolic) in builders.items():
-            for (ka, pa), (kb, pb) in itertools.product(zip(blocks, picks),
+            for (ka, pa), (kb, pb) in itertools.product(zip("hv", picks),
                                                         repeat=2):
-                jets = batch(fb, *np.ix_(ka, kb))
-                values = batch(fb, *np.ix_(ka, kb), keep=0)
+                jets = batch(fol.Derivatives(fb, 1), ka, kb)
+                values = batch(fol.Derivatives(fb, 0), ka, kb)
                 assert all(p.order == 1 for p in (jets.h, jets.v) if p), label
                 assert all(p.order == 0 for p in (values.h, values.v) if p)
                 for i, j in itertools.product(pa, pb):
                     value, jacobian = field_jets(
-                        [symbolic(ka[i], kb[j]).total(N)], fb.mono)
+                        [symbolic(start[ka] + i, start[kb] + j).total(N)],
+                        fb.mono)
                     for got, want in (
                             (part_sum(jets, "value", (i, j)), value[0]),
                             (part_sum(jets, "jacobian", (i, j)), jacobian[0]),
@@ -404,14 +393,15 @@ class TestPairJets:
                                                    want)
 
 
-def lc_builder(model, total_eps, fb, a, b, **kwargs):
-    return model.lc_entry(fb, total_eps, a, b, **kwargs)
+def lc_builder(model, total_eps, D, ka, kb):
+    return model.lc_entry(D, total_eps, ka, kb)
 
 
 class TestDerivativeTable:
     """The two-index entries of one three-index build are read off one
-    derivative table D(a, b) = D_{E_a} E_b, built once per block pair and
-    gone when the build returns; its zero blocks are found by value."""
+    derivative table D(a, b) = D_{E_a} E_b per block group, which builds
+    each block pair once and holds no block while a formula runs or after
+    the build returns; its zero blocks are found by value."""
 
     @pytest.mark.parametrize("name", ["quaternionic-hopf-s7",
                                       "heisenberg-quat"])
@@ -436,15 +426,46 @@ class TestDerivativeTable:
                 tables.append(self)
         monkeypatch.setattr(PointField, "along", count)
         monkeypatch.setattr(fol, "Derivatives", Recorded)
-        span = range(model.span_count)
+        every = ("hv",) * 3
         if entry == "lc_curvature":
-            model.lc_curvature_entry(fb, model.epsilon * 0.25, span, span,
-                                     span)
+            model.lc_curvature_entry(fb, model.epsilon * 0.25, *every)
         else:
-            getattr(model, f"{entry}_entry")(fb, span, span, span)
+            getattr(model, f"{entry}_entry")(fb, *every)
         assert 0 < len(counted) <= 4, counted
-        assert len(tables) == 1 and tables[0]._blocks == {}
-        assert fb._derivatives is None
+        assert 0 < len(tables) <= 3
+        assert all(table._blocks == {} for table in tables)
+
+    @pytest.mark.parametrize("name", ["quaternionic-hopf-s7",
+                                      "tilted-heisenberg-quat"])
+    def test_no_table_holds_a_block_while_a_formula_runs(
+            self, name, catalog_models, monkeypatch):
+        if name == "tilted-heisenberg-quat":
+            model = tilted_heisenberg_quat()
+        else:
+            model = catalog_models[name]
+        fb = model.frame_batch(sample_points(model.chart, 3, 19))
+        tables, live = [], []
+
+        class Recorded(fol.Derivatives):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tables.append(self)
+        assemble = fol.FrameBatch.assemble
+
+        def watched(self, blocks, formula):
+            def run(*slots):
+                out = formula(*slots)
+                if any(F is not None for table in tables
+                       for F in table._blocks.values()):
+                    live.append(slots)
+                return out
+            return assemble(self, blocks, run)
+        monkeypatch.setattr(fol, "Derivatives", Recorded)
+        monkeypatch.setattr(fol.FrameBatch, "assemble", watched)
+        fol.nabla_t_components(fb)
+        fol.curvature_components(fb)
+        fol.lc_curvature_ambient(fb, 0.25)
+        assert tables and live == []
 
     def test_zero_blocks_are_decided_by_value(self, heis_quat):
         # Z_a = d/dz_a and no spanning field depends on z, so every block
@@ -452,13 +473,11 @@ class TestDerivativeTable:
         # s z_0 d/dx_0 of Z_0 makes the vertical-first blocks nonzero
         for model, zero in ((heis_quat, True), (tilted_heisenberg_quat(),
                                                 False)):
-            kh, K = model.span_h_count, model.span_count
-            h, v = np.arange(kh), np.arange(kh, K)
-            D = model.frame_batch(sample_points(model.chart, 3, 18)) \
-                .derivatives(1)
-            assert D(*np.ix_(h, h)) is not None
-            for a, b in ((v, h), (v, v)):
-                assert (D(*np.ix_(a, b)) is None) == zero, model.name
+            D = fol.Derivatives(
+                model.frame_batch(sample_points(model.chart, 3, 18)), 1)
+            assert D("h", "h") is not None
+            for ka, kb in (("v", "h"), ("v", "v")):
+                assert (D(ka, kb) is None) == zero, model.name
 
 
 class TestJetProjections:
@@ -479,13 +498,13 @@ class TestJetProjections:
             for _ in range(N)]) + PolyField.constant(rng.integers(-2, 3, N))
         f = order2_jet(F, fb.points, at=fb._span_jets[0].at)
         E = fb.spanning()
-        kh = model.span_h_count
         X, Z = model.horizontal_fields[1], model.vertical_fields[0]
         for got, want in (
                 (model.pi_h(f), model.pi_h(F)),
                 (model.pi_v(f), model.pi_v(F)),
-                (model.pi_h(E(np.array([1])).h[0]), model.pi_h(X)),
-                (model.j_transform(E(np.array([kh])), Split(h=f)).h,
+                (model.pi_h(E(fol.Slot("h", 0, 1)).h[1]), model.pi_h(X)),
+                (model.j_transform(Split(v=E(fol.Slot("v", 0, 1)).v[:1]),
+                                   Split(h=f)).h,
                  model.j_transform(Split(v=Z), Split(h=F)).h)):
             value, jacobian = field_jets([want], fb.mono)
             assert got.order == 1
@@ -516,10 +535,10 @@ class TestJetProjections:
         assert (Polynomial.variable(2, 0) * 2.0).n_terms == 1 and calls
         calls.clear()
         fb = s7.frame_batch(sample_points(s7.chart, 4, 16))
-        span = range(s7.span_count)
-        s7.nabla_t_entry(fb, span, span, span)
-        s7.curvature_entry(fb, span, span, span)
-        s7.lc_curvature_entry(fb, s7.epsilon * 0.25, span, span, span)
+        every = ("hv",) * 3
+        s7.nabla_t_entry(fb, *every)
+        s7.curvature_entry(fb, *every)
+        s7.lc_curvature_entry(fb, s7.epsilon * 0.25, *every)
         fol.torsion_components(fb)
         assert calls == []
 
@@ -533,11 +552,12 @@ class TestGhatTable:
             self, name, catalog_models):
         model = catalog_models[name]
         pts = sample_points(model.chart, 4, 22)
-        kh, span = model.span_h_count, tuple(range(model.span_count))
+        kh = model.span_h_count
         for eps_rel in ghat_scales(name):
             total = model.epsilon * eps_rel
             label = f"lc_curvature[{round(total, 12)}]"
-            entry = lambda fb, *keys: model.lc_curvature_entry(fb, total, *keys)
+            entry = lambda fb, *blocks: model.lc_curvature_entry(fb, total,
+                                                                 *blocks)
             fb, full = model.frame_batch(pts), model.frame_batch(pts)
             for d2, d3 in itertools.product(DOMAINS, repeat=2):
                 got = fol.lc_curvature_ambient(fb, eps_rel, d2, d3)
@@ -545,7 +565,7 @@ class TestGhatTable:
                 assert np.array_equal(got, want), (d2, d3)
             (stored,) = fb._values[label].values()
             assert np.array_equal(stored,
-                                  full._values[label][(span,) * 3][:, kh:])
+                                  full._values[label][("hv",) * 3][:, kh:])
 
 
 # ---------------------------------------------------------------------------
@@ -612,10 +632,9 @@ class TestContraction:
     @pytest.mark.parametrize("table", ["nabla_t", "curvature"])
     def test_contract3_every_slot_domain(self, batch, table):
         entry = getattr(batch.model, f"{table}_entry")
-        span = tuple(range(batch.model.span_count))
         for d1, d2, d3 in itertools.product(DOMAINS, repeat=3):
             got = fol._contract3(batch, table, entry, d1, d2, d3)
-            vals = batch._values[table][(span,) * 3]
+            vals = batch._values[table][("hv",) * 3]
             (s1, W1), (s2, W2), (s3, W3) = map(batch.slot, (d1, d2, d3))
             want = np.einsum("pia,pjb,pkc,pabcn->pijkn", W1, W2, W3,
                              vals[:, s1, s2, s3])
@@ -640,8 +659,7 @@ class TestContraction:
 
     def test_three_index_is_point_major_and_contiguous(self, batch):
         model = batch.model
-        span = range(model.span_count)
-        values = model.curvature_entry(batch, span, span, span)
+        values = model.curvature_entry(batch, "hv", "hv", "hv")
         assert values.shape == (4, *(model.span_count,) * 3,
                                 model.ambient_dim)
         assert values.flags.c_contiguous and values.flags.owndata
