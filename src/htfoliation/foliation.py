@@ -730,16 +730,16 @@ class Derivatives:
     def __init__(self, fb: FrameBatch, keep: int, readers: int = 1):
         self.E = fb.spanning(keep)
         self._n_vars = fb.model.ambient_dim
-        self._blocks: dict[tuple[str, str], PointField | None] = {}
+        self._jets: dict[tuple[str, str], PointField | None] = {}
         self._readers = readers
 
     def __call__(self, ka: str, kb: str) -> PointField | None:
-        if (ka, kb) not in self._blocks:
+        if (ka, kb) not in self._jets:
             a, b = _pair(ka, kb)
             N = self._n_vars
             F = self.E(b).total(N).along(self.E(a).total(N))
-            self._blocks[ka, kb] = None if F.is_zero() else F
-        return self._blocks[ka, kb]
+            self._jets[ka, kb] = None if F.is_zero() else F
+        return self._jets[ka, kb]
 
     def back(self, ka: str, kb: str) -> PointField | None:
         """D(b, a), laid out by (a, b): a transposed view."""
@@ -750,7 +750,7 @@ class Derivatives:
         """Count one reader as done, and drop every block after the last."""
         self._readers -= 1
         if self._readers == 0:
-            self._blocks.clear()
+            self._jets.clear()
 
 
 class PairBuild:
@@ -768,7 +768,7 @@ class PairBuild:
 
     def __init__(self, fb: FrameBatch, blocks):
         self._fb = fb
-        self._blocks = blocks
+        self._kinds = blocks
         self._groups: dict[str, list] = {}
 
     def pairs(self, entry, *slots):
@@ -776,8 +776,8 @@ class PairBuild:
         ``slots`` of the build."""
         built: dict[tuple[str, str], list] = {}
         for ka, kb in sorted({(x, y) for i, j in slots
-                              for x in self._blocks[i]
-                              for y in self._blocks[j]}):
+                              for x in self._kinds[i]
+                              for y in self._kinds[j]}):
             self._groups.setdefault(_group(ka, kb), []).append(
                 (entry, built, ka, kb))
 
@@ -799,7 +799,7 @@ class PairBuild:
 
     def assemble(self, formula) -> np.ndarray:
         """``FrameBatch.assemble`` over the build's blocks."""
-        return self._fb.assemble(self._blocks, formula)
+        return self._fb.assemble(self._kinds, formula)
 
 
 def _minus(F: PointField | None, G: PointField | None) -> PointField | None:

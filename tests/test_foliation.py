@@ -433,7 +433,7 @@ class TestDerivativeTable:
             getattr(model, f"{entry}_entry")(fb, *every)
         assert 0 < len(counted) <= 4, counted
         assert 0 < len(tables) <= 3
-        assert all(table._blocks == {} for table in tables)
+        assert all(table._jets == {} for table in tables)
 
     @pytest.mark.parametrize("name", ["quaternionic-hopf-s7",
                                       "tilted-heisenberg-quat"])
@@ -456,7 +456,7 @@ class TestDerivativeTable:
             def run(*slots):
                 out = formula(*slots)
                 if any(F is not None for table in tables
-                       for F in table._blocks.values()):
+                       for F in table._jets.values()):
                     live.append(slots)
                 return out
             return assemble(self, blocks, run)
