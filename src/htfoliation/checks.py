@@ -122,9 +122,8 @@ def check_yang_mills(model: FoliationModel, points: int = 64, seed: int = 42,
     """Horizontal divergence of the torsion: sum_i (nabla_{x_i} T)(x_i, u)
     vanishes for every frame direction u."""
     fb = frame_batch_for(model, points, seed)
-    amb = _contract3(fb, "nabla_t", model.nabla_t_entry, "h", "h", "all")
-    div = np.einsum("piiun->pun", amb)
-    worst = float(np.abs(fb.components(div)).max())
+    comps = _contract3(fb, "nabla_t", model.nabla_t_entry, "h", "h", "all")
+    worst = float(np.abs(np.einsum("piiud->pud", comps)).max())
     return CheckReport.from_residual("yang-mills", worst, tol, points)
 
 
@@ -363,7 +362,7 @@ def check_oneill(model: FoliationModel, points: int = 32, seed: int = 42,
     nablaj_amb = np.einsum("piajk,pkn->piajn", nt_h, fb.x).transpose(0, 2, 1, 3, 4)
     # T(x_i, J_{z_a} x_j)
     tj_amb = np.einsum("pakj,pikn->paijn", J, t_amb)
-    rv_amb = _contract3(fb, "curvature", model.curvature_entry, "v", "v", "v")
+    rv_amb = fb.ambient(curvature_components(fb, "v", "v", "v"))
     worst = 0.0
     for eps in eps_values:
         direct_h = lc_curvature_ambient(fb, eps, "h", "h")  # (P, m, n, n, N)
@@ -402,18 +401,18 @@ def check_lemma_identities(model: FoliationModel, points: int = 32,
     reports.append(CheckReport.from_residual("nablaJ-skew", skew, tol, points))
 
     # R - R_H - R_V - (nabla_W T)(U, V), W = slot 3, for U horizontal and
-    # then vertical, so that the component arrays exist one half at a time;
-    # R_H and R_V are the all-horizontal and all-vertical blocks of R, and
-    # the nabla T term is subtracted on every block
+    # then vertical, so that the residual exists one half at a time; R_H and
+    # R_V are the all-horizontal and all-vertical blocks of R, and the
+    # nabla T term is subtracted on every block
     worst = 0.0
     for domain, block in (("h", slice(None, n)), ("v", slice(n, None))):
-        resid = curvature_components(fb, domain, "all", "all")  # [p, u, v, w]
+        R = curvature_components(fb, domain, "all", "all")  # [p, u, v, w]
         if domain == "h":              # R_H(x_i, x_j) as endomorphisms
-            rh_endo = resid[:, :, :n, :n, :n].transpose(0, 1, 2, 4, 3).copy()
-        resid[:, :, block, block] = 0.0
-        resid -= fb.components(_contract3(
-            fb, "nabla_t", model.nabla_t_entry, "all", domain, "all")
-        ).transpose(0, 2, 3, 1, 4)
+            rh_endo = R[:, :, :n, :n, :n].transpose(0, 1, 2, 4, 3)
+        nt = _contract3(fb, "nabla_t", model.nabla_t_entry, "all", domain,
+                        "all").transpose(0, 2, 3, 1, 4)
+        resid = R - nt
+        resid[:, :, block, block] = -nt[:, :, block, block]
         worst = max(worst, float(np.abs(resid, out=resid).max()))
         del resid
     reports.append(CheckReport.from_residual(

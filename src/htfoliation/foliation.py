@@ -38,8 +38,11 @@ spanning fields, so the formulas give it as an order-1 jet at the batch.  A
 three-index entry (nabla T and both curvatures) applies one more derivative
 to a two-index entry or a spanning field and then only pointwise linear
 algebra, so the formulas give its values from those order-1 jets.  Only
-three-index values and the torsion values are kept, in the batch
-(FrameBatch.eval_entry).
+the three-index entries and the torsion values are kept, in the batch
+(FrameBatch.eval_entry), and only as components on the adapted frame, the
+form in which every identity is stated: each slot and the value are
+contracted with the frame as the entry is built (FrameBatch.assemble), and
+every reader takes a read-only view of the kept array.
 
 Entries are addressed by blocks: "h" for the horizontal spanning fields,
 "v" for the vertical ones, horizontals first.  A two-index entry is built
@@ -459,9 +462,10 @@ class FoliationModel:
     # -- three-index entries at a point batch, from 1-jets -------------------
     #
     # Each takes one block string per slot ("hv" for every spanning index,
-    # "v" for the vertical ones only) and returns point values of shape
-    # (P, K1, K2, K3, N) over them.  The formula runs on slots (Slot), once
-    # per block triple.  It reads the spanning fields and the two-index
+    # "v" for the vertical ones only) and returns the frame components over
+    # the frame vectors of those blocks, (P, F1, F2, F3, n+m) (see
+    # FrameBatch.assemble).  The formula runs on slots (Slot), once per
+    # block triple.  It reads the spanning fields and the two-index
     # entries as jets truncated to values (keep 0), so it computes no
     # derivative that it does not use.  The two-index entries are declared
     # with the key slots they are read at, so that each is built before any
@@ -515,26 +519,21 @@ class FoliationModel:
                          axis=1)                        # (P, Kh, N)
         zvals = np.stack([Z.evaluate(pts, mono) for Z in self.vertical_fields],
                          axis=1)                        # (P, m, N)
-        x = np.zeros((P, self.n, N))
-        z = np.zeros((P, self.m, N))
-        wh = np.zeros((P, self.n, self.span_h_count))
-        wv = np.zeros((P, self.m, self.m))
-        for p_idx in range(P):
-            zb, wvp, kept = gram_schmidt_at(list(zvals[p_idx]), metric=G[p_idx],
-                                            return_coefficients=True)
-            if len(zb) != self.m:
-                raise DegenerateFrameError(
-                    f"vertical span degenerate at point {p_idx}")
-            xb, whp, kept_h = gram_schmidt_at(list(hvals[p_idx]), metric=G[p_idx],
-                                              allow_dependent=True,
-                                              return_coefficients=True)
-            if len(xb) != self.n:
-                raise DegenerateFrameError(
-                    f"horizontal span has rank {len(xb)}, expected {self.n}, at point {p_idx}")
-            z[p_idx] = np.stack(zb)
-            x[p_idx] = np.stack(xb)
-            wv[p_idx] = wvp
-            wh[p_idx] = whp
+        # one pass per block; the first point where either block falls
+        # short of its rank is reported, the vertical block first
+        z, wv, kept_v = gram_schmidt_at(zvals, metric=G, allow_dependent=True)
+        xb, whb, kept = gram_schmidt_at(hvals, metric=G, allow_dependent=True)
+        rank_v, rank_h = kept_v.sum(axis=1), kept.sum(axis=1)
+        bad = np.flatnonzero((rank_v != self.m) | (rank_h != self.n))
+        if bad.size:
+            p = bad[0]
+            block, rank, want = (("vertical", rank_v[p], self.m)
+                                 if rank_v[p] != self.m
+                                 else ("horizontal", rank_h[p], self.n))
+            raise DegenerateFrameError(f"{block} span has rank {rank}, "
+                                       f"expected {want}, at point {p}")
+        x = xb[kept].reshape(P, self.n, N)
+        wh = whb[kept].reshape(P, self.n, self.span_h_count)
         return FrameBatch(self, pts, mono, G, x, z, wh, wv)
 
 
@@ -552,8 +551,9 @@ class FrameBatch:
     wv: np.ndarray       # (P, m, m)
     _values: dict = field(default_factory=dict)
 
-    @property
+    @cached_property
     def frame(self) -> np.ndarray:
+        """The adapted frame (x, then z) as ambient vectors: (P, n+m, N)."""
         return np.concatenate([self.x, self.z], axis=1)
 
     @cached_property
@@ -568,25 +568,29 @@ class FrameBatch:
         flat = ambient.reshape(P, -1, N) @ self._metric_frame
         return flat.reshape(ambient.shape[:-1] + (flat.shape[-1],))
 
-    def slot(self, domain: str) -> tuple[slice, np.ndarray]:
-        """Spanning indices and expansion weights for a contraction slot."""
-        model = self.model
-        kh = model.span_h_count
+    def ambient(self, components: np.ndarray) -> np.ndarray:
+        """The ambient vectors sum_d c_d u_d of trailing frame components:
+        one matmul per point, the inverse of ``components``."""
         P = self.points.shape[0]
+        flat = components.reshape(P, -1, components.shape[-1]) @ self.frame
+        return flat.reshape(components.shape[:-1] + (flat.shape[-1],))
+
+    def frame_slice(self, domain: str) -> slice:
+        """The frame indices of a slot domain: "h" (x_i), "v" (z_a) or
+        "all", along a slot of an entry stored over both blocks."""
+        n, m = self.wh.shape[1], self.wv.shape[1]
         if domain == "h":
-            return slice(0, kh), self.wh
+            return slice(0, n)
         if domain == "v":
-            return slice(kh, kh + model.m), self.wv
+            return slice(n, n + m)
         if domain == "all":
-            W = np.zeros((P, model.n + model.m, kh + model.m))
-            W[:, :model.n, :kh] = self.wh
-            W[:, model.n:, kh:] = self.wv
-            return slice(0, kh + model.m), W
+            return slice(0, n + m)
         raise ValueError(f"unknown slot domain {domain!r}")
 
     def eval_entry(self, name: str, key: tuple, builder,
                    antisym: tuple[int, int] | None = None) -> np.ndarray:
-        """Point values ``builder(*key)`` over this batch, built lazily.
+        """Point values ``builder(*key)`` over this batch, built lazily and
+        stored read-only, since readers take views of them.
 
         ``antisym`` names two key positions in which the table is known to be
         antisymmetric; keys are then canonicalized, so the builder is called
@@ -596,19 +600,16 @@ class FrameBatch:
         store = self._values.setdefault(name, {})
         if key in store:
             return store[key]
-        if antisym is not None:
+        if antisym is not None and key[antisym[0]] == key[antisym[1]]:
+            out = np.zeros_like(self.points)
+        elif antisym is not None and key[antisym[0]] > key[antisym[1]]:
             i, j = antisym
-            if key[i] == key[j]:
-                out = np.zeros_like(self.points)
-                store[key] = out
-                return out
-            if key[i] > key[j]:
-                swapped = list(key)
-                swapped[i], swapped[j] = swapped[j], swapped[i]
-                out = -self.eval_entry(name, tuple(swapped), builder, antisym)
-                store[key] = out
-                return out
-        out = builder(*key)
+            swapped = list(key)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            out = -self.eval_entry(name, tuple(swapped), builder, antisym)
+        else:
+            out = builder(*key)
+        out.flags.writeable = False
         store[key] = out
         return out
 
@@ -669,26 +670,42 @@ class FrameBatch:
         return E
 
     def assemble(self, blocks, formula) -> np.ndarray:
-        """Point values of ``formula(*slots) -> Split`` over one block string
-        per key axis ("h", "v" or "hv": the spanning indices of those
-        blocks, horizontals first), as a C-contiguous (P, K1, ..., N) array.
+        """Frame components of ``formula(*slots) -> Split`` over one block
+        string per key axis ("h", "v" or "hv": the spanning indices of those
+        blocks, horizontals first), as a C-contiguous (P, F1, ..., F) array:
+        slot k holds the frame vectors of its blocks (x_i for "h", z_a for
+        "v", in that order), and the last axis the n+m frame components of
+        the value.  Every size is read off the expansion weights.
 
         The formula runs once per combination of the blocks, on one Slot per
         axis, so that every Split part is a pure block and whole blocks of
-        jets are read as views."""
+        jets are read as views.  Its parts are summed and contracted slot by
+        slot, an "h" slot by ``wh`` (P, n, Kh) and a "v" slot by ``wv``
+        (P, m, m), so that no zero block of a block-diagonal expansion is
+        multiplied, and then along the value by ``components``."""
         P, N = self.points.shape
-        size = {"h": self.model.span_h_count, "v": self.model.m}
-        out = np.zeros((P, *(sum(size[k] for k in s) for s in blocks), N))
+        weights = {"h": self.wh, "v": self.wv}
+        size = {k: w.shape[1] for k, w in weights.items()}
+        out = np.zeros((P, *(sum(size[k] for k in s) for s in blocks),
+                        self._metric_frame.shape[-1]))
         for kinds in itertools.product(*blocks):
             res = formula(*(Slot(k, axis, len(blocks))
                             for axis, k in enumerate(kinds)))
+            parts = [part.value for part in (res.h, res.v) if part is not None]
+            if not parts:
+                continue
+            value = parts[0] if len(parts) == 1 else parts[0] + parts[1]
+            lead = tuple(weights[k].shape[2] for k in kinds)
+            x = np.moveaxis(np.broadcast_to(value, lead + (P, N)), -2, 0)
+            for axis, k in enumerate(kinds, start=1):
+                W = weights[k]              # (P, f, B), along this slot
+                x = (W.reshape((P,) + (1,) * (axis - 1) + W.shape[1:])
+                     @ x.reshape(x.shape[:axis] + (W.shape[2], -1)))
             at = [slice(None)]
             for s, k in zip(blocks, kinds):
-                start = sum(size[x] for x in s[:s.index(k)])
+                start = sum(size[b] for b in s[:s.index(k)])
                 at.append(slice(start, start + size[k]))
-            for part in (res.h, res.v):
-                if part is not None:              # (B1, ..., P, N)
-                    out[tuple(at)] += np.moveaxis(part.value, -2, 0)
+            out[tuple(at)] += self.components(x)
         return out
 
 
@@ -838,51 +855,35 @@ def _place(field: PointField, *slots: Slot) -> PointField:
 
 def _contract3(fb: FrameBatch, name: str, entry_fn, d1: str, d2: str,
                d3: str, first_only: bool = False) -> np.ndarray:
-    """A three-index entry, evaluated once per batch over all spanning
-    indices by ``entry_fn(fb, blocks1, blocks2, blocks3)`` (with
-    ``first_only``, over the blocks of the domain ``d1`` in the first slot),
-    contracted with the adapted-frame expansions of the slot domains;
-    returns ambient vectors (P, f1, f2, f3, N).
-
-    One batched matmul per slot, each on a view of the previous result
-    that selects the slot's spanning range along a leading axis, so the
-    stored values are never copied."""
-    (s1, W1), (s2, W2), (s3, W3) = fb.slot(d1), fb.slot(d2), fb.slot(d3)
+    """Frame components of a three-index entry over the slot domains d1, d2
+    and d3 ("h", "v" or "all"): a read-only view (P, f1, f2, f3, n+m) of the
+    components that ``entry_fn(fb, blocks1, blocks2, blocks3)`` builds once
+    per batch over every spanning index (with ``first_only``, over the
+    blocks of ``d1`` in the first slot only)."""
     first = {"all": "hv"}.get(d1, d1) if first_only else "hv"
     vals = fb.eval_entry(name, (first, "hv", "hv"),
                          lambda *blocks: entry_fn(fb, *blocks))
-    if first_only:
-        s1 = slice(None)
-    P, K, N = vals.shape[0], vals.shape[2], vals.shape[-1]
-    f1, f2 = W1.shape[1], W2.shape[1]
-    out = W1 @ vals[:, s1].reshape(P, -1, K * K * N)      # (P, f1, K*K*N)
-    out = W2[:, None] @ out.reshape(P, f1, K, K * N)[:, :, s2]
-    out = W3[:, None, None] @ out.reshape(P, f1, f2, K, N)[:, :, :, s3]
-    return out                                            # (P, f1, f2, f3, N)
+    s1 = slice(None) if first_only else fb.frame_slice(d1)
+    return vals[:, s1, fb.frame_slice(d2), fb.frame_slice(d3)]
 
 
 def _contract2(fb: FrameBatch, name: str, entry_fn, d1: str,
                d2: str) -> np.ndarray:
-    """The values of a two-index entry ``entry_fn(D, ka, kb)``, each block
-    pair read off its own derivative table of values (keep 0), evaluated
-    once per batch over all spanning indices, contracted with the
-    adapted-frame expansions of the slot domains; returns ambient vectors
-    (P, f1, f2, N)."""
-    (s1, W1), (s2, W2) = fb.slot(d1), fb.slot(d2)
+    """Frame components of a two-index entry ``entry_fn(D, ka, kb)`` over
+    the slot domains d1 and d2: a read-only view (P, f1, f2, n+m) of the
+    components built once per batch over every spanning index, each block
+    pair read off its own derivative table of values (keep 0)."""
     vals = fb.eval_entry(name, ("hv", "hv"), lambda *blocks: fb.assemble(
         blocks, lambda a, b: entry_fn(Derivatives(fb, 0), a.block,
-                                      b.block)))                # (P, K, K, N)
-    P, K, N = vals.shape[0], vals.shape[2], vals.shape[-1]
-    out = W1 @ vals[:, s1].reshape(P, -1, K * N)           # (P, f1, K*N)
-    return W2[:, None] @ out.reshape(P, -1, K, N)[:, :, s2]
+                                      b.block)))
+    return vals[:, fb.frame_slice(d1), fb.frame_slice(d2)]
 
 
 def torsion_components(fb: FrameBatch) -> np.ndarray:
-    """T^a_{ij} = g(T(x_i, x_j), z_a); antisymmetric in (i, j); shape (P,m,n,n)."""
-    model = fb.model
-    amb = _contract2(fb, "torsion", model.torsion_entry, "h", "h")
-    comps = fb.components(amb)                     # (P, n, n, n+m)
-    return np.transpose(comps[..., model.n:], (0, 3, 1, 2))
+    """T^a_{ij} = g(T(x_i, x_j), z_a); antisymmetric in (i, j); shape
+    (P, m, n, n), a view of the torsion components kept in the batch."""
+    comps = _contract2(fb, "torsion", fb.model.torsion_entry, "h", "h")
+    return np.moveaxis(comps[..., fb.model.n:], 3, 1)
 
 
 def j_endomorphisms(fb: FrameBatch) -> np.ndarray:
@@ -893,33 +894,33 @@ def j_endomorphisms(fb: FrameBatch) -> np.ndarray:
 
 
 def nabla_t_components(fb: FrameBatch, directions: str = "all") -> np.ndarray:
-    """(nabla_{u_d} T)(x_i, x_j) components along z_a: shape (P, D, m, n, n)."""
+    """(nabla_{u_d} T)(x_i, x_j) components along z_a: shape (P, D, m, n, n),
+    a view."""
     model = fb.model
-    amb = _contract3(fb, "nabla_t", model.nabla_t_entry, directions, "h", "h")
-    comps = fb.components(amb)                     # (P, D, n, n, n+m)
-    return np.transpose(comps[..., model.n:], (0, 1, 4, 2, 3))
+    comps = _contract3(fb, "nabla_t", model.nabla_t_entry, directions, "h",
+                       "h")                        # (P, D, n, n, n+m)
+    return np.moveaxis(comps[..., model.n:], 4, 2)
 
 
 def curvature_components(fb: FrameBatch, d1: str = "all", d2: str = "all",
                          d3: str = "all") -> np.ndarray:
     """<R(u_a, u_b) u_c, u_d> over the requested slot domains;
-    shape (P, f1, f2, f3, n+m)."""
-    amb = _contract3(fb, "curvature", fb.model.curvature_entry, d1, d2, d3)
-    return fb.components(amb)
+    shape (P, f1, f2, f3, n+m), a view."""
+    return _contract3(fb, "curvature", fb.model.curvature_entry, d1, d2, d3)
 
 
 def lc_curvature_ambient(fb: FrameBatch, eps_rel: float, d2: str = "all",
                          d3: str = "all") -> np.ndarray:
     """Ambient values of R^ghat(z_a, u_b) u_c, the Levi-Civita curvature of
     the rescaled metric ghat = g_H + (1/eps_rel) g_V with a vertical first
-    slot, over the slot domains d2 and d3; shape (P, m, f2, f3, N).  Every
-    reader needs only that first slot, so the entry is built and kept only
-    over the vertical first keys."""
+    slot, over the slot domains d2 and d3; shape (P, m, f2, f3, N), from its
+    frame components.  Every reader needs only that first slot, so the entry
+    is built and kept only over the vertical first keys."""
     model = fb.model
     total = model.epsilon * eps_rel
     entry = lambda fb, a, b, c: model.lc_curvature_entry(fb, total, a, b, c)
-    return _contract3(fb, f"lc_curvature[{round(total, 12)}]", entry, "v",
-                      d2, d3, first_only=True)
+    return fb.ambient(_contract3(fb, f"lc_curvature[{round(total, 12)}]",
+                                 entry, "v", d2, d3, first_only=True))
 
 
 def ricci_horizontal(fb: FrameBatch) -> np.ndarray:

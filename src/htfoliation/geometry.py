@@ -17,7 +17,6 @@ hence cancellation to exact zero actually occurs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -713,29 +712,33 @@ class PointField:
 def _per_point(T: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_j T[p, a, k, j] x[..., p, j], shape (..., P, N, N): one matmul per
     point over every leading entry of x, in place of a matrix-vector product
-    per entry."""
+    per entry.  The point axis leads the matmul, so each (N, N) block of the
+    result is contiguous (``strides[-2:] == (8N, 8)``) and adding it into a
+    point-major jet streams through memory."""
     P, N = x.shape[-2:]
-    xt = x.reshape(-1, P, N).transpose(1, 2, 0)              # (P, N, L)
-    out = T.reshape(P, -1, N) @ xt                           # (P, N*N, L)
-    return np.moveaxis(out, -1, 0).reshape(x.shape[:-2] + T.shape[:-1])
+    xt = x.reshape(-1, P, N).transpose(1, 0, 2)              # (P, L, N)
+    out = xt @ T.reshape(P, -1, N).transpose(0, 2, 1)        # (P, L, N*N)
+    return out.transpose(1, 0, 2).reshape(x.shape[:-2] + T.shape[:-1])
 
 
 def _hessian_along(H: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_j H[..., i, k, j] x[..., p, j] = sum_j H[..., i, j, k] x[..., p, j]
     (Hessians are symmetric), shape (..., P, N, N).  A Hessian the same at
     every point, (..., 1, N, N, N), is applied to every leading entry of x
-    in one matmul when the leading shapes broadcast as an outer product."""
+    in one matmul when the leading shapes broadcast as an outer product; the
+    points lead that matmul, so each (N, N) block of the result is
+    contiguous."""
     lh, lx = H.shape[:-4], x.shape[:-2]
     P, N = x.shape[-2:]
     if (H.shape[-4] != 1 or len(lh) != len(lx)
             or any(a > 1 and b > 1 for a, b in zip(lh, lx))):
         return (H @ x[..., None, :, None])[..., 0]
     d = len(lh)
-    out = H.reshape(-1, N) @ x.reshape(-1, N).T
-    out = out.reshape(lh + (N, N) + lx + (P,))
+    out = x.reshape(-1, N) @ H.reshape(-1, N).T
+    out = out.reshape(lx + (P,) + lh + (N, N))
     # interleave the leading axes of H and x, then the point and (i, k) axes
-    order = [ax for k in range(d) for ax in (k, d + 2 + k)]
-    order += [2 * d + 2, d, d + 1]
+    order = [ax for k in range(d) for ax in (d + 1 + k, k)]
+    order += [d, 2 * d + 1, 2 * d + 2]
     return out.transpose(order).reshape(
         tuple(a * b for a, b in zip(lh, lx)) + (P, N, N))
 
@@ -790,50 +793,52 @@ def euclidean_gradient(f: Polynomial) -> PolyField:
 
 
 def gram_schmidt_at(vectors, metric=None, tol: float = 1e-10,
-                    allow_dependent: bool = False,
-                    return_coefficients: bool = False):
-    """Orthonormalize ``vectors`` against a bilinear form, deterministically.
+                    allow_dependent: bool = False):
+    """Orthonormalize ``vectors`` (P, k, N) at each of P points against a
+    bilinear form, deterministically, in one vectorized pass over the points.
 
-    ``metric`` may be None (Euclidean), an (N, N) matrix, or a callable
-    (u, v) -> float.  Near-dependent input raises DegenerateFrameError unless
-    ``allow_dependent`` is set, in which case dependent vectors are skipped.
-    With ``return_coefficients`` also returns the expansion matrix W and the
-    kept input indices, such that basis[i] = sum_j W[i, j] * vectors[j].
+    ``metric`` may be None (Euclidean), one (N, N) matrix or one per point
+    (P, N, N).  Returns the basis (P, k, N), the expansion coefficients W
+    (P, k, k) with basis[p, i] = sum_j W[p, i, j] * vectors[p, j], and the
+    kept mask (P, k).  A vector that is near-dependent on its predecessors at
+    a point raises DegenerateFrameError, naming the first such point, unless
+    ``allow_dependent`` is set; it is then skipped there: its rows of the
+    basis and of W are zero and its kept entry is False.  Each point gets the
+    arithmetic of a loop over that point alone, since a zero row projects
+    nothing out of the later vectors.
     """
-    vecs = [np.asarray(v, dtype=np.float64) for v in vectors]
-    if metric is None:
-        inner = lambda u, v: float(u @ v)
-    elif callable(metric):
-        inner = metric
-    else:
-        G = np.asarray(metric, dtype=np.float64)
-        inner = lambda u, v: float(u @ G @ v)
+    V = np.asarray(vectors, dtype=np.float64)
+    P, k, N = V.shape
+    G = np.broadcast_to(np.eye(N) if metric is None
+                        else np.asarray(metric, dtype=np.float64), (P, N, N))
 
-    basis: list[np.ndarray] = []
-    coeff_rows: list[np.ndarray] = []
-    kept: list[int] = []
-    for j, v in enumerate(vecs):
-        w = v.copy()
-        row = np.zeros(len(vecs))
-        row[j] = 1.0
-        for b, brow in zip(basis, coeff_rows):
-            proj = inner(b, w)
-            w = w - proj * b
-            row = row - proj * brow
-        norm2 = inner(w, w)
-        scale2 = max(inner(v, v), 1.0)
-        if norm2 <= (tol ** 2) * scale2:
-            if allow_dependent:
-                continue
-            raise DegenerateFrameError(
-                f"vector {j} is dependent on its predecessors (residual^2 ={norm2:.3e})")
-        nrm = math.sqrt(norm2)
-        basis.append(w / nrm)
-        coeff_rows.append(row / nrm)
-        kept.append(j)
-    if return_coefficients:
-        return basis, np.array(coeff_rows), kept
-    return basis
+    def inner(u, v):
+        return ((u[:, None, :] @ G) @ v[:, :, None])[:, 0, 0]
+
+    basis = np.zeros((P, k, N))
+    W = np.zeros((P, k, k))
+    kept = np.zeros((P, k), dtype=bool)
+    residual2 = np.zeros((P, k))
+    for j in range(k):
+        w = V[:, j]
+        row = np.zeros((P, k))
+        row[:, j] = 1.0
+        for i in range(j):
+            proj = inner(basis[:, i], w)[:, None]
+            w = w - proj * basis[:, i]
+            row = row - proj * W[:, i]
+        residual2[:, j] = norm2 = inner(w, w)
+        kept[:, j] = ok = norm2 > (tol ** 2) * np.maximum(
+            inner(V[:, j], V[:, j]), 1.0)
+        nrm = np.sqrt(np.where(ok, norm2, 1.0))[:, None]
+        basis[ok, j] = (w / nrm)[ok]
+        W[ok, j] = (row / nrm)[ok]
+    if not allow_dependent and not kept.all():
+        p, j = np.argwhere(~kept)[0]
+        raise DegenerateFrameError(
+            f"vector {j} is dependent on its predecessors at point {p} "
+            f"(residual^2 = {residual2[p, j]:.3e})")
+    return basis, W, kept
 
 
 # ---------------------------------------------------------------------------

@@ -419,8 +419,8 @@ def test_lemma_residuals_cover_every_component():
     fb = checks.frame_batch_for(model, 8, 1)
     n = model.n
     full = fol.curvature_components(fb, "all", "all", "all")
-    nt = fb.components(fol._contract3(fb, "nabla_t", model.nabla_t_entry,
-                                      "all", "all", "all"))
+    nt = fol._contract3(fb, "nabla_t", model.nabla_t_entry, "all", "all",
+                        "all")
     resid = full.copy()
     resid[:, :n, :n, :n] = 0.0
     resid[:, n:, n:, n:] = 0.0
@@ -454,9 +454,8 @@ def test_decomposition_subtracts_nabla_t_on_every_block(monkeypatch):
     model = tilted_heisenberg_quat()
     fb = checks.frame_batch_for(model, 8, 1)
     n = model.n
-    nt = fb.components(fol._contract3(fb, "nabla_t", model.nabla_t_entry,
-                                      "all", "all", "all"))
-    nt = nt.transpose(0, 2, 3, 1, 4)                       # [p, u, v, w]
+    nt = fol._contract3(fb, "nabla_t", model.nabla_t_entry, "all", "all",
+                        "all").transpose(0, 2, 3, 1, 4)    # [p, u, v, w]
     same = np.zeros(nt.shape[1:4], dtype=bool)
     same[:n, :n, :n] = same[n:, n:, n:] = True
     assert np.abs(nt[:, same]).max() > 1.5 * np.abs(nt[:, ~same]).max()

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import inspect
 import itertools
@@ -306,9 +307,34 @@ def ghat_scales(name):
     return sorted({*oneill.default, *([1.0 / (2.0 * kappa)] if kappa else [])})
 
 
+def spanning_batch(fb):
+    """A copy of ``fb`` whose expansion weights and metric-lowered frame are
+    identities, so that ``assemble`` keeps the values over the spanning
+    indices, (P, K1, ..., N): contraction by an identity is exact."""
+    P, N = fb.points.shape
+    eye = lambda k: np.broadcast_to(np.eye(k), (P, k, k))
+    out = dataclasses.replace(fb, wh=eye(fb.wh.shape[2]),
+                              wv=eye(fb.wv.shape[2]), _values={})
+    out.__dict__["_metric_frame"] = eye(N)
+    return out
+
+
+def expansion(fb):
+    """The block-diagonal expansion of the full adapted frame over the
+    spanning fields, (P, n+m, K): u_d = sum_a W[p, d, a] E_a."""
+    P, n, kh = fb.wh.shape
+    m = fb.wv.shape[1]
+    W = np.zeros((P, n + m, kh + m))
+    W[:, :n, :kh] = fb.wh
+    W[:, n:, kh:] = fb.wv
+    return W
+
+
 class TestJetOracle:
     """The batched three-index entries, computed from 1-jets of the two-index
-    tables, reproduce the symbolic composition evaluated at the points."""
+    tables, reproduce the symbolic composition evaluated at the points.  The
+    batch keeps frame components, so the entries are built on a copy whose
+    frame contractions are identities (``spanning_batch``)."""
 
     @staticmethod
     def assert_close(got, want):
@@ -318,7 +344,8 @@ class TestJetOracle:
     @pytest.mark.parametrize("name", [s.name for s in models.catalog()])
     def test_entries_match_symbolic_composition(self, name, catalog_models):
         model = catalog_models[name]
-        fb = model.frame_batch(sample_points(model.chart, 3, 12))
+        fb = spanning_batch(model.frame_batch(sample_points(model.chart, 3,
+                                                            12)))
         every = ("hv",) * 3
         batched = {"nabla_t": model.nabla_t_entry(fb, *every),
                    "curvature": model.curvature_entry(fb, *every)}
@@ -552,7 +579,7 @@ class TestGhatTable:
             self, name, catalog_models):
         model = catalog_models[name]
         pts = sample_points(model.chart, 4, 22)
-        kh = model.span_h_count
+        n = model.n
         for eps_rel in ghat_scales(name):
             total = model.epsilon * eps_rel
             label = f"lc_curvature[{round(total, 12)}]"
@@ -561,11 +588,14 @@ class TestGhatTable:
             fb, full = model.frame_batch(pts), model.frame_batch(pts)
             for d2, d3 in itertools.product(DOMAINS, repeat=2):
                 got = fol.lc_curvature_ambient(fb, eps_rel, d2, d3)
+                comps = fol._contract3(fb, label, entry, "v", d2, d3,
+                                       first_only=True)
                 want = fol._contract3(full, label, entry, "v", d2, d3)
-                assert np.array_equal(got, want), (d2, d3)
+                assert np.array_equal(comps, want), (d2, d3)
+                assert np.array_equal(got, full.ambient(want)), (d2, d3)
             (stored,) = fb._values[label].values()
             assert np.array_equal(stored,
-                                  full._values[label][("hv",) * 3][:, kh:])
+                                  full._values[label][("hv",) * 3][:, n:])
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +644,11 @@ DOMAINS = ("h", "v", "all")
 
 
 class TestContraction:
-    """_contract3, _contract2 and components, which run as chains of batched
-    matmuls, agree with one einsum over the same stored values."""
+    """``FrameBatch.assemble`` contracts each block combination by the
+    expansion weights of its blocks and then by the metric-lowered frame;
+    that equals one einsum over the spanning-index values with the
+    block-diagonal expansion, and _contract3 and _contract2 read read-only
+    views of the result."""
 
     @staticmethod
     def assert_close(got, want):
@@ -632,34 +665,71 @@ class TestContraction:
     @pytest.mark.parametrize("table", ["nabla_t", "curvature"])
     def test_contract3_every_slot_domain(self, batch, table):
         entry = getattr(batch.model, f"{table}_entry")
+        span = entry(spanning_batch(batch), "hv", "hv", "hv")
+        W = expansion(batch)
+        want = np.einsum("pia,pjb,pkc,pabcn,pnd->pijkd", W, W, W, span,
+                         batch._metric_frame, optimize=True)
         for d1, d2, d3 in itertools.product(DOMAINS, repeat=3):
             got = fol._contract3(batch, table, entry, d1, d2, d3)
-            vals = batch._values[table][("hv",) * 3]
-            (s1, W1), (s2, W2), (s3, W3) = map(batch.slot, (d1, d2, d3))
-            want = np.einsum("pia,pjb,pkc,pabcn->pijkn", W1, W2, W3,
-                             vals[:, s1, s2, s3])
-            self.assert_close(got, want)
-            self.assert_close(batch.components(got), np.einsum(
-                "pijkn,pnd->pijkd", got, batch._metric_frame))
+            s1, s2, s3 = map(batch.frame_slice, (d1, d2, d3))
+            self.assert_close(got, want[:, s1, s2, s3])
+            (stored,) = batch._values[table].values()
+            assert np.shares_memory(got, stored)
+            assert not got.flags.writeable
 
     def test_contract2_every_slot_domain(self, batch):
         model = batch.model
         span = range(model.span_count)
+        tab = symbolic_tables(model)
+        vals = np.array([[tab.torsion(a, b).total(model.ambient_dim)
+                          .evaluate(batch.points) for b in span]
+                         for a in span])
+        W = expansion(batch)
+        want = np.einsum("pia,pjb,abpn,pnd->pijd", W, W, vals,
+                         batch._metric_frame, optimize=True)
         for d1, d2 in itertools.product(DOMAINS, repeat=2):
             got = fol._contract2(batch, "torsion", model.torsion_entry, d1, d2)
-            (s1, W1), (s2, W2) = batch.slot(d1), batch.slot(d2)
-            tab = symbolic_tables(model)
-            vals = np.array([[tab.torsion(a, b).total(model.ambient_dim)
-                              .evaluate(batch.points)
-                              for b in span[s2]] for a in span[s1]])
-            want = np.einsum("pia,pjb,abpn->pijn", W1, W2, vals)
-            self.assert_close(got, want)
-            self.assert_close(batch.components(got), np.einsum(
-                "pijn,pnd->pijd", got, batch._metric_frame))
+            s1, s2 = batch.frame_slice(d1), batch.frame_slice(d2)
+            self.assert_close(got, want[:, s1, s2])
+            assert not got.flags.writeable
+
+    def test_components_and_ambient_are_inverse(self, batch):
+        rng = np.random.default_rng(6)
+        P, F = batch.frame.shape[:2]
+        comps = rng.standard_normal((P, 3, 2, F))
+        amb = batch.ambient(comps)
+        self.assert_close(amb, np.einsum("pijd,pdn->pijn", comps,
+                                         batch.frame))
+        self.assert_close(batch.components(amb), comps)
+        self.assert_close(batch.components(amb), np.einsum(
+            "pijn,pnd->pijd", amb, batch._metric_frame))
 
     def test_three_index_is_point_major_and_contiguous(self, batch):
         model = batch.model
         values = model.curvature_entry(batch, "hv", "hv", "hv")
-        assert values.shape == (4, *(model.span_count,) * 3,
-                                model.ambient_dim)
+        assert values.shape == (4, *(model.n + model.m,) * 4)
         assert values.flags.c_contiguous and values.flags.owndata
+
+
+class TestStoredComponents:
+    """The batch keeps only frame components, read-only, so that readers
+    take views of them."""
+
+    def test_only_frame_components_are_stored(self, catalog_models):
+        model = catalog_models["quaternionic-hopf-s11"]
+        fb = model.frame_batch(sample_points(model.chart, 8, 24))
+        fol.nabla_t_components(fb)
+        fol.curvature_components(fb)
+        stored = sum(a.nbytes for store in fb._values.values()
+                     for a in store.values())
+        assert (model.n + model.m, model.span_count,
+                model.ambient_dim) == (11, 15, 12)
+        assert stored == 2 * 8 * 11 ** 4 * 8
+
+    def test_stored_values_are_read_only(self, heis_quat):
+        fb = heis_quat.frame_batch(sample_points(heis_quat.chart, 3, 25))
+        view = curvature_components(fb, "h", "all", "all")
+        with pytest.raises(ValueError):
+            view[0, 0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            torsion_components(fb)[:] = 0.0

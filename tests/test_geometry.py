@@ -102,29 +102,73 @@ class TestDerivatives:
             assert jac.is_zero()
 
 
+def one(*vectors):
+    """A batch of one point holding ``vectors``: (1, k, N)."""
+    return np.array(vectors, dtype=np.float64)[None]
+
+
+def gram_schmidt_loop(vectors, G, tol=1e-10):
+    """Modified Gram-Schmidt at one point, skipping dependent vectors: the
+    basis, the expansion rows and the kept indices."""
+    basis, rows, kept = [], [], []
+    for j, v in enumerate(vectors):
+        w, row = v.copy(), np.eye(len(vectors))[j]
+        for b, brow in zip(basis, rows):
+            proj = b @ G @ w
+            w, row = w - proj * b, row - proj * brow
+        norm2 = w @ G @ w
+        if norm2 > tol ** 2 * max(v @ G @ v, 1.0):
+            basis.append(w / math.sqrt(norm2))
+            rows.append(row / math.sqrt(norm2))
+            kept.append(j)
+    return basis, rows, kept
+
+
 class TestGramSchmidt:
     def test_textbook_examples(self):
-        basis = gram_schmidt_at([np.array([1.0, 0.0]), np.array([0.0, 2.0])])
-        np.testing.assert_allclose(basis, [[1, 0], [0, 1]], atol=1e-15)
-        basis = gram_schmidt_at([np.array([1.0, 1.0]), np.array([1.0, 0.0])])
+        basis, _, _ = gram_schmidt_at(one([1.0, 0.0], [0.0, 2.0]))
+        np.testing.assert_allclose(basis[0], [[1, 0], [0, 1]], atol=1e-15)
+        basis, _, _ = gram_schmidt_at(one([1.0, 1.0], [1.0, 0.0]))
         r = 1 / np.sqrt(2)
-        np.testing.assert_allclose(basis, [[r, r], [r, -r]], atol=1e-15)
+        np.testing.assert_allclose(basis[0], [[r, r], [r, -r]], atol=1e-15)
 
     def test_degenerate_raises(self):
-        with pytest.raises(DegenerateFrameError):
-            gram_schmidt_at([np.array([1.0, 1.0]), np.array([1.0, 1.0 + 1e-14])])
+        with pytest.raises(DegenerateFrameError, match="vector 1 .* point 0"):
+            gram_schmidt_at(one([1.0, 1.0], [1.0, 1.0 + 1e-14]))
 
     def test_custom_metric_and_coefficients(self):
         G = np.diag([4.0, 1.0])
-        basis, W, kept = gram_schmidt_at(
-            [np.array([1.0, 0.0]), np.array([1.0, 1.0])], metric=G,
-            return_coefficients=True)
-        assert kept == [0, 1]
-        for i, b in enumerate(basis):
+        V = one([1.0, 0.0], [1.0, 1.0])
+        basis, W, kept = gram_schmidt_at(V, metric=G)
+        assert kept.tolist() == [[True, True]]
+        for i, b in enumerate(basis[0]):
             np.testing.assert_allclose(b @ G @ b, 1.0, atol=1e-14)
-            np.testing.assert_allclose(
-                b, W[i, 0] * np.array([1.0, 0.0]) + W[i, 1] * np.array([1.0, 1.0]),
-                atol=1e-14)
+            np.testing.assert_allclose(b, W[0, i] @ V[0], atol=1e-14)
+
+    def test_batch_matches_a_loop_over_points(self):
+        # in R^4, vector 2 is dependent on vectors 0 and 1 at the even
+        # points, and vector 3 on vectors 0 and 2 at points 1 and 2; the last
+        # vector is kept only where one of the others was dropped, so the
+        # kept subsets are {0,1,3,4}, {0,1,2,4}, {0,1,4} and {0,1,2,3}
+        rng = np.random.default_rng(5)
+        P, N = 6, 4
+        V = rng.standard_normal((P, 5, N))
+        V[::2, 2] = 0.5 * V[::2, 0] - 2.0 * V[::2, 1]
+        V[1:3, 3] = V[1:3, 0] + 0.25 * V[1:3, 2]
+        A = rng.standard_normal((P, N, N))
+        G = A @ A.transpose(0, 2, 1) + N * np.eye(N)
+        with pytest.raises(DegenerateFrameError, match="vector 2 .* point 0"):
+            gram_schmidt_at(V, metric=G)
+        basis, W, kept = gram_schmidt_at(V, metric=G, allow_dependent=True)
+        assert len({tuple(row) for row in kept.tolist()}) == 4
+        for p in range(P):
+            want_basis, want_rows, want_kept = gram_schmidt_loop(V[p], G[p])
+            assert np.flatnonzero(kept[p]).tolist() == want_kept
+            assert not basis[p, ~kept[p]].any() and not W[p, ~kept[p]].any()
+            np.testing.assert_allclose(basis[p, kept[p]], want_basis,
+                                       rtol=0, atol=1e-14)
+            np.testing.assert_allclose(W[p, kept[p]], want_rows, rtol=0,
+                                       atol=1e-14)
 
 
 class TestSphereMoments:
@@ -437,3 +481,32 @@ class TestTaylorArithmetic:
             want = order2_jet(X, pts).along(order2_jet(Y, pts))
             np.testing.assert_allclose(pairs.jacobian[i], want.jacobian,
                                        rtol=1e-13, atol=1e-13)
+
+
+class TestStreamingLayout:
+    """The two per-point products behind ``apply_matrix`` and ``along`` on
+    jets equal their einsum definitions, with contiguous (N, N) blocks."""
+
+    def test_per_point_matrix_jacobian(self):
+        rng = np.random.default_rng(8)
+        P, N = 5, 4
+        T = rng.standard_normal((P, N, N, N))
+        x = rng.standard_normal((3, 2, P, N))
+        got = geo._per_point(T, x)
+        np.testing.assert_allclose(got, np.einsum("pikj,abpj->abpik", T, x),
+                                   rtol=1e-13, atol=1e-13)
+        assert got.strides[-2:] == (8 * N, 8)
+
+    @pytest.mark.parametrize("lh, lx", [((2, 1), (1, 3)), ((1, 3), (2, 1)),
+                                        ((), ())])
+    def test_constant_hessian_along_fields(self, lh, lx):
+        rng = np.random.default_rng(9)
+        P, N = 5, 4
+        H = rng.standard_normal(lh + (1, N, N, N))
+        H = H + H.swapaxes(-1, -2)                  # Hessians are symmetric
+        x = rng.standard_normal(lx + (P, N))
+        got = geo._hessian_along(H, x)
+        want = np.einsum("...ikj,...pj->...pik", H[..., 0, :, :, :], x)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+        assert got.shape == tuple(np.broadcast_shapes(lh, lx)) + (P, N, N)
+        assert got.strides[-2:] == (8 * N, 8)
