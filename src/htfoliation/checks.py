@@ -63,18 +63,15 @@ class CheckReport:
 
 def frame_batch_for(model: FoliationModel, points: int, seed: int) -> FrameBatch:
     """Adapted frames over the model's deterministic sample, cached so that
-    successive checks on one model share every evaluated tensor.
-
-    The cache is shared with ``with_epsilon`` copies.  A cached batch refers
-    to its model only weakly and leaves the cache when the model is freed, so
-    it neither keeps a finished model and its values alive nor outlives it.
+    successive checks on one model share every evaluated tensor.  A cached
+    batch refers to its model only weakly, so the cycle through the model's
+    cache does not keep a finished model and its values alive.
     """
     tab = model._tables.setdefault("frame_batches", {})
-    key = (model.epsilon, points, seed)
+    key = (points, seed)
     if key not in tab:
         fb = model.frame_batch(geo.sample_points(model.chart, points, seed))
         fb.model = weakref.proxy(model)
-        weakref.finalize(model, tab.pop, key, None)
         tab[key] = fb
     return tab[key]
 

@@ -25,10 +25,6 @@ from .errors import (BoundNotApplicableError, InvalidModelError,
                      UnsupportedBackendError)
 from .foliation import ricci_horizontal
 
-DEFAULT_CHECKS = ["axioms", "h-type", "torsion-class", "yang-mills",
-                  "parallel-clifford", "lemma-identities", "einstein",
-                  "curvature-constancy", "cd"]
-
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN_MODEL = 3
@@ -113,6 +109,64 @@ def _spectrum(model, degree: int):
         sys.exit(EXIT_USAGE)
 
 
+@dataclass
+class ModelRun:
+    """What the checks on one model share: the catalog's expected torsion
+    class and kappa, and the kappa fitted by the vertical Clifford check."""
+    expected_class: str | None
+    expected_kappa: float | None
+    fitted_kappa: float | None = None
+
+
+def _parallel_clifford(model, cfg: RunConfig, run: ModelRun):
+    rep = checks.check_parallel_clifford(model, cfg.heavy_points, cfg.seed,
+                                         cfg.tol)
+    run.fitted_kappa = rep.details.get("kappa")
+    return rep
+
+
+def _curvature_constancy(model, cfg: RunConfig, run: ModelRun):
+    kappa = run.fitted_kappa or run.expected_kappa
+    if not kappa:
+        raise NotApplicableError("no nonzero structure constant kappa")
+    return checks.check_curvature_constancy(model, kappa, cfg.heavy_points,
+                                            cfg.seed, cfg.tol)
+
+
+def _cd(model, cfg: RunConfig, run: ModelRun):
+    # K just below the sampled minimum of Ric_H
+    fb = checks.frame_batch_for(model, cfg.heavy_points, cfg.seed)
+    K = float(np.linalg.eigvalsh(ricci_horizontal(fb)).min()) - 1e-9
+    return analysis.check_cd_inequality(model, K, fs=10,
+                                        points=cfg.heavy_points,
+                                        seed=cfg.seed, tol=cfg.tol)
+
+
+#: check name -> f(model, cfg, run), giving a report or a list of reports,
+#: in the order ``verify`` runs them.  Entries look up the package function
+#: when they run, so a replaced module attribute is what gets called.
+CHECKS = {
+    "axioms": lambda model, cfg, run: checks.check_foliation_axioms(
+        model, cfg.points, cfg.seed, cfg.tol),
+    "h-type": lambda model, cfg, run: checks.check_h_type(
+        model, cfg.points, cfg.seed, cfg.tol),
+    "torsion-class": lambda model, cfg, run: checks.check_torsion_class(
+        model, run.expected_class, cfg.heavy_points, cfg.seed, cfg.tol),
+    "yang-mills": lambda model, cfg, run: checks.check_yang_mills(
+        model, cfg.points, cfg.seed, cfg.tol),
+    "parallel-clifford": _parallel_clifford,
+    "lemma-identities": lambda model, cfg, run: checks.check_lemma_identities(
+        model, cfg.heavy_points, cfg.seed, cfg.tol,
+        kappa=(run.expected_kappa if run.fitted_kappa is None
+               else run.fitted_kappa)),
+    "einstein": lambda model, cfg, run: checks.check_einstein(
+        model, cfg.heavy_points, cfg.seed, cfg.tol, kappa=run.fitted_kappa),
+    "curvature-constancy": _curvature_constancy,
+    "cd": _cd,
+}
+DEFAULT_CHECKS = list(CHECKS)
+
+
 def run_checks(model, selected: list[str], cfg: RunConfig,
                expected_class: str | None = None,
                expected_kappa: float | None = None) -> list[dict]:
@@ -121,71 +175,18 @@ def run_checks(model, selected: list[str], cfg: RunConfig,
     Rows carry status pass/fail/skipped/error; precondition violations are
     errors (they fail the run), theorem hypotheses not met are skips.
     """
+    run = ModelRun(expected_class, expected_kappa)
     rows: list[dict] = []
-    fitted_kappa: float | None = None
-
-    def record(report, status=None):
-        row = report.to_json()
-        if status:
-            row["status"] = status
-        row["model"] = model.name
-        rows.append(row)
-        return row
-
-    def skip(name, reason):
-        rows.append({"check": name, "status": "skipped", "model": model.name,
-                     "reason": reason})
-
-    def error(name, exc):
-        rows.append({"check": name, "status": "error", "model": model.name,
-                     "reason": str(exc)})
-
     for name in selected:
         try:
-            if name == "axioms":
-                record(checks.check_foliation_axioms(
-                    model, cfg.points, cfg.seed, cfg.tol))
-            elif name == "h-type":
-                record(checks.check_h_type(model, cfg.points, cfg.seed, cfg.tol))
-            elif name == "torsion-class":
-                record(checks.check_torsion_class(
-                    model, expected_class, cfg.heavy_points, cfg.seed, cfg.tol))
-            elif name == "yang-mills":
-                record(checks.check_yang_mills(
-                    model, cfg.points, cfg.seed, cfg.tol))
-            elif name == "parallel-clifford":
-                rep = checks.check_parallel_clifford(
-                    model, cfg.heavy_points, cfg.seed, cfg.tol)
-                fitted_kappa = rep.details.get("kappa")
-                record(rep)
-            elif name == "lemma-identities":
-                kap = fitted_kappa if fitted_kappa is not None else expected_kappa
-                for rep in checks.check_lemma_identities(
-                        model, cfg.heavy_points, cfg.seed, cfg.tol, kappa=kap):
-                    record(rep)
-            elif name == "einstein":
-                record(checks.check_einstein(
-                    model, cfg.heavy_points, cfg.seed, cfg.tol,
-                    kappa=fitted_kappa))
-            elif name == "curvature-constancy":
-                kap = fitted_kappa if fitted_kappa else expected_kappa
-                if not kap:
-                    skip(name, "no nonzero structure constant kappa")
-                    continue
-                record(checks.check_curvature_constancy(
-                    model, kap, cfg.heavy_points, cfg.seed, cfg.tol))
-            elif name == "cd":
-                fb = checks.frame_batch_for(model, cfg.heavy_points, cfg.seed)
-                K = float(np.linalg.eigvalsh(ricci_horizontal(fb)).min()) - 1e-9
-                record(analysis.check_cd_inequality(
-                    model, K, fs=10, points=cfg.heavy_points, seed=cfg.seed,
-                    tol=cfg.tol))
-            else:
-                raise click.UsageError(f"unknown check {name!r}")
+            out = CHECKS[name](model, cfg, run)
+            found = [r.to_json() for r in (out if isinstance(out, list)
+                                           else [out])]
         except NotApplicableError as exc:
-            skip(name, str(exc))
+            found = [{"check": name, "status": "skipped", "reason": str(exc)}]
         except (InvalidModelError, UnsupportedBackendError) as exc:
-            error(name, exc)
+            found = [{"check": name, "status": "error", "reason": str(exc)}]
+        rows += [{**row, "model": model.name} for row in found]
     return rows
 
 
@@ -233,9 +234,9 @@ def cmd_catalog(fmt):
 @click.argument("model_names", nargs=-1)
 @click.option("--all", "run_all", is_flag=True,
               help="verify every catalog model expected to pass as built")
-@click.option("--checks", "check_list", default=",".join(DEFAULT_CHECKS),
+@click.option("--checks", "check_list", default=",".join(CHECKS),
               show_default=False,
-              help="comma-separated subset of: " + ", ".join(DEFAULT_CHECKS))
+              help="comma-separated subset of: " + ", ".join(CHECKS))
 @click.option("--points", type=POINTS, default=64, show_default=True)
 @click.option("--seed", type=SEED, default=42, show_default=True)
 @click.option("--tol", type=TOLERANCE, default=checks.TOL_CURVATURE,
@@ -255,7 +256,7 @@ def cmd_verify(model_names, run_all, check_list, points, seed, tol, fmt, out,
     if not selected:
         raise click.UsageError("no checks selected")
     for c in selected:
-        if c not in DEFAULT_CHECKS:
+        if c not in CHECKS:
             raise click.UsageError(f"unknown check {c!r}")
     if run_all:
         names = [s.name for s in models.catalog() if s.strict_htype]

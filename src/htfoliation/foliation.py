@@ -158,8 +158,7 @@ class FoliationModel:
                  vertical_fields: Sequence[PolyField],
                  horizontal_fields: Sequence[PolyField],
                  generators: np.ndarray | None = None,
-                 vertical_matrices: np.ndarray | None = None,
-                 _tables: dict | None = None):
+                 vertical_matrices: np.ndarray | None = None):
         if backend not in (GROUP, SPHERE):
             raise InvalidModelError(f"unknown backend {backend!r}")
         if not 0 < epsilon < np.inf:
@@ -193,9 +192,8 @@ class FoliationModel:
                 raise InvalidModelError(
                     f"spanning field {i} of {name!r} has degree {degree}; "
                     f"the jet engine needs degree <= {MAX_SPAN_DEGREE}")
-        # epsilon-independent symbolic table (span_partials) and the cached
-        # frame batches, shared across variations
-        self._tables = _tables if _tables is not None else {}
+        # the symbolic table (span_partials) and the cached frame batches
+        self._tables = {}
 
     # -- basic structure -----------------------------------------------------
 
@@ -215,7 +213,7 @@ class FoliationModel:
     def span_partials(self) -> dict:
         """The exact partials d_j E_a of the spanning fields (horizontals
         first, then verticals), keyed (a, j): the one symbolic table, built
-        on first use and shared with ``with_epsilon`` copies."""
+        on first use."""
         tab = self._tables.get("span_partials")
         if tab is None:
             spans = self.horizontal_fields + self.vertical_fields
@@ -223,16 +221,6 @@ class FoliationModel:
                 (a, j): PolyField([c.partial(j) for c in E.components])
                 for a, E in enumerate(spans) for j in range(self.ambient_dim)}
         return tab
-
-    def with_epsilon(self, epsilon: float) -> "FoliationModel":
-        """Same fields, new vertical metric scale (the canonical variation);
-        the symbolic table is shared because the underlying connection does
-        not depend on the scale.  Frame J matrices against the stored vertical
-        fields rescale by epsilon_old / epsilon_new."""
-        return FoliationModel(self.name, self.backend, self.chart, self.n,
-                              self.m, epsilon, self.vertical_fields,
-                              self.horizontal_fields, self.generators,
-                              self.vertical_matrices, _tables=self._tables)
 
     # -- projections and metric ----------------------------------------------
 
@@ -519,14 +507,27 @@ class FoliationModel:
                          axis=1)                        # (P, Kh, N)
         zvals = np.stack([Z.evaluate(pts, mono) for Z in self.vertical_fields],
                          axis=1)                        # (P, m, N)
-        # one pass per block; the first point where either block falls
-        # short of its rank is reported, the vertical block first
+        # the metric on the chart's tangent space: on the sphere, on p^perp
+        # (adding p p^T puts the eigenvalue 1 along p)
+        T = G
+        if self.backend == SPHERE:
+            pp = np.einsum("pn,pm->pnm", pts, pts)
+            T = (np.eye(N) - pp) @ G @ (np.eye(N) - pp) + pp
+        lowest = np.linalg.eigvalsh(T)[:, 0]
+        # one pass per block; the first point where the metric is not
+        # positive definite or either block falls short of its rank is
+        # reported, the metric first, then the vertical block
         z, wv, kept_v = gram_schmidt_at(zvals, metric=G, allow_dependent=True)
         xb, whb, kept = gram_schmidt_at(hvals, metric=G, allow_dependent=True)
         rank_v, rank_h = kept_v.sum(axis=1), kept.sum(axis=1)
-        bad = np.flatnonzero((rank_v != self.m) | (rank_h != self.n))
+        bad = np.flatnonzero((lowest <= 0) | (rank_v != self.m)
+                             | (rank_h != self.n))
         if bad.size:
             p = bad[0]
+            if lowest[p] <= 0:
+                raise InvalidModelError(
+                    f"metric is not positive definite at point {p}: smallest "
+                    f"eigenvalue {lowest[p]:.3e} on the tangent space")
             block, rank, want = (("vertical", rank_v[p], self.m)
                                  if rank_v[p] != self.m
                                  else ("horizontal", rank_h[p], self.n))

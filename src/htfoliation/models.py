@@ -32,7 +32,7 @@ from .geometry import (AmbientChart, EUCLIDEAN, UNIT_SPHERE, Polynomial,
 class ModelSpec:
     """Catalog row: how to build a model and what to expect from it."""
 
-    kind: str                  # htype-group | complex-hopf | quaternionic-hopf | custom
+    kind: str                  # htype-group | complex-hopf | quaternionic-hopf
     name: str
     n: int
     m: int
@@ -197,9 +197,6 @@ def build(spec: ModelSpec) -> FoliationModel:
         return complex_hopf(spec.params["k"], spec.epsilon, name=spec.name)
     if spec.kind == "quaternionic-hopf":
         return quaternionic_hopf(spec.params["k"], spec.epsilon, name=spec.name)
-    if spec.kind == "custom":
-        return group_model_from_matrices(np.asarray(spec.params["rep"]["generators"]),
-                                         spec.epsilon, name=spec.name)
     raise InvalidModelError(f"unknown model kind {spec.kind!r}")
 
 

@@ -2,11 +2,11 @@
 
 Building each model once per session keeps the suite fast: a model keeps
 the exact partials of its spanning fields, its cached point batches, and
-(in ``symbolic_oracles``) the symbolic oracle tables built for it, and
-vertical rescalings share the first two.  Connection and curvature entries
-are computed at each point batch from jets of the spanning fields and kept
-only as values in the batch, so tests that sample new points recompute
-them; that is cheap, since no entry is built symbolically.
+(in ``symbolic_oracles``) the symbolic oracle tables built for it.
+Connection and curvature entries are computed at each point batch from
+jets of the spanning fields and kept only as values in the batch, so tests
+that sample new points recompute them; that is cheap, since no entry is
+built symbolically.
 """
 
 import pytest
@@ -55,19 +55,19 @@ def s11():
 
 
 @pytest.fixture(scope="session")
-def round_s3(s3):
-    return s3.with_epsilon(1.0)
+def round_s3():
+    return models.get_model("round-s3-unnormalized")
 
 
 @pytest.fixture(scope="session")
-def round_s7(s7):
-    return s7.with_epsilon(1.0)
+def round_s7():
+    return models.get_model("round-s7-unnormalized")
 
 
 @pytest.fixture(scope="session")
 def catalog_models(heis, heis_quat, heis_mixed, heis_oct, s3, s5, s7, s11,
                    round_s3, round_s7):
-    """Catalog name -> built model, with rescalings sharing cached tables."""
+    """Catalog name -> built model."""
     return {
         "heisenberg": heis,
         "heisenberg-quat": heis_quat,

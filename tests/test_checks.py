@@ -86,6 +86,16 @@ class TestFoliationAxioms:
         rep = checks.check_foliation_axioms(model, points=16, seed=1)
         assert rep.status == "fail"
 
+    def test_indefinite_metric_is_named(self):
+        # at point 5 of the sample the sheared metric is indefinite on the
+        # tangent space p^perp (the ambient G reads -0.189 there)
+        model = sheared_s3()
+        with pytest.raises(InvalidModelError,
+                           match=r"metric is not positive definite at point "
+                                 r"0: smallest eigenvalue -1\.498e-01 on the "
+                                 r"tangent space"):
+            model.frame_batch(sample_points(model.chart, 16, 1)[5:6])
+
 
 class TestHType:
     def test_round_spheres_report_lambda_four(self, round_s3, round_s7):
@@ -517,14 +527,3 @@ class TestFrameBatchCache:
             assert ref() is None
         finally:
             gc.enable()
-
-    def test_copy_outlives_the_model_that_built_the_batch(self):
-        model = models.get_model("heisenberg-quat")
-        first = checks.check_yang_mills(model, points=4)
-        # the copy shares the batch cache, whose batch for this key was
-        # built for (and refers to) the model deleted here
-        copy = model.with_epsilon(model.epsilon)
-        del model
-        again = checks.check_yang_mills(copy, points=4)
-        assert again.status == "pass"
-        assert again.to_json() == first.to_json()

@@ -4,12 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import htfoliation
 from click.testing import CliRunner
 
-from htfoliation import analysis, checks, models
+from htfoliation import analysis, checks, cli, models
 from htfoliation.cli import main
 from htfoliation.clifford import build_representation
 
@@ -61,8 +62,12 @@ class TestVerify:
         assert res.exit_code == 3
 
     def test_unknown_check_usage_error(self, runner):
-        res = runner.invoke(main, ["verify", "heisenberg", "--checks", "magic"])
-        assert res.exit_code == 2
+        # names are checked before any model is loaded: an unknown check
+        # with an unknown model is still a usage error, not exit 3
+        for model in ("heisenberg", "nosuch"):
+            res = runner.invoke(main, ["verify", model, "--checks", "magic"])
+            assert res.exit_code == 2
+            assert "unknown check 'magic'" in res.output
 
     def test_empty_check_selection_usage_error(self, runner):
         for checks in (",", " , ,", ""):
@@ -96,6 +101,52 @@ class TestVerify:
                                    "--points", "8", "--format", "json"])
         assert res.exit_code == 0
         assert json.loads(res.output)[0]["model"] == "file-model"
+
+
+class TestCheckTable:
+    """``cli.CHECKS`` declares every check once; ``run_checks`` and
+    ``verify`` read it."""
+
+    def test_default_checks_are_the_table(self):
+        assert cli.DEFAULT_CHECKS == list(cli.CHECKS)
+        option = next(p for p in main.commands["verify"].params
+                      if p.name == "check_list")
+        assert option.default == ",".join(cli.CHECKS)
+        for name in cli.CHECKS:
+            assert name in option.help
+
+    def test_entries_call_the_module_attributes(self, monkeypatch, heis):
+        # tracers and tests replace these attributes; the table must call
+        # the replacements, not the functions it saw at import
+        seen = {}
+
+        def h_type(model, points, seed, tol):
+            seen["h-type"] = (model.name, points, seed, tol)
+            return checks.CheckReport.from_residual("h-type", 0.5, tol, points)
+
+        def cd(model, K, fs, points, seed, tol):
+            seen["cd"] = (K, fs, points)
+            return checks.CheckReport.from_residual("cd", 0.0, tol, points)
+
+        monkeypatch.setattr(checks, "check_h_type", h_type)
+        monkeypatch.setattr(cli, "ricci_horizontal",
+                            lambda fb: np.diag([3.0, 5.0])[None])
+        monkeypatch.setattr(analysis, "check_cd_inequality", cd)
+        rows = cli.run_checks(heis, ["h-type", "cd"],
+                              cli.RunConfig(points=4, seed=3, heavy_points=2))
+        assert seen == {"h-type": ("heisenberg", 4, 3, cli.RunConfig.tol),
+                        "cd": (3.0 - 1e-9, 10, 2)}
+        assert [(r["check"], r["status"]) for r in rows] == [
+            ("h-type", "fail"), ("cd", "pass")]
+
+    def test_every_row_names_its_model(self, heis_quat):
+        rows = cli.run_checks(heis_quat,
+                              ["lemma-identities", "curvature-constancy"],
+                              cli.RunConfig(points=4, heavy_points=4),
+                              expected_kappa=0.0)
+        assert len(rows) == 7          # six lemma rows and one skip
+        assert rows[-1]["status"] == "skipped"
+        assert all(r["model"] == "heisenberg-quat" for r in rows)
 
 
 def test_report_bytes_do_not_depend_on_blas_threads():
