@@ -209,7 +209,7 @@ def check_cd_inequality(model: FoliationModel, K: float,
               for _ in range(fs)]
     if not fs:
         raise ValueError("the CD check needs at least one trial function")
-    vals = gamma_jets(model, fs, fb.mono)
+    vals = gamma_jets(model, fs, MonomialCache(fb.points))
     margins = []
     for nu in nus:
         lhs = vals["gamma2"] + nu * vals["gamma2_v"]

@@ -20,8 +20,8 @@ import click
 import numpy as np
 
 from . import analysis, checks, models
-from .errors import (BoundNotApplicableError, InvalidModelError,
-                     NotApplicableError, SizeLimitError,
+from .errors import (BoundNotApplicableError, DegenerateFrameError,
+                     InvalidModelError, NotApplicableError, SizeLimitError,
                      UnsupportedBackendError)
 from .foliation import ricci_horizontal
 
@@ -184,7 +184,8 @@ def run_checks(model, selected: list[str], cfg: RunConfig,
                                            else [out])]
         except NotApplicableError as exc:
             found = [{"check": name, "status": "skipped", "reason": str(exc)}]
-        except (InvalidModelError, UnsupportedBackendError) as exc:
+        except (InvalidModelError, DegenerateFrameError,
+                UnsupportedBackendError) as exc:
             found = [{"check": name, "status": "error", "reason": str(exc)}]
         rows += [{**row, "model": model.name} for row in found]
     return rows

@@ -10,7 +10,8 @@ class DimensionMismatchError(HTFoliationError, ValueError):
 
 
 class DegenerateFrameError(HTFoliationError, ValueError):
-    """A requested orthonormalization ran into (near-)linear dependence."""
+    """A spanning block of a model falls short of its rank at a point, so
+    no adapted frame can be built there."""
 
 
 class InvalidModelError(HTFoliationError, ValueError):

@@ -32,7 +32,9 @@ that both symbolic fields (PolyField) and point jets (PointField) provide.
 Every spanning field is a polynomial of degree <= 2, so its order-2 jet at a
 point batch is exact and cheap: values and Jacobians at the points, and one
 point-independent Hessian from the exact partials d_j E_a, the model's only
-symbolic table.  A two-index entry (the split bracket, the connection,
+symbolic table.  The values and Jacobians, with the coframe's, come from one
+evaluation per batch (FoliationModel.jets), and the adapted frame is built
+from the same values.  A two-index entry (the split bracket, the connection,
 torsion, the rescaled Levi-Civita derivative) applies one derivative to
 spanning fields, so the formulas give it as an order-1 jet at the batch.  A
 three-index entry (nabla T and both curvatures) applies one more derivative
@@ -275,17 +277,27 @@ class FoliationModel:
             return F
         return Split(h=self.pi_h(F), v=self.pi_v(F))
 
-    def metric_matrices(self, points, eps_scale: float = 1.0) -> np.ndarray:
+    def jets(self, cache: MonomialCache) -> tuple[np.ndarray, np.ndarray]:
+        """Order-1 jets at the cache's points of the spanning fields
+        (horizontals first, then verticals) and then of the coframe, from one
+        ``field_jets`` call: values (K + m, P, N) and Jacobians
+        (K + m, P, N, N).  Every reader at a point batch (the frame, the
+        metric, the spanning jets, the projections) takes its fields from
+        this one evaluation."""
+        return field_jets(self.horizontal_fields + self.vertical_fields
+                          + self._symbolic_fields[1], cache)
+
+    def metric_matrices(self, points, coframe: np.ndarray,
+                        eps_scale: float = 1.0) -> np.ndarray:
         """Pointwise Gram matrices of g_H + g_V / (epsilon * eps_scale), with
-        g_V = sum_a theta^a (x) theta^a over the coframe and g_H = I - p p^T
-        - g_V on the sphere, the first n coordinates on a group."""
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        theta = np.stack([t.evaluate(pts) for t in self._symbolic_fields[1]], 1)
-        gv = np.einsum("pan,pam->pnm", theta, theta)
+        g_V = sum_a theta^a (x) theta^a over the coframe values (m, P, N) at
+        ``points`` (P, N), and g_H = I - p p^T - g_V on the sphere, the first
+        n coordinates on a group."""
+        gv = np.einsum("apn,apm->pnm", coframe, coframe)
         w = 1.0 / (self.epsilon * eps_scale)
         if self.backend == SPHERE:
-            pp = np.einsum("pn,pm->pnm", pts, pts)
-            return np.eye(pts.shape[1])[None] - pp - gv + w * gv
+            pp = np.einsum("pn,pm->pnm", points, points)
+            return np.eye(points.shape[1])[None] - pp - gv + w * gv
         G = w * gv
         G[:, :self.n, :self.n] += np.eye(self.n)
         return G
@@ -296,15 +308,17 @@ class FoliationModel:
         [p, W, F, G], from 1-jets.  It is a form plus its transpose in (F, G),
         since d_k g = h_k + h_k^T with h_k from the coframe (and -e_k p^T on
         the sphere)."""
-        theta, dtheta = field_jets(self._symbolic_fields[1], cache)
-        h = np.einsum("apnk,apm->pnmk", dtheta, theta)   # half of d_k g_V
+        values, jacobians = self.jets(cache)
+        K = self.span_count
+        val, jac, theta = values[:K], jacobians[:K], values[K:]
+        h = np.einsum("apnk,apm->pnmk", jacobians[K:], theta)  # half of d_k g_V
         if self.backend == GROUP:
             h = h / self.epsilon
         else:                           # g = I - p p^T + (1/epsilon - 1) g_V
             h = (1.0 / self.epsilon - 1.0) * h - np.einsum(
                 "nk,pm->pnmk", np.eye(self.ambient_dim), cache.points)
-        val, jac = field_jets(self.horizontal_fields + self.vertical_fields, cache)
-        g_val = np.einsum("pnm,gpm->gpn", self.metric_matrices(cache.points), val)
+        g_val = np.einsum("pnm,gpm->gpn",
+                          self.metric_matrices(cache.points, theta), val)
         half = (np.einsum("pnmk,wpk,fpn,gpm->pwfg", h, val, val, val, optimize=True)
                 + np.einsum("wpij,fpj,gpi->pwfg", jac, val, g_val, optimize=True))
         return half + half.transpose(0, 1, 3, 2)
@@ -501,12 +515,9 @@ class FoliationModel:
         P, N = pts.shape
         if N != self.ambient_dim:
             raise DimensionMismatchError("points have wrong ambient dimension")
-        G = self.metric_matrices(pts)
-        mono = MonomialCache(pts)
-        hvals = np.stack([F.evaluate(pts, mono) for F in self.horizontal_fields],
-                         axis=1)                        # (P, Kh, N)
-        zvals = np.stack([Z.evaluate(pts, mono) for Z in self.vertical_fields],
-                         axis=1)                        # (P, m, N)
+        jets = self.jets(MonomialCache(pts))
+        values, K, kh = jets[0], self.span_count, self.span_h_count
+        G = self.metric_matrices(pts, values[K:])
         # the metric on the chart's tangent space: on the sphere, on p^perp
         # (adding p p^T puts the eigenvalue 1 along p)
         T = G
@@ -517,8 +528,8 @@ class FoliationModel:
         # one pass per block; the first point where the metric is not
         # positive definite or either block falls short of its rank is
         # reported, the metric first, then the vertical block
-        z, wv, kept_v = gram_schmidt_at(zvals, metric=G, allow_dependent=True)
-        xb, whb, kept = gram_schmidt_at(hvals, metric=G, allow_dependent=True)
+        z, wv, kept_v = gram_schmidt_at(values[kh:K].swapaxes(0, 1), G)
+        xb, whb, kept = gram_schmidt_at(values[:kh].swapaxes(0, 1), G)
         rank_v, rank_h = kept_v.sum(axis=1), kept.sum(axis=1)
         bad = np.flatnonzero((lowest <= 0) | (rank_v != self.m)
                              | (rank_h != self.n))
@@ -534,17 +545,18 @@ class FoliationModel:
             raise DegenerateFrameError(f"{block} span has rank {rank}, "
                                        f"expected {want}, at point {p}")
         x = xb[kept].reshape(P, self.n, N)
-        wh = whb[kept].reshape(P, self.n, self.span_h_count)
-        return FrameBatch(self, pts, mono, G, x, z, wh, wv)
+        wh = whb[kept].reshape(P, self.n, kh)
+        return FrameBatch(self, pts, jets, G, x, z, wh, wv)
 
 
 @dataclass
 class FrameBatch:
-    """Adapted frames over a point batch plus shared evaluation caches."""
+    """Adapted frames over a point batch, the model's jets there
+    (``FoliationModel.jets``) and the evaluated-value cache."""
 
     model: FoliationModel
     points: np.ndarray
-    mono: MonomialCache
+    jets: tuple[np.ndarray, np.ndarray]   # (K + m, P, N[, N])
     metric: np.ndarray   # (P, N, N)
     x: np.ndarray        # (P, n, N)
     z: np.ndarray        # (P, m, N)
@@ -621,10 +633,9 @@ class FrameBatch:
         """The model's coframe and projections at the points, from the
         1-jets of its vertical fields and coframe: pi_V = sum_a Z_a theta^a,
         and pi_H = I - pi_V (- p p^T on the sphere)."""
-        P, N = self.points.shape
-        vertical, coframe, _ = self.model._symbolic_fields
-        z, dz = field_jets(vertical, self.mono)              # (m, P, N[, N])
-        t, dt = field_jets(coframe, self.mono)
+        N = self.points.shape[1]
+        kh, K = self.model.span_h_count, self.model.span_count
+        (z, t), (dz, dt) = ((part[kh:K], part[K:]) for part in self.jets)
         pv = np.einsum("api,apj->pij", z, t)
         dpv = (np.einsum("apik,apj->pikj", dz, t)            # [p, i, k, j]
                + np.einsum("api,apjk->pikj", z, dt))
@@ -645,8 +656,7 @@ class FrameBatch:
         the exact partials d_j E_a (of degree <= 1) at one point."""
         model = self.model
         N, K, kh = model.ambient_dim, model.span_count, model.span_h_count
-        value, jac = field_jets(model.horizontal_fields + model.vertical_fields,
-                                self.mono)
+        value, jac = self.jets
         partials = model.span_partials
         hess = field_jets([partials[a, j] for a in range(K) for j in range(N)],
                           MonomialCache(self.points[:1]))[1]
@@ -655,7 +665,7 @@ class FrameBatch:
             hess.reshape(K, N, 1, N, N).transpose(0, 2, 3, 1, 4))
         at = self._fields_at
         return (PointField(value[:kh], jac[:kh], hess[:kh], at),
-                PointField(value[kh:], jac[kh:], hess[kh:], at))
+                PointField(value[kh:K], jac[kh:K], hess[kh:], at))
 
     def spanning(self, keep: int = 2):
         """The spanning fields as Splits of jets: ``E(slot)`` for the whole

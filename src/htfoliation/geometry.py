@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateFrameError, DimensionMismatchError
+from .errors import DimensionMismatchError
 
 EUCLIDEAN = "euclidean"
 UNIT_SPHERE = "unit-sphere"
@@ -271,7 +271,7 @@ class Polynomial:
         """Evaluate at ``points`` of shape (P, n_vars) or a single (n_vars,).
 
         Passing a :class:`MonomialCache` built on the same point batch lets
-        many polynomials share monomial columns.
+        many polynomials share its power tables.
         """
         pts = np.asarray(points, dtype=np.float64)
         single = pts.ndim == 1
@@ -313,22 +313,15 @@ class Polynomial:
 
 
 class MonomialCache:
-    """Memoized monomial columns over a fixed point batch.
-
-    Evaluating thousands of polynomials at the same sample points shares the
-    per-monomial work: all seen monomial values live in one growable matrix
-    indexed by packed key, and per-variable power tables are grown lazily.
-    """
+    """Monomial columns over a fixed point batch, as products of
+    per-variable power tables that are grown lazily and shared by every
+    call."""
 
     def __init__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         self.points = pts
         self._powers: list[np.ndarray] = [
             np.ones((pts.shape[0], 1)) for _ in range(pts.shape[1])]
-        self._registry = np.empty(0, dtype=np.int64)   # sorted seen keys
-        self._registry_col = np.empty(0, dtype=np.int64)
-        self._matrix = np.empty((pts.shape[0], 64))
-        self._used = 0
 
     def _grow(self, var: int, degree: int) -> None:
         table = self._powers[var]
@@ -342,49 +335,19 @@ class MonomialCache:
             cols.append(last[:, None])
         self._powers[var] = np.concatenate(cols, axis=1)
 
-    def _lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Column indices for (sorted) keys; -1 where unseen."""
-        pos = np.searchsorted(self._registry, keys)
-        idx = np.full(keys.size, -1, dtype=np.int64)
-        inside = pos < self._registry.size
-        hit = inside.copy()
-        hit[inside] = self._registry[pos[inside]] == keys[inside]
-        idx[hit] = self._registry_col[pos[hit]]
-        return idx
-
     def columns(self, keys: np.ndarray, n_vars: int, bits: int) -> np.ndarray:
-        idx = self._lookup(keys)
-        missing = idx < 0
-        if missing.any():
-            marr = keys[missing]
-            shifts = bits * np.arange(n_vars, dtype=np.int64)
-            mask = (1 << bits) - 1
-            exps = ((marr[:, None] >> shifts[None, :]) & mask).astype(np.int64)
-            fresh = np.ones((self.points.shape[0], marr.size))
-            for v in range(n_vars):
-                ev = exps[:, v]
-                top = int(ev.max())
-                if top == 0:
-                    continue
-                self._grow(v, top)
-                fresh *= self._powers[v][:, ev]
-            base = self._used
-            needed = base + marr.size
-            if needed > self._matrix.shape[1]:
-                grown = np.empty((self.points.shape[0],
-                                  max(needed, 2 * self._matrix.shape[1])))
-                grown[:, :base] = self._matrix[:, :base]
-                self._matrix = grown
-            self._matrix[:, base:needed] = fresh
-            self._used = needed
-            new_idx = np.arange(base, needed, dtype=np.int64)
-            order = np.argsort(np.concatenate([self._registry, marr]),
-                               kind="stable")
-            self._registry = np.concatenate([self._registry, marr])[order]
-            self._registry_col = np.concatenate(
-                [self._registry_col, new_idx])[order]
-            idx[missing] = new_idx
-        return self._matrix[:, idx]
+        """The values (P, len(keys)) of the monomials with packed ``keys``."""
+        shifts = bits * np.arange(n_vars, dtype=np.int64)
+        exps = (keys[:, None] >> shifts[None, :]) & ((1 << bits) - 1)
+        out = np.ones((self.points.shape[0], keys.size))
+        for v in range(n_vars):
+            ev = exps[:, v]
+            top = int(ev.max(initial=0))
+            if top == 0:
+                continue
+            self._grow(v, top)
+            out *= self._powers[v][:, ev]
+        return out
 
 
 class PolyField:
@@ -792,8 +755,11 @@ def euclidean_gradient(f: Polynomial) -> PolyField:
 # pointwise linear algebra
 
 
-def gram_schmidt_at(vectors, metric=None, tol: float = 1e-10,
-                    allow_dependent: bool = False):
+#: relative size below which a vector counts as dependent on its predecessors
+GRAM_SCHMIDT_TOL = 1e-10
+
+
+def gram_schmidt_at(vectors, metric=None):
     """Orthonormalize ``vectors`` (P, k, N) at each of P points against a
     bilinear form, deterministically, in one vectorized pass over the points.
 
@@ -801,8 +767,7 @@ def gram_schmidt_at(vectors, metric=None, tol: float = 1e-10,
     (P, N, N).  Returns the basis (P, k, N), the expansion coefficients W
     (P, k, k) with basis[p, i] = sum_j W[p, i, j] * vectors[p, j], and the
     kept mask (P, k).  A vector that is near-dependent on its predecessors at
-    a point raises DegenerateFrameError, naming the first such point, unless
-    ``allow_dependent`` is set; it is then skipped there: its rows of the
+    a point (within ``GRAM_SCHMIDT_TOL``) is skipped there: its rows of the
     basis and of W are zero and its kept entry is False.  Each point gets the
     arithmetic of a loop over that point alone, since a zero row projects
     nothing out of the later vectors.
@@ -818,7 +783,6 @@ def gram_schmidt_at(vectors, metric=None, tol: float = 1e-10,
     basis = np.zeros((P, k, N))
     W = np.zeros((P, k, k))
     kept = np.zeros((P, k), dtype=bool)
-    residual2 = np.zeros((P, k))
     for j in range(k):
         w = V[:, j]
         row = np.zeros((P, k))
@@ -827,17 +791,12 @@ def gram_schmidt_at(vectors, metric=None, tol: float = 1e-10,
             proj = inner(basis[:, i], w)[:, None]
             w = w - proj * basis[:, i]
             row = row - proj * W[:, i]
-        residual2[:, j] = norm2 = inner(w, w)
-        kept[:, j] = ok = norm2 > (tol ** 2) * np.maximum(
+        norm2 = inner(w, w)
+        kept[:, j] = ok = norm2 > (GRAM_SCHMIDT_TOL ** 2) * np.maximum(
             inner(V[:, j], V[:, j]), 1.0)
         nrm = np.sqrt(np.where(ok, norm2, 1.0))[:, None]
         basis[ok, j] = (w / nrm)[ok]
         W[ok, j] = (row / nrm)[ok]
-    if not allow_dependent and not kept.all():
-        p, j = np.argwhere(~kept)[0]
-        raise DegenerateFrameError(
-            f"vector {j} is dependent on its predecessors at point {p} "
-            f"(residual^2 = {residual2[p, j]:.3e})")
     return basis, W, kept
 
 

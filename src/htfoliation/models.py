@@ -21,7 +21,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import checks as _checks
-from .clifford import CliffordRepresentation, build_representation
+from .clifford import (_IOTA, CliffordRepresentation, _quaternion_right_matrices,
+                       build_representation)
 from .errors import InvalidModelError
 from .foliation import GROUP, SPHERE, FoliationModel, horizontal_part
 from .geometry import (AmbientChart, EUCLIDEAN, UNIT_SPHERE, Polynomial,
@@ -94,17 +95,13 @@ def htype_group(rep: CliffordRepresentation, epsilon: float = 1.0,
 
 def _complex_structure(N: int) -> np.ndarray:
     """Multiplication by i on R^N = C^{N/2}, coordinates paired (x, y)."""
-    iota = np.array([[0.0, -1.0], [1.0, 0.0]])
-    return np.kron(np.eye(N // 2), iota)
+    return np.kron(np.eye(N // 2), _IOTA)
 
 
 def _quaternion_right_blocks(N: int) -> np.ndarray:
     """Right multiplication by i, j, k on R^N = H^{N/4}, blocks (1, i, j, k)."""
-    ri = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], float)
-    rj = np.array([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]], float)
-    rk = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], float)
-    eye = np.eye(N // 4)
-    return np.stack([np.kron(eye, ri), np.kron(eye, rj), np.kron(eye, rk)])
+    return np.stack([np.kron(np.eye(N // 4), r)
+                     for r in _quaternion_right_matrices()])
 
 
 def _sphere_model(name: str, matrices: np.ndarray, epsilon: float) -> FoliationModel:

@@ -125,8 +125,9 @@ class TestOperatorList:
         model = catalog_models[name]
         fb = model.frame_batch(sample_points(model.chart, 8, 3))
         ops = analysis.operators(model)
-        v, _ = analysis.affine_jets(ops.fields, fb.mono)
-        w, _ = analysis.affine_jets(ops.vertical, fb.mono)
+        cache = MonomialCache(fb.points)
+        v, _ = analysis.affine_jets(ops.fields, cache)
+        w, _ = analysis.affine_jets(ops.vertical, cache)
         np.testing.assert_allclose(
             np.einsum("k,kpi,kpj->pij", np.asarray(ops.signs), v, v),
             np.einsum("pki,pkj->pij", fb.x, fb.x), rtol=0, atol=1e-13)

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 from htfoliation import analysis, checks, cli, models
 from htfoliation.cli import main
 from htfoliation.clifford import build_representation
+from test_checks import sheared_s3
 
 
 @pytest.fixture()
@@ -138,6 +139,17 @@ class TestCheckTable:
                         "cd": (3.0 - 1e-9, 10, 2)}
         assert [(r["check"], r["status"]) for r in rows] == [
             ("h-type", "fail"), ("cd", "pass")]
+
+    def test_rank_deficient_frame_is_an_error_row(self):
+        # the sheared S^3 has no adapted frame: the frame checks give error
+        # rows, and the run goes on to the checks that build none
+        rows = cli.run_checks(sheared_s3(), ["h-type", "axioms"],
+                              cli.RunConfig(points=16, heavy_points=16))
+        assert rows[0] == {
+            "check": "h-type", "status": "error", "model": "sheared-s3",
+            "reason": "horizontal span has rank 3, expected 2, at point 0"}
+        assert (rows[1]["check"], rows[1]["status"]) == ("foliation-axioms",
+                                                          "fail")
 
     def test_every_row_names_its_model(self, heis_quat):
         rows = cli.run_checks(heis_quat,

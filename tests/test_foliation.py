@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from htfoliation import checks
+from htfoliation import checks, cli
 from htfoliation import foliation as fol
 from htfoliation import geometry as geo
 from htfoliation import models
@@ -216,12 +216,13 @@ class TestTorsionAndJ:
         J = j_endomorphisms(fb)
         Z = s7.vertical_fields[1]
         X = s7.horizontal_fields[2]
+        cache = MonomialCache(fb.points)
         out = s7.j_transform(Split(v=Z), Split(h=X)).total(8).evaluate(
-            fb.points, fb.mono)
+            fb.points, cache)
         # expand X(p) and round-unit Z in the adapted frame and apply J there
-        xc = np.einsum("pn,pnm,pim->pi", X.evaluate(fb.points, fb.mono),
+        xc = np.einsum("pn,pnm,pim->pi", X.evaluate(fb.points, cache),
                        fb.metric, fb.x)
-        zc = np.einsum("pn,pnm,pam->pa", Z.evaluate(fb.points, fb.mono),
+        zc = np.einsum("pn,pnm,pam->pa", Z.evaluate(fb.points, cache),
                        fb.metric, fb.z)
         img = np.einsum("pa,paki,pi,pkn->pn", zc, J, xc, fb.x)
         np.testing.assert_allclose(out, img, atol=1e-12)
@@ -350,12 +351,13 @@ class TestJetOracle:
             batched[eps_rel] = model.lc_curvature_entry(fb, total, *every)
             symbolic[eps_rel] = (lambda t: lambda *k: symbolic_lc_curvature(
                 model, t, *k))(total)
+        cache = MonomialCache(fb.points)
         for label, values in batched.items():
             assert values.shape == (3, *(model.span_count,) * 3,
                                     model.ambient_dim)
             for key in oracle_keys(model):
                 want = symbolic[label](*key).total(N).evaluate(fb.points,
-                                                               fb.mono)
+                                                               cache)
                 self.assert_close(values[(slice(None),) + key], want)
 
 
@@ -404,7 +406,7 @@ class TestPairJets:
                 for i, j in itertools.product(pa, pb):
                     value, jacobian = field_jets(
                         [symbolic(start[ka] + i, start[kb] + j).total(N)],
-                        fb.mono)
+                        MonomialCache(fb.points))
                     for got, want in (
                             (part_sum(jets, "value", (i, j)), value[0]),
                             (part_sum(jets, "jacobian", (i, j)), jacobian[0]),
@@ -526,7 +528,7 @@ class TestJetProjections:
                 (model.j_transform(Split(v=E(fol.Slot("v", 0, 1)).v[:1]),
                                    Split(h=f)).h,
                  model.j_transform(Split(v=Z), Split(h=F)).h)):
-            value, jacobian = field_jets([want], fb.mono)
+            value, jacobian = field_jets([want], MonomialCache(fb.points))
             assert got.order == 1
             TestJetOracle.assert_close(np.squeeze(got.value), value[0])
             TestJetOracle.assert_close(np.squeeze(got.jacobian), jacobian[0])
@@ -726,3 +728,47 @@ class TestStoredComponents:
             view[0, 0, 0, 0, 0] = 1.0
         with pytest.raises(ValueError):
             torsion_components(fb)[:] = 0.0
+
+
+class TestSingleEvaluation:
+    """Each spanning field and the coframe are evaluated once per point
+    batch, by ``FoliationModel.jets``: the frame is built from the values
+    that the jets carry, and no check evaluates a polynomial again."""
+
+    @pytest.mark.parametrize("name", ["quaternionic-hopf-s7",
+                                      "heisenberg-quat"])
+    def test_gram_schmidt_reads_the_jet_values(self, name, monkeypatch):
+        model = models.get_model(name)
+        seen = []
+        raw = fol.gram_schmidt_at
+
+        def record(vectors, *args, **kwargs):
+            seen.append(np.array(vectors))
+            return raw(vectors, *args, **kwargs)
+        monkeypatch.setattr(fol, "gram_schmidt_at", record)
+        fb = model.frame_batch(sample_points(model.chart, 8, 4))
+        want = [np.swapaxes(f.value, 0, 1) for f in fb._span_jets]
+        by_size = lambda a: a.shape[1]
+        assert len(seen) == 2
+        for got, jet in zip(sorted(seen, key=by_size),
+                            sorted(want, key=by_size)):
+            assert np.array_equal(got, jet)
+
+    @pytest.mark.parametrize("name", ["quaternionic-hopf-s7",
+                                      "heisenberg-quat"])
+    def test_checks_evaluate_no_polynomial(self, name, monkeypatch):
+        spec = models.get_spec(name)
+        model = models.build(spec)
+        seen = []
+        for owner in (Polynomial, PolyField):
+            raw = owner.evaluate
+
+            def evaluate(self, *args, _raw=raw, **kwargs):
+                seen.append(type(self).__name__)
+                return _raw(self, *args, **kwargs)
+            monkeypatch.setattr(owner, "evaluate", evaluate)
+        rows = cli.run_checks(model, cli.DEFAULT_CHECKS,
+                              cli.RunConfig(points=8, heavy_points=8),
+                              spec.expected_class, spec.expected_kappa)
+        assert {row["status"] for row in rows} <= {"pass", "skipped"}
+        assert seen == []

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from htfoliation import geometry as geo
-from htfoliation.errors import DegenerateFrameError, DimensionMismatchError
+from htfoliation.errors import DimensionMismatchError
 from htfoliation.geometry import (AmbientChart, EUCLIDEAN, MonomialCache,
                                   Polynomial, PolyField, UNIT_SPHERE, bracket,
                                   directional_derivative, field_jets,
@@ -132,9 +132,10 @@ class TestGramSchmidt:
         r = 1 / np.sqrt(2)
         np.testing.assert_allclose(basis[0], [[r, r], [r, -r]], atol=1e-15)
 
-    def test_degenerate_raises(self):
-        with pytest.raises(DegenerateFrameError, match="vector 1 .* point 0"):
-            gram_schmidt_at(one([1.0, 1.0], [1.0, 1.0 + 1e-14]))
+    def test_degenerate_vector_is_skipped(self):
+        basis, W, kept = gram_schmidt_at(one([1.0, 1.0], [1.0, 1.0 + 1e-14]))
+        assert kept.tolist() == [[True, False]]
+        assert not basis[0, 1].any() and not W[0, 1].any()
 
     def test_custom_metric_and_coefficients(self):
         G = np.diag([4.0, 1.0])
@@ -157,9 +158,8 @@ class TestGramSchmidt:
         V[1:3, 3] = V[1:3, 0] + 0.25 * V[1:3, 2]
         A = rng.standard_normal((P, N, N))
         G = A @ A.transpose(0, 2, 1) + N * np.eye(N)
-        with pytest.raises(DegenerateFrameError, match="vector 2 .* point 0"):
-            gram_schmidt_at(V, metric=G)
-        basis, W, kept = gram_schmidt_at(V, metric=G, allow_dependent=True)
+        basis, W, kept = gram_schmidt_at(V, metric=G)
+        assert kept[0].tolist() == [True, True, False, True, True]
         assert len({tuple(row) for row in kept.tolist()}) == 4
         for p in range(P):
             want_basis, want_rows, want_kept = gram_schmidt_loop(V[p], G[p])
