@@ -3,10 +3,10 @@
 Exit codes: 0 all requested checks pass; 1 at least one check failed or a
 model violated a precondition; 2 usage error (an option out of range or
 not a finite number, an empty check list, a spectrum degree beyond the
-size limits, or a model file that cannot be read as a valid model); 3
-unknown model; 4 operation unsupported on the backend; 5 invalid bound
-inputs.  JSON output is the source of truth and is byte-stable for a fixed
-(configuration, seed).
+size limits, a model file that cannot be read as a valid model, or one
+given with model names or ``--all``); 3 unknown model; 4 operation
+unsupported on the backend; 5 invalid bound inputs.  JSON output is the
+source of truth and is byte-stable for a fixed (configuration, seed).
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def _cd(model, cfg: RunConfig, run: ModelRun):
     # K just below the sampled minimum of Ric_H
     fb = checks.frame_batch_for(model, cfg.heavy_points, cfg.seed)
     K = float(np.linalg.eigvalsh(ricci_horizontal(fb)).min()) - 1e-9
-    return analysis.check_cd_inequality(model, K, fs=10,
+    return analysis.check_cd_inequality(model, K, trials=10,
                                         points=cfg.heavy_points,
                                         seed=cfg.seed, tol=cfg.tol)
 
@@ -263,7 +263,10 @@ def cmd_verify(model_names, run_all, check_list, points, seed, tol, fmt, out,
         names = [s.name for s in models.catalog() if s.strict_htype]
     else:
         names = list(model_names)
-    if model_file is not None and not names:
+    if model_file is not None:
+        if names:
+            raise click.UsageError("--model-file verifies the file's model; "
+                                   "name no other model and omit --all")
         names = ["<file>"]
     if not names:
         raise click.UsageError("name at least one model, or pass --all")
@@ -365,10 +368,10 @@ def cmd_bounds(n, m, K, kappa, quaternionic, fmt):
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
               default="text")
 def cmd_cd(model_name, K, trials, points, seed, tol, fmt):
-    """Check the curvature-dimension inequality with random polynomials."""
+    """Check the curvature-dimension inequality on random 2-jets."""
     model = _load_named_model(model_name, None)
     try:
-        report = analysis.check_cd_inequality(model, K, fs=trials,
+        report = analysis.check_cd_inequality(model, K, trials=trials,
                                               points=points, seed=seed, tol=tol)
     except InvalidModelError as exc:
         click.echo(f"error: {exc}", err=True)

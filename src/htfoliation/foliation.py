@@ -427,16 +427,15 @@ class FoliationModel:
         D.release()
         return self._onto("v", F)
 
-    def lc_entry(self, D: "Derivatives", total_eps: float, ka: str,
+    def lc_entry(self, D: "Derivatives", eps_rel: float, ka: str,
                  kb: str) -> Split:
-        """The rescaled Levi-Civita derivative at the total vertical scale."""
+        """The Levi-Civita derivative of g_H + (1/eps_rel) g_V."""
         bott, torsion = (self._bott_field(D, ka, kb),
                          self._torsion_field(D, ka, kb))
         D.release()
         bott, torsion = self._onto(kb, bott), self._onto("v", torsion)
         a, b = _pair(ka, kb)
-        return self._lc(D.E(a), D.E(b), total_eps / self.epsilon, bott,
-                        torsion)
+        return self._lc(D.E(a), D.E(b), eps_rel, bott, torsion)
 
     @staticmethod
     def _bott_field(D: "Derivatives", ka: str, kb: str) -> PointField | None:
@@ -495,12 +494,11 @@ class FoliationModel:
             - self.bott_split(E(b), C(a, c))
             - self.bott_split(S(a, b), E(c))))
 
-    def lc_curvature_entry(self, fb: "FrameBatch", total_eps: float,
+    def lc_curvature_entry(self, fb: "FrameBatch", eps_rel: float,
                            a, b, c) -> np.ndarray:
-        """Curvature of the Levi-Civita connection of the rescaled metric."""
-        eps_rel = total_eps / self.epsilon
+        """Curvature of the Levi-Civita connection of g_H + (1/eps_rel) g_V."""
         E, build = fb.spanning(keep=0), PairBuild(fb, (a, b, c))
-        L = build.pairs(lambda D, ka, kb: self.lc_entry(D, total_eps, ka, kb),
+        L = build.pairs(lambda D, ka, kb: self.lc_entry(D, eps_rel, ka, kb),
                         (1, 2), (0, 2))
         S = build.pairs(self.bracket_entry, (0, 1))
         return build.assemble(lambda a, b, c: (
@@ -928,9 +926,8 @@ def lc_curvature_ambient(fb: FrameBatch, eps_rel: float, d2: str = "all",
     frame components.  Every reader needs only that first slot, so the entry
     is built and kept only over the vertical first keys."""
     model = fb.model
-    total = model.epsilon * eps_rel
-    entry = lambda fb, a, b, c: model.lc_curvature_entry(fb, total, a, b, c)
-    return fb.ambient(_contract3(fb, f"lc_curvature[{round(total, 12)}]",
+    entry = lambda fb, a, b, c: model.lc_curvature_entry(fb, eps_rel, a, b, c)
+    return fb.ambient(_contract3(fb, f"lc_curvature[{round(eps_rel, 12)}]",
                                  entry, "v", d2, d3, first_only=True))
 
 

@@ -115,22 +115,6 @@ class Polynomial:
         return cls(n_vars, np.array([1 << (bits * index)], dtype=np.int64),
                    np.array([1.0]))
 
-    @classmethod
-    def from_dict(cls, n_vars: int, terms: dict[tuple[int, ...], float]) -> "Polynomial":
-        bits = _packing_bits(n_vars)
-        cap = (1 << bits) - 1
-        keys = []
-        coeffs = []
-        for exps, c in terms.items():
-            if len(exps) != n_vars:
-                raise DimensionMismatchError("multi-index length does not match n_vars")
-            if any(e < 0 or e > cap for e in exps):
-                raise ValueError(f"exponent out of packable range 0..{cap}")
-            keys.append(sum(int(e) << (bits * i) for i, e in enumerate(exps)))
-            coeffs.append(float(c))
-        k, c = _dedup(np.asarray(keys, dtype=np.int64), np.asarray(coeffs))
-        return cls(n_vars, k, c)
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -462,39 +446,15 @@ class PolyField:
         return f"PolyField({self.n_vars} vars)"
 
 
-#: bound on the products (terms x (1 + partials) x points) gathered at once
-_JET_CHUNK = 1 << 18
-
-
 def field_jets(fields: Sequence[PolyField], cache: MonomialCache
                ) -> tuple[np.ndarray, np.ndarray]:
     """Order-1 jets of many fields at the cache's points: values (F, P, N)
     and Jacobians (F, P, N, N), ``jacobians[f, p, i, j] = d_j F_f^i (p)``.
 
-    Fields are taken in groups of at most ``_JET_CHUNK`` products, and a
-    single field beyond that alone, so that memory stays bounded."""
-    P = cache.points.shape[0]
-    N = fields[0].n_vars
-    values = np.empty((len(fields), P, N))
-    jacobians = np.empty((len(fields), P, N, N))
-    cost = [P * (N + 1) * sum(c.n_terms for c in f.components) for f in fields]
-    lo = 0
-    while lo < len(fields):
-        hi, total = lo + 1, cost[lo]
-        while hi < len(fields) and total + cost[hi] <= _JET_CHUNK:
-            total += cost[hi]
-            hi += 1
-        values[lo:hi], jacobians[lo:hi] = _group_jets(fields[lo:hi], cache)
-        lo = hi
-    return values, jacobians
-
-
-def _group_jets(fields: Sequence[PolyField], cache: MonomialCache
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """field_jets for one group.  Every term of every component contributes
-    its value and its partials (exact: a coefficient times an exponent), so
-    all the monomials needed come from one ``MonomialCache.columns`` call;
-    the contributions are then summed per output in key order."""
+    Every term of every component contributes its value and its partials
+    (exact: a coefficient times an exponent), so all the monomials needed
+    come from one ``MonomialCache.columns`` call; the contributions are then
+    summed per output in key order."""
     P = cache.points.shape[0]
     F = len(fields)
     N = fields[0].n_vars
@@ -745,10 +705,6 @@ def directional_derivative(X, f):
 def bracket(X: PolyField, Y: PolyField) -> PolyField:
     """Lie bracket [X, Y] = D_X Y - D_Y X, exact."""
     return directional_derivative(X, Y) - directional_derivative(Y, X)
-
-
-def euclidean_gradient(f: Polynomial) -> PolyField:
-    return PolyField([f.partial(i) for i in range(f.n_vars)])
 
 
 # ---------------------------------------------------------------------------

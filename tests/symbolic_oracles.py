@@ -21,9 +21,9 @@ from htfoliation.analysis import (_blocks, _components, _degree_block,
 from htfoliation.errors import DimensionMismatchError, InvalidModelError
 from htfoliation.foliation import SPHERE, Split
 from htfoliation.geometry import (UNIT_SPHERE, MonomialCache, PointField,
-                                  Polynomial, PolyField,
+                                  Polynomial, PolyField, _dedup,
                                   _sphere_moment_fraction, bracket,
-                                  directional_derivative, euclidean_gradient,
+                                  directional_derivative, exponent_shifts,
                                   field_jets)
 
 
@@ -32,6 +32,29 @@ def terms_dict(f: Polynomial) -> dict[tuple[int, ...], float]:
     exps = f.exponents()
     return {tuple(int(e) for e in exps[t]): float(f.coeffs[t])
             for t in range(f.n_terms)}
+
+
+def from_terms(n_vars: int, terms: dict[tuple[int, ...], float]
+               ) -> Polynomial:
+    """The polynomial with the terms exponent tuple -> coefficient (the
+    inverse of ``terms_dict``); zero coefficients are dropped."""
+    shifts, _ = exponent_shifts(n_vars)
+    keys = [sum(int(e) << int(s) for e, s in zip(exps, shifts))
+            for exps in terms]
+    return Polynomial(n_vars, *_dedup(np.array(keys, dtype=np.int64),
+                                      np.array(list(terms.values()),
+                                               dtype=np.float64)))
+
+
+def euclidean_gradient(f: Polynomial) -> PolyField:
+    return PolyField([f.partial(i) for i in range(f.n_vars)])
+
+
+def poly_jets(fs, pts) -> tuple[np.ndarray, np.ndarray]:
+    """The 2-jets of the polynomials ``fs`` at the points, as
+    ``analysis.gamma_jets`` takes them: gradients (F, P, N) and Hessians
+    (F, P, N, N), the 1-jets of the gradient fields."""
+    return field_jets([euclidean_gradient(f) for f in fs], MonomialCache(pts))
 
 
 def homogeneous_parts(f: Polynomial) -> dict[int, Polynomial]:
@@ -60,9 +83,22 @@ def random_polynomial(n_vars: int, degree: int, rng: np.random.Generator
             return [()]
         return [(e,) + rest for e in range(budget + 1)
                 for rest in exponents(n - 1, budget - e)]
-    return Polynomial.from_dict(n_vars, {
-        exps: float(rng.uniform(-1.0, 1.0))
-        for exps in exponents(n_vars, degree)})
+    return from_terms(n_vars, {exps: float(rng.uniform(-1.0, 1.0))
+                               for exps in exponents(n_vars, degree)})
+
+
+def sparse_random_polynomial(n_vars: int, degree: int,
+                             rng: np.random.Generator,
+                             n_terms: int = 24) -> Polynomial:
+    """Up to ``n_terms`` random monomials of degree <= ``degree``, each with
+    a coefficient uniform in [-1, 1]."""
+    terms = {}
+    for _ in range(n_terms):
+        exps = [0] * n_vars
+        for _ in range(rng.integers(0, degree + 1)):
+            exps[rng.integers(0, n_vars)] += 1
+        terms[tuple(exps)] = float(rng.uniform(-1.0, 1.0))
+    return from_terms(n_vars, terms)
 
 
 def _on_chart(model, p) -> np.ndarray:
@@ -82,8 +118,8 @@ def gamma_calculus(model, f: Polynomial, p) -> dict[str, float]:
     """Pointwise carre-du-champ data: Gamma(f) = ||grad_H f||^2, its vertical
     companion, both iterated forms, and the horizontal Laplacian."""
     pts = _on_chart(model, p)[None]
-    return {k: float(v[0, 0])
-            for k, v in gamma_jets(model, [f], MonomialCache(pts)).items()}
+    vals = gamma_jets(model, *poly_jets([f], pts), MonomialCache(pts))
+    return {k: float(v[0, 0]) for k, v in vals.items()}
 
 
 def eigenpairs(model, degree: int) -> tuple[np.ndarray, list[Polynomial]]:
@@ -133,7 +169,7 @@ class SymbolicTables:
     """The two-index entries over a model's spanning fields as exact
     polynomial fields (Splits), each built on first use and kept: the split
     bracket, the connection, torsion and the rescaled Levi-Civita derivative
-    at a total vertical scale.  The antisymmetric ones build a > b as
+    of g_H + (1/eps_rel) g_V.  The antisymmetric ones build a > b as
     -(b, a)."""
 
     def __init__(self, model):
@@ -165,9 +201,8 @@ class SymbolicTables:
         return self._entry(("torsion", a, b), lambda: (
             self.model.torsion_transform(self.span(a), self.span(b))))
 
-    def lc(self, total_eps: float, a: int, b: int) -> Split:
-        eps_rel = total_eps / self.model.epsilon
-        return self._entry(("lc", round(total_eps, 12), a, b), lambda: (
+    def lc(self, eps_rel: float, a: int, b: int) -> Split:
+        return self._entry(("lc", round(eps_rel, 12), a, b), lambda: (
             self.model.lc_variation_split(self.span(a), self.span(b),
                                           eps_rel)))
 
@@ -200,13 +235,12 @@ def symbolic_curvature(model, a, b, c) -> Split:
             - model.bott_split(tab.bracket(a, b), E(c)))
 
 
-def symbolic_lc_curvature(model, total_eps, a, b, c) -> Split:
-    """R^ghat(E_a, E_b) E_c at the total vertical scale, as a polynomial
-    field."""
+def symbolic_lc_curvature(model, eps_rel, a, b, c) -> Split:
+    """R^ghat(E_a, E_b) E_c for ghat = g_H + (1/eps_rel) g_V, as a
+    polynomial field."""
     tab = symbolic_tables(model)
     E = tab.span
-    eps_rel = total_eps / model.epsilon
-    lc = lambda i, j: tab.lc(total_eps, i, j)
+    lc = lambda i, j: tab.lc(eps_rel, i, j)
     return (model.lc_variation_split(E(a), lc(b, c), eps_rel)
             - model.lc_variation_split(E(b), lc(a, c), eps_rel)
             - model.lc_variation_split(tab.bracket(a, b), E(c), eps_rel))
@@ -297,7 +331,7 @@ def degree_block_dense(model, k: int):
     homogeneous polynomials of degree k, from ``sub_laplacian_poly`` of each
     monomial with the degree-(k - 2) part lifted by ||x||^2."""
     N = model.ambient_dim
-    basis = Polynomial.from_dict(N, {
+    basis = from_terms(N, {
         tuple(map(combo.count, range(N))): 1.0
         for combo in itertools.combinations_with_replacement(range(N), k)})
     keys = basis.keys

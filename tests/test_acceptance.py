@@ -13,7 +13,8 @@ import clifford_algebra as ca
 from htfoliation import analysis, checks, clifford as cl
 from htfoliation.foliation import (nabla_t_components, ricci_horizontal,
                                    vertical_sectional)
-from htfoliation.geometry import Polynomial, integrate_sphere
+from htfoliation.geometry import integrate_sphere
+from symbolic_oracles import from_terms
 from test_models import normalize_to_htype
 
 SEED = 42
@@ -188,18 +189,18 @@ def test_criterion_09_spectrum_sharpness(s7, s3):
 
 
 def test_criterion_10_cd_inequality(heis_quat, s7):
-    rep_g = analysis.check_cd_inequality(heis_quat, K=0.0, fs=20,
+    rep_g = analysis.check_cd_inequality(heis_quat, K=0.0, trials=20,
                                          nus=(0.1, 1.0, 10.0), points=32,
                                          seed=SEED)
     assert rep_g.status == "pass"
     assert rep_g.details["min_margin"] >= -1e-9
-    rep_s = analysis.check_cd_inequality(s7, K=12.0, fs=20,
+    rep_s = analysis.check_cd_inequality(s7, K=12.0, trials=20,
                                          nus=(0.1, 1.0, 10.0), points=32,
                                          seed=SEED)
     assert rep_s.status == "pass"
     assert rep_s.details["min_margin"] >= -1e-9
     announce(10, f"curvature-dimension margin >= {min(rep_g.details['min_margin'], rep_s.details['min_margin']):.3e} "
-                 "over 20 polynomials x 3 parameters x 32 points "
+                 "over 20 random 2-jets x 3 parameters x 32 points "
                  "(group at K = 0, fibration at K = 12)")
 
 
@@ -221,7 +222,7 @@ def _dirichlet_asymmetry(model, degree):
     combos = itertools.chain.from_iterable(
         itertools.combinations_with_replacement(range(N), total)
         for total in range(degree + 1))
-    basis = [Polynomial.from_dict(N, {tuple(map(c.count, range(N))): 1.0})
+    basis = [from_terms(N, {tuple(map(c.count, range(N))): 1.0})
              for c in combos]
     lap = [analysis.sub_laplacian_poly(model, g) for g in basis]
     A = np.array([[-integrate_sphere(f * lg) for lg in lap] for f in basis])

@@ -12,8 +12,9 @@ from htfoliation.errors import (BoundNotApplicableError, InvalidModelError,
 from htfoliation.geometry import (MonomialCache, Polynomial,
                                   directional_derivative, integrate_sphere,
                                   sample_points)
-from symbolic_oracles import (degree_block_dense, eigenpairs, gamma_calculus,
-                              gamma_polys, random_polynomial,
+from symbolic_oracles import (degree_block_dense, eigenpairs, from_terms,
+                              gamma_calculus, gamma_polys, poly_jets,
+                              random_polynomial, sparse_random_polynomial,
                               sphere_laplacian, sub_laplacian,
                               sub_laplacian_apply)
 from test_checks import sheared_s3
@@ -74,8 +75,7 @@ class TestSubLaplacian:
         N = model.ambient_dim
         for k in range(5):
             for combo in itertools.combinations_with_replacement(range(N), k):
-                g = Polynomial.from_dict(
-                    N, {tuple(map(combo.count, range(N))): 1.0})
+                g = from_terms(N, {tuple(map(combo.count, range(N))): 1.0})
                 got = analysis.sub_laplacian_poly(model, g)
                 want = sub_laplacian(model, g)
                 np.testing.assert_array_equal(got.keys, want.keys)
@@ -139,14 +139,15 @@ class TestOperatorList:
 class TestGammaJets:
     @pytest.mark.parametrize("name", [s.name for s in models.catalog()])
     def test_matches_symbolic_route(self, name, catalog_models):
-        # cd trial cubics and a dense quadratic, at three points
+        # two sparse cubics and a dense quadratic, at three points
         model = catalog_models[name]
         N = model.ambient_dim
         rng = np.random.Generator(np.random.Philox(key=43))
-        fs = [analysis._sparse_random_polynomial(N, 3, rng) for _ in range(2)]
+        fs = [sparse_random_polynomial(N, 3, rng) for _ in range(2)]
         fs.append(random_polynomial(N, 2, rng))
         pts = sample_points(model.chart, 3, 5)
-        got = analysis.gamma_jets(model, fs, MonomialCache(pts))
+        got = analysis.gamma_jets(model, *poly_jets(fs, pts),
+                                  MonomialCache(pts))
         for i, f in enumerate(fs):
             for key, poly in gamma_polys(model, f).items():
                 want = poly.evaluate(pts)
@@ -338,8 +339,8 @@ class TestIntegrationByParts:
         ops = analysis.operators(model)
         rng = np.random.Generator(np.random.Philox(key=17))
         for _ in range(20):
-            f = analysis._sparse_random_polynomial(model.ambient_dim, 3, rng)
-            g = analysis._sparse_random_polynomial(model.ambient_dim, 3, rng)
+            f = sparse_random_polynomial(model.ambient_dim, 3, rng)
+            g = sparse_random_polynomial(model.ambient_dim, 3, rng)
             lf = analysis.sub_laplacian_poly(model, f)
             lg = analysis.sub_laplacian_poly(model, g)
             sym = abs(integrate_sphere(f * lg) - integrate_sphere(g * lf))
@@ -352,39 +353,53 @@ class TestIntegrationByParts:
             assert dirichlet < 1e-10
 
 
+def polynomial_trials(monkeypatch, fs) -> int:
+    """Make ``check_cd_inequality`` test the 2-jets of the polynomials
+    ``fs`` in place of the ones it draws; returns the trial count to pass."""
+    gamma_jets = analysis.gamma_jets
+
+    def from_polynomials(model, grad, hess, cache):
+        return gamma_jets(model, *poly_jets(fs, cache.points), cache)
+    monkeypatch.setattr(analysis, "gamma_jets", from_polynomials)
+    return len(fs)
+
+
 class TestCurvatureDimension:
     def test_heisenberg_quat_k_zero(self, heis_quat):
-        rep = analysis.check_cd_inequality(heis_quat, K=0.0, fs=10,
+        rep = analysis.check_cd_inequality(heis_quat, K=0.0, trials=10,
                                            points=16, seed=4)
         assert rep.status == "pass"
 
-    def test_heisenberg_quadratics(self, heis):
+    def test_heisenberg_quadratics(self, heis, monkeypatch):
         rng = np.random.Generator(np.random.Philox(key=3))
-        fs = [random_polynomial(3, 2, rng) for _ in range(20)]
-        rep = analysis.check_cd_inequality(heis, K=0.0, fs=fs,
+        trials = polynomial_trials(monkeypatch, [random_polynomial(3, 2, rng)
+                                                 for _ in range(20)])
+        rep = analysis.check_cd_inequality(heis, K=0.0, trials=trials,
                                            nus=(0.1, 1.0, 10.0),
                                            points=16, seed=4)
         assert rep.status == "pass"
 
-    def test_constant_function_margin_zero(self, heis_quat):
+    def test_constant_function_margin_zero(self, heis_quat, monkeypatch):
         one = Polynomial.constant(heis_quat.ambient_dim, 1.0)
-        rep = analysis.check_cd_inequality(heis_quat, K=0.0, fs=[one],
+        trials = polynomial_trials(monkeypatch, [one])
+        rep = analysis.check_cd_inequality(heis_quat, K=0.0, trials=trials,
                                            nus=(1.0,), points=8, seed=4)
         assert rep.details["min_margin"] == 0.0
 
     def test_no_trial_functions_rejected(self, heis):
         # no sampled f would make a vacuous pass
         with pytest.raises(ValueError):
-            analysis.check_cd_inequality(heis, K=0.0, fs=[], points=8, seed=4)
+            analysis.check_cd_inequality(heis, K=0.0, trials=0, points=8,
+                                         seed=4)
 
     def test_nan_k_fails(self, heis):
-        rep = analysis.check_cd_inequality(heis, K=float("nan"), fs=2,
+        rep = analysis.check_cd_inequality(heis, K=float("nan"), trials=2,
                                            points=8, seed=4)
         assert rep.status == "fail"
 
     def test_excessive_k_rejected(self, heis_quat):
         with pytest.raises(InvalidModelError):
-            analysis.check_cd_inequality(heis_quat, K=5.0, fs=2,
+            analysis.check_cd_inequality(heis_quat, K=5.0, trials=2,
                                          points=8, seed=4)
 
 

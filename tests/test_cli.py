@@ -125,8 +125,8 @@ class TestCheckTable:
             seen["h-type"] = (model.name, points, seed, tol)
             return checks.CheckReport.from_residual("h-type", 0.5, tol, points)
 
-        def cd(model, K, fs, points, seed, tol):
-            seen["cd"] = (K, fs, points)
+        def cd(model, K, trials, points, seed, tol):
+            seen["cd"] = (K, trials, points)
             return checks.CheckReport.from_residual("cd", 0.0, tol, points)
 
         monkeypatch.setattr(checks, "check_h_type", h_type)
@@ -292,10 +292,19 @@ BAD_MODEL_FILES = {
     "file-epsilon-1e999": '{"kind": "complex-hopf", "k": 1, "epsilon": 1e999}',
     "file-epsilon-nan": '{"kind": "complex-hopf", "k": 1, "epsilon": NaN}',
 }
+# a valid model file is still a usage error beside model names or --all
+VALID_MODEL_FILE = '{"kind": "complex-hopf", "k": 1}'
+BAD_MODEL_FILE_USES = {
+    "file-and-names": ["verify", "heisenberg", "quaternionic-hopf-s7",
+                       "--model-file"],
+    "file-and-all": ["verify", "--all", "--model-file"],
+}
 BAD_INPUTS = ([pytest.param(args, None, id=key)
                for key, args in BAD_OPTIONS.items()]
               + [pytest.param(["verify", "--model-file"], text, id=key)
-                 for key, text in BAD_MODEL_FILES.items()])
+                 for key, text in BAD_MODEL_FILES.items()]
+              + [pytest.param(args, VALID_MODEL_FILE, id=key)
+                 for key, args in BAD_MODEL_FILE_USES.items()])
 
 
 @pytest.mark.parametrize("args, model_file", BAD_INPUTS)

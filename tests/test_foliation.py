@@ -17,9 +17,10 @@ from htfoliation.foliation import (Split, curvature_components,
 from htfoliation.geometry import (MonomialCache, PointField, Polynomial,
                                   PolyField, bracket, field_jets,
                                   sample_points)
-from symbolic_oracles import (metric_poly, order2_jet, span_split,
-                              symbolic_curvature, symbolic_lc_curvature,
-                              symbolic_nabla_t, symbolic_tables)
+from symbolic_oracles import (from_terms, metric_poly, order2_jet,
+                              span_split, symbolic_curvature,
+                              symbolic_lc_curvature, symbolic_nabla_t,
+                              symbolic_tables)
 from test_checks import tilted_heisenberg_quat
 
 
@@ -347,10 +348,9 @@ class TestJetOracle:
         symbolic = {"nabla_t": lambda *k: symbolic_nabla_t(model, *k),
                     "curvature": lambda *k: symbolic_curvature(model, *k)}
         for eps_rel in ghat_scales(name):
-            total = model.epsilon * eps_rel
-            batched[eps_rel] = model.lc_curvature_entry(fb, total, *every)
-            symbolic[eps_rel] = (lambda t: lambda *k: symbolic_lc_curvature(
-                model, t, *k))(total)
+            batched[eps_rel] = model.lc_curvature_entry(fb, eps_rel, *every)
+            symbolic[eps_rel] = (lambda e: lambda *k: symbolic_lc_curvature(
+                model, e, *k))(eps_rel)
         cache = MonomialCache(fb.points)
         for label, values in batched.items():
             assert values.shape == (3, *(model.span_count,) * 3,
@@ -388,10 +388,9 @@ class TestPairJets:
                     "bott": (model.bott_entry, tab.bott),
                     "torsion": (model.torsion_entry, tab.torsion)}
         for eps_rel in ghat_scales(scales):
-            total = model.epsilon * eps_rel
             builders[eps_rel] = (
-                functools.partial(lc_builder, model, total),
-                functools.partial(tab.lc, total))
+                functools.partial(lc_builder, model, eps_rel),
+                functools.partial(tab.lc, eps_rel))
         # whole blocks are built; keys covering each block pair are compared
         start = {"h": 0, "v": kh}
         picks = [sorted({0, kh // 2, kh - 1}), sorted({0, (K - kh) // 2,
@@ -415,8 +414,8 @@ class TestPairJets:
                                                    want)
 
 
-def lc_builder(model, total_eps, D, ka, kb):
-    return model.lc_entry(D, total_eps, ka, kb)
+def lc_builder(model, eps_rel, D, ka, kb):
+    return model.lc_entry(D, eps_rel, ka, kb)
 
 
 class TestDerivativeTable:
@@ -450,7 +449,7 @@ class TestDerivativeTable:
         monkeypatch.setattr(fol, "Derivatives", Recorded)
         every = ("hv",) * 3
         if entry == "lc_curvature":
-            model.lc_curvature_entry(fb, model.epsilon * 0.25, *every)
+            model.lc_curvature_entry(fb, 0.25, *every)
         else:
             getattr(model, f"{entry}_entry")(fb, *every)
         assert 0 < len(counted) <= 4, counted
@@ -513,7 +512,7 @@ class TestJetProjections:
         N = model.ambient_dim
         fb = model.frame_batch(sample_points(model.chart, 4, 15))
         rng = np.random.default_rng(4)
-        F = PolyField([Polynomial.from_dict(N, {
+        F = PolyField([from_terms(N, {
             tuple(int(i == k) + int(i == l) for i in range(N)):
                 float(rng.integers(-3, 4))
             for k in range(N) for l in range(k, N) if rng.random() < 0.3})
@@ -560,7 +559,7 @@ class TestJetProjections:
         every = ("hv",) * 3
         s7.nabla_t_entry(fb, *every)
         s7.curvature_entry(fb, *every)
-        s7.lc_curvature_entry(fb, s7.epsilon * 0.25, *every)
+        s7.lc_curvature_entry(fb, 0.25, *every)
         fol.torsion_components(fb)
         assert calls == []
 
@@ -576,9 +575,8 @@ class TestGhatTable:
         pts = sample_points(model.chart, 4, 22)
         n = model.n
         for eps_rel in ghat_scales(name):
-            total = model.epsilon * eps_rel
-            label = f"lc_curvature[{round(total, 12)}]"
-            entry = lambda fb, *blocks: model.lc_curvature_entry(fb, total,
+            label = f"lc_curvature[{round(eps_rel, 12)}]"
+            entry = lambda fb, *blocks: model.lc_curvature_entry(fb, eps_rel,
                                                                  *blocks)
             fb, full = model.frame_batch(pts), model.frame_batch(pts)
             for d2, d3 in itertools.product(DOMAINS, repeat=2):

@@ -12,7 +12,8 @@ from htfoliation.geometry import (AmbientChart, EUCLIDEAN, MonomialCache,
                                   Polynomial, PolyField, UNIT_SPHERE, bracket,
                                   directional_derivative, field_jets,
                                   gram_schmidt_at, sample_points)
-from symbolic_oracles import order2_jet, sphere_moment, terms_dict
+from symbolic_oracles import (euclidean_gradient, from_terms, order2_jet,
+                              sphere_moment, terms_dict)
 
 
 def rand_field(n, degree, rng, density=0.4):
@@ -24,7 +25,7 @@ def rand_field(n, degree, rng, density=0.4):
         for exps in itertools.product(range(degree + 1), repeat=n):
             if sum(exps) <= degree and rng.random() < density:
                 terms[exps] = float(rng.integers(-3, 4))
-        comps.append(Polynomial.from_dict(n, terms))
+        comps.append(from_terms(n, terms))
     return PolyField(comps)
 
 
@@ -229,7 +230,7 @@ def dyadic_fields(draw, n_vars=st.integers(1, 5)):
     exps = st.tuples(*[st.integers(0, top)] * n)
     coeff = st.integers(-16, 16).map(lambda k: k / 8)
     return PolyField([
-        Polynomial.from_dict(n, draw(st.dictionaries(exps, coeff, max_size=6)))
+        from_terms(n, draw(st.dictionaries(exps, coeff, max_size=6)))
         for _ in range(n)])
 
 
@@ -241,8 +242,7 @@ def dyadic_polys(draw, n_vars: int, count: int = 1):
     top = 7 if n_vars == 16 else 3
     exps = st.tuples(*[st.integers(0, top)] * n_vars)
     coeff = st.integers(-16, 16).map(lambda k: k / 8)
-    return [Polynomial.from_dict(n_vars,
-                                 draw(st.dictionaries(exps, coeff, max_size=6)))
+    return [from_terms(n_vars, draw(st.dictionaries(exps, coeff, max_size=6)))
             for _ in range(count)]
 
 
@@ -305,14 +305,14 @@ class TestPolynomialProperties:
         exps = f.exponents()
         assert exps.max(initial=0) <= mask
         np.testing.assert_array_equal((exps << shifts).sum(axis=1), f.keys)
-        assert_same(Polynomial.from_dict(f.n_vars, terms_dict(f)), f)
+        assert_same(from_terms(f.n_vars, terms_dict(f)), f)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 15), st.integers(0, 7), st.integers(0, 7))
     def test_packing_edge_overflow(self, i, a, b):
         # N = 16 packs 3 bits per variable: x_i^a x_i^b past degree 7 must
         # raise instead of carrying into the next variable's field
-        power = lambda e: Polynomial.from_dict(
+        power = lambda e: from_terms(
             16, {tuple(e if v == i else 0 for v in range(16)): 1.0})
         if a + b > 7:
             with pytest.raises(OverflowError):
@@ -361,19 +361,6 @@ class TestJets:
         np.testing.assert_array_equal(values, np.broadcast_to(vec, (4, n)))
         assert not jacobian.any()
 
-    def test_chunked_sums_match(self, monkeypatch):
-        # fields taken in many small groups give the one-group result
-        rng = np.random.default_rng(3)
-        fields = [rand_field(3, 3, rng) for _ in range(4)]
-        pts = rng.uniform(-1, 1, size=(5, 3))
-        whole = field_jets(fields, MonomialCache(pts))
-        monkeypatch.setattr(geo, "_JET_CHUNK", 7)
-        chunked = field_jets(fields, MonomialCache(pts))
-        for a, b in zip(whole, chunked):
-            np.testing.assert_array_equal(a, b)
-        for f, F in enumerate(fields):
-            np.testing.assert_array_equal(chunked[0][f], jet(F, pts)[0])
-
 
 # ---------------------------------------------------------------------------
 # truncated Taylor arithmetic on point jets
@@ -417,7 +404,7 @@ class TestTaylorArithmetic:
         np.testing.assert_allclose(product.value, poly.evaluate(pts),
                                    rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(
-            product.gradient, geo.euclidean_gradient(poly).evaluate(pts),
+            product.gradient, euclidean_gradient(poly).evaluate(pts),
             rtol=1e-12, atol=1e-12)
         jets = field_jets([H.scale(poly)], MonomialCache(pts))
         got = h.scale(product)

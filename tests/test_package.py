@@ -4,7 +4,8 @@ Every module-level function or class of ``src/htfoliation``, and every
 method that is not a dunder, is referenced outside its own definition: by
 the package, by the benchmark harness (the non-test modules of
 ``perfbench``) or by a code block of the README.  Reference routes and
-helpers that only tests use live in ``tests/``.
+helpers that only tests use live in ``tests/``.  No command builds a
+polynomial of degree above 2.
 """
 
 import ast
@@ -12,6 +13,10 @@ import re
 from pathlib import Path
 
 import numpy as np
+from click.testing import CliRunner
+
+from htfoliation import geometry
+from htfoliation.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "htfoliation"
@@ -21,7 +26,7 @@ README = (ROOT / "README.md").read_text()
 ALLOWED = {
     "FiniteFloatRange.convert": "called by click",
     "FiniteFloatRange._describe_range": "called by click",
-    "check_oneill": "registered as a check by ROADMAP item 3",
+    "check_oneill": "registered as a check by ROADMAP item 2",
 }
 
 IDENTIFIER = re.compile(r"[A-Za-z_][\w.]*")
@@ -83,6 +88,27 @@ def unreferenced() -> list[str]:
 
 def test_package_defines_only_what_it_uses():
     assert sorted(unreferenced()) == sorted(ALLOWED)
+
+
+def test_commands_build_no_polynomial_above_degree_2(monkeypatch):
+    """The model fields have degree <= 2, the CD trials are 2-jets and the
+    spectra move packed exponents, so no command needs a polynomial of
+    higher degree."""
+    init, degrees = geometry.Polynomial.__init__, []
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        degrees.append(self.degree())
+    monkeypatch.setattr(geometry.Polynomial, "__init__", recorded)
+    highest = {}
+    for args in (["verify", "--all", "--points", "8"],
+                 ["cd", "heisenberg-quat", "--K", "0", "--trials", "5"],
+                 ["spectrum", "complex-hopf-s3", "--degree", "6"]):
+        degrees.clear()
+        assert CliRunner().invoke(main, args).exit_code == 0, args
+        assert degrees, args
+        highest[" ".join(args)] = max(degrees)
+    assert max(highest.values()) <= 2, highest
 
 
 def test_readme_library_tour_states_its_values():
