@@ -22,7 +22,7 @@ from .errors import InvalidModelError, NotApplicableError
 from .foliation import (FoliationModel, FrameBatch, _contract3,
                         curvature_components, j_endomorphisms,
                         lc_curvature_ambient, nabla_t_components,
-                        ricci_horizontal, torsion_components,
+                        point_chunks, ricci_horizontal, torsion_components,
                         vertical_sectional)
 
 #: default tolerance for purely algebraic identities on exact integer data
@@ -323,9 +323,11 @@ def check_curvature_constancy(model: FoliationModel, kappa: float,
     frame = fb.frame
     gxy = np.einsum("pbn,pnm,pcm->pbc", frame, ghat, frame)
     gvy = np.einsum("pan,pnm,pcm->pac", fb.z, ghat, frame)
-    rhs = (kappa / 2.0) * (np.einsum("pbc,pan->pabcn", gxy, fb.z)
-                           - np.einsum("pac,pbn->pabcn", gvy, frame))
-    worst = float(np.abs(lhs - rhs).max())
+    worst = 0.0
+    for c in point_chunks(len(fb.points)):
+        rhs = (kappa / 2.0) * (np.einsum("pbc,pan->pabcn", gxy[c], fb.z[c])
+                               - np.einsum("pac,pbn->pabcn", gvy[c], frame[c]))
+        worst = max(worst, float(np.abs(lhs[c] - rhs).max()))
     details = {"kappa": kappa, "rho": kappa / 2.0}
     if model.backend == "sphere":
         pts = fb.points
@@ -399,9 +401,10 @@ def check_lemma_identities(model: FoliationModel, points: int = 32,
     reports.append(CheckReport.from_residual("nablaJ-skew", skew, tol, points))
 
     # R - R_H - R_V - (nabla_W T)(U, V), W = slot 3, for U horizontal and
-    # then vertical, so that the residual exists one half at a time; R_H and
-    # R_V are the all-horizontal and all-vertical blocks of R, and the
-    # nabla T term is subtracted on every block
+    # then vertical, one point chunk at a time, so that the residual exists
+    # one chunk of one half at a time; R_H and R_V are the all-horizontal
+    # and all-vertical blocks of R, and the nabla T term is subtracted on
+    # every block
     worst = 0.0
     for domain, block in (("h", slice(None, n)), ("v", slice(n, None))):
         R = curvature_components(fb, domain, "all", "all")  # [p, u, v, w]
@@ -409,41 +412,23 @@ def check_lemma_identities(model: FoliationModel, points: int = 32,
             rh_endo = R[:, :, :n, :n, :n].transpose(0, 1, 2, 4, 3)
         nt = _contract3(fb, "nabla_t", model.nabla_t_entry, "all", domain,
                         "all").transpose(0, 2, 3, 1, 4)
-        resid = R - nt
-        resid[:, :, block, block] = -nt[:, :, block, block]
-        worst = max(worst, float(np.abs(resid, out=resid).max()))
-        del resid
+        for c in point_chunks(len(fb.points)):
+            resid = R[c] - nt[c]
+            resid[:, :, block, block] = -nt[c][:, :, block, block]
+            worst = max(worst, float(np.abs(resid, out=resid).max()))
     reports.append(CheckReport.from_residual(
         "curvature-decomposition", worst, tol, points))
 
-    # [R_H(x_i, x_j), J_a] against its covariant and kappa forms, as batched
-    # matmuls over (j, a) for one i at a time: arrays (P, n, m, n, n)
-    t_comp = torsion_components(fb)
-    J = j_endomorphisms(fb)
-    P = J.shape[0]
-    mhat = nt_v.transpose(0, 1, 2, 4, 3)       # endomorphism of (nabla_a J)_b
-    pairs = J[:, :, None] @ J[:, None, :]      # J_a J_b, (P, m, m, n, n)
-    pairs[:, np.arange(m), np.arange(m)] = 0.0            # only b != a
-    flat = lambda x: x.reshape(P, -1, x.shape[-1])
-    sum_b = lambda lhs, rhs: (flat(lhs) @ rhs.reshape(P, m, -1)).reshape(
-        P, n, m, n, n)
+    t_comp, J = torsion_components(fb), j_endomorphisms(fb)
+    kappa_form = kappa if m >= 2 else None
     worst_cov = worst_kappa = 0.0
-    for i in range(n):
-        comm = (rh_endo[:, i, :, None] @ J[:, None]
-                - J[:, None] @ rh_endo[:, i, :, None])    # [p, j, a, k, u]
-        cov = (sum_b(t_comp[:, :, i].transpose(0, 2, 1), mhat)
-               + sum_b(nt_v[:, :, :, i].transpose(0, 3, 1, 2), J))
-        worst_cov = max(worst_cov, float(np.abs(comm - cov).max()))
-        if kappa is not None and m >= 2:
-            # sum_{b != a} (J_b)_{ji} J_a J_b - (J_a J_b)_{ji} J_b
-            kap = (sum_b(J[:, :, :, i].transpose(0, 2, 1),
-                         pairs.transpose(0, 2, 1, 3, 4))
-                   - sum_b(pairs[:, :, :, :, i].transpose(0, 3, 1, 2), J))
-            worst_kappa = max(worst_kappa,
-                              float(np.abs(comm - kappa * kap).max()))
+    for c in point_chunks(len(fb.points)):
+        cov, kap = _commutator_residuals(rh_endo[c], J[c], t_comp[c],
+                                         nt_v[c], kappa_form)
+        worst_cov, worst_kappa = max(worst_cov, cov), max(worst_kappa, kap)
     reports.append(CheckReport.from_residual(
         "commutator-covariant", worst_cov, tol, points))
-    if kappa is not None and m >= 2:
+    if kappa_form is not None:
         reports.append(CheckReport.from_residual(
             "commutator-kappa", worst_kappa, tol, points, {"kappa": kappa}))
 
@@ -463,3 +448,35 @@ def check_lemma_identities(model: FoliationModel, points: int = 32,
     reports.append(CheckReport.from_residual(
         "ym-helper-trace", float(np.abs(lhs_e - rhs_e).max()), tol, points))
     return reports
+
+
+def _commutator_residuals(rh_endo: np.ndarray, J: np.ndarray,
+                          t_comp: np.ndarray, nt_v: np.ndarray,
+                          kappa: float | None) -> tuple[float, float]:
+    """The worst residuals of [R_H(x_i, x_j), J_a] against its covariant
+    form and, given ``kappa``, its kappa form (else 0.0) over a point batch:
+    R_H as endomorphisms (P, n, n, n, n), J and the torsion (P, m, n, n),
+    and nabla_{z_a} T (P, m, m, n, n).  Batched matmuls over (j, a) for one
+    i at a time: arrays (P, n, m, n, n)."""
+    P, m, n = J.shape[:3]
+    mhat = nt_v.transpose(0, 1, 2, 4, 3)       # endomorphism of (nabla_a J)_b
+    pairs = J[:, :, None] @ J[:, None, :]      # J_a J_b, (P, m, m, n, n)
+    pairs[:, np.arange(m), np.arange(m)] = 0.0            # only b != a
+    flat = lambda x: x.reshape(P, -1, x.shape[-1])
+    sum_b = lambda lhs, rhs: (flat(lhs) @ rhs.reshape(P, m, -1)).reshape(
+        P, n, m, n, n)
+    worst_cov = worst_kappa = 0.0
+    for i in range(n):
+        comm = (rh_endo[:, i, :, None] @ J[:, None]
+                - J[:, None] @ rh_endo[:, i, :, None])    # [p, j, a, k, u]
+        cov = (sum_b(t_comp[:, :, i].transpose(0, 2, 1), mhat)
+               + sum_b(nt_v[:, :, :, i].transpose(0, 3, 1, 2), J))
+        worst_cov = max(worst_cov, float(np.abs(comm - cov).max()))
+        if kappa is not None:
+            # sum_{b != a} (J_b)_{ji} J_a J_b - (J_a J_b)_{ji} J_b
+            kap = (sum_b(J[:, :, :, i].transpose(0, 2, 1),
+                         pairs.transpose(0, 2, 1, 3, 4))
+                   - sum_b(pairs[:, :, :, :, i].transpose(0, 3, 1, 2), J))
+            worst_kappa = max(worst_kappa,
+                              float(np.abs(comm - kappa * kap).max()))
+    return worst_cov, worst_kappa

@@ -65,6 +65,12 @@ that group, and builds every declared entry of the group from it at once;
 the table drops its blocks when the last of them has read it, before that
 one projects, so no table is alive while a formula term runs.  The torsion
 values, a two-index entry kept on its own, read one table per block pair.
+
+Every formula is pointwise, so every kept entry is built over consecutive
+chunks of at most POINT_CHUNK points (FrameBatch.chunks): each chunk runs
+the formulas on a view batch and adds its components into its slice of the
+one kept zero array, so a build's transient scales with the chunk, not with
+the sample, and a block that is exactly zero is never written.
 """
 
 from __future__ import annotations
@@ -87,6 +93,22 @@ MAX_SPAN_DEGREE = 2
 
 GROUP = "group"
 SPHERE = "sphere"
+
+#: points per chunk of an entry build (FrameBatch.chunks), and of the
+#: readers that reduce full-sample temporaries.  Peak RSS of ``verify`` on
+#: 2 vCPUs with BLAS on one thread, for chunks of 8 / 16 / 32 / 64 points
+#: (unchunked in brackets): ``--all --points 32`` 62 / 72 / 93 / 93 MB (93),
+#: the four groups at 128 points 72 / 73 / 73 / 88 MB (118), and
+#: quaternionic-hopf-s11 at 128 points 96 / 97 / 123 / 157 MB (235) and at
+#: 256 points 152 / 151 / 155 / 194 MB (435), with wall times within
+#: run-to-run noise of each other.
+POINT_CHUNK = 16
+
+
+def point_chunks(count: int) -> list[slice]:
+    """Consecutive slices of at most POINT_CHUNK of ``count`` points."""
+    return [slice(s, min(s + POINT_CHUNK, count))
+            for s in range(0, count, POINT_CHUNK)]
 
 
 class Split:
@@ -465,14 +487,15 @@ class FoliationModel:
     # Each takes one block string per slot ("hv" for every spanning index,
     # "v" for the vertical ones only) and returns the frame components over
     # the frame vectors of those blocks, (P, F1, F2, F3, n+m) (see
-    # FrameBatch.assemble).  The formula runs on slots (Slot), once per
-    # block triple.  It reads the spanning fields and the two-index
-    # entries as jets truncated to values (keep 0), so it computes no
-    # derivative that it does not use.  The two-index entries are declared
-    # with the key slots they are read at, so that each is built before any
-    # formula term runs (PairBuild).
+    # FrameBatch.assemble), added into ``out`` when it is given.  The
+    # formula runs on slots (Slot), once per block triple.  It reads the
+    # spanning fields and the two-index entries as jets truncated to values
+    # (keep 0), so it computes no derivative that it does not use.  The
+    # two-index entries are declared with the key slots they are read at,
+    # so that each is built before any formula term runs (PairBuild).
 
-    def nabla_t_entry(self, fb: "FrameBatch", d, a, b) -> np.ndarray:
+    def nabla_t_entry(self, fb: "FrameBatch", d, a, b,
+                      out: np.ndarray | None = None) -> np.ndarray:
         """(nabla_{E_d} T)(E_a, E_b), vertical-valued."""
         E, build = fb.spanning(keep=0), PairBuild(fb, (d, a, b))
         # C before T: T, which makes a new array from D(h, h), is then the
@@ -482,9 +505,10 @@ class FoliationModel:
         return build.assemble(lambda d, a, b: (
             self.bott_split(E(d), T(a, b))
             - self.torsion_transform(C(d, a), E(b))
-            - self.torsion_transform(E(a), C(d, b))))
+            - self.torsion_transform(E(a), C(d, b))), out)
 
-    def curvature_entry(self, fb: "FrameBatch", a, b, c) -> np.ndarray:
+    def curvature_entry(self, fb: "FrameBatch", a, b, c,
+                        out: np.ndarray | None = None) -> np.ndarray:
         """R(E_a, E_b) E_c with R(U, V) = [nabla_U, nabla_V] - nabla_{[U,V]}."""
         E, build = fb.spanning(keep=0), PairBuild(fb, (a, b, c))
         C = build.pairs(self.bott_entry, (1, 2), (0, 2))
@@ -492,10 +516,11 @@ class FoliationModel:
         return build.assemble(lambda a, b, c: (
             self.bott_split(E(a), C(b, c))
             - self.bott_split(E(b), C(a, c))
-            - self.bott_split(S(a, b), E(c))))
+            - self.bott_split(S(a, b), E(c))), out)
 
     def lc_curvature_entry(self, fb: "FrameBatch", eps_rel: float,
-                           a, b, c) -> np.ndarray:
+                           a, b, c, out: np.ndarray | None = None
+                           ) -> np.ndarray:
         """Curvature of the Levi-Civita connection of g_H + (1/eps_rel) g_V."""
         E, build = fb.spanning(keep=0), PairBuild(fb, (a, b, c))
         L = build.pairs(lambda D, ka, kb: self.lc_entry(D, eps_rel, ka, kb),
@@ -504,7 +529,7 @@ class FoliationModel:
         return build.assemble(lambda a, b, c: (
             self.lc_variation_split(E(a), L(b, c), eps_rel)
             - self.lc_variation_split(E(b), L(a, c), eps_rel)
-            - self.lc_variation_split(S(a, b), E(c), eps_rel)))
+            - self.lc_variation_split(S(a, b), E(c), eps_rel)), out)
 
     # -- frames ----------------------------------------------------------------
 
@@ -665,6 +690,30 @@ class FrameBatch:
         return (PointField(value[:kh], jac[:kh], hess[:kh], at),
                 PointField(value[kh:K], jac[kh:K], hess[kh:], at))
 
+    def chunks(self):
+        """``(c, view)`` for the consecutive point slices ``c`` of
+        ``point_chunks``: a batch over ``points[c]`` whose arrays, jets and
+        cached fields are this batch's, sliced along the point axis, so no
+        field is evaluated again.  The Hessians of the spanning jets, the
+        same at every point, are shared whole."""
+        at, spans = self._fields_at, self._span_jets
+        for c in point_chunks(len(self.points)):
+            view = FrameBatch(self.model, self.points[c],
+                              tuple(part[:, c] for part in self.jets),
+                              self.metric[c], self.x[c], self.z[c],
+                              self.wh[c], self.wv[c])
+            view_at = FieldsAt(
+                tuple(t._map(lambda part: part[c]) for t in at.coframe),
+                tuple(part[c] for part in at.pi_v),
+                tuple(part[c] for part in at.pi_h))
+            # seeded as the view's cached properties
+            view.__dict__.update(
+                _fields_at=view_at, _metric_frame=self._metric_frame[c],
+                _span_jets=tuple(PointField(f.value[:, c], f.jacobian[:, c],
+                                            f.hessian, view_at)
+                                 for f in spans))
+            yield c, view
+
     def spanning(self, keep: int = 2):
         """The spanning fields as Splits of jets: ``E(slot)`` for the whole
         block of a Slot, placed along its axis.  ``keep`` truncates what
@@ -678,13 +727,25 @@ class FrameBatch:
             return Split(None, _place(v, slot))
         return E
 
-    def assemble(self, blocks, formula) -> np.ndarray:
+    def zeros(self, blocks) -> np.ndarray:
+        """A zero array of frame components over one block string per key
+        axis (see ``assemble``), (P, F1, ..., F), its sizes read off the
+        expansion weights and the metric-lowered frame."""
+        size = {"h": self.wh.shape[1], "v": self.wv.shape[1]}
+        return np.zeros((len(self.points),
+                         *(sum(size[k] for k in s) for s in blocks),
+                         self._metric_frame.shape[-1]))
+
+    def assemble(self, blocks, formula,
+                 out: np.ndarray | None = None) -> np.ndarray:
         """Frame components of ``formula(*slots) -> Split`` over one block
         string per key axis ("h", "v" or "hv": the spanning indices of those
-        blocks, horizontals first), as a C-contiguous (P, F1, ..., F) array:
-        slot k holds the frame vectors of its blocks (x_i for "h", z_a for
-        "v", in that order), and the last axis the n+m frame components of
-        the value.  Every size is read off the expansion weights.
+        blocks, horizontals first), added into ``out`` (a new ``zeros``
+        array when None) and returned: slot k holds the frame vectors of its
+        blocks (x_i for "h", z_a for "v", in that order), and the last axis
+        the n+m frame components of the value.  Only the block combinations
+        whose formula has a part are written, so the pages of a zero block
+        are never touched.
 
         The formula runs once per combination of the blocks, on one Slot per
         axis, so that every Split part is a pure block and whole blocks of
@@ -695,8 +756,8 @@ class FrameBatch:
         P, N = self.points.shape
         weights = {"h": self.wh, "v": self.wv}
         size = {k: w.shape[1] for k, w in weights.items()}
-        out = np.zeros((P, *(sum(size[k] for k in s) for s in blocks),
-                        self._metric_frame.shape[-1]))
+        if out is None:
+            out = self.zeros(blocks)
         for kinds in itertools.product(*blocks):
             res = formula(*(Slot(k, axis, len(blocks))
                             for axis, k in enumerate(kinds)))
@@ -823,9 +884,9 @@ class PairBuild:
                              PointField(f.value, f.jacobian, None, f.at, 0)
                              for f in (res.h, res.v)]
 
-    def assemble(self, formula) -> np.ndarray:
+    def assemble(self, formula, out: np.ndarray | None) -> np.ndarray:
         """``FrameBatch.assemble`` over the build's blocks."""
-        return self._fb.assemble(self._kinds, formula)
+        return self._fb.assemble(self._kinds, formula, out)
 
 
 def _minus(F: PointField | None, G: PointField | None) -> PointField | None:
@@ -862,16 +923,29 @@ def _place(field: PointField, *slots: Slot) -> PointField:
 # batched tensor evaluation
 
 
+def _chunked(fb: FrameBatch, entry_fn):
+    """The builder of a kept entry for ``FrameBatch.eval_entry``: one zero
+    array over the key's block strings, into whose slice ``out`` over each
+    chunk ``entry_fn(view, *blocks, out)`` adds the components of the chunk
+    view (``FrameBatch.chunks``)."""
+    def build(*blocks):
+        out = fb.zeros(blocks)
+        for c, view in fb.chunks():
+            entry_fn(view, *blocks, out[c])
+        return out
+    return build
+
+
 def _contract3(fb: FrameBatch, name: str, entry_fn, d1: str, d2: str,
                d3: str, first_only: bool = False) -> np.ndarray:
     """Frame components of a three-index entry over the slot domains d1, d2
     and d3 ("h", "v" or "all"): a read-only view (P, f1, f2, f3, n+m) of the
-    components that ``entry_fn(fb, blocks1, blocks2, blocks3)`` builds once
-    per batch over every spanning index (with ``first_only``, over the
-    blocks of ``d1`` in the first slot only)."""
+    components built once per batch over every spanning index (with
+    ``first_only``, over the blocks of ``d1`` in the first slot only), one
+    point chunk at a time by ``entry_fn(view, blocks1, blocks2, blocks3,
+    out)`` (see ``_chunked``)."""
     first = {"all": "hv"}.get(d1, d1) if first_only else "hv"
-    vals = fb.eval_entry(name, (first, "hv", "hv"),
-                         lambda *blocks: entry_fn(fb, *blocks))
+    vals = fb.eval_entry(name, (first, "hv", "hv"), _chunked(fb, entry_fn))
     s1 = slice(None) if first_only else fb.frame_slice(d1)
     return vals[:, s1, fb.frame_slice(d2), fb.frame_slice(d3)]
 
@@ -880,11 +954,13 @@ def _contract2(fb: FrameBatch, name: str, entry_fn, d1: str,
                d2: str) -> np.ndarray:
     """Frame components of a two-index entry ``entry_fn(D, ka, kb)`` over
     the slot domains d1 and d2: a read-only view (P, f1, f2, n+m) of the
-    components built once per batch over every spanning index, each block
-    pair read off its own derivative table of values (keep 0)."""
-    vals = fb.eval_entry(name, ("hv", "hv"), lambda *blocks: fb.assemble(
-        blocks, lambda a, b: entry_fn(Derivatives(fb, 0), a.block,
-                                      b.block)))
+    components built once per batch over every spanning index, one point
+    chunk at a time, each block pair read off its own derivative table of
+    values (keep 0)."""
+    def chunk(view, first, second, out):
+        view.assemble((first, second), lambda a, b: entry_fn(
+            Derivatives(view, 0), a.block, b.block), out)
+    vals = fb.eval_entry(name, ("hv", "hv"), _chunked(fb, chunk))
     return vals[:, fb.frame_slice(d1), fb.frame_slice(d2)]
 
 
@@ -926,7 +1002,8 @@ def lc_curvature_ambient(fb: FrameBatch, eps_rel: float, d2: str = "all",
     frame components.  Every reader needs only that first slot, so the entry
     is built and kept only over the vertical first keys."""
     model = fb.model
-    entry = lambda fb, a, b, c: model.lc_curvature_entry(fb, eps_rel, a, b, c)
+    entry = lambda fb, a, b, c, out: model.lc_curvature_entry(
+        fb, eps_rel, a, b, c, out)
     return fb.ambient(_contract3(fb, f"lc_curvature[{round(eps_rel, 12)}]",
                                  entry, "v", d2, d3, first_only=True))
 

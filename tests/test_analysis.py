@@ -386,6 +386,29 @@ class TestCurvatureDimension:
                                            nus=(1.0,), points=8, seed=4)
         assert rep.details["min_margin"] == 0.0
 
+    def test_trial_chunks_match_one_draw(self, heis_quat):
+        # the gradients of every trial are drawn first and the Hessians then
+        # chunk by chunk from the same stream, so the margin is that of one
+        # draw of every trial evaluated at once; the last chunk is partial
+        model, K, nus, points, seed = heis_quat, 0.0, (0.1, 1.0, 10.0), 8, 4
+        trials = 2 * analysis.CD_TRIAL_CHUNK + 3
+        rep = analysis.check_cd_inequality(model, K, trials, nus, points,
+                                           seed)
+        rng = np.random.Generator(np.random.Philox(key=seed + 1))
+        pts = sample_points(model.chart, points, seed)
+        N, n, m = model.ambient_dim, model.n, model.m
+        grad = rng.standard_normal((trials, points, N))
+        hess = rng.standard_normal((trials, points, N, N))
+        hess = 0.5 * (hess + hess.transpose(0, 1, 3, 2))
+        vals = analysis.gamma_jets(model, grad, hess, MonomialCache(pts))
+        want = min(float(((vals["gamma2"] + nu * vals["gamma2_v"])
+                          - ((vals["delta_f"] ** 2) / n
+                             + (K - m / nu) * vals["gamma"]
+                             + (n / 4.0) * vals["gamma_v"])).min())
+                   for nu in nus)
+        assert rep.details["trials"] == trials
+        assert rep.details["min_margin"] == want
+
     def test_no_trial_functions_rejected(self, heis):
         # no sampled f would make a vacuous pass
         with pytest.raises(ValueError):

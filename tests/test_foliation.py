@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import inspect
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -473,14 +474,14 @@ class TestDerivativeTable:
                 tables.append(self)
         assemble = fol.FrameBatch.assemble
 
-        def watched(self, blocks, formula):
+        def watched(self, blocks, formula, out=None):
             def run(*slots):
-                out = formula(*slots)
+                res = formula(*slots)
                 if any(F is not None for table in tables
                        for F in table._jets.values()):
                     live.append(slots)
-                return out
-            return assemble(self, blocks, run)
+                return res
+            return assemble(self, blocks, run, out)
         monkeypatch.setattr(fol, "Derivatives", Recorded)
         monkeypatch.setattr(fol.FrameBatch, "assemble", watched)
         fol.nabla_t_components(fb)
@@ -726,6 +727,68 @@ class TestStoredComponents:
             view[0, 0, 0, 0, 0] = 1.0
         with pytest.raises(ValueError):
             torsion_components(fb)[:] = 0.0
+
+
+class TestPointChunks:
+    """Every kept entry is built over chunks of at most POINT_CHUNK points,
+    each on a view batch that writes its slice of the kept array."""
+
+    @pytest.mark.parametrize("name", ["heisenberg-quat-mixed",
+                                      "quaternionic-hopf-s7"])
+    def test_chunks_equal_separate_batches(self, name, catalog_models):
+        # the last chunk is partial; each chunk's values are those of a
+        # batch over its points alone, bit for bit
+        model = catalog_models[name]
+        pts = sample_points(model.chart, 2 * fol.POINT_CHUNK + 3, 26)
+        readers = (torsion_components, fol.nabla_t_components,
+                   curvature_components,
+                   lambda fb: fol.lc_curvature_ambient(fb, 0.25))
+        fb = model.frame_batch(pts)
+        chunks = fol.point_chunks(len(pts))
+        assert [c.stop - c.start for c in chunks] == [fol.POINT_CHUNK,
+                                                      fol.POINT_CHUNK, 3]
+        for read in readers:
+            whole = read(fb)
+            for c in chunks:
+                np.testing.assert_array_equal(
+                    whole[c], read(model.frame_batch(pts[c])))
+
+    @pytest.mark.parametrize("name", ["quaternionic-hopf-s7",
+                                      "heisenberg-oct"])
+    def test_transient_scales_with_the_chunk(self, name, catalog_models):
+        # the traced peak of a curvature build above its kept array, on a
+        # batch whose fields are evaluated: at 4 chunks of points it stays
+        # near that of one chunk (it grew about 4x when one build ran over
+        # the whole sample)
+        model = catalog_models[name]
+
+        def transient(points):
+            fb = model.frame_batch(sample_points(model.chart, points, 27))
+            torsion_components(fb)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                kept = curvature_components(fb).base.nbytes
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - base - kept
+        one, four = transient(fol.POINT_CHUNK), transient(4 * fol.POINT_CHUNK)
+        assert 0 < four <= 1.5 * one, (one, four)
+
+    @pytest.mark.parametrize("name", ["heisenberg", "heisenberg-quat",
+                                      "heisenberg-quat-mixed",
+                                      "heisenberg-oct"])
+    def test_group_nabla_t_and_curvature_are_exactly_zero(
+            self, name, catalog_models):
+        # on a two-step group with left-invariant frames the torsion is
+        # parallel and the Bott connection flat, so every component is an
+        # exact 0.0 after a build over several chunks
+        model = catalog_models[name]
+        fb = model.frame_batch(sample_points(model.chart, 128, 28))
+        assert 128 > fol.POINT_CHUNK
+        assert not fol.nabla_t_components(fb).any()
+        assert not curvature_components(fb).any()
 
 
 class TestSingleEvaluation:

@@ -90,6 +90,31 @@ def test_package_defines_only_what_it_uses():
     assert sorted(unreferenced()) == sorted(ALLOWED)
 
 
+def environment_reads(source: str) -> list[str]:
+    """Where ``source`` reads the process environment: ``os.environ``
+    (also imported by name) and ``getenv`` calls."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name in names:
+            found.append((node.lineno, name))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_package_reads_no_environment():
+    """Every setting is an option or a documented constant, never an
+    environment variable, so a run is fixed by its command line."""
+    assert environment_reads("import os\nx = os.environ.get('A')\n"
+                             "from os import getenv\ny = getenv('B')\n") \
+        == ["2: environ", "3: getenv", "4: getenv"]
+    found = {path.name: environment_reads(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: f for name, f in found.items() if f} == {}
+
+
 def test_commands_build_no_polynomial_above_degree_2(monkeypatch):
     """The model fields have degree <= 2, the CD trials are 2-jets and the
     spectra move packed exponents, so no command needs a polynomial of
