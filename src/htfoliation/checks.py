@@ -25,8 +25,6 @@ from .foliation import (FoliationModel, FrameBatch, _contract3,
                         point_chunks, ricci_horizontal, torsion_components,
                         vertical_sectional)
 
-#: default tolerance for purely algebraic identities on exact integer data
-TOL_ALGEBRAIC = 1e-12
 #: default tolerance for nested curvature pipelines
 TOL_CURVATURE = 1e-9
 

@@ -71,7 +71,7 @@ def _load_named_model(name: str, model_file: str | None):
                 return models.load_model(fh.read())
         except KeyError as exc:
             reason = f"missing field {exc}"
-        except (OSError, ValueError, TypeError) as exc:
+        except (OSError, ValueError, TypeError, OverflowError) as exc:
             reason = str(exc)
         click.echo(f"error: model file {model_file}: {reason}", err=True)
         sys.exit(EXIT_USAGE)

@@ -70,7 +70,6 @@ class CliffordRepresentation:
 
 _IOTA = np.array([[0.0, -1.0], [1.0, 0.0]])      # rotation by pi/2, iota^2 = -I
 _TAU = np.array([[1.0, 0.0], [0.0, -1.0]])       # reflection, tau^2 = I
-_SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])     # swap, sigma1^2 = I
 
 
 def _quaternion_right_matrices() -> np.ndarray:

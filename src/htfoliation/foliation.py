@@ -61,10 +61,9 @@ block pair whose parts are all exactly 0.0 is stored as None, so no
 projection or formula term runs on it; on a group that is every pair but
 hh.  A three-index build (PairBuild) makes one table per block group
 ({h, h}, {h, v}, {v, v}) when its formula first reads a two-index entry of
-that group, and builds every declared entry of the group from it at once;
-the table drops its blocks when the last of them has read it, before that
-one projects, so no table is alive while a formula term runs.  The torsion
-values, a two-index entry kept on its own, read one table per block pair.
+that group, and builds every declared entry of the group from it at once.
+The torsion values, a two-index entry kept on its own, read one table per
+block pair.
 
 Every formula is pointwise, so every kept entry is built over consecutive
 chunks of at most POINT_CHUNK points (FrameBatch.chunks): each chunk runs
@@ -428,53 +427,33 @@ class FoliationModel:
     # "v") of its two slots, and returns the entry over the whole blocks,
     # laid out by (a, b), as a Split of jets: order-1 jets, or values only
     # on a table of ``keep=0`` (see PointField).  Each reads D(a, b) =
-    # D_{E_a} E_b in the cases of ``bott_split``; a block of D that is
-    # exactly zero is None there, and no projection runs on it.  Each
-    # releases the table once it has read it, and only then projects, so
-    # that the last reader of a table projects no D block that it keeps.
+    # D_{E_a} E_b in the cases of ``bott_split`` and projects it; a block of
+    # D that is exactly zero is None there, and no projection runs on it.
 
     def bracket_entry(self, D: "Derivatives", ka: str, kb: str) -> Split:
         """[E_a, E_b] = D(a, b) - D(b, a), split."""
         F = _minus(D(ka, kb), D.back(ka, kb))
-        D.release()
         return Split() if F is None else self.split(F)
 
     def bott_entry(self, D: "Derivatives", ka: str, kb: str) -> Split:
-        F = self._bott_field(D, ka, kb)
-        D.release()
+        """``bott_split`` of E_a and E_b: D(a, b) for like blocks, the
+        bracket for mixed ones, projected onto the block of b."""
+        F = D(ka, kb) if ka == kb else _minus(D(ka, kb), D.back(ka, kb))
         return self._onto(kb, F)
 
     def torsion_entry(self, D: "Derivatives", ka: str, kb: str) -> Split:
-        F = self._torsion_field(D, ka, kb)
-        D.release()
-        return self._onto("v", F)
+        """``torsion_transform`` of E_a and E_b: [E_b, E_a] projected
+        vertically on two horizontal blocks, else zero."""
+        if ka == "v" or kb == "v":
+            return Split()
+        return self._onto("v", _minus(D.back(ka, kb), D(ka, kb)))
 
     def lc_entry(self, D: "Derivatives", eps_rel: float, ka: str,
                  kb: str) -> Split:
         """The Levi-Civita derivative of g_H + (1/eps_rel) g_V."""
-        bott, torsion = (self._bott_field(D, ka, kb),
-                         self._torsion_field(D, ka, kb))
-        D.release()
-        bott, torsion = self._onto(kb, bott), self._onto("v", torsion)
         a, b = _pair(ka, kb)
-        return self._lc(D.E(a), D.E(b), eps_rel, bott, torsion)
-
-    @staticmethod
-    def _bott_field(D: "Derivatives", ka: str, kb: str) -> PointField | None:
-        """The field that ``bott_split`` of E_a and E_b projects onto the
-        block of b: D(a, b) for like blocks, the bracket for mixed ones."""
-        if ka == kb:
-            return D(ka, kb)
-        return _minus(D(ka, kb), D.back(ka, kb))
-
-    @staticmethod
-    def _torsion_field(D: "Derivatives", ka: str,
-                       kb: str) -> PointField | None:
-        """The field that ``torsion_transform`` of E_a and E_b projects
-        vertically: [E_b, E_a] on two horizontal blocks, else zero."""
-        if ka == "v" or kb == "v":
-            return None
-        return _minus(D.back(ka, kb), D(ka, kb))
+        return self._lc(D.E(a), D.E(b), eps_rel, self.bott_entry(D, ka, kb),
+                        self.torsion_entry(D, ka, kb))
 
     def _onto(self, kind: str, F: PointField | None) -> Split:
         """pi_H F or pi_V F, for ``kind`` "h" or "v"."""
@@ -491,18 +470,16 @@ class FoliationModel:
     # formula runs on slots (Slot), once per block triple.  It reads the
     # spanning fields and the two-index entries as jets truncated to values
     # (keep 0), so it computes no derivative that it does not use.  The
-    # two-index entries are declared with the key slots they are read at,
-    # so that each is built before any formula term runs (PairBuild).
+    # two-index entries are declared with the key slots they are read at
+    # (PairBuild).
 
     def nabla_t_entry(self, fb: "FrameBatch", d, a, b,
                       out: np.ndarray | None = None) -> np.ndarray:
         """(nabla_{E_d} T)(E_a, E_b), vertical-valued."""
         E, build = fb.spanning(keep=0), PairBuild(fb, (d, a, b))
-        # C before T: T, which makes a new array from D(h, h), is then the
-        # last reader of the hh table and projects no D block
         C = build.pairs(self.bott_entry, (0, 1), (0, 2))
         T = build.pairs(self.torsion_entry, (1, 2))
-        return build.assemble(lambda d, a, b: (
+        return fb.assemble((d, a, b), lambda d, a, b: (
             self.bott_split(E(d), T(a, b))
             - self.torsion_transform(C(d, a), E(b))
             - self.torsion_transform(E(a), C(d, b))), out)
@@ -513,7 +490,7 @@ class FoliationModel:
         E, build = fb.spanning(keep=0), PairBuild(fb, (a, b, c))
         C = build.pairs(self.bott_entry, (1, 2), (0, 2))
         S = build.pairs(self.bracket_entry, (0, 1))
-        return build.assemble(lambda a, b, c: (
+        return fb.assemble((a, b, c), lambda a, b, c: (
             self.bott_split(E(a), C(b, c))
             - self.bott_split(E(b), C(a, c))
             - self.bott_split(S(a, b), E(c))), out)
@@ -526,7 +503,7 @@ class FoliationModel:
         L = build.pairs(lambda D, ka, kb: self.lc_entry(D, eps_rel, ka, kb),
                         (1, 2), (0, 2))
         S = build.pairs(self.bracket_entry, (0, 1))
-        return build.assemble(lambda a, b, c: (
+        return fb.assemble((a, b, c), lambda a, b, c: (
             self.lc_variation_split(E(a), L(b, c), eps_rel)
             - self.lc_variation_split(E(b), L(a, c), eps_rel)
             - self.lc_variation_split(S(a, b), E(c), eps_rel)), out)
@@ -809,16 +786,13 @@ class Derivatives:
     Each block pair is one derivative of order-2 jets, of order 1 (values
     only with ``keep=0``), built on first use.  A block whose parts are all
     exactly 0.0 is stored as None: on a group every block but hh, since
-    Z_a = d/dz_a is constant and no spanning field depends on z.  The table
-    serves ``readers`` two-index entries, each of which calls ``release``
-    once it has read it; it drops its blocks when the last one does.
+    Z_a = d/dz_a is constant and no spanning field depends on z.
     """
 
-    def __init__(self, fb: FrameBatch, keep: int, readers: int = 1):
+    def __init__(self, fb: FrameBatch, keep: int):
         self.E = fb.spanning(keep)
         self._n_vars = fb.model.ambient_dim
         self._jets: dict[tuple[str, str], PointField | None] = {}
-        self._readers = readers
 
     def __call__(self, ka: str, kb: str) -> PointField | None:
         if (ka, kb) not in self._jets:
@@ -833,12 +807,6 @@ class Derivatives:
         F = self(kb, ka)
         return None if F is None else F._map(lambda part: part.swapaxes(0, 1))
 
-    def release(self) -> None:
-        """Count one reader as done, and drop every block after the last."""
-        self._readers -= 1
-        if self._readers == 0:
-            self._jets.clear()
-
 
 class PairBuild:
     """One three-index build over one block string per key axis: the
@@ -848,10 +816,8 @@ class PairBuild:
     returns ``S(a, b)`` for two Slots, a placed view of the entry over their
     whole blocks, kept as jets truncated to values (keep 0).  The block
     pairs of the declared entries fall into three groups, {h, h}, {h, v} and
-    {v, v}.  When the formula first reads a pair of a group, one derivative
-    table is made for the group and handed to every declared entry of the
-    group, in declaration order; the last of them releases it.  So no table
-    is alive while a formula term runs."""
+    {v, v}.  When the formula first reads a pair of a group, every declared
+    entry of the group is built from one derivative table."""
 
     def __init__(self, fb: FrameBatch, blocks):
         self._fb = fb
@@ -876,17 +842,12 @@ class PairBuild:
         return S
 
     def _build(self, group: str) -> None:
-        readers = self._groups.pop(group)
-        D = Derivatives(self._fb, 1, len(readers))
-        for entry, built, ka, kb in readers:
+        D = Derivatives(self._fb, 1)
+        for entry, built, ka, kb in self._groups.pop(group):
             res = entry(D, ka, kb)
             built[ka, kb] = [None if f is None else
                              PointField(f.value, f.jacobian, None, f.at, 0)
                              for f in (res.h, res.v)]
-
-    def assemble(self, formula, out: np.ndarray | None) -> np.ndarray:
-        """``FrameBatch.assemble`` over the build's blocks."""
-        return self._fb.assemble(self._kinds, formula, out)
 
 
 def _minus(F: PointField | None, G: PointField | None) -> PointField | None:

@@ -25,8 +25,8 @@ from .clifford import (_IOTA, CliffordRepresentation, _quaternion_right_matrices
                        build_representation)
 from .errors import InvalidModelError
 from .foliation import GROUP, SPHERE, FoliationModel, horizontal_part
-from .geometry import (AmbientChart, EUCLIDEAN, UNIT_SPHERE, Polynomial,
-                       PolyField)
+from .geometry import (AmbientChart, EUCLIDEAN, MAX_AMBIENT_DIM, UNIT_SPHERE,
+                       Polynomial, PolyField)
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,8 @@ def group_model_from_matrices(generators, epsilon: float = 1.0,
     gens = np.asarray(generators, dtype=np.float64)
     if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
         raise InvalidModelError("generators must be a stack of square matrices")
+    if not np.isfinite(gens).all():
+        raise InvalidModelError("generators must be finite")
     m, n = gens.shape[0], gens.shape[1]
     for a in range(m):
         if np.abs(gens[a] + gens[a].T).max() > 1e-12:
@@ -120,8 +122,8 @@ def _sphere_model(name: str, matrices: np.ndarray, epsilon: float) -> FoliationM
 def complex_hopf(k: int, epsilon: float = 4.0,
                  name: str | None = None) -> FoliationModel:
     """Circle fibration of S^{2k+1} over complex projective k-space."""
-    if k < 1:
-        raise InvalidModelError("k must be >= 1")
+    if not 1 <= k <= (MAX_AMBIENT_DIM - 2) // 2:
+        raise InvalidModelError(f"k must be in 1..{(MAX_AMBIENT_DIM - 2) // 2}")
     N = 2 * k + 2
     if name is None:
         name = f"complex-hopf-s{N - 1}"
@@ -131,8 +133,8 @@ def complex_hopf(k: int, epsilon: float = 4.0,
 def quaternionic_hopf(k: int, epsilon: float = 4.0,
                       name: str | None = None) -> FoliationModel:
     """SU(2) fibration of S^{4k+3} over quaternionic projective k-space."""
-    if k < 1:
-        raise InvalidModelError("k must be >= 1")
+    if not 1 <= k <= (MAX_AMBIENT_DIM - 4) // 4:
+        raise InvalidModelError(f"k must be in 1..{(MAX_AMBIENT_DIM - 4) // 4}")
     N = 4 * k + 4
     if name is None:
         name = f"quaternionic-hopf-s{N - 1}"
@@ -206,9 +208,10 @@ def load_model(obj) -> FoliationModel:
 
     Schema: {"kind": str, "name": str, "epsilon": float, "rep": {...}} for
     group kinds (``rep`` as produced by CliffordRepresentation.to_json) or
-    {"kind": ..., "name": ..., "epsilon": ..., "k": int} for sphere kinds.
-    The foliation axioms are checked on 16 points (seed 11, tolerance 1e-9)
-    before the model is accepted.
+    {"kind": ..., "name": ..., "epsilon": ..., "k": int} for sphere kinds,
+    ``epsilon`` a JSON number and ``k`` a JSON integer.  The foliation
+    axioms are checked on 16 points (seed 11, tolerance 1e-9) before the
+    model is accepted.
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
@@ -216,24 +219,30 @@ def load_model(obj) -> FoliationModel:
         raise InvalidModelError("a model description is a JSON object")
     kind = obj.get("kind")
     name = obj.get("name", kind or "model")
-    epsilon = float(obj.get("epsilon", 1.0))
-    if kind == "htype-group":
-        rep = CliffordRepresentation.from_json(obj["rep"])
-        model = group_model_from_matrices(rep.generators, epsilon, name)
-    elif kind == "custom":
-        # explicit skew generators; a two-step group model that need not be
-        # of H-type (the fit will report whatever lambda it measures)
-        gens = np.asarray(obj["rep"]["generators"], dtype=np.float64)
-        model = group_model_from_matrices(gens, epsilon, name,
-                                          require_htype=False)
-    elif kind == "complex-hopf":
-        model = complex_hopf(int(obj["k"]), epsilon, name=name)
-    elif kind == "quaternionic-hopf":
-        model = quaternionic_hopf(int(obj["k"]), epsilon, name=name)
-    else:
-        raise InvalidModelError(f"unknown model kind {kind!r}")
-    report = _checks.check_foliation_axioms(model, points=16, seed=11,
-                                            tol=1e-9)
+    epsilon = obj.get("epsilon", 1.0)
+    if type(epsilon) not in (int, float):
+        raise InvalidModelError("epsilon must be a JSON number")
+    # a model that overflows gets non-finite generators or residuals, which
+    # fail the checks below, and no floating-point warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "htype-group":
+            rep = CliffordRepresentation.from_json(obj["rep"])
+            model = group_model_from_matrices(rep.generators, epsilon, name)
+        elif kind == "custom":
+            # explicit skew generators; a two-step group model that need
+            # not be of H-type (the fit reports whatever lambda it measures)
+            model = group_model_from_matrices(obj["rep"]["generators"],
+                                              epsilon, name,
+                                              require_htype=False)
+        elif kind in ("complex-hopf", "quaternionic-hopf"):
+            if type(obj["k"]) is not int:
+                raise InvalidModelError("k must be a JSON integer")
+            hopf = complex_hopf if kind == "complex-hopf" else quaternionic_hopf
+            model = hopf(obj["k"], epsilon, name=name)
+        else:
+            raise InvalidModelError(f"unknown model kind {kind!r}")
+        report = _checks.check_foliation_axioms(model, points=16, seed=11,
+                                                tol=1e-9)
     if report.status != "pass":
         raise InvalidModelError(
             f"model {name!r} violates the foliation axioms "

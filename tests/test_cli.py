@@ -291,6 +291,20 @@ BAD_MODEL_FILES = {
         '{"kind": "complex-hopf", "k": 1, "epsilon": Infinity}',
     "file-epsilon-1e999": '{"kind": "complex-hopf", "k": 1, "epsilon": 1e999}',
     "file-epsilon-nan": '{"kind": "complex-hopf", "k": 1, "epsilon": NaN}',
+    "file-epsilon-string": '{"kind": "complex-hopf", "k": 1, "epsilon": "4"}',
+    "file-epsilon-bool": '{"kind": "complex-hopf", "k": 1, "epsilon": true}',
+    "file-k-fraction": '{"kind": "complex-hopf", "k": 1.5}',
+    "file-k-bool": '{"kind": "complex-hopf", "k": true}',
+    "file-k-string": '{"kind": "quaternionic-hopf", "k": "2"}',
+    # refused before any array of the model's size is allocated
+    "file-k-1e30": '{"kind": "complex-hopf", "k": 1%s}' % ("0" * 30),
+    "file-epsilon-1e400-int":
+        '{"kind": "complex-hopf", "k": 1, "epsilon": 1%s}' % ("0" * 400),
+    **{f"file-{kind}-generators-{entry}": json.dumps(
+        {"kind": kind, "rep": {"m": 1, "n": 2, "generators": [
+            [[0.0, float(entry)], [-float(entry), 0.0]]]}})
+       for kind in ("custom", "htype-group")
+       for entry in ("NaN", "Infinity", "1e200")},
 }
 # a valid model file is still a usage error beside model names or --all
 VALID_MODEL_FILE = '{"kind": "complex-hopf", "k": 1}'

@@ -3,6 +3,7 @@ import functools
 import inspect
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -282,6 +283,43 @@ class TestGroupCurvatureFlat:
         assert np.abs(comps).max() < 1e-12
 
 
+class TestBaseCurvatureOracle:
+    """On the Hopf models the horizontal block of the Bott curvature is the
+    curvature of the base (CP^k with the Fubini-Study metric, HP^k with the
+    standard one), in closed form from the frame vectors and the vertical
+    structure matrices I_a, so it shares nothing with the connection engine
+    but the frame.  The Bott connection does not depend on epsilon, so
+    neither does the block."""
+
+    @staticmethod
+    def base_curvature(fb, I):
+        """<R(X, Y) Z, U> over the horizontal frame, [p, X, Y, Z, U]:
+        <Y,Z><X,U> - <X,Z><Y,U> + sum_a (<I_a Y,Z><I_a X,U>
+        - <I_a X,Z><I_a Y,U> + 2 <X,I_a Y><I_a Z,U>)."""
+        x = fb.x                                            # (P, n, N)
+        g = np.einsum("pin,pjn->pij", x, x)
+        gI = np.einsum("amn,pin,pjm->paij", I, x, x)        # <I_a x_i, x_j>
+        return (np.einsum("pyz,pxu->pxyzu", g, g)
+                - np.einsum("pxz,pyu->pxyzu", g, g)
+                + np.einsum("payz,paxu->pxyzu", gI, gI)
+                - np.einsum("paxz,payu->pxyzu", gI, gI)
+                + 2 * np.einsum("payx,pazu->pxyzu", gI, gI))
+
+    @pytest.mark.parametrize("points", [8, 32])
+    @pytest.mark.parametrize("epsilon", [4.0, 1.0])
+    @pytest.mark.parametrize("hopf, k", [(models.complex_hopf, 1),
+                                         (models.complex_hopf, 2),
+                                         (models.quaternionic_hopf, 1),
+                                         (models.quaternionic_hopf, 2)])
+    def test_horizontal_curvature_is_the_base_curvature(self, hopf, k,
+                                                         epsilon, points):
+        model = hopf(k, epsilon=epsilon)
+        fb = model.frame_batch(sample_points(model.chart, points, 42))
+        got = curvature_components(fb, "h", "h", "h")[..., :model.n]
+        want = self.base_curvature(fb, np.asarray(model.vertical_matrices))
+        assert np.abs(got - want).max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # the three-index entries against their symbolic composition
 
@@ -422,8 +460,9 @@ def lc_builder(model, eps_rel, D, ka, kb):
 class TestDerivativeTable:
     """The two-index entries of one three-index build are read off one
     derivative table D(a, b) = D_{E_a} E_b per block group, which builds
-    each block pair once and holds no block while a formula runs or after
-    the build returns; its zero blocks are found by value."""
+    each block pair once and is freed by scope: no table is alive after the
+    build returns, and no live table holds a block while a formula runs.
+    Its zero blocks are found by value."""
 
     @pytest.mark.parametrize("name", ["quaternionic-hopf-s7",
                                       "heisenberg-quat"])
@@ -445,7 +484,7 @@ class TestDerivativeTable:
         class Recorded(derivatives):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                tables.append(self)
+                tables.append(weakref.ref(self))
         monkeypatch.setattr(PointField, "along", count)
         monkeypatch.setattr(fol, "Derivatives", Recorded)
         every = ("hv",) * 3
@@ -455,7 +494,7 @@ class TestDerivativeTable:
             getattr(model, f"{entry}_entry")(fb, *every)
         assert 0 < len(counted) <= 4, counted
         assert 0 < len(tables) <= 3
-        assert all(table._jets == {} for table in tables)
+        assert all(table() is None for table in tables)
 
     @pytest.mark.parametrize("name", ["quaternionic-hopf-s7",
                                       "tilted-heisenberg-quat"])
@@ -471,14 +510,16 @@ class TestDerivativeTable:
         class Recorded(fol.Derivatives):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                tables.append(self)
+                tables.append(weakref.ref(self))
         assemble = fol.FrameBatch.assemble
 
         def watched(self, blocks, formula, out=None):
             def run(*slots):
                 res = formula(*slots)
-                if any(F is not None for table in tables
-                       for F in table._jets.values()):
+                alive = [t for t in (table() for table in tables)
+                         if t is not None]
+                if any(F is not None for t in alive
+                       for F in t._jets.values()):
                     live.append(slots)
                 return res
             return assemble(self, blocks, run, out)
@@ -488,6 +529,7 @@ class TestDerivativeTable:
         fol.curvature_components(fb)
         fol.lc_curvature_ambient(fb, 0.25)
         assert tables and live == []
+        assert all(table() is None for table in tables)
 
     def test_zero_blocks_are_decided_by_value(self, heis_quat):
         # Z_a = d/dz_a and no spanning field depends on z, so every block

@@ -1,11 +1,11 @@
 """The package holds what ``htfoliation`` runs, and the README runs.
 
-Every module-level function or class of ``src/htfoliation``, and every
-method that is not a dunder, is referenced outside its own definition: by
-the package, by the benchmark harness (the non-test modules of
-``perfbench``) or by a code block of the README.  Reference routes and
-helpers that only tests use live in ``tests/``.  No command builds a
-polynomial of degree above 2.
+Every module-level function, class or assigned name of ``src/htfoliation``
+that is not a dunder, and every method that is not a dunder, is referenced
+outside its own definition: by the package, by the benchmark harness (the
+non-test modules of ``perfbench``) or by a code block of the README.
+Reference routes and helpers that only tests use live in ``tests/``.  No
+command builds a polynomial of degree above 2.
 """
 
 import ast
@@ -39,13 +39,24 @@ def _is_command(node) -> bool:
                for d in node.decorator_list)
 
 
+def _assigned(node) -> list[str]:
+    """The names that a module-level assignment binds, dunders excepted."""
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+            and not re.fullmatch(r"__\w+__", name.id)]
+
+
 def _definitions(tree):
-    """(qualified name, name, node) of the module-level functions and
-    classes, and of the methods that are not dunders."""
+    """(qualified name, name, node) of the module-level functions, classes
+    and assigned names, and of the methods, that are not dunders."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                 and not _is_command(node):
             yield node.name, node.name, node
+        for name in _assigned(node):
+            yield name, name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) \
