@@ -316,8 +316,8 @@ def check_curvature_constancy(model: FoliationModel, kappa: float,
     eps_rel = 1.0 / (2.0 * kappa)
     fb = frame_batch_for(model, points, seed)
     lhs = lc_curvature_ambient(fb, eps_rel, "all", "all")  # (P, m, F, F, N)
-    ghat = model.metric_matrices(fb.points, fb.jets[0][model.span_count:],
-                                 eps_scale=eps_rel)
+    ghat = model.metric_matrices(fb.points, fb.jets[0][-model.m:],
+                                 eps_scale=eps_rel)      # the coframe values
     frame = fb.frame
     gxy = np.einsum("pbn,pnm,pcm->pbc", frame, ghat, frame)
     gvy = np.einsum("pan,pnm,pcm->pac", fb.z, ghat, frame)

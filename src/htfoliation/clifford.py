@@ -42,12 +42,13 @@ class CliffordRepresentation:
             raise DimensionMismatchError("generator array has wrong shape")
         eye = np.eye(self.n)
         for i in range(self.m):
-            if np.abs(gens[i] + gens[i].T).max() > tol:
+            # written as ``not <=`` so that a NaN fails the bound
+            if not np.abs(gens[i] + gens[i].T).max() <= tol:
                 raise ValueError(f"generator {i} is not skew-symmetric")
             for j in range(i, self.m):
                 anti = gens[i] @ gens[j] + gens[j] @ gens[i]
                 target = -2.0 * eye if i == j else 0.0
-                if np.abs(anti - target).max() > tol:
+                if not np.abs(anti - target).max() <= tol:
                     raise ValueError(
                         f"generators {i},{j} violate the anticommutation relation")
 

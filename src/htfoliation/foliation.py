@@ -21,10 +21,14 @@ that pi_H kills (X, Y horizontal) or that vanish (Z, W vertical).  Both
 cases are scale-invariant in epsilon, so a single connection serves the
 whole canonical-variation family.
 
-Everything pointwise is obtained by evaluating entries over the spanning
-fields and contracting with adapted-frame expansion coefficients;
-tensoriality of torsion, covariant derivatives and curvature in every slot
-makes the spanning-field extensions legitimate.
+Everything pointwise is evaluated on the adapted frame, the form in which
+every identity is stated.  At each point the frame fields are fixed
+combinations x_i = sum_mu W_{i,mu} E_mu of the spanning fields, with the
+weights W frozen there (the minimum-norm ones, so that no weight amplifies
+rounding).  Every formula is R-multilinear in its field arguments and
+pointwise on jets, so the formulas run on the jets of these frozen-weight
+fields give the frame components directly; no C^infinity-linearity is
+needed, because W is constant within each point's arithmetic.
 
 The formulas (projections, the connection, torsion, J and the rescaled
 Levi-Civita connection) are written once, against a few field operations
@@ -33,21 +37,25 @@ Every spanning field is a polynomial of degree <= 2, so its order-2 jet at a
 point batch is exact and cheap: values and Jacobians at the points, and one
 point-independent Hessian from the exact partials d_j E_a, the model's only
 symbolic table.  The values and Jacobians, with the coframe's, come from one
-evaluation per batch (FoliationModel.jets), and the adapted frame is built
-from the same values.  A two-index entry (the split bracket, the connection,
-torsion, the rescaled Levi-Civita derivative) applies one derivative to
-spanning fields, so the formulas give it as an order-1 jet at the batch.  A
-three-index entry (nabla T and both curvatures) applies one more derivative
-to a two-index entry or a spanning field and then only pointwise linear
-algebra, so the formulas give its values from those order-1 jets.  Only
-the three-index entries and the torsion values are kept, in the batch
-(FrameBatch.eval_entry), and only as components on the adapted frame, the
-form in which every identity is stated: each slot and the value are
-contracted with the frame as the entry is built (FrameBatch.assemble), and
-every reader takes a read-only view of the kept array.
+evaluation per batch (FoliationModel.jets); the adapted frame is built from
+the same values, and the frame fields' values and Jacobians replace the
+horizontal spanning ones (one matmul per point).  Their Hessians are formed
+per chunk of points, and not at all for a block whose spanning Hessians are
+exactly zero (every block of a group, and the sphere's vertical one).  A
+two-index entry (the split bracket, the connection, torsion, the rescaled
+Levi-Civita derivative) applies one derivative to frame fields, so the
+formulas give it as an order-1 jet at the batch.  A three-index entry
+(nabla T and both curvatures) applies one more derivative to a two-index
+entry or a frame field and then only pointwise linear algebra, so the
+formulas give its values from those order-1 jets.  Only the three-index
+entries and the torsion values are kept, in the batch
+(FrameBatch.eval_entry), as frame components: the key slots are frame
+fields already, so only the value is measured against the frame as the
+entry is built (FrameBatch.assemble), and every reader takes a read-only
+view of the kept array.
 
-Entries are addressed by blocks: "h" for the horizontal spanning fields,
-"v" for the vertical ones, horizontals first.  A two-index entry is built
+Entries are addressed by blocks: "h" for the horizontal frame fields x_i,
+"v" for the vertical ones z_a, horizontals first.  A two-index entry is built
 over two whole blocks; a three-index entry over one block string per slot
 ("hv", or "v" for R^ghat, which is read only with a vertical first slot),
 by running its formula once per block triple on slots (Slot: a block and
@@ -85,7 +93,7 @@ from .errors import (DegenerateFrameError, DimensionMismatchError,
                      InvalidModelError)
 from .geometry import (AmbientChart, MonomialCache, Polynomial, PolyField,
                        PointField, bracket, directional_derivative,
-                       field_jets, gram_schmidt_at)
+                       field_jets, field_partials, gram_schmidt_at)
 
 #: highest polynomial degree of a spanning field: it makes Hessians constant
 MAX_SPAN_DEGREE = 2
@@ -174,7 +182,12 @@ def horizontal_part(F: PolyField, vertical, coframe,
 
 
 class FoliationModel:
-    """A foliated model space on a Euclidean or unit-sphere ambient chart."""
+    """A foliated model space on a Euclidean or unit-sphere ambient chart.
+
+    On the sphere the horizontal spanning fields are the projections
+    pi_H e_mu of the ambient basis, in order (as ``models`` builds them):
+    the frame weights rely on it, and ``frame_batch`` refuses another
+    family."""
 
     def __init__(self, name: str, backend: str, chart: AmbientChart,
                  n: int, m: int, epsilon: float,
@@ -239,11 +252,25 @@ class FoliationModel:
         on first use."""
         tab = self._tables.get("span_partials")
         if tab is None:
-            spans = self.horizontal_fields + self.vertical_fields
+            parts = field_partials(self.horizontal_fields
+                                   + self.vertical_fields)
             tab = self._tables["span_partials"] = {
-                (a, j): PolyField([c.partial(j) for c in E.components])
-                for a, E in enumerate(spans) for j in range(self.ambient_dim)}
+                (a, j): F for a, row in enumerate(parts)
+                for j, F in enumerate(row)}
         return tab
+
+    @cached_property
+    def _span_hessians(self) -> np.ndarray:
+        """The Hessians of the spanning fields, (K, N, N, N) with
+        ``[a, i, j, k] = d_j d_k E_a^i``, the same at every point: the
+        Jacobians of the exact partials (of degree <= 1) at one point."""
+        N, K = self.ambient_dim, self.span_count
+        partials = self.span_partials
+        hess = field_jets([partials[a, j] for a in range(K) for j in range(N)],
+                          MonomialCache(np.zeros((1, N))))[1]
+        # hess[a * N + j, 0, i, k] = d_k d_j E_a^i
+        return np.ascontiguousarray(
+            hess.reshape(K, N, N, N).transpose(0, 2, 1, 3))
 
     # -- projections and metric ----------------------------------------------
 
@@ -463,12 +490,12 @@ class FoliationModel:
 
     # -- three-index entries at a point batch, from 1-jets -------------------
     #
-    # Each takes one block string per slot ("hv" for every spanning index,
+    # Each takes one block string per slot ("hv" for every frame index,
     # "v" for the vertical ones only) and returns the frame components over
     # the frame vectors of those blocks, (P, F1, F2, F3, n+m) (see
     # FrameBatch.assemble), added into ``out`` when it is given.  The
     # formula runs on slots (Slot), once per block triple.  It reads the
-    # spanning fields and the two-index entries as jets truncated to values
+    # frame fields and the two-index entries as jets truncated to values
     # (keep 0), so it computes no derivative that it does not use.  The
     # two-index entries are declared with the key slots they are read at
     # (PairBuild).
@@ -476,7 +503,7 @@ class FoliationModel:
     def nabla_t_entry(self, fb: "FrameBatch", d, a, b,
                       out: np.ndarray | None = None) -> np.ndarray:
         """(nabla_{E_d} T)(E_a, E_b), vertical-valued."""
-        E, build = fb.spanning(keep=0), PairBuild(fb, (d, a, b))
+        E, build = fb.fields(keep=0), PairBuild(fb, (d, a, b))
         C = build.pairs(self.bott_entry, (0, 1), (0, 2))
         T = build.pairs(self.torsion_entry, (1, 2))
         return fb.assemble((d, a, b), lambda d, a, b: (
@@ -487,7 +514,7 @@ class FoliationModel:
     def curvature_entry(self, fb: "FrameBatch", a, b, c,
                         out: np.ndarray | None = None) -> np.ndarray:
         """R(E_a, E_b) E_c with R(U, V) = [nabla_U, nabla_V] - nabla_{[U,V]}."""
-        E, build = fb.spanning(keep=0), PairBuild(fb, (a, b, c))
+        E, build = fb.fields(keep=0), PairBuild(fb, (a, b, c))
         C = build.pairs(self.bott_entry, (1, 2), (0, 2))
         S = build.pairs(self.bracket_entry, (0, 1))
         return fb.assemble((a, b, c), lambda a, b, c: (
@@ -499,7 +526,7 @@ class FoliationModel:
                            a, b, c, out: np.ndarray | None = None
                            ) -> np.ndarray:
         """Curvature of the Levi-Civita connection of g_H + (1/eps_rel) g_V."""
-        E, build = fb.spanning(keep=0), PairBuild(fb, (a, b, c))
+        E, build = fb.fields(keep=0), PairBuild(fb, (a, b, c))
         L = build.pairs(lambda D, ka, kb: self.lc_entry(D, eps_rel, ka, kb),
                         (1, 2), (0, 2))
         S = build.pairs(self.bracket_entry, (0, 1))
@@ -545,23 +572,56 @@ class FoliationModel:
             raise DegenerateFrameError(f"{block} span has rank {rank}, "
                                        f"expected {want}, at point {p}")
         x = xb[kept].reshape(P, self.n, N)
-        wh = whb[kept].reshape(P, self.n, kh)
-        return FrameBatch(self, pts, jets, G, x, z, wh, wv)
+        # the minimum-norm weights of x over the horizontal spanning fields:
+        # on the sphere those are the rows of pi_H, a Parseval frame of H, so
+        # the weights are the ambient coordinates of x, each at most 1; on a
+        # group the fields are a basis and the weights unique
+        wh = x if self.backend == SPHERE else whb[kept].reshape(P, self.n, kh)
+        hess = self._span_hessians.reshape(K, -1)
+        blocks = ((wh, slice(0, kh)), (wv, slice(kh, K)))
+        jets = tuple(_frame_parts(part, blocks) for part in jets)
+        # the frame fields' values are the frame only for valid weights
+        if not np.abs(jets[0][:self.n] - x.swapaxes(0, 1)).max() <= 1e-9:
+            raise InvalidModelError("horizontal spanning fields on the sphere "
+                                    "must be the projections pi_H e_mu")
+        return FrameBatch(self, pts, jets, G, x, z, tuple(
+            (W, hess[s]) if hess[s].any() else None for W, s in blocks))
+
+
+def _frame_parts(part: np.ndarray, blocks) -> np.ndarray:
+    """The values (F, P, N) or Jacobians (F, P, N, N) of the frame fields
+    from those of the spanning fields and the coframe (``FoliationModel.
+    jets``): for each block ``(W, s)``, ``W (P, f, B) @ part[s]`` (one matmul
+    per point), then everything from the last block on as it is (the
+    vertical spanning fields and the coframe), laid out point-major."""
+    F, P = part.shape[:2]
+    flat = part.reshape(F, P, -1).swapaxes(0, 1)             # (P, F, L)
+    out = np.concatenate([W @ flat[:, s] for W, s in blocks]
+                         + [flat[:, blocks[-1][1].start:]], axis=1)
+    return out.swapaxes(0, 1).reshape((-1,) + part.shape[1:])
 
 
 @dataclass
 class FrameBatch:
-    """Adapted frames over a point batch, the model's jets there
-    (``FoliationModel.jets``) and the evaluated-value cache."""
+    """Adapted frames over a point batch, the jets there of the frame fields
+    and of the model's vertical fields and coframe, and the evaluated-value
+    cache.
+
+    ``jets`` holds values (n + 3m, P, N) and Jacobians (n + 3m, P, N, N) of
+    the frame fields x_i = sum_mu W_{i,mu} E_mu and z_a (the weights W frozen
+    at each point), then of the vertical spanning fields and the coframe.
+    ``hessians`` holds, per block ("h", "v"), None where the block's
+    spanning fields have Hessians that are exactly zero, else the weights
+    (P, f, B) and the spanning Hessians (B, N^3) whose product is the frame
+    Hessians, formed per chunk (``_frame_hessians``)."""
 
     model: FoliationModel
     points: np.ndarray
-    jets: tuple[np.ndarray, np.ndarray]   # (K + m, P, N[, N])
+    jets: tuple[np.ndarray, np.ndarray]
     metric: np.ndarray   # (P, N, N)
     x: np.ndarray        # (P, n, N)
     z: np.ndarray        # (P, m, N)
-    wh: np.ndarray       # (P, n, Kh)
-    wv: np.ndarray       # (P, m, m)
+    hessians: tuple
     _values: dict = field(default_factory=dict)
 
     @cached_property
@@ -588,17 +648,18 @@ class FrameBatch:
         flat = components.reshape(P, -1, components.shape[-1]) @ self.frame
         return flat.reshape(components.shape[:-1] + (flat.shape[-1],))
 
+    @property
+    def _sizes(self) -> dict[str, int]:
+        """The number of frame fields of each block."""
+        return {"h": self.x.shape[1], "v": self.z.shape[1]}
+
     def frame_slice(self, domain: str) -> slice:
         """The frame indices of a slot domain: "h" (x_i), "v" (z_a) or
-        "all", along a slot of an entry stored over both blocks."""
-        n, m = self.wh.shape[1], self.wv.shape[1]
-        if domain == "h":
-            return slice(0, n)
-        if domain == "v":
-            return slice(n, n + m)
-        if domain == "all":
-            return slice(0, n + m)
-        raise ValueError(f"unknown slot domain {domain!r}")
+        "all" (a KeyError for any other), along a slot of an entry stored
+        over both blocks."""
+        n, m = self._sizes.values()
+        return dict(h=slice(0, n), v=slice(n, n + m),
+                    all=slice(0, n + m))[domain]
 
     def eval_entry(self, name: str, key: tuple, builder,
                    antisym: tuple[int, int] | None = None) -> np.ndarray:
@@ -633,9 +694,8 @@ class FrameBatch:
         """The model's coframe and projections at the points, from the
         1-jets of its vertical fields and coframe: pi_V = sum_a Z_a theta^a,
         and pi_H = I - pi_V (- p p^T on the sphere)."""
-        N = self.points.shape[1]
-        kh, K = self.model.span_h_count, self.model.span_count
-        (z, t), (dz, dt) = ((part[kh:K], part[K:]) for part in self.jets)
+        N, m = self.points.shape[1], self.z.shape[1]
+        (z, t), (dz, dt) = ((part[-2 * m:-m], part[-m:]) for part in self.jets)
         pv = np.einsum("api,apj->pij", z, t)
         dpv = (np.einsum("apik,apj->pikj", dz, t)            # [p, i, k, j]
                + np.einsum("api,apjk->pikj", z, dt))
@@ -649,54 +709,42 @@ class FrameBatch:
                         (pv, dpv), (ph, dph))
 
     @cached_property
-    def _span_jets(self) -> tuple[PointField, PointField]:
-        """Order-2 jets of the horizontal (Kh, P, N) and the vertical
-        (m, P, N) spanning fields: values and Jacobians at the points, and
-        Hessians (K, 1, N, N, N), the same at every point, from the 1-jets of
-        the exact partials d_j E_a (of degree <= 1) at one point."""
-        model = self.model
-        N, K, kh = model.ambient_dim, model.span_count, model.span_h_count
-        value, jac = self.jets
-        partials = model.span_partials
-        hess = field_jets([partials[a, j] for a in range(K) for j in range(N)],
-                          MonomialCache(self.points[:1]))[1]
-        # hess[a * N + j, 0, i, k] = d_k d_j E_a^i
-        hess = np.ascontiguousarray(
-            hess.reshape(K, N, 1, N, N).transpose(0, 2, 3, 1, 4))
-        at = self._fields_at
-        return (PointField(value[:kh], jac[:kh], hess[:kh], at),
-                PointField(value[kh:K], jac[kh:K], hess[kh:], at))
+    def _frame_hessians(self) -> tuple:
+        """The Hessians of the frame fields of each block, (f, P, N, N, N),
+        with their weights frozen: one matmul ``W @ d^2 E`` over this
+        batch's points, or 0.0 for a block whose spanning Hessians are
+        exactly zero."""
+        P, N = self.points.shape
+        return tuple(0.0 if f is None else (
+            f[0].reshape(-1, f[0].shape[2]) @ f[1]).reshape(
+                P, -1, N, N, N).swapaxes(0, 1) for f in self.hessians)
 
     def chunks(self):
         """``(c, view)`` for the consecutive point slices ``c`` of
         ``point_chunks``: a batch over ``points[c]`` whose arrays, jets and
-        cached fields are this batch's, sliced along the point axis, so no
-        field is evaluated again.  The Hessians of the spanning jets, the
-        same at every point, are shared whole."""
-        at, spans = self._fields_at, self._span_jets
+        metric-lowered frame are this batch's, sliced along the point axis,
+        so no field is evaluated again.  Each view forms the projections
+        and the frame Hessians of its own points only (``_fields_at``,
+        ``_frame_hessians``), so no array of those over the sample is
+        kept."""
         for c in point_chunks(len(self.points)):
             view = FrameBatch(self.model, self.points[c],
                               tuple(part[:, c] for part in self.jets),
                               self.metric[c], self.x[c], self.z[c],
-                              self.wh[c], self.wv[c])
-            view_at = FieldsAt(
-                tuple(t._map(lambda part: part[c]) for t in at.coframe),
-                tuple(part[c] for part in at.pi_v),
-                tuple(part[c] for part in at.pi_h))
-            # seeded as the view's cached properties
-            view.__dict__.update(
-                _fields_at=view_at, _metric_frame=self._metric_frame[c],
-                _span_jets=tuple(PointField(f.value[:, c], f.jacobian[:, c],
-                                            f.hessian, view_at)
-                                 for f in spans))
+                              tuple(None if f is None else (f[0][c], f[1])
+                                    for f in self.hessians))
+            view.__dict__["_metric_frame"] = self._metric_frame[c]
             yield c, view
 
-    def spanning(self, keep: int = 2):
-        """The spanning fields as Splits of jets: ``E(slot)`` for the whole
-        block of a Slot, placed along its axis.  ``keep`` truncates what
-        formulas compute from them (see PointField)."""
-        h, v = (PointField(f.value, f.jacobian, f.hessian, f.at, keep)
-                for f in self._span_jets)
+    def fields(self, keep: int = 2):
+        """The frame fields as Splits of order-2 jets (of order 1 with
+        ``keep`` 0, which reads no Hessian): ``E(slot)`` for the whole block
+        of a Slot, placed along its axis.  ``keep`` truncates what formulas
+        compute from them (see PointField)."""
+        (value, jac), (n, m) = self.jets, self._sizes.values()
+        hessians = self._frame_hessians if keep else (None, None)
+        h, v = (PointField(value[s], jac[s], hess, self._fields_at, keep)
+                for s, hess in zip((slice(0, n), slice(n, n + m)), hessians))
 
         def E(slot: Slot) -> Split:
             if slot.block == "h":
@@ -707,8 +755,8 @@ class FrameBatch:
     def zeros(self, blocks) -> np.ndarray:
         """A zero array of frame components over one block string per key
         axis (see ``assemble``), (P, F1, ..., F), its sizes read off the
-        expansion weights and the metric-lowered frame."""
-        size = {"h": self.wh.shape[1], "v": self.wv.shape[1]}
+        frame and the metric-lowered frame."""
+        size = self._sizes
         return np.zeros((len(self.points),
                          *(sum(size[k] for k in s) for s in blocks),
                          self._metric_frame.shape[-1]))
@@ -716,23 +764,19 @@ class FrameBatch:
     def assemble(self, blocks, formula,
                  out: np.ndarray | None = None) -> np.ndarray:
         """Frame components of ``formula(*slots) -> Split`` over one block
-        string per key axis ("h", "v" or "hv": the spanning indices of those
-        blocks, horizontals first), added into ``out`` (a new ``zeros``
-        array when None) and returned: slot k holds the frame vectors of its
-        blocks (x_i for "h", z_a for "v", in that order), and the last axis
-        the n+m frame components of the value.  Only the block combinations
-        whose formula has a part are written, so the pages of a zero block
-        are never touched.
+        string per key axis ("h", "v" or "hv": the frame fields of those
+        blocks, x_i for "h" and z_a for "v", horizontals first), added into
+        ``out`` (a new ``zeros`` array when None) and returned, the last
+        axis holding the n+m frame components of the value.
 
         The formula runs once per combination of the blocks, on one Slot per
         axis, so that every Split part is a pure block and whole blocks of
-        jets are read as views.  Its parts are summed and contracted slot by
-        slot, an "h" slot by ``wh`` (P, n, Kh) and a "v" slot by ``wv``
-        (P, m, m), so that no zero block of a block-diagonal expansion is
-        multiplied, and then along the value by ``components``."""
+        jets are read as views.  Only the combinations whose formula has a
+        part are written, so the pages of a zero block are never touched.
+        The key slots are frame fields already, so only the value is
+        measured (``components``)."""
         P, N = self.points.shape
-        weights = {"h": self.wh, "v": self.wv}
-        size = {k: w.shape[1] for k, w in weights.items()}
+        size = self._sizes
         if out is None:
             out = self.zeros(blocks)
         for kinds in itertools.product(*blocks):
@@ -742,22 +786,18 @@ class FrameBatch:
             if not parts:
                 continue
             value = parts[0] if len(parts) == 1 else parts[0] + parts[1]
-            lead = tuple(weights[k].shape[2] for k in kinds)
-            x = np.moveaxis(np.broadcast_to(value, lead + (P, N)), -2, 0)
-            for axis, k in enumerate(kinds, start=1):
-                W = weights[k]              # (P, f, B), along this slot
-                x = (W.reshape((P,) + (1,) * (axis - 1) + W.shape[1:])
-                     @ x.reshape(x.shape[:axis] + (W.shape[2], -1)))
+            lead = tuple(size[k] for k in kinds)
             at = [slice(None)]
             for s, k in zip(blocks, kinds):
                 start = sum(size[b] for b in s[:s.index(k)])
                 at.append(slice(start, start + size[k]))
-            out[tuple(at)] += self.components(x)
+            out[tuple(at)] += self.components(
+                np.moveaxis(np.broadcast_to(value, lead + (P, N)), -2, 0))
         return out
 
 
 class Slot(NamedTuple):
-    """One key axis of a formula: the block ("h" or "v") of spanning indices
+    """One key axis of a formula: the block ("h" or "v") of frame indices
     that it runs over, its position, and the number of key axes."""
 
     block: str
@@ -778,7 +818,7 @@ class FieldsAt:
 
 
 class Derivatives:
-    """The derivative table D(a, b) = D_{E_a} E_b of the spanning fields at a
+    """The derivative table D(a, b) = D_{E_a} E_b of the frame fields at a
     batch's points, which every two-index entry is read off: ``D(ka, kb)``
     over the whole blocks ka and kb ("h" or "v"), as a jet laid out by
     (a, b), or None where it is zero.
@@ -786,11 +826,11 @@ class Derivatives:
     Each block pair is one derivative of order-2 jets, of order 1 (values
     only with ``keep=0``), built on first use.  A block whose parts are all
     exactly 0.0 is stored as None: on a group every block but hh, since
-    Z_a = d/dz_a is constant and no spanning field depends on z.
+    Z_a = d/dz_a is constant and no frame field depends on z.
     """
 
     def __init__(self, fb: FrameBatch, keep: int):
-        self.E = fb.spanning(keep)
+        self.E = fb.fields(keep)
         self._n_vars = fb.model.ambient_dim
         self._jets: dict[tuple[str, str], PointField | None] = {}
 
@@ -901,7 +941,7 @@ def _contract3(fb: FrameBatch, name: str, entry_fn, d1: str, d2: str,
                d3: str, first_only: bool = False) -> np.ndarray:
     """Frame components of a three-index entry over the slot domains d1, d2
     and d3 ("h", "v" or "all"): a read-only view (P, f1, f2, f3, n+m) of the
-    components built once per batch over every spanning index (with
+    components built once per batch over every frame index (with
     ``first_only``, over the blocks of ``d1`` in the first slot only), one
     point chunk at a time by ``entry_fn(view, blocks1, blocks2, blocks3,
     out)`` (see ``_chunked``)."""
@@ -915,7 +955,7 @@ def _contract2(fb: FrameBatch, name: str, entry_fn, d1: str,
                d2: str) -> np.ndarray:
     """Frame components of a two-index entry ``entry_fn(D, ka, kb)`` over
     the slot domains d1 and d2: a read-only view (P, f1, f2, n+m) of the
-    components built once per batch over every spanning index, one point
+    components built once per batch over every frame index, one point
     chunk at a time, each block pair read off its own derivative table of
     values (keep 0)."""
     def chunk(view, first, second, out):

@@ -446,30 +446,41 @@ class PolyField:
         return f"PolyField({self.n_vars} vars)"
 
 
+def _partial_terms(fields: Sequence[PolyField]):
+    """Every term of every component of ``fields``, decoded at once: keys,
+    coefficients and owners ``f * N + i`` (component i of field f), then the
+    terms of the partials of those components (exact: a coefficient times
+    an exponent) with their owners and the variable j of each."""
+    N = fields[0].n_vars
+    shifts, mask = exponent_shifts(N)
+    comps = [c for f in fields for c in f.components]
+    keys = np.concatenate([c.keys for c in comps])
+    coeffs = np.concatenate([c.coeffs for c in comps])
+    owner = np.repeat(np.arange(len(comps)), [c.n_terms for c in comps])
+    exps = (keys[:, None] >> shifts[None, :]) & mask
+    t, j = np.nonzero(exps)
+    return ((keys, coeffs, owner),
+            (keys[t] - (np.int64(1) << shifts[j]), coeffs[t] * exps[t, j],
+             owner[t], j))
+
+
 def field_jets(fields: Sequence[PolyField], cache: MonomialCache
                ) -> tuple[np.ndarray, np.ndarray]:
     """Order-1 jets of many fields at the cache's points: values (F, P, N)
     and Jacobians (F, P, N, N), ``jacobians[f, p, i, j] = d_j F_f^i (p)``.
 
-    Every term of every component contributes its value and its partials
-    (exact: a coefficient times an exponent), so all the monomials needed
-    come from one ``MonomialCache.columns`` call; the contributions are then
-    summed per output in key order."""
+    Every term of every component contributes its value and its partials,
+    so all the monomials needed come from one ``MonomialCache.columns``
+    call; the contributions are then summed per output in key order."""
     P = cache.points.shape[0]
     F = len(fields)
     N = fields[0].n_vars
-    bits = _packing_bits(N)
-    comps = [c for f in fields for c in f.components]
-    keys = np.concatenate([c.keys for c in comps])
-    coeffs = np.concatenate([c.coeffs for c in comps])
-    owner = np.repeat(np.arange(F * N), [c.n_terms for c in comps])
+    (keys, coeffs, owner), (d_keys, d_coeffs, d_owner, j) = \
+        _partial_terms(fields)
     # outputs: F * N values, then F * N * N partials (row-major f, i, j)
-    shifts = bits * np.arange(N, dtype=np.int64)
-    exps = (keys[:, None] >> shifts[None, :]) & ((1 << bits) - 1)
-    t, j = np.nonzero(exps)
-    entry_keys = np.concatenate([keys, keys[t] - (np.int64(1) << shifts[j])])
-    entry_coeffs = np.concatenate([coeffs, coeffs[t] * exps[t, j]])
-    entry_out = np.concatenate([owner, F * N + owner[t] * N + j])
+    entry_keys = np.concatenate([keys, d_keys])
+    entry_coeffs = np.concatenate([coeffs, d_coeffs])
+    entry_out = np.concatenate([owner, F * N + d_owner * N + j])
     order = np.argsort(entry_out, kind="stable")
     entry_keys, entry_coeffs, entry_out = (
         entry_keys[order], entry_coeffs[order], entry_out[order])
@@ -477,11 +488,29 @@ def field_jets(fields: Sequence[PolyField], cache: MonomialCache
     flat = np.zeros((P, F * N * (N + 1)))
     starts = np.flatnonzero(np.diff(entry_out, prepend=-1))
     if starts.size:
-        prods = cache.columns(uniq, N, bits)[:, col] * entry_coeffs
+        prods = cache.columns(uniq, N, _packing_bits(N))[:, col] * entry_coeffs
         flat[:, entry_out[starts]] = np.add.reduceat(prods, starts, axis=1)
     values = flat[:, :F * N].reshape(P, F, N).transpose(1, 0, 2)
     jacobians = flat[:, F * N:].reshape(P, F, N, N).transpose(1, 0, 2, 3)
     return values, jacobians
+
+
+def field_partials(fields: Sequence[PolyField]) -> list[list[PolyField]]:
+    """The exact partials d_j F of many fields, ``[f][j]``, in one pass: the
+    terms of each partial (f, j, i) are cut out of one stable sort, so they
+    keep the key order of their component and equal
+    ``F.components[i].partial(j)``."""
+    F, N = len(fields), fields[0].n_vars
+    _, (keys, coeffs, owner, j) = _partial_terms(fields)
+    # owner = f * N + i, so (f, j, i) is numbered (f * N + j) * N + i
+    out = (owner - owner % N + j) * N + owner % N
+    order = np.argsort(out, kind="stable")
+    keys, coeffs = keys[order], coeffs[order]
+    cuts = np.searchsorted(out[order], np.arange(F * N * N + 1))
+    polys = [Polynomial(N, keys[a:b], coeffs[a:b])
+             for a, b in zip(cuts[:-1], cuts[1:])]
+    return [[PolyField(polys[(f * N + j) * N:(f * N + j + 1) * N])
+             for j in range(N)] for f in range(F)]
 
 
 class PointScalar:
@@ -503,10 +532,11 @@ class PointField:
     ``value`` has shape (..., P, N), ``jacobian`` (..., P, N, N) with
     ``jacobian[..., i, j] = d_j F^i``, and ``hessian`` (..., P, N, N, N) with
     ``hessian[..., i, j, k] = d_j d_k F^i``, where P may be 1 for a Hessian
-    that does not depend on the point.  Leading axes index a batch of fields
-    and broadcast in arithmetic.  It offers the field operations that the
-    connection formulas use, so those formulas run unchanged on symbolic
-    fields and on jets.
+    that does not depend on the point, or the scalar 0.0 for a Hessian known
+    to vanish, which no arithmetic stores or multiplies.  Leading axes index
+    a batch of fields and broadcast in arithmetic.  It offers the field
+    operations that the connection formulas use, so those formulas run
+    unchanged on symbolic fields and on jets.
 
     The arithmetic is truncated Taylor arithmetic (Griewank and Walther,
     *Evaluating Derivatives*, ch. 13): a sum or a product has the lowest
@@ -540,9 +570,11 @@ class PointField:
                           self.keep if keep is None else keep)
 
     def _map(self, fn) -> "PointField":
-        """Apply one linear map to every stored part."""
-        return self._new(*(None if part is None else fn(part) for part in
-                           (self.value, self.jacobian, self.hessian)))
+        """Apply one linear map to every stored part (a vanishing Hessian
+        stays 0.0)."""
+        return self._new(*(fn(part) if isinstance(part, np.ndarray) else part
+                           for part in (self.value, self.jacobian,
+                                        self.hessian)))
 
     def __getitem__(self, index) -> "PointField":
         """Select fields along the leading axes."""
@@ -600,7 +632,7 @@ class PointField:
         A = np.asarray(matrix, dtype=np.float64)
         if jacobian is None:
             hessian = self.hessian
-            if hessian is not None:
+            if isinstance(hessian, np.ndarray):
                 flat = hessian.reshape(hessian.shape[:-2] + (-1,))
                 hessian = (A @ flat).reshape(hessian.shape)
             return self._new(self.value @ A.T, None if self.jacobian is None
@@ -621,12 +653,13 @@ class PointField:
         if min(self.order - 1, X.order, keep) < 1:
             return self._new(value, keep=keep)
         out = self.jacobian @ X.jacobian
-        out += _hessian_along(self.hessian, X.value)
+        if isinstance(self.hessian, np.ndarray):
+            out += _hessian_along(self.hessian, X.value)
         return self._new(value, out, keep=keep)
 
     def is_zero(self) -> bool:
-        return not any(part is not None and part.any() for part in
-                       (self.value, self.jacobian, self.hessian))
+        return not any(isinstance(part, np.ndarray) and part.any() for part
+                       in (self.value, self.jacobian, self.hessian))
 
     def __repr__(self):
         return f"PointField({self.value.shape}, order {self.order})"
@@ -646,22 +679,23 @@ def _per_point(T: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _hessian_along(H: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_j H[..., i, k, j] x[..., p, j] = sum_j H[..., i, j, k] x[..., p, j]
-    (Hessians are symmetric), shape (..., P, N, N).  A Hessian the same at
-    every point, (..., 1, N, N, N), is applied to every leading entry of x
-    in one matmul when the leading shapes broadcast as an outer product; the
-    points lead that matmul, so each (N, N) block of the result is
-    contiguous."""
+    (Hessians are symmetric), shape (..., P, N, N), for per-point Hessians
+    (..., P, N, N, N) or one the same at every point (..., 1, N, N, N).
+    When the leading shapes broadcast as an outer product, every leading
+    entry of x is applied in one matmul per point; the points lead it, so
+    each (N, N) block of the result is contiguous."""
     lh, lx = H.shape[:-4], x.shape[:-2]
     P, N = x.shape[-2:]
-    if (H.shape[-4] != 1 or len(lh) != len(lx)
-            or any(a > 1 and b > 1 for a, b in zip(lh, lx))):
+    if len(lh) != len(lx) or any(a > 1 and b > 1 for a, b in zip(lh, lx)):
         return (H @ x[..., None, :, None])[..., 0]
     d = len(lh)
-    out = x.reshape(-1, N) @ H.reshape(-1, N).T
-    out = out.reshape(lx + (P,) + lh + (N, N))
+    rows = np.moveaxis(np.broadcast_to(H, lh + (P, N, N, N)), -4, 0)
+    out = (np.moveaxis(x, -2, 0).reshape(P, -1, N)
+           @ rows.reshape(P, -1, N).transpose(0, 2, 1))
+    out = out.reshape((P,) + lx + lh + (N, N))
     # interleave the leading axes of H and x, then the point and (i, k) axes
-    order = [ax for k in range(d) for ax in (d + 1 + k, k)]
-    order += [d, 2 * d + 1, 2 * d + 2]
+    order = [ax for k in range(d) for ax in (1 + d + k, 1 + k)]
+    order += [0, 2 * d + 1, 2 * d + 2]
     return out.transpose(order).reshape(
         tuple(a * b for a, b in zip(lh, lx)) + (P, N, N))
 

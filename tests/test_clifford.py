@@ -190,6 +190,20 @@ class TestRepresentations:
         with pytest.raises(ValueError):
             cl.CliffordRepresentation.from_json(bad)
 
+    def test_nan_generators_fail_closed(self):
+        # a NaN makes every ``> tol`` comparison false, so each bound must
+        # be written to fail on NaN, in the skew test and in the relation
+        nan_skew = cl.CliffordRepresentation(
+            1, 2, np.array([[[0.0, np.nan], [np.nan, 0.0]]]))
+        with pytest.raises(ValueError, match="skew"):
+            nan_skew.validate()
+        rep = cl.build_representation(3)
+        for i, j, k in ((0, 0, 1), (2, 3, 3)):
+            bad = rep.to_json()
+            bad["generators"][i][j][k] = float("nan")
+            with pytest.raises(ValueError):
+                cl.CliffordRepresentation.from_json(bad)
+
 
 class TestJAlgebra:
     def test_m1_is_line(self):

@@ -70,6 +70,21 @@ class TestFrames:
         np.testing.assert_allclose(gram, np.broadcast_to(np.eye(7), gram.shape),
                                    atol=1e-12)
 
+    def test_sphere_frame_needs_the_projected_basis(self, s5):
+        # the weights of the sphere's horizontal frame are its ambient
+        # coordinates, which hold for the family pi_H e_mu in order; the
+        # same family in another order spans H as well, and is refused
+        # instead of giving wrong components (h-type read 0.72 on it)
+        order = [1, 0] + list(range(2, s5.ambient_dim))
+        swapped = fol.FoliationModel(
+            "swapped", "sphere", s5.chart, s5.n, s5.m, s5.epsilon,
+            s5.vertical_fields, [s5.horizontal_fields[i] for i in order],
+            vertical_matrices=s5.vertical_matrices)
+        pts = sample_points(s5.chart, 8, 3)
+        s5.frame_batch(pts)
+        with pytest.raises(InvalidModelError, match="pi_H e_mu"):
+            swapped.frame_batch(pts)
+
     def test_rank_deficient_horizontal_raises(self):
         heis = models.get_model("heisenberg")
         broken = fol.FoliationModel(
@@ -342,25 +357,46 @@ def ghat_scales(name):
 
 
 def spanning_batch(fb):
-    """A copy of ``fb`` whose expansion weights and metric-lowered frame are
-    identities, so that ``assemble`` keeps the values over the spanning
-    indices, (P, K1, ..., N): contraction by an identity is exact."""
+    """A batch over ``fb``'s points whose frame fields are the spanning
+    fields (identity weights) and whose metric-lowered frame is the
+    identity, so that ``assemble`` keeps the values over the spanning
+    indices, (P, K1, ..., N): weighting and measuring by an identity is
+    exact."""
+    model = fb.model
     P, N = fb.points.shape
+    kh, K = model.span_h_count, model.span_count
     eye = lambda k: np.broadcast_to(np.eye(k), (P, k, k))
-    out = dataclasses.replace(fb, wh=eye(fb.wh.shape[2]),
-                              wv=eye(fb.wv.shape[2]), _values={})
+    jets = model.jets(MonomialCache(fb.points))
+    hess = model._span_hessians.reshape(K, -1)
+    blocks = ((eye(kh), slice(0, kh)), (eye(K - kh), slice(kh, K)))
+    out = fol.FrameBatch(
+        model, fb.points, tuple(fol._frame_parts(p, blocks) for p in jets),
+        fb.metric, jets[0][:kh].swapaxes(0, 1), jets[0][kh:K].swapaxes(0, 1),
+        tuple((W, hess[s]) for W, s in blocks))
     out.__dict__["_metric_frame"] = eye(N)
     return out
+
+
+def frame_weights(fb):
+    """The minimum-norm weights of the frame over each block of spanning
+    fields, (P, n, Kh) and (P, m, m), computed apart from the batch:
+    ``x = W_h V_h`` and ``z = W_v V_v`` at each point, with
+    ``W = frame @ pinv(V)`` from the spanning values V."""
+    model = fb.model
+    values = model.jets(MonomialCache(fb.points))[0]
+    kh, K = model.span_h_count, model.span_count
+    pinv = lambda V: np.linalg.pinv(V.swapaxes(0, 1), rcond=1e-10)
+    return fb.x @ pinv(values[:kh]), fb.z @ pinv(values[kh:K])
 
 
 def expansion(fb):
     """The block-diagonal expansion of the full adapted frame over the
     spanning fields, (P, n+m, K): u_d = sum_a W[p, d, a] E_a."""
-    P, n, kh = fb.wh.shape
-    m = fb.wv.shape[1]
+    wh, wv = frame_weights(fb)
+    (P, n, kh), m = wh.shape, wv.shape[1]
     W = np.zeros((P, n + m, kh + m))
-    W[:, :n, :kh] = fb.wh
-    W[:, n:, kh:] = fb.wv
+    W[:, :n, :kh] = wh
+    W[:, n:, kh:] = wv
     return W
 
 
@@ -400,16 +436,18 @@ class TestJetOracle:
                 self.assert_close(values[(slice(None),) + key], want)
 
 
-def part_sum(split, attr, index):
+def part_sum(split, attr):
     """The sum over the present parts of a Split of jets of one attribute
-    (value or jacobian) at a leading index; 0 when both parts are zero."""
-    return sum(getattr(part, attr)[index] for part in (split.h, split.v)
+    (value or jacobian); 0 when both parts are zero."""
+    return sum(getattr(part, attr) for part in (split.h, split.v)
                if part is not None)
 
 
 class TestPairJets:
-    """The two-index entries, built at a point batch from the 2-jets of the
-    spanning fields, are the 1-jets of their symbolic tables.  The tilted
+    """The two-index entries, built at a point batch over the frame blocks
+    from the 2-jets of the frame fields (their weights over the spanning
+    fields frozen at each point), are the 1-jets of the symbolic tables over
+    the spanning fields contracted by the same weights.  The tilted
     heisenberg-quat is the group model on which D_{Z_a} E_b is not zero."""
 
     @pytest.mark.parametrize("name", [s.name for s in models.catalog()]
@@ -430,27 +468,30 @@ class TestPairJets:
             builders[eps_rel] = (
                 functools.partial(lc_builder, model, eps_rel),
                 functools.partial(tab.lc, eps_rel))
-        # whole blocks are built; keys covering each block pair are compared
-        start = {"h": 0, "v": kh}
-        picks = [sorted({0, kh // 2, kh - 1}), sorted({0, (K - kh) // 2,
-                                                       K - kh - 1})]
+        weights = dict(zip("hv", frame_weights(fb)))
+        spans = {"h": range(kh), "v": range(kh, K)}
+        cache = MonomialCache(fb.points)
         for label, (batch, symbolic) in builders.items():
-            for (ka, pa), (kb, pb) in itertools.product(zip("hv", picks),
-                                                        repeat=2):
+            for ka, kb in itertools.product("hv", repeat=2):
                 jets = batch(fol.Derivatives(fb, 1), ka, kb)
                 values = batch(fol.Derivatives(fb, 0), ka, kb)
                 assert all(p.order == 1 for p in (jets.h, jets.v) if p), label
                 assert all(p.order == 0 for p in (values.h, values.v) if p)
-                for i, j in itertools.product(pa, pb):
-                    value, jacobian = field_jets(
-                        [symbolic(start[ka] + i, start[kb] + j).total(N)],
-                        MonomialCache(fb.points))
-                    for got, want in (
-                            (part_sum(jets, "value", (i, j)), value[0]),
-                            (part_sum(jets, "jacobian", (i, j)), jacobian[0]),
-                            (part_sum(values, "value", (i, j)), value[0])):
-                        TestJetOracle.assert_close(got + np.zeros_like(want),
-                                                   want)
+                value, jacobian = field_jets(
+                    [symbolic(a, b).total(N) for a in spans[ka]
+                     for b in spans[kb]], cache)
+                shape = (len(spans[ka]), len(spans[kb]))
+                Wa, Wb = weights[ka], weights[kb]
+                value = np.einsum("pia,pjb,abpn->ijpn", Wa, Wb,
+                                  value.reshape(shape + value.shape[1:]))
+                jacobian = np.einsum(
+                    "pia,pjb,abpnk->ijpnk", Wa, Wb,
+                    jacobian.reshape(shape + jacobian.shape[1:]))
+                for got, want in ((part_sum(jets, "value"), value),
+                                  (part_sum(jets, "jacobian"), jacobian),
+                                  (part_sum(values, "value"), value)):
+                    TestJetOracle.assert_close(got + np.zeros_like(want),
+                                               want)
 
 
 def lc_builder(model, eps_rel, D, ka, kb):
@@ -544,6 +585,28 @@ class TestDerivativeTable:
                 assert (D(ka, kb) is None) == zero, model.name
 
 
+class TestSpanPartials:
+    """The symbolic table of the exact partials d_j E_a, built in one
+    vectorized pass (``geometry.field_partials``), equals the per-call
+    partials term for term."""
+
+    @pytest.mark.parametrize("name", [s.name for s in models.catalog()]
+                             + ["tilted-heisenberg-quat"])
+    def test_table_equals_per_call_partials(self, name, catalog_models):
+        if name == "tilted-heisenberg-quat":
+            model = tilted_heisenberg_quat()
+        else:
+            model = catalog_models[name]
+        spans = model.horizontal_fields + model.vertical_fields
+        table = model.span_partials
+        assert len(table) == len(spans) * model.ambient_dim
+        for (a, j), D in table.items():
+            for got, c in zip(D.components, spans[a].components, strict=True):
+                want = c.partial(j)
+                assert np.array_equal(got.keys, want.keys)
+                assert np.array_equal(got.coeffs, want.coeffs)
+
+
 class TestJetProjections:
     """pi_H, pi_V and J on order-2 jets at a batch equal the 1-jets of the
     symbolic projections, and the batch never multiplies polynomials."""
@@ -560,20 +623,29 @@ class TestJetProjections:
                 float(rng.integers(-3, 4))
             for k in range(N) for l in range(k, N) if rng.random() < 0.3})
             for _ in range(N)]) + PolyField.constant(rng.integers(-2, 3, N))
-        f = order2_jet(F, fb.points, at=fb._span_jets[0].at)
-        E = fb.spanning()
-        X, Z = model.horizontal_fields[1], model.vertical_fields[0]
+        f = order2_jet(F, fb.points, at=fb._fields_at)
+        E = fb.fields()
+        # the frame fields x_1 and z_0 against their spanning expansions,
+        # with the weights frozen at each point
+        wh, wv = frame_weights(fb)
+        cache = MonomialCache(fb.points)
+        expand = lambda W, fields: [np.einsum("pa,ap...->p...", W, part)
+                                    for part in field_jets(fields, cache)]
         for got, want in (
-                (model.pi_h(f), model.pi_h(F)),
-                (model.pi_v(f), model.pi_v(F)),
-                (model.pi_h(E(fol.Slot("h", 0, 1)).h[1]), model.pi_h(X)),
+                (model.pi_h(f), field_jets([model.pi_h(F)], cache)),
+                (model.pi_v(f), field_jets([model.pi_v(F)], cache)),
+                (model.pi_h(E(fol.Slot("h", 0, 1)).h[1]),
+                 expand(wh[:, 1], [model.pi_h(X)
+                                   for X in model.horizontal_fields])),
                 (model.j_transform(Split(v=E(fol.Slot("v", 0, 1)).v[:1]),
                                    Split(h=f)).h,
-                 model.j_transform(Split(v=Z), Split(h=F)).h)):
-            value, jacobian = field_jets([want], MonomialCache(fb.points))
+                 expand(wv[:, 0], [model.j_transform(Split(v=Z),
+                                                     Split(h=F)).h
+                                   for Z in model.vertical_fields]))):
+            value, jacobian = (np.squeeze(part) for part in want)
             assert got.order == 1
-            TestJetOracle.assert_close(np.squeeze(got.value), value[0])
-            TestJetOracle.assert_close(np.squeeze(got.jacobian), jacobian[0])
+            TestJetOracle.assert_close(np.squeeze(got.value), value)
+            TestJetOracle.assert_close(np.squeeze(got.jacobian), jacobian)
 
     def test_cubic_spanning_field_is_refused(self, heis):
         x0 = Polynomial.variable(3, 0)
@@ -795,13 +867,18 @@ class TestPointChunks:
                 np.testing.assert_array_equal(
                     whole[c], read(model.frame_batch(pts[c])))
 
-    @pytest.mark.parametrize("name", ["quaternionic-hopf-s7",
-                                      "heisenberg-oct"])
-    def test_transient_scales_with_the_chunk(self, name, catalog_models):
-        # the traced peak of a curvature build above its kept array, on a
-        # batch whose fields are evaluated: at 4 chunks of points it stays
-        # near that of one chunk (it grew about 4x when one build ran over
-        # the whole sample)
+    @pytest.mark.parametrize("name, read", [
+        ("quaternionic-hopf-s7", curvature_components),
+        ("heisenberg-oct", curvature_components),
+        ("quaternionic-hopf-s11", fol.nabla_t_components)],
+        ids=["quaternionic-hopf-s7", "heisenberg-oct", "quaternionic-hopf-s11"])
+    def test_transient_scales_with_the_chunk(self, name, read,
+                                             catalog_models):
+        # the traced peak of a build above its kept array, on a batch whose
+        # fields are evaluated: at 4 chunks of points it stays near that of
+        # one chunk (it grew about 4x when one build ran over the whole
+        # sample).  The frame Hessians of the sphere's horizontal block are
+        # formed per chunk, so they are part of the transient.
         model = catalog_models[name]
 
         def transient(points):
@@ -810,7 +887,7 @@ class TestPointChunks:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                kept = curvature_components(fb).base.nbytes
+                kept = read(fb).base.nbytes
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -842,17 +919,24 @@ class TestSingleEvaluation:
                                       "heisenberg-quat"])
     def test_gram_schmidt_reads_the_jet_values(self, name, monkeypatch):
         model = models.get_model(name)
-        seen = []
-        raw = fol.gram_schmidt_at
+        seen, evaluated = [], []
+        raw, raw_jets = fol.gram_schmidt_at, fol.FoliationModel.jets
 
         def record(vectors, *args, **kwargs):
             seen.append(np.array(vectors))
             return raw(vectors, *args, **kwargs)
+
+        def jets(self, cache):
+            evaluated.append(raw_jets(self, cache))
+            return evaluated[-1]
         monkeypatch.setattr(fol, "gram_schmidt_at", record)
-        fb = model.frame_batch(sample_points(model.chart, 8, 4))
-        want = [np.swapaxes(f.value, 0, 1) for f in fb._span_jets]
+        monkeypatch.setattr(fol.FoliationModel, "jets", jets)
+        model.frame_batch(sample_points(model.chart, 8, 4))
+        assert len(evaluated) == 1 and len(seen) == 2
+        kh, K = model.span_h_count, model.span_count
+        values = evaluated[0][0]
+        want = [values[:kh].swapaxes(0, 1), values[kh:K].swapaxes(0, 1)]
         by_size = lambda a: a.shape[1]
-        assert len(seen) == 2
         for got, jet in zip(sorted(seen, key=by_size),
                             sorted(want, key=by_size)):
             assert np.array_equal(got, jet)

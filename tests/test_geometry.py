@@ -351,6 +351,18 @@ class TestJets:
         pts = np.random.default_rng(seed).uniform(-1, 1, size=(3, 16))
         assert_jet_matches_partials(F, pts)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 16).flatmap(lambda n: st.lists(
+        dyadic_fields(n_vars=st.just(n)), min_size=1, max_size=3)))
+    def test_bulk_partials_equal_per_call_partials(self, fields):
+        parts = geo.field_partials(fields)
+        for F, row in zip(fields, parts, strict=True):
+            for j, D in enumerate(row):
+                for got, c in zip(D.components, F.components, strict=True):
+                    want = c.partial(j)
+                    assert np.array_equal(got.keys, want.keys)
+                    assert np.array_equal(got.coeffs, want.coeffs)
+
     @pytest.mark.parametrize("n", [1, 7, 16])
     def test_zero_and_constant_fields(self, n):
         pts = np.random.default_rng(n).uniform(-1, 1, size=(4, n))
@@ -447,6 +459,34 @@ class TestTaylorArithmetic:
         np.testing.assert_array_equal(f.along(g).value, full.value)
         assert (-f).order == 2          # constant linear maps keep every part
 
+    def test_vanishing_hessian_as_zero(self, fields):
+        # a field of degree <= 1 may carry its Hessian as the scalar 0.0:
+        # every operation gives what the stored zero Hessian gives
+        (F, G, _), pts = fields
+        linear = PolyField([from_terms(4, {e: c for e, c in
+                                           terms_dict(comp).items()
+                                           if sum(e) <= 1})
+                            for comp in F.components])
+        full = order2_jet(linear, pts)
+        assert not full.hessian.any()
+        bare = geo.PointField(full.value, full.jacobian, 0.0)
+        g = order2_jet(G, pts)
+        A = np.arange(16.0).reshape(4, 4) / 8 - 1
+        for got, want in ((bare.along(g), full.along(g)),
+                          (bare + g, full + g), (-bare, -full),
+                          (bare.apply_matrix(A), full.apply_matrix(A)),
+                          (bare[1:], full[1:])):
+            assert got.order == want.order
+            for a, b in zip((got.value, got.jacobian, got.hessian),
+                            (want.value, want.jacobian, want.hessian)):
+                if b is None:
+                    assert a is None
+                    continue
+                np.testing.assert_allclose(np.broadcast_to(a, np.shape(b)),
+                                           b, rtol=1e-13, atol=1e-13)
+        assert geo.PointField(0 * full.value, 0 * full.jacobian,
+                              0.0).is_zero()
+
     def test_leading_axes_broadcast(self, fields):
         # a column of fields along a row of directions: the Hessian term of
         # along runs as one matmul over every pair
@@ -497,3 +537,18 @@ class TestStreamingLayout:
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
         assert got.shape == tuple(np.broadcast_shapes(lh, lx)) + (P, N, N)
         assert got.strides[-2:] == (8 * N, 8)
+
+    @pytest.mark.parametrize("lh, lx", [((2, 1), (1, 3)), ((1, 3), (2, 1)),
+                                        ((), ()), ((1, 3), (2, 3))])
+    def test_per_point_hessian_along_fields(self, lh, lx):
+        # one matmul per point for an outer product of the leading shapes,
+        # the plain route for fields paired entry by entry
+        rng = np.random.default_rng(10)
+        P, N = 5, 4
+        H = rng.standard_normal(lh + (P, N, N, N))
+        H = H + H.swapaxes(-1, -2)
+        x = rng.standard_normal(lx + (P, N))
+        got = geo._hessian_along(H, x)
+        want = np.einsum("...pikj,...pj->...pik", H, x)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+        assert got.shape == tuple(np.broadcast_shapes(lh, lx)) + (P, N, N)
