@@ -19,10 +19,10 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import InvalidModelError, NotApplicableError
-from .foliation import (FoliationModel, FrameBatch, _contract3,
-                        curvature_components, j_endomorphisms,
-                        lc_curvature_ambient, nabla_t_components,
-                        point_chunks, ricci_horizontal, torsion_components,
+from .foliation import (FoliationModel, FrameBatch, curvature_components,
+                        j_endomorphisms, lc_curvature_components,
+                        nabla_t_components, nabla_t_frame, point_chunks,
+                        ricci_horizontal, torsion_components,
                         vertical_sectional)
 
 #: default tolerance for nested curvature pipelines
@@ -86,9 +86,8 @@ def check_foliation_axioms(model: FoliationModel, points: int = 64,
     1-jets at its own sample.  It builds no adapted frame, because
     Gram-Schmidt can fail on the models it must reject."""
     cache = geo.MonomialCache(geo.sample_points(model.chart, points, seed))
-    lie = np.abs(model.metric_lie_derivatives(cache))      # (P, K, K, K)
-    kh = model.span_h_count
-    worst = max(lie[:, kh:, :kh, :kh].max(), lie[:, :kh, kh:, kh:].max())
+    worst = max(np.abs(block).max()
+                for block in model.metric_lie_derivatives(cache))
     return CheckReport.from_residual("foliation-axioms", worst, tol, points)
 
 
@@ -117,7 +116,7 @@ def check_yang_mills(model: FoliationModel, points: int = 64, seed: int = 42,
     """Horizontal divergence of the torsion: sum_i (nabla_{x_i} T)(x_i, u)
     vanishes for every frame direction u."""
     fb = frame_batch_for(model, points, seed)
-    comps = _contract3(fb, "nabla_t", model.nabla_t_entry, "h", "h", "all")
+    comps = nabla_t_frame(fb, "h", "h", "all")
     worst = float(np.abs(np.einsum("piiud->pud", comps)).max())
     return CheckReport.from_residual("yang-mills", worst, tol, points)
 
@@ -307,32 +306,31 @@ def check_curvature_constancy(model: FoliationModel, kappa: float,
         R^{g_hat}(V, X) Y = (kappa/2) (<X, Y>_hat V - <V, Y>_hat X).
 
     The curvature of g_hat is evaluated through the rescaled Levi-Civita
-    connection nabla - T/2 + (J . + . J)/(2 eps) at eps = 1/(2 kappa); for
-    sphere models the report also records how far g_hat is from the round
-    metric (zero exactly when 2 kappa matches the model's vertical scale).
+    connection nabla - T/2 + (J . + . J)/(2 eps) at eps = 1/(2 kappa), as
+    frame components on the g-orthonormal frame (x, then z), where g_hat is
+    diag(1_n, 2 kappa 1_m); so the right side is one constant array.  On a
+    circle fibration (m = 1) the identity holds at every kappa (measured on
+    complex-hopf-s3 and -s5 at kappa 0.5, 1, 2 and 3), so of the catalog
+    only the m = 3 models show a wrong kappa.  For sphere models the report
+    also records how far g_hat is from the round metric, whose Gram matrix
+    on the tangent frame is the Euclidean one (zero exactly when 2 kappa
+    matches the model's vertical scale).
     """
     if kappa == 0:
         raise InvalidModelError("curvature constancy requires kappa != 0")
-    eps_rel = 1.0 / (2.0 * kappa)
     fb = frame_batch_for(model, points, seed)
-    lhs = lc_curvature_ambient(fb, eps_rel, "all", "all")  # (P, m, F, F, N)
-    ghat = model.metric_matrices(fb.points, fb.jets[0][-model.m:],
-                                 eps_scale=eps_rel)      # the coframe values
-    frame = fb.frame
-    gxy = np.einsum("pbn,pnm,pcm->pbc", frame, ghat, frame)
-    gvy = np.einsum("pan,pnm,pcm->pac", fb.z, ghat, frame)
-    worst = 0.0
-    for c in point_chunks(len(fb.points)):
-        rhs = (kappa / 2.0) * (np.einsum("pbc,pan->pabcn", gxy[c], fb.z[c])
-                               - np.einsum("pac,pbn->pabcn", gvy[c], frame[c]))
-        worst = max(worst, float(np.abs(lhs[c] - rhs).max()))
+    lhs = lc_curvature_components(fb, 1.0 / (2.0 * kappa))  # (P, m, F, F, F)
+    n, m = model.n, model.m
+    ghat = np.diag(np.repeat([1.0, 2.0 * kappa], [n, m]))
+    eye = np.eye(n + m)
+    rhs = (kappa / 2.0) * (np.einsum("bc,ad->abcd", ghat, eye[n:])
+                           - np.einsum("ac,bd->abcd", ghat[n:], eye))
+    worst = max(float(np.abs(lhs[c] - rhs).max())
+                for c in point_chunks(len(fb.points)))
     details = {"kappa": kappa, "rho": kappa / 2.0}
     if model.backend == "sphere":
-        pts = fb.points
-        round_g = np.eye(model.ambient_dim)[None] - np.einsum(
-            "pn,pm->pnm", pts, pts)
-        diff = np.einsum("pan,pnm,pbm->pab", frame, ghat - round_g, frame)
-        details["ghat_round_residual"] = float(np.abs(diff).max())
+        gram = fb.frame @ fb.frame.swapaxes(1, 2)
+        details["ghat_round_residual"] = float(np.abs(gram - ghat).max())
     return CheckReport("curvature-constancy",
                        "pass" if worst <= tol else "fail", worst, tol, points,
                        details)
@@ -341,7 +339,8 @@ def check_curvature_constancy(model: FoliationModel, kappa: float,
 def check_oneill(model: FoliationModel, points: int = 32, seed: int = 42,
                  tol: float = TOL_CURVATURE,
                  eps_values: Sequence[float] = (0.25, 1.0)) -> CheckReport:
-    """Two-route check of the rescaled-metric curvature with one vertical slot.
+    """Two-route check of the rescaled-metric curvature with one vertical
+    slot, in frame components.
 
     Direct route: nested derivatives of the rescaled Levi-Civita connection.
     Closed form: -1/2 (nabla_V T)(X,Y) - 1/(2 eps) (nabla_X J)_V Y
@@ -349,27 +348,24 @@ def check_oneill(model: FoliationModel, points: int = 32, seed: int = 42,
     R_V(V, X) Y when X, Y are vertical.
     """
     fb = frame_batch_for(model, points, seed)
-    t_comp = torsion_components(fb)                        # (P, m, n, n)
-    nt_v = nabla_t_components(fb, "v")                     # (P, m, m, n, n)
-    nt_h = nabla_t_components(fb, "h")                     # (P, n, m, n, n)
-    J = j_endomorphisms(fb)                                # (P, m, n, n)
-    t_amb = np.einsum("pbij,pbn->pijn", t_comp, fb.z)
-    # (nabla_{z_a} T)(x_i, x_j) as ambient vectors
-    ntv_amb = np.einsum("pabij,pbn->paijn", nt_v, fb.z)
-    # (nabla_{x_i} J)_{z_a} x_j as ambient vectors, reindexed to [p, a, i, j]
-    nablaj_amb = np.einsum("piajk,pkn->piajn", nt_h, fb.x).transpose(0, 2, 1, 3, 4)
-    # T(x_i, J_{z_a} x_j)
-    tj_amb = np.einsum("pakj,pikn->paijn", J, t_amb)
-    rv_amb = fb.ambient(curvature_components(fb, "v", "v", "v"))
+    n = model.n
+    # the closed form's terms over [p, a, i, j]: the components along x_k of
+    # (nabla_{x_i} J)_{z_a} x_j, and along z_b of (nabla_{z_a} T)(x_i, x_j)
+    # and of T(x_i, J_{z_a} x_j)
+    nabla_j = nabla_t_components(fb, "h").transpose(0, 2, 1, 3, 4)
+    nabla_t = np.moveaxis(nabla_t_components(fb, "v"), 2, 4)
+    t_j = np.einsum("pakj,pbik->paijb", j_endomorphisms(fb),
+                    torsion_components(fb))
+    r_v = curvature_components(fb, "v", "v", "v")
     worst = 0.0
     for eps in eps_values:
-        direct_h = lc_curvature_ambient(fb, eps, "h", "h")  # (P, m, n, n, N)
-        closed_h = (-0.5 * ntv_amb
-                    - (0.5 / eps) * nablaj_amb
-                    + (0.25 / eps) * tj_amb)
+        direct_h = lc_curvature_components(fb, eps, "h", "h")  # (P, m, n, n, F)
+        closed_h = np.empty_like(direct_h)
+        closed_h[..., :n] = (-0.5 / eps) * nabla_j
+        closed_h[..., n:] = -0.5 * nabla_t + (0.25 / eps) * t_j
         worst = max(worst, float(np.abs(direct_h - closed_h).max()))
-        direct_v = lc_curvature_ambient(fb, eps, "v", "v")
-        worst = max(worst, float(np.abs(direct_v - rv_amb).max()))
+        direct_v = lc_curvature_components(fb, eps, "v", "v")
+        worst = max(worst, float(np.abs(direct_v - r_v).max()))
     return CheckReport.from_residual("oneill-variation", worst, tol, points,
                                      {"eps_values": list(eps_values)})
 
@@ -408,8 +404,7 @@ def check_lemma_identities(model: FoliationModel, points: int = 32,
         R = curvature_components(fb, domain, "all", "all")  # [p, u, v, w]
         if domain == "h":              # R_H(x_i, x_j) as endomorphisms
             rh_endo = R[:, :, :n, :n, :n].transpose(0, 1, 2, 4, 3)
-        nt = _contract3(fb, "nabla_t", model.nabla_t_entry, "all", domain,
-                        "all").transpose(0, 2, 3, 1, 4)
+        nt = nabla_t_frame(fb, "all", domain, "all").transpose(0, 2, 3, 1, 4)
         for c in point_chunks(len(fb.points)):
             resid = R[c] - nt[c]
             resid[:, :, block, block] = -nt[c][:, :, block, block]

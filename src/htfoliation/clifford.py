@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InvalidModelError
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +60,10 @@ class CliffordRepresentation:
     def from_json(cls, obj: dict | str, tol: float = 1e-12) -> "CliffordRepresentation":
         if isinstance(obj, str):
             obj = json.loads(obj)
-        rep = cls(int(obj["m"]), int(obj["n"]),
+        for key in ("m", "n"):
+            if type(obj[key]) is not int:
+                raise InvalidModelError(f"{key} must be a JSON integer")
+        rep = cls(obj["m"], obj["n"],
                   np.asarray(obj["generators"], dtype=np.float64))
         rep.validate(tol)
         return rep

@@ -52,7 +52,11 @@ entries and the torsion values are kept, in the batch
 (FrameBatch.eval_entry), as frame components: the key slots are frame
 fields already, so only the value is measured against the frame as the
 entry is built (FrameBatch.assemble), and every reader takes a read-only
-view of the kept array.
+view of the kept array.  Frame components are all that the readers give
+out (nabla_t_frame, curvature_components, lc_curvature_components and
+the views of them): no reader turns them back into ambient vectors, the
+checks compare them with closed forms on the same frame, and only this
+module knows the entry names, the builders and the batch's jet layout.
 
 Entries are addressed by blocks: "h" for the horizontal frame fields x_i,
 "v" for the vertical ones z_a, horizontals first.  A two-index entry is built
@@ -104,11 +108,10 @@ SPHERE = "sphere"
 #: points per chunk of an entry build (FrameBatch.chunks), and of the
 #: readers that reduce full-sample temporaries.  Peak RSS of ``verify`` on
 #: 2 vCPUs with BLAS on one thread, for chunks of 8 / 16 / 32 / 64 points
-#: (unchunked in brackets): ``--all --points 32`` 62 / 72 / 93 / 93 MB (93),
-#: the four groups at 128 points 72 / 73 / 73 / 88 MB (118), and
-#: quaternionic-hopf-s11 at 128 points 96 / 97 / 123 / 157 MB (235) and at
-#: 256 points 152 / 151 / 155 / 194 MB (435), with wall times within
-#: run-to-run noise of each other.
+#: (two runs each, which agree within 1 MB): ``--all --points 32``
+#: 57 / 62 / 73 / 73 MB, and quaternionic-hopf-s11 at 256 points
+#: 145 / 146 / 145 / 159 MB, with wall times within run-to-run noise of
+#: each other.
 POINT_CHUNK = 16
 
 
@@ -335,14 +338,13 @@ class FoliationModel:
         return field_jets(self.horizontal_fields + self.vertical_fields
                           + self._symbolic_fields[1], cache)
 
-    def metric_matrices(self, points, coframe: np.ndarray,
-                        eps_scale: float = 1.0) -> np.ndarray:
-        """Pointwise Gram matrices of g_H + g_V / (epsilon * eps_scale), with
-        g_V = sum_a theta^a (x) theta^a over the coframe values (m, P, N) at
-        ``points`` (P, N), and g_H = I - p p^T - g_V on the sphere, the first
-        n coordinates on a group."""
+    def metric_matrices(self, points, coframe: np.ndarray) -> np.ndarray:
+        """Pointwise Gram matrices of the model metric g_H + g_V / epsilon,
+        with g_V = sum_a theta^a (x) theta^a over the coframe values (m, P, N)
+        at ``points`` (P, N), and g_H = I - p p^T - g_V on the sphere, the
+        first n coordinates on a group."""
         gv = np.einsum("apn,apm->pnm", coframe, coframe)
-        w = 1.0 / (self.epsilon * eps_scale)
+        w = 1.0 / self.epsilon
         if self.backend == SPHERE:
             pp = np.einsum("pn,pm->pnm", points, points)
             return np.eye(points.shape[1])[None] - pp - gv + w * gv
@@ -350,26 +352,29 @@ class FoliationModel:
         G[:, :self.n, :self.n] += np.eye(self.n)
         return G
 
-    def metric_lie_derivatives(self, cache: MonomialCache) -> np.ndarray:
-        """(L_W g)(F, G) = (D_W g)(F, G) + g(D_F W, G) + g(F, D_G W) at the
-        cache's points for every spanning triple, (P, K, K, K) indexed
-        [p, W, F, G], from 1-jets.  It is a form plus its transpose in (F, G),
-        since d_k g = h_k + h_k^T with h_k from the coframe (and -e_k p^T on
-        the sphere)."""
+    def metric_lie_derivatives(self, cache: MonomialCache) -> tuple:
+        """The blocks (L_Z g)(X, X') and (L_X g)(Z, Z') of (L_W g)(F, G) =
+        (D_W g)(F, G) + g(D_F W, G) + g(F, D_G W) at the cache's points, over
+        the vertical spanning fields Z and the horizontal ones X: (P, m, kh,
+        kh) and (P, kh, m, m), indexed [p, W, F, G], from 1-jets.  Each is
+        B_W(F, G) + B_W(G, F) for the form B_W = h . W + (D W)^T g, since
+        d_k g = h_k + h_k^T with h_k from the coframe (and -e_k p^T on the
+        sphere)."""
         values, jacobians = self.jets(cache)
-        K = self.span_count
+        (P, N), K, kh = cache.points.shape, self.span_count, self.span_h_count
         val, jac, theta = values[:K], jacobians[:K], values[K:]
         h = np.einsum("apnk,apm->pnmk", jacobians[K:], theta)  # half of d_k g_V
         if self.backend == GROUP:
             h = h / self.epsilon
         else:                           # g = I - p p^T + (1/epsilon - 1) g_V
             h = (1.0 / self.epsilon - 1.0) * h - np.einsum(
-                "nk,pm->pnmk", np.eye(self.ambient_dim), cache.points)
-        g_val = np.einsum("pnm,gpm->gpn",
-                          self.metric_matrices(cache.points, theta), val)
-        half = (np.einsum("pnmk,wpk,fpn,gpm->pwfg", h, val, val, val, optimize=True)
-                + np.einsum("wpij,fpj,gpi->pwfg", jac, val, g_val, optimize=True))
-        return half + half.transpose(0, 1, 3, 2)
+                "nk,pm->pnmk", np.eye(N), cache.points)
+        form = ((h.reshape(P, N * N, N) @ val[..., None]).reshape(K, P, N, N)
+                + jac.swapaxes(2, 3) @ self.metric_matrices(cache.points, theta))
+        F, V, H = val.swapaxes(0, 1), slice(kh, K), slice(0, kh)
+        halves = ((F[:, f] @ form[w] @ F[:, f].swapaxes(1, 2)).swapaxes(0, 1)
+                  for w, f in ((V, H), (H, V)))       # [p, W, F, G]
+        return tuple(half + half.transpose(0, 1, 3, 2) for half in halves)
 
     # -- connections -----------------------------------------------------------
     #
@@ -640,13 +645,6 @@ class FrameBatch:
         P, N = self.points.shape
         flat = ambient.reshape(P, -1, N) @ self._metric_frame
         return flat.reshape(ambient.shape[:-1] + (flat.shape[-1],))
-
-    def ambient(self, components: np.ndarray) -> np.ndarray:
-        """The ambient vectors sum_d c_d u_d of trailing frame components:
-        one matmul per point, the inverse of ``components``."""
-        P = self.points.shape[0]
-        flat = components.reshape(P, -1, components.shape[-1]) @ self.frame
-        return flat.reshape(components.shape[:-1] + (flat.shape[-1],))
 
     @property
     def _sizes(self) -> dict[str, int]:
@@ -938,17 +936,14 @@ def _chunked(fb: FrameBatch, entry_fn):
 
 
 def _contract3(fb: FrameBatch, name: str, entry_fn, d1: str, d2: str,
-               d3: str, first_only: bool = False) -> np.ndarray:
+               d3: str) -> np.ndarray:
     """Frame components of a three-index entry over the slot domains d1, d2
     and d3 ("h", "v" or "all"): a read-only view (P, f1, f2, f3, n+m) of the
-    components built once per batch over every frame index (with
-    ``first_only``, over the blocks of ``d1`` in the first slot only), one
-    point chunk at a time by ``entry_fn(view, blocks1, blocks2, blocks3,
-    out)`` (see ``_chunked``)."""
-    first = {"all": "hv"}.get(d1, d1) if first_only else "hv"
-    vals = fb.eval_entry(name, (first, "hv", "hv"), _chunked(fb, entry_fn))
-    s1 = slice(None) if first_only else fb.frame_slice(d1)
-    return vals[:, s1, fb.frame_slice(d2), fb.frame_slice(d3)]
+    components built once per batch over every frame index, one point chunk
+    at a time by ``entry_fn(view, blocks1, blocks2, blocks3, out)`` (see
+    ``_chunked``)."""
+    vals = fb.eval_entry(name, ("hv",) * 3, _chunked(fb, entry_fn))
+    return vals[:, fb.frame_slice(d1), fb.frame_slice(d2), fb.frame_slice(d3)]
 
 
 def _contract2(fb: FrameBatch, name: str, entry_fn, d1: str,
@@ -979,13 +974,18 @@ def j_endomorphisms(fb: FrameBatch) -> np.ndarray:
     return np.transpose(torsion_components(fb), (0, 1, 3, 2))
 
 
+def nabla_t_frame(fb: FrameBatch, d1: str = "all", d2: str = "all",
+                  d3: str = "all") -> np.ndarray:
+    """<(nabla_{u_a} T)(u_b, u_c), u_d> over the requested slot domains;
+    shape (P, f1, f2, f3, n+m), a view."""
+    return _contract3(fb, "nabla_t", fb.model.nabla_t_entry, d1, d2, d3)
+
+
 def nabla_t_components(fb: FrameBatch, directions: str = "all") -> np.ndarray:
     """(nabla_{u_d} T)(x_i, x_j) components along z_a: shape (P, D, m, n, n),
     a view."""
-    model = fb.model
-    comps = _contract3(fb, "nabla_t", model.nabla_t_entry, directions, "h",
-                       "h")                        # (P, D, n, n, n+m)
-    return np.moveaxis(comps[..., model.n:], 4, 2)
+    comps = nabla_t_frame(fb, directions, "h", "h")    # (P, D, n, n, n+m)
+    return np.moveaxis(comps[..., fb.model.n:], 4, 2)
 
 
 def curvature_components(fb: FrameBatch, d1: str = "all", d2: str = "all",
@@ -995,18 +995,19 @@ def curvature_components(fb: FrameBatch, d1: str = "all", d2: str = "all",
     return _contract3(fb, "curvature", fb.model.curvature_entry, d1, d2, d3)
 
 
-def lc_curvature_ambient(fb: FrameBatch, eps_rel: float, d2: str = "all",
-                         d3: str = "all") -> np.ndarray:
-    """Ambient values of R^ghat(z_a, u_b) u_c, the Levi-Civita curvature of
-    the rescaled metric ghat = g_H + (1/eps_rel) g_V with a vertical first
-    slot, over the slot domains d2 and d3; shape (P, m, f2, f3, N), from its
-    frame components.  Every reader needs only that first slot, so the entry
-    is built and kept only over the vertical first keys."""
+def lc_curvature_components(fb: FrameBatch, eps_rel: float, d2: str = "all",
+                            d3: str = "all") -> np.ndarray:
+    """<R^ghat(z_a, u_b) u_c, u_d>, the Levi-Civita curvature of the rescaled
+    metric ghat = g_H + (1/eps_rel) g_V with a vertical first slot, over the
+    slot domains d2 and d3; shape (P, m, f2, f3, n+m), a view.  Every reader
+    needs only that first slot, so the entry is built and kept only over the
+    vertical first keys."""
     model = fb.model
-    entry = lambda fb, a, b, c, out: model.lc_curvature_entry(
-        fb, eps_rel, a, b, c, out)
-    return fb.ambient(_contract3(fb, f"lc_curvature[{round(eps_rel, 12)}]",
-                                 entry, "v", d2, d3, first_only=True))
+    entry = lambda view, *blocks: model.lc_curvature_entry(view, eps_rel,
+                                                           *blocks)
+    vals = fb.eval_entry(f"lc_curvature[{round(eps_rel, 12)}]",
+                         ("v", "hv", "hv"), _chunked(fb, entry))
+    return vals[:, :, fb.frame_slice(d2), fb.frame_slice(d3)]
 
 
 def ricci_horizontal(fb: FrameBatch) -> np.ndarray:

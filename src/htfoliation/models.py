@@ -207,11 +207,11 @@ def load_model(obj) -> FoliationModel:
     """Build a model from its JSON description and validate it.
 
     Schema: {"kind": str, "name": str, "epsilon": float, "rep": {...}} for
-    group kinds (``rep`` as produced by CliffordRepresentation.to_json) or
-    {"kind": ..., "name": ..., "epsilon": ..., "k": int} for sphere kinds,
-    ``epsilon`` a JSON number and ``k`` a JSON integer.  The foliation
-    axioms are checked on 16 points (seed 11, tolerance 1e-9) before the
-    model is accepted.
+    group kinds (``rep`` as produced by CliffordRepresentation.to_json, its
+    ``m`` and ``n`` JSON integers) or {"kind": ..., "name": ..., "epsilon":
+    ..., "k": int} for sphere kinds, ``epsilon`` a JSON number and ``k`` a
+    JSON integer.  The foliation axioms are checked on 16 points (seed 11,
+    tolerance 1e-9) before the model is accepted.
     """
     if isinstance(obj, str):
         obj = json.loads(obj)

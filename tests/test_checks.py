@@ -405,7 +405,8 @@ BROKEN_INPUTS = {
         tilted_heisenberg_quat(), points=8, seed=1, kappa=0.0),
     "einstein-s7-kappa-1": lambda s7: [
         checks.check_einstein(s7, points=8, seed=1, kappa=1.0)],
-    # not S^3: there curvature constancy holds at kappa = 1 as well (n = 2)
+    # not S^3 or S^5: on a circle fibration (m = 1) curvature constancy
+    # holds at every kappa, so only an m = 3 model shows a wrong one
     "curvature-constancy-s7-kappa-1": lambda s7: [
         checks.check_curvature_constancy(s7, 1.0, points=8, seed=1)],
     # as verify runs it: K 1e-9 below the sampled minimum of Ric_H (-0.5007)
@@ -434,8 +435,7 @@ def test_lemma_residuals_cover_every_component():
     fb = checks.frame_batch_for(model, 8, 1)
     n = model.n
     full = fol.curvature_components(fb, "all", "all", "all")
-    nt = fol._contract3(fb, "nabla_t", model.nabla_t_entry, "all", "all",
-                        "all")
+    nt = fol.nabla_t_frame(fb)
     resid = full.copy()
     resid[:, :n, :n, :n] = 0.0
     resid[:, n:, n:, n:] = 0.0
@@ -469,8 +469,7 @@ def test_decomposition_subtracts_nabla_t_on_every_block(monkeypatch):
     model = tilted_heisenberg_quat()
     fb = checks.frame_batch_for(model, 8, 1)
     n = model.n
-    nt = fol._contract3(fb, "nabla_t", model.nabla_t_entry, "all", "all",
-                        "all").transpose(0, 2, 3, 1, 4)    # [p, u, v, w]
+    nt = fol.nabla_t_frame(fb).transpose(0, 2, 3, 1, 4)    # [p, u, v, w]
     same = np.zeros(nt.shape[1:4], dtype=bool)
     same[:n, :n, :n] = same[n:, n:, n:] = True
     assert np.abs(nt[:, same]).max() > 1.5 * np.abs(nt[:, ~same]).max()
@@ -490,7 +489,7 @@ def test_decomposition_cancels_only_same_kind_blocks_of_r(kinds, monkeypatch):
     # is zero: R_H and R_V cancel it only when all three are of one kind
     model = models.get_model("heisenberg-quat")
     n = model.n
-    real_r, real_c3 = checks.curvature_components, checks._contract3
+    real_r, real_nt = checks.curvature_components, checks.nabla_t_frame
     pos = [0 if k == "h" else n for k in kinds]
 
     def spike(fb, domain, *rest):
@@ -499,8 +498,8 @@ def test_decomposition_cancels_only_same_kind_blocks_of_r(kinds, monkeypatch):
             out[:, 0, pos[1], pos[2], 0] = 1.0
         return out
     monkeypatch.setattr(checks, "curvature_components", spike)
-    monkeypatch.setattr(checks, "_contract3",
-                        lambda *args: np.zeros_like(real_c3(*args)))
+    monkeypatch.setattr(checks, "nabla_t_frame",
+                        lambda *args: np.zeros_like(real_nt(*args)))
     reports = {r.check_name: r.max_residual for r in
                checks.check_lemma_identities(model, points=4, seed=1)}
     want = 0.0 if len(set(kinds)) == 1 else 1.0

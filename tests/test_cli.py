@@ -305,6 +305,14 @@ BAD_MODEL_FILES = {
             [[0.0, float(entry)], [-float(entry), 0.0]]]}})
        for kind in ("custom", "htype-group")
        for entry in ("NaN", "Infinity", "1e200")},
+    # the m = 3 generators on R^4 are valid, and each value below reads as
+    # the right m or n under int(), so only its JSON type is at fault
+    **{f"file-rep-{key}-{label}": json.dumps(
+        {"kind": "htype-group",
+         "rep": {**build_representation(3).to_json(), key: value}})
+       for key, v in (("m", 3), ("n", 4))
+       for label, value in (("fraction", v + 0.7), ("float", float(v)),
+                            ("string", str(v)))},
 }
 # a valid model file is still a usage error beside model names or --all
 VALID_MODEL_FILE = '{"kind": "complex-hopf", "k": 1}'

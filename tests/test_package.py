@@ -126,6 +126,53 @@ def test_package_reads_no_environment():
     assert {name: f for name, f in found.items() if f} == {}
 
 
+def foliation_internals_read(source: str) -> list[str]:
+    """Where ``source`` reaches behind the public readers of ``foliation``:
+    an underscore-prefixed name imported from it or read off the module,
+    or the ``jets`` attribute of a batch (``FoliationModel.jets(...)``, a
+    call, evaluates the spanning jets and is public)."""
+    tree = ast.parse(source)
+    aliases, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "foliation":
+                found += [(node.lineno, alias.name) for alias in node.names
+                          if alias.name.startswith("_")]
+            aliases |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "foliation"}
+        elif isinstance(node, ast.Import):
+            aliases |= {alias.asname for alias in node.names
+                        if alias.name.endswith(".foliation") and alias.asname}
+    called = {id(node.func) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        if (isinstance(node.value, ast.Name) and node.value.id in aliases
+                and node.attr.startswith("_")):
+            found.append((node.lineno, node.attr))
+        elif node.attr == "jets" and id(node) not in called:
+            found.append((node.lineno, node.attr))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_only_foliation_reads_its_internals():
+    """Checks and commands read kept frame components only through the
+    public readers of ``foliation``, so only ``foliation.py`` knows the
+    entry names, the builders and the batch's jet layout."""
+    assert foliation_internals_read(
+        "from .foliation import FrameBatch, _contract3\n"
+        "from . import foliation as fol\n"
+        "import htfoliation.foliation as hf\n"
+        "a = fol._chunked(fb) + hf._contract2(fb) + fol.torsion(m, p)\n"
+        "b = fb.jets[0][-m:]\nc = model.jets(cache)\n") \
+        == ["1: _contract3", "4: _chunked", "4: _contract2", "5: jets"]
+    found = {path.name: foliation_internals_read(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "foliation.py"}
+    assert {name: f for name, f in found.items() if f} == {}
+
+
 def test_commands_build_no_polynomial_above_degree_2(monkeypatch):
     """The model fields have degree <= 2, the CD trials are 2-jets and the
     spectra move packed exponents, so no command needs a polynomial of

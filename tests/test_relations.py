@@ -122,7 +122,7 @@ class TestHomogeneity:
             "Ric_H": np.linalg.eigvalsh(fol.ricci_horizontal(fb)),
         }
         for eps_rel in ghat_scales(name):
-            ghat = fb.components(fol.lc_curvature_ambient(fb, eps_rel))
+            ghat = fol.lc_curvature_components(fb, eps_rel)
             invariants[f"R^ghat {eps_rel}"] = block_norms(fb, ghat,
                                                           (2, 3, 4))
         assert invariants["T"].shape[1] == 1
