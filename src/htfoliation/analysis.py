@@ -321,10 +321,13 @@ def _apply_affine(A: np.ndarray, c: np.ndarray, shifts: np.ndarray, mask: int,
 
         x^alpha -> sum_r alpha_r (sum_t A[r, t] x^(alpha - e_r + e_t)
                                   + c_r x^(alpha - e_r)).
+
+    Only the rows r with A[r] or c[r] nonzero give terms, so only they
+    scan the exponents.
     """
     unit = np.int64(1) << shifts
     out = []
-    for r in range(shifts.size):
+    for r in np.flatnonzero(A.any(axis=1) | (c != 0.0)):
         alpha_r = (key >> shifts[r]) & mask
         sel = np.flatnonzero(alpha_r)
         if sel.size == 0:

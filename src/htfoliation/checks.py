@@ -91,14 +91,23 @@ def check_foliation_axioms(model: FoliationModel, points: int = 64,
     return CheckReport.from_residual("foliation-axioms", worst, tol, points)
 
 
+def _sym_products(J: np.ndarray) -> np.ndarray:
+    """sym(J_a^T J_b) = (J_a^T J_b + J_b^T J_a) / 2 for the matrices J
+    (P, m, n, n), shape (P, m, m, n, n): from one product M = J^T J per
+    point over the columns of every J_a, then M plus M with a and b
+    swapped."""
+    P, m, n = J.shape[:3]
+    cols = J.transpose(0, 2, 1, 3).reshape(P, n, m * n)    # [p, k, (a, l)]
+    M = (cols.swapaxes(1, 2) @ cols).reshape(P, m, n, m, n).swapaxes(2, 3)
+    return 0.5 * (M + M.swapaxes(1, 2))
+
+
 def check_h_type(model: FoliationModel, points: int = 64, seed: int = 42,
                  tol: float = TOL_CURVATURE) -> CheckReport:
     """Fit the scalar in <J_Z X, J_Z Y> = lambda ||Z||^2 <X, Y> from the frame
     J matrices; pass iff lambda = 1 within tolerance and the fit is tight."""
     fb = frame_batch_for(model, points, seed)
-    J = j_endomorphisms(fb)                                # (P, m, n, n)
-    S = 0.5 * (np.einsum("pakl,pbkm->pablm", J, J)
-               + np.einsum("pbkl,pakm->pablm", J, J))      # sym(J_a^T J_b)
+    S = _sym_products(j_endomorphisms(fb))
     diag_means = np.einsum("paall->pa", S) / model.n
     lam = float(diag_means.mean())
     spread = float(np.abs(diag_means - lam).max())

@@ -39,15 +39,18 @@ point-independent Hessian from the exact partials d_j E_a, the model's only
 symbolic table.  The values and Jacobians, with the coframe's, come from one
 evaluation per batch (FoliationModel.jets); the adapted frame is built from
 the same values, and the frame fields' values and Jacobians replace the
-horizontal spanning ones (one matmul per point).  Their Hessians are formed
-per chunk of points, and not at all for a block whose spanning Hessians are
-exactly zero (every block of a group, and the sphere's vertical one).  A
-two-index entry (the split bracket, the connection, torsion, the rescaled
-Levi-Civita derivative) applies one derivative to frame fields, so the
-formulas give it as an order-1 jet at the batch.  A three-index entry
-(nabla T and both curvatures) applies one more derivative to a two-index
-entry or a frame field and then only pointwise linear algebra, so the
-formulas give its values from those order-1 jets.  Only the three-index
+horizontal spanning ones (one matmul per point).  The jet arithmetic runs
+its per-point products through geometry's one kernel, and the projections'
+sums over the vertical index are one matmul per point (_pair_sum).  The
+frame fields' Hessians are formed per chunk of points, and not at all for a
+block whose spanning Hessians are exactly zero (every block of a group, and
+the sphere's vertical one).  A two-index entry (the split bracket, the
+connection, torsion, the rescaled Levi-Civita derivative) applies one
+derivative to frame fields, so the formulas give it as an order-1 jet at
+the batch.  A three-index entry (nabla T and both curvatures) applies one
+more derivative to a two-index entry or a frame field and then only
+pointwise linear algebra, so the formulas give its values from those
+order-1 jets.  Only the three-index
 entries and the torsion values are kept, in the batch
 (FrameBatch.eval_entry), as frame components: the key slots are frame
 fields already, so only the value is measured against the frame as the
@@ -96,7 +99,7 @@ import numpy as np
 from .errors import (DegenerateFrameError, DimensionMismatchError,
                      InvalidModelError)
 from .geometry import (AmbientChart, MonomialCache, Polynomial, PolyField,
-                       PointField, bracket, directional_derivative,
+                       PointField, _pointwise, bracket, directional_derivative,
                        field_jets, field_partials, gram_schmidt_at)
 
 #: highest polynomial degree of a spanning field: it makes Hessians constant
@@ -106,12 +109,20 @@ GROUP = "group"
 SPHERE = "sphere"
 
 #: points per chunk of an entry build (FrameBatch.chunks), and of the
-#: readers that reduce full-sample temporaries.  Peak RSS of ``verify`` on
-#: 2 vCPUs with BLAS on one thread, for chunks of 8 / 16 / 32 / 64 points
-#: (two runs each, which agree within 1 MB): ``--all --points 32``
-#: 57 / 62 / 73 / 73 MB, and quaternionic-hopf-s11 at 256 points
-#: 145 / 146 / 145 / 159 MB, with wall times within run-to-run noise of
-#: each other.
+#: readers that reduce full-sample temporaries.  ``verify`` on 2 vCPUs with
+#: BLAS on one thread, for chunks of 8 / 16 / 32 points: peak RSS of the
+#: process (two runs each, which agree within 1 MB) and the fastest of
+#: three in-process runs (three rounds each, spread 0.2-0.6 s):
+#:
+#:   ``--all --points 32``                     57 / 62 / 74 MB
+#:                                             0.55-0.82 / 0.47-0.71 /
+#:                                             0.51-0.64 s
+#:   ``quaternionic-hopf-s11 --points 256``    145 / 146 / 145 MB
+#:                                             1.34-1.91 / 1.29-1.65 /
+#:                                             1.71-1.92 s
+#:
+#: Chunks of 8 peak lowest but ran slower than 16 on ``--all`` in each
+#: round.
 POINT_CHUNK = 16
 
 
@@ -363,13 +374,14 @@ class FoliationModel:
         values, jacobians = self.jets(cache)
         (P, N), K, kh = cache.points.shape, self.span_count, self.span_h_count
         val, jac, theta = values[:K], jacobians[:K], values[K:]
-        h = np.einsum("apnk,apm->pnmk", jacobians[K:], theta)  # half of d_k g_V
+        h = _pair_sum(theta, jacobians[K:])  # half of d_k g_V, [p, m, n, k]
         if self.backend == GROUP:
             h = h / self.epsilon
         else:                           # g = I - p p^T + (1/epsilon - 1) g_V
-            h = (1.0 / self.epsilon - 1.0) * h - np.einsum(
-                "nk,pm->pnmk", np.eye(N), cache.points)
-        form = ((h.reshape(P, N * N, N) @ val[..., None]).reshape(K, P, N, N)
+            h = (1.0 / self.epsilon - 1.0) * h - (
+                cache.points[:, :, None, None] * np.eye(N))
+        form = (_pointwise(h.reshape(P, N * N, N), val)
+                .reshape(K, P, N, N).swapaxes(2, 3)
                 + jac.swapaxes(2, 3) @ self.metric_matrices(cache.points, theta))
         F, V, H = val.swapaxes(0, 1), slice(kh, K), slice(0, kh)
         halves = ((F[:, f] @ form[w] @ F[:, f].swapaxes(1, 2)).swapaxes(0, 1)
@@ -593,6 +605,16 @@ class FoliationModel:
             (W, hess[s]) if hess[s].any() else None for W, s in blocks))
 
 
+def _pair_sum(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """sum_a U[a, p, r...] V[a, p, c...], shape (P, r..., c...), as one
+    matmul per point, [p, r, a] @ [p, a, c]: the pointwise products of the
+    vertical fields and the coframe, whose leading axis a is short."""
+    m, P = U.shape[:2]
+    out = (U.reshape(m, P, -1).transpose(1, 2, 0)
+           @ V.reshape(m, P, -1).swapaxes(0, 1))
+    return out.reshape((P,) + U.shape[2:] + V.shape[2:])
+
+
 def _frame_parts(part: np.ndarray, blocks) -> np.ndarray:
     """The values (F, P, N) or Jacobians (F, P, N, N) of the frame fields
     from those of the spanning fields and the coframe (``FoliationModel.
@@ -694,9 +716,8 @@ class FrameBatch:
         and pi_H = I - pi_V (- p p^T on the sphere)."""
         N, m = self.points.shape[1], self.z.shape[1]
         (z, t), (dz, dt) = ((part[-2 * m:-m], part[-m:]) for part in self.jets)
-        pv = np.einsum("api,apj->pij", z, t)
-        dpv = (np.einsum("apik,apj->pikj", dz, t)            # [p, i, k, j]
-               + np.einsum("api,apjk->pikj", z, dt))
+        pv = _pair_sum(z, t)
+        dpv = _pair_sum(dz, t) + _pair_sum(z, dt).swapaxes(2, 3)  # [p, i, k, j]
         ph, dph = np.eye(N) - pv, -dpv
         if self.model.backend == SPHERE:
             p, eye = self.points, np.eye(N)

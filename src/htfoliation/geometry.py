@@ -13,6 +13,11 @@ Monomials are packed into single int64 keys (a fixed number of bits per
 variable) so that sums, products and derivatives stay vectorized numpy
 operations.  All structure constants in this package are dyadic rationals,
 hence cancellation to exact zero actually occurs.
+
+At a point batch, fields are known through their jets (PointField), whose
+arithmetic is pointwise linear algebra.  Its per-point matrix-vector
+products all run through one kernel, ``_pointwise``, which applies a
+matrix to every leading entry of a batch of fields in one matmul.
 """
 
 from __future__ import annotations
@@ -637,11 +642,13 @@ class PointField:
                 hessian = (A @ flat).reshape(hessian.shape)
             return self._new(self.value @ A.T, None if self.jacobian is None
                              else A @ self.jacobian, hessian)
-        value = (A @ self.value[..., None])[..., 0]
+        value = _pointwise(A, self.value)
         if min(self.order, self.keep) < 1:
             return self._new(value)
         out = A @ self.jacobian
-        out += _per_point(jacobian, self.value)
+        P, N = jacobian.shape[:2]
+        out += _pointwise(jacobian.reshape(P, N * N, N),
+                          self.value).reshape(out.shape)
         return self._new(value, out)
 
     def along(self, X: "PointField") -> "PointField":
@@ -649,12 +656,17 @@ class PointField:
         if self.jacobian is None:
             raise ValueError("an order-0 jet cannot be differentiated")
         keep = min(self.keep, X.keep)
-        value = (self.jacobian @ X.value[..., None])[..., 0]
+        value = _pointwise(self.jacobian, X.value)
         if min(self.order - 1, X.order, keep) < 1:
             return self._new(value, keep=keep)
         out = self.jacobian @ X.jacobian
-        if isinstance(self.hessian, np.ndarray):
-            out += _hessian_along(self.hessian, X.value)
+        H = self.hessian
+        if isinstance(H, np.ndarray):
+            # sum_j H[..., i, k, j] x_j = sum_j H[..., i, j, k] x_j, since
+            # Hessians are symmetric
+            N = H.shape[-1]
+            out += _pointwise(H.reshape(H.shape[:-3] + (N * N, N)),
+                              X.value).reshape(out.shape)
         return self._new(value, out, keep=keep)
 
     def is_zero(self) -> bool:
@@ -665,39 +677,31 @@ class PointField:
         return f"PointField({self.value.shape}, order {self.order})"
 
 
-def _per_point(T: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j T[p, a, k, j] x[..., p, j], shape (..., P, N, N): one matmul per
-    point over every leading entry of x, in place of a matrix-vector product
-    per entry.  The point axis leads the matmul, so each (N, N) block of the
-    result is contiguous (``strides[-2:] == (8N, 8)``) and adding it into a
-    point-major jet streams through memory."""
-    P, N = x.shape[-2:]
-    xt = x.reshape(-1, P, N).transpose(1, 0, 2)              # (P, L, N)
-    out = xt @ T.reshape(P, -1, N).transpose(0, 2, 1)        # (P, L, N*N)
-    return out.transpose(1, 0, 2).reshape(x.shape[:-2] + T.shape[:-1])
+def _pointwise(T: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j T[..., p, r, j] x[..., p, j], shape (..., P, R): per-point
+    matrices T (..., P, R, N), or one the same at every point
+    (..., 1, R, N), applied to the vectors x (..., P, N).
 
-
-def _hessian_along(H: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j H[..., i, k, j] x[..., p, j] = sum_j H[..., i, j, k] x[..., p, j]
-    (Hessians are symmetric), shape (..., P, N, N), for per-point Hessians
-    (..., P, N, N, N) or one the same at every point (..., 1, N, N, N).
-    When the leading shapes broadcast as an outer product, every leading
-    entry of x is applied in one matmul per point; the points lead it, so
-    each (N, N) block of the result is contiguous."""
-    lh, lx = H.shape[:-4], x.shape[:-2]
+    When the leading shapes broadcast as an outer product (no axis longer
+    than 1 in both), every leading entry of x goes through one matmul per
+    point and leading entry of T, in place of a matrix-vector product per
+    pair of entries and point; otherwise the broadcast matmul runs.  T is
+    read in place, never copied or broadcast over the points, and the
+    result is a view of the matmul's output, each row block R contiguous."""
+    lt, lx = T.shape[:-3], x.shape[:-2]
+    d = max(len(lt), len(lx))
+    lt, lx = (1,) * (d - len(lt)) + lt, (1,) * (d - len(lx)) + lx
+    if any(a > 1 and b > 1 for a, b in zip(lt, lx)):
+        return (T @ x[..., None])[..., 0]
     P, N = x.shape[-2:]
-    if len(lh) != len(lx) or any(a > 1 and b > 1 for a, b in zip(lh, lx)):
-        return (H @ x[..., None, :, None])[..., 0]
-    d = len(lh)
-    rows = np.moveaxis(np.broadcast_to(H, lh + (P, N, N, N)), -4, 0)
+    R = T.shape[-2]
     out = (np.moveaxis(x, -2, 0).reshape(P, -1, N)
-           @ rows.reshape(P, -1, N).transpose(0, 2, 1))
-    out = out.reshape((P,) + lx + lh + (N, N))
-    # interleave the leading axes of H and x, then the point and (i, k) axes
-    order = [ax for k in range(d) for ax in (1 + d + k, 1 + k)]
-    order += [0, 2 * d + 1, 2 * d + 2]
+           @ T.reshape(lt + T.shape[-3:]).swapaxes(-1, -2))
+    out = out.reshape(lt + (P,) + lx + (R,))
+    # interleave the leading axes of T and x, then the point and row axes
+    order = [ax for k in range(d) for ax in (k, d + 1 + k)] + [d, 2 * d + 1]
     return out.transpose(order).reshape(
-        tuple(a * b for a, b in zip(lh, lx)) + (P, N, N))
+        tuple(a * b for a, b in zip(lt, lx)) + (P, R))
 
 
 @dataclass(frozen=True)

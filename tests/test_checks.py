@@ -113,6 +113,20 @@ class TestHType:
             assert rep.status == "pass", name
             assert abs(rep.details["lambda"] - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("name", [
+        "heisenberg", "heisenberg-quat", "heisenberg-quat-mixed",
+        "heisenberg-oct", "complex-hopf-s3", "complex-hopf-s5",
+        "quaternionic-hopf-s7", "quaternionic-hopf-s11"])
+    def test_products_match_einsum(self, name, catalog_models):
+        # sym(J_a^T J_b) from one product J^T J per point
+        model = catalog_models[name]
+        J = fol.j_endomorphisms(checks.frame_batch_for(model, 16, 3))
+        want = 0.5 * (np.einsum("pakl,pbkm->pablm", J, J)
+                      + np.einsum("pbkl,pakm->pablm", J, J))
+        got = checks._sym_products(J)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_non_h_type_group_fails(self):
         rep = checks.check_h_type(degenerate_two_step(), points=8, seed=1)
         assert rep.status == "fail"

@@ -805,6 +805,45 @@ class TestMetricLieDerivatives:
                 assert np.abs(full).max() > 0.1
 
 
+#: the four groups and the four Hopf fibrations
+H_TYPE_MODELS = ["heisenberg", "heisenberg-quat", "heisenberg-quat-mixed",
+                 "heisenberg-oct", "complex-hopf-s3", "complex-hopf-s5",
+                 "quaternionic-hopf-s7", "quaternionic-hopf-s11"]
+
+
+def assert_relative(got, want, rtol=1e-14):
+    """Equal shapes, and entries within ``rtol`` of the largest one."""
+    assert got.shape == want.shape
+    assert float(np.abs(got - want).max()) <= rtol * float(np.abs(want).max())
+
+
+class TestPairSums:
+    """The pointwise sums over the vertical index, run as one matmul per
+    point, equal their einsum definitions."""
+
+    @pytest.mark.parametrize("name", H_TYPE_MODELS)
+    def test_projector_and_its_jacobian(self, name, catalog_models):
+        model = catalog_models[name]
+        fb = model.frame_batch(sample_points(model.chart, 16, 3))
+        m = model.m
+        (z, t), (dz, dt) = ((part[-2 * m:-m], part[-m:]) for part in fb.jets)
+        pv, dpv = fb._fields_at.pi_v
+        assert_relative(pv, np.einsum("api,apj->pij", z, t))
+        assert_relative(dpv, np.einsum("apik,apj->pikj", dz, t)
+                        + np.einsum("api,apjk->pikj", z, dt))
+
+    @pytest.mark.parametrize("name", H_TYPE_MODELS)
+    def test_lie_half_derivative_of_the_metric(self, name, catalog_models):
+        # h in FoliationModel.metric_lie_derivatives
+        model = catalog_models[name]
+        values, jacobians = model.jets(
+            MonomialCache(sample_points(model.chart, 16, 3)))
+        K = model.span_count
+        assert_relative(fol._pair_sum(values[K:], jacobians[K:]),
+                        np.einsum("apnk,apm->pmnk", jacobians[K:],
+                                  values[K:]))
+
+
 # ---------------------------------------------------------------------------
 # the contraction layer against plain einsum
 

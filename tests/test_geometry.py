@@ -510,45 +510,30 @@ class TestTaylorArithmetic:
                                        rtol=1e-13, atol=1e-13)
 
 
-class TestStreamingLayout:
-    """The two per-point products behind ``apply_matrix`` and ``along`` on
-    jets equal their einsum definitions, with contiguous (N, N) blocks."""
+class TestPointwise:
+    """``_pointwise``, the one per-point product behind ``apply_matrix`` and
+    ``along`` on jets, equals the broadcast matrix-vector product, with
+    contiguous row blocks."""
 
-    def test_per_point_matrix_jacobian(self):
-        rng = np.random.default_rng(8)
-        P, N = 5, 4
-        T = rng.standard_normal((P, N, N, N))
-        x = rng.standard_normal((3, 2, P, N))
-        got = geo._per_point(T, x)
-        np.testing.assert_allclose(got, np.einsum("pikj,abpj->abpik", T, x),
-                                   rtol=1e-13, atol=1e-13)
-        assert got.strides[-2:] == (8 * N, 8)
-
-    @pytest.mark.parametrize("lh, lx", [((2, 1), (1, 3)), ((1, 3), (2, 1)),
-                                        ((), ())])
-    def test_constant_hessian_along_fields(self, lh, lx):
-        rng = np.random.default_rng(9)
-        P, N = 5, 4
-        H = rng.standard_normal(lh + (1, N, N, N))
-        H = H + H.swapaxes(-1, -2)                  # Hessians are symmetric
-        x = rng.standard_normal(lx + (P, N))
-        got = geo._hessian_along(H, x)
-        want = np.einsum("...ikj,...pj->...pik", H[..., 0, :, :, :], x)
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
-        assert got.shape == tuple(np.broadcast_shapes(lh, lx)) + (P, N, N)
-        assert got.strides[-2:] == (8 * N, 8)
-
-    @pytest.mark.parametrize("lh, lx", [((2, 1), (1, 3)), ((1, 3), (2, 1)),
-                                        ((), ()), ((1, 3), (2, 3))])
-    def test_per_point_hessian_along_fields(self, lh, lx):
-        # one matmul per point for an outer product of the leading shapes,
-        # the plain route for fields paired entry by entry
+    @pytest.mark.parametrize("lt, pt, lx", [
+        ((), 5, (3, 2)),          # a pointwise matrix with no leading axes
+        ((), 5, ()),
+        ((2, 1), 1, (1, 3)),      # constant Hessians (P = 1), both orders
+        ((1, 3), 1, (2, 1)),
+        ((), 1, ()),
+        ((2, 1), 5, (1, 3)),      # per-point matrices, both orders
+        ((1, 3), 5, (2, 1)),
+        ((1, 3), 5, (2, 3)),      # a shared leading axis: the fallback
+    ], ids=["matrix-over-fields", "matrix-one-field", "constant-T-first",
+            "constant-x-first", "constant-one-field", "per-point-T-first",
+            "per-point-x-first", "shared-axis-fallback"])
+    def test_matches_broadcast_matvec(self, lt, pt, lx):
         rng = np.random.default_rng(10)
         P, N = 5, 4
-        H = rng.standard_normal(lh + (P, N, N, N))
-        H = H + H.swapaxes(-1, -2)
+        T = rng.standard_normal(lt + (pt, N * N, N))
         x = rng.standard_normal(lx + (P, N))
-        got = geo._hessian_along(H, x)
-        want = np.einsum("...pikj,...pj->...pik", H, x)
+        got = geo._pointwise(T, x)
+        want = (T @ x[..., None])[..., 0]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
-        assert got.shape == tuple(np.broadcast_shapes(lh, lx)) + (P, N, N)
+        assert got.shape == tuple(np.broadcast_shapes(lt, lx)) + (P, N * N)
+        assert got.strides[-1] == 8

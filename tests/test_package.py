@@ -173,6 +173,38 @@ def test_only_foliation_reads_its_internals():
     assert {name: f for name, f in found.items() if f} == {}
 
 
+def test_jets_run_one_per_point_kernel():
+    """The jet arithmetic runs its per-point matrix-vector products through
+    one kernel, ``geometry._pointwise``: it is the only helper of
+    ``geometry.py`` that PointField calls and that runs a matmul, the
+    kernels it replaced are gone, and the broadcast matvec
+    ``(T @ x[..., None])[..., 0]``, one small product per leading entry and
+    point, is left under ``src/`` only as the kernel's fallback."""
+    tree = ast.parse((PACKAGE / "geometry.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    point_field = next(node for node in tree.body
+                       if isinstance(node, ast.ClassDef)
+                       and node.name == "PointField")
+    called = {node.func.id for node in ast.walk(point_field)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    kernels = [name for name in sorted(called & set(functions))
+               if any(isinstance(node, ast.BinOp)
+                      and isinstance(node.op, ast.MatMult)
+                      for node in ast.walk(functions[name]))]
+    assert kernels == ["_pointwise"]
+    kernel = functions["_pointwise"]
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        assert not re.search(r"\b(_per_point|_hessian_along)\b", text), \
+            path.name
+        for line, code in enumerate(text.splitlines(), 1):
+            if "[..., None])[..., 0]" in code:
+                assert (path.name == "geometry.py"
+                        and kernel.lineno <= line <= kernel.end_lineno), \
+                    (path.name, line)
+
+
 def test_commands_build_no_polynomial_above_degree_2(monkeypatch):
     """The model fields have degree <= 2, the CD trials are 2-jets and the
     spectra move packed exponents, so no command needs a polynomial of
