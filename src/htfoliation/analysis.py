@@ -18,7 +18,7 @@ horizontal frame (+1) and b = 0, since its divergence correction vanishes.
 The integration-by-parts identity is verified by tests rather than assumed.
 
 ``sub_laplacian_poly`` applies the list to a polynomial exactly.  The
-iterated forms are evaluated at points instead (``gamma_jets``):
+iterated forms are evaluated at points instead (``gamma_evaluator``):
 
     Gamma_2(f) = sum_k s_k [D_k f [L, D_k] f + Gamma(D_k f)],
     Gamma_2^V(f) = epsilon sum_a [Z_a f [L, Z_a] f + Gamma(Z_a f)].
@@ -117,12 +117,13 @@ def sub_laplacian_poly(model: FoliationModel, f: Polynomial) -> Polynomial:
         + [directional_derivative(ops.drift, f)])
 
 
-def gamma_jets(model: FoliationModel, grad: np.ndarray, hess: np.ndarray,
-               cache: MonomialCache) -> dict[str, np.ndarray]:
-    """Gamma(f), Gamma^V(f), Gamma_2(f), Gamma_2^V(f) and Delta_H f at the
-    cache's points, each of shape (F, P), for F functions f given by their
-    2-jets there: gradients ``grad`` (F, P, N) and symmetric Hessians
-    ``hess`` (F, P, N, N).
+def gamma_evaluator(model: FoliationModel, cache: MonomialCache):
+    """``evaluate(grad, hess)``: Gamma(f), Gamma^V(f), Gamma_2(f),
+    Gamma_2^V(f) and Delta_H f at the cache's points, each of shape (F, P),
+    for F functions f given by their 2-jets there: gradients ``grad``
+    (F, P, N) and symmetric Hessians ``hess`` (F, P, N, N).  The operators'
+    jets, S, beta and Q are formed once; the commutator coefficients,
+    (K, P, N, N) per field list, per call.
 
     With S = sum_k s_k v_k v_k^T, L = S : Hess + beta . grad, where the
     affine beta = sum_k s_k A_k v_k + b has the Jacobian
@@ -141,7 +142,7 @@ def gamma_jets(model: FoliationModel, grad: np.ndarray, hess: np.ndarray,
     beta = np.einsum("k,kij,kpj->pi", s, A, v) + b[0]
     Q = np.einsum("k,kij,kjl->il", s, A, A) + Ab[0]
 
-    def along(t, At):
+    def along(grad, hess, t, At):
         """T f, Gamma(T f) and [L, T] f, each (F, K, P), for the affine
         fields of values t (K, P, N) and Jacobians At (K, N, N)."""
         Tf = np.einsum("kpi,fpi->fkp", t, grad)
@@ -157,24 +158,27 @@ def gamma_jets(model: FoliationModel, grad: np.ndarray, hess: np.ndarray,
                                   optimize=True))
         return Tf, np.einsum("fkpi,pij,fkpj->fkp", dTf, S, dTf,
                              optimize=True), comm
+    fields = ((v, A), affine_jets(ops.vertical, cache))
 
-    Df, gamma_D, comm_D = along(v, A)
-    Zf, gamma_Z, comm_Z = along(*affine_jets(ops.vertical, cache))
-    return {"gamma": np.einsum("k,fkp->fp", s, Df * Df),
-            "gamma_v": ops.weight * (Zf * Zf).sum(axis=1),
-            "gamma2": np.einsum("k,fkp->fp", s, Df * comm_D + gamma_D),
-            "gamma2_v": ops.weight * (Zf * comm_Z + gamma_Z).sum(axis=1),
-            "delta_f": (np.einsum("pi,fpi->fp", beta, grad)
-                        + np.einsum("pij,fpij->fp", S, hess))}
+    def evaluate(grad, hess) -> dict[str, np.ndarray]:
+        (Df, gamma_D, comm_D), (Zf, gamma_Z, comm_Z) = (
+            along(grad, hess, *f) for f in fields)
+        return {"gamma": np.einsum("k,fkp->fp", s, Df * Df),
+                "gamma_v": ops.weight * (Zf * Zf).sum(axis=1),
+                "gamma2": np.einsum("k,fkp->fp", s, Df * comm_D + gamma_D),
+                "gamma2_v": ops.weight * (Zf * comm_Z + gamma_Z).sum(axis=1),
+                "delta_f": (np.einsum("pi,fpi->fp", beta, grad)
+                            + np.einsum("pij,fpij->fp", S, hess))}
+    return evaluate
 
 
 #: trials per chunk of ``check_cd_inequality``: the Hessians drawn and the
-#: ``gamma_jets`` intermediates grow with one chunk, not with ``trials``.
-#: ``cd heisenberg-oct --points 128 --trials 200`` on 2 vCPUs with BLAS on
-#: one thread, for chunks of 5 / 10 / 20 trials: 69 / 71 / 78 MB peak RSS
-#: in 2.1 / 1.7 / 1.3 s (each chunk evaluates the operators again); 1000
-#: trials peak at 92 MB with chunks of 20.  The defaults of ``cd`` (20) and
-#: ``verify`` (10) are one chunk.
+#: ``gamma_evaluator`` intermediates grow with one chunk, not with
+#: ``trials``.  ``cd heisenberg-oct --points 128 --trials 200`` on 2 vCPUs
+#: with BLAS on one thread, for chunks of 5 / 10 / 20 trials: 63.3 / 65.6 /
+#: 73.7 MB peak RSS; the trials take 0.65 / 0.49 / 0.40 s (median of seven
+#: in-process runs), since each chunk forms the commutator coefficients.
+#: The defaults of ``cd`` (20) and ``verify`` (10) are one chunk.
 CD_TRIAL_CHUNK = 20
 
 
@@ -208,7 +212,7 @@ def check_cd_inequality(model: FoliationModel, K: float, trials: int = 20,
     # Philox keys are below 2**128, the largest seed included
     rng = np.random.Generator(np.random.Philox(key=(seed + 1) % 2 ** 128))
     P, N = fb.points.shape
-    cache = MonomialCache(fb.points)
+    evaluate = gamma_evaluator(model, MonomialCache(fb.points))
     grad = rng.standard_normal((trials, P, N))
     margins = []
     for start in range(0, trials, CD_TRIAL_CHUNK):
@@ -218,7 +222,7 @@ def check_cd_inequality(model: FoliationModel, K: float, trials: int = 20,
         hess = rng.standard_normal((len(g), P, N, N))
         hess += hess.transpose(0, 1, 3, 2)  # numpy buffers the overlap
         hess *= 0.5
-        vals = gamma_jets(model, g, hess, cache)
+        vals = evaluate(g, hess)
         for nu in nus:
             lhs = vals["gamma2"] + nu * vals["gamma2_v"]
             rhs = (vals["delta_f"] ** 2) / n \

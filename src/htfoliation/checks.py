@@ -458,27 +458,41 @@ def _commutator_residuals(rh_endo: np.ndarray, J: np.ndarray,
     """The worst residuals of [R_H(x_i, x_j), J_a] against its covariant
     form and, given ``kappa``, its kappa form (else 0.0) over a point batch:
     R_H as endomorphisms (P, n, n, n, n), J and the torsion (P, m, n, n),
-    and nabla_{z_a} T (P, m, m, n, n).  Batched matmuls over (j, a) for one
-    i at a time: arrays (P, n, m, n, n)."""
+    and nabla_{z_a} T (P, m, m, n, n).  One i at a time, in the layout
+    [p, j, a, k, u]: R_H J_a against the J_a side by side (read through a
+    transposed view), J_a R_H against them stacked, and each sum over b
+    one matmul per point."""
     P, m, n = J.shape[:3]
-    mhat = nt_v.transpose(0, 1, 2, 4, 3)       # endomorphism of (nabla_a J)_b
-    pairs = J[:, :, None] @ J[:, None, :]      # J_a J_b, (P, m, m, n, n)
-    pairs[:, np.arange(m), np.arange(m)] = 0.0            # only b != a
-    flat = lambda x: x.reshape(P, -1, x.shape[-1])
-    sum_b = lambda lhs, rhs: (flat(lhs) @ rhs.reshape(P, m, -1)).reshape(
-        P, n, m, n, n)
+    rh_endo = np.ascontiguousarray(rh_endo)
+    beside = J.transpose(0, 2, 1, 3).reshape(P, 1, n, m * n)  # [p, k, (a, u)]
+    stacked = J.reshape(P, 1, m * n, n)                       # [p, (a, k), u]
+    J_b = J.reshape(P, m, n * n)
+
+    def rows(x, *axes):             # the left factors [i, p, rows, b]
+        return np.ascontiguousarray(x.transpose(*axes)).reshape(n, P, -1, m)
+    # sum_b T^b_{ij} (nabla_b J)_a + sum_b (nabla_a T)^b_{ij} J_b
+    t_rows, nt_rows = rows(t_comp, 2, 0, 3, 1), rows(nt_v, 3, 0, 4, 1, 2)
+    dJ = nt_v.transpose(0, 1, 2, 4, 3).reshape(P, m, -1)
+    if kappa is not None:
+        # sum_{b != a} (J_b)_{ji} J_a J_b - (J_a J_b)_{ji} J_b
+        pairs = J[:, :, None] @ J[:, None, :]      # J_a J_b, (P, m, m, n, n)
+        pairs[:, np.arange(m), np.arange(m)] = 0.0            # only b != a
+        j_rows, pair_rows = rows(J, 3, 0, 2, 1), rows(pairs, 4, 0, 3, 1, 2)
+        pairs_ba = pairs.transpose(0, 2, 1, 3, 4).reshape(P, m, -1)
     worst_cov = worst_kappa = 0.0
     for i in range(n):
-        comm = (rh_endo[:, i, :, None] @ J[:, None]
-                - J[:, None] @ rh_endo[:, i, :, None])    # [p, j, a, k, u]
-        cov = (sum_b(t_comp[:, :, i].transpose(0, 2, 1), mhat)
-               + sum_b(nt_v[:, :, :, i].transpose(0, 3, 1, 2), J))
-        worst_cov = max(worst_cov, float(np.abs(comm - cov).max()))
+        M = rh_endo[:, i]                                   # [p, j, k, u]
+        comm = (stacked @ M).reshape(P, n, m, n, n)
+        right = (M @ beside).reshape(P, n, n, m, n).transpose(0, 1, 3, 2, 4)
+        np.subtract(right, comm, out=comm)                  # [p, j, a, k, u]
+        cov = (t_rows[i] @ dJ).reshape(comm.shape)
+        cov += (nt_rows[i] @ J_b).reshape(comm.shape)
+        cov -= comm
+        worst_cov = max(worst_cov, float(np.abs(cov, out=cov).max()))
         if kappa is not None:
-            # sum_{b != a} (J_b)_{ji} J_a J_b - (J_a J_b)_{ji} J_b
-            kap = (sum_b(J[:, :, :, i].transpose(0, 2, 1),
-                         pairs.transpose(0, 2, 1, 3, 4))
-                   - sum_b(pairs[:, :, :, :, i].transpose(0, 3, 1, 2), J))
-            worst_kappa = max(worst_kappa,
-                              float(np.abs(comm - kappa * kap).max()))
+            kap = (j_rows[i] @ pairs_ba).reshape(comm.shape)
+            kap -= (pair_rows[i] @ J_b).reshape(comm.shape)
+            kap *= kappa
+            kap -= comm
+            worst_kappa = max(worst_kappa, float(np.abs(kap, out=kap).max()))
     return worst_cov, worst_kappa

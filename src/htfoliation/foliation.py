@@ -69,16 +69,16 @@ by running its formula once per block triple on slots (Slot: a block and
 its axis), which place whole blocks of jets as views.  Both equal the
 symbolic compositions up to rounding.
 
-Every two-index entry is a projection of the derivative table
-D(a, b) = D_{E_a} E_b (Derivatives), in the cases of ``bott_split``: the
-bracket is D(a, b) - D(b, a), with D(b, a) read as a transposed view.  A
-block pair whose parts are all exactly 0.0 is stored as None, so no
-projection or formula term runs on it; on a group that is every pair but
-hh.  A three-index build (PairBuild) makes one table per block group
-({h, h}, {h, v}, {v, v}) when its formula first reads a two-index entry of
-that group, and builds every declared entry of the group from it at once.
-The torsion values, a two-index entry kept on its own, read one table per
-block pair.
+Every two-index entry is read off the derivative table D(a, b) =
+D_{E_a} E_b (Derivatives) as signed transposes of the projections V = pi_V F
+and H = pi_H F of its block group's field F: D(k, k) for hh and vv, the
+bracket G = D(h, v) - D(v, h)^T for hv.  Each is formed once, when first
+read; a block of D whose factors cannot meet is never multiplied
+(FrameBatch.meets), and a part that is exactly zero is None, so no formula
+term runs on it.  A three-index build (PairBuild) makes one table per block
+group when its formula first reads a two-index entry of that group, and
+builds every declared entry of the group from it; the torsion values read
+one table per point chunk.
 
 Every formula is pointwise, so every kept entry is built over consecutive
 chunks of at most POINT_CHUNK points (FrameBatch.chunks): each chunk runs
@@ -320,16 +320,18 @@ class FoliationModel:
 
     def pi_v(self, F):
         """The vertical part, along the stored vertical fields; on a jet, one
-        pointwise projector matrix with its 1-jet (``FieldsAt``)."""
+        pointwise projector matrix with its 1-jet (``FieldsAt``), and None
+        (no part) for a jet that is exactly zero."""
         if isinstance(F, PointField):
-            return F.apply_matrix(*F.at.pi_v)
+            return None if F.is_zero() else F.apply_matrix(*F.at.pi_v)
         return vertical_part(F, *self._symbolic_fields[:2])
 
     def pi_h(self, F):
         """The horizontal part (tangent to the sphere on that backend); on a
-        jet, one pointwise projector matrix with its 1-jet."""
+        jet, one pointwise projector matrix with its 1-jet, and None for a
+        jet that is exactly zero."""
         if isinstance(F, PointField):
-            return F.apply_matrix(*F.at.pi_h)
+            return None if F.is_zero() else F.apply_matrix(*F.at.pi_h)
         vertical, coframe, position = self._symbolic_fields
         return horizontal_part(F, vertical, coframe,
                                position if self.backend == SPHERE else None)
@@ -406,13 +408,12 @@ class FoliationModel:
         if Fs.h is not None and Gs.h is not None:
             h_part = self.pi_h(directional_derivative(Fs.h, Gs.h))
         if Fs.v is not None and Gs.h is not None:
-            term = self.pi_h(bracket(Fs.v, Gs.h))
-            h_part = term if h_part is None else h_part + term
+            h_part = _plus(h_part, self.pi_h(bracket(Fs.v, Gs.h)))
         if Fs.h is not None and Gs.v is not None:
             v_part = self.pi_v(bracket(Fs.h, Gs.v))
         if Fs.v is not None and Gs.v is not None:
-            term = self.pi_v(directional_derivative(Fs.v, Gs.v))
-            v_part = term if v_part is None else v_part + term
+            v_part = _plus(v_part, self.pi_v(directional_derivative(Fs.v,
+                                                                    Gs.v)))
         return Split(h=h_part, v=v_part)
 
     def torsion_transform(self, F, G) -> Split:
@@ -470,27 +471,30 @@ class FoliationModel:
     # Each takes a derivative table D (Derivatives) and the blocks ("h" or
     # "v") of its two slots, and returns the entry over the whole blocks,
     # laid out by (a, b), as a Split of jets: order-1 jets, or values only
-    # on a table of ``keep=0`` (see PointField).  Each reads D(a, b) =
-    # D_{E_a} E_b in the cases of ``bott_split`` and projects it; a block of
-    # D that is exactly zero is None there, and no projection runs on it.
+    # on a table of ``keep=0`` (see PointField), read off ``D.part`` in the
+    # cases of ``bott_split``.
 
     def bracket_entry(self, D: "Derivatives", ka: str, kb: str) -> Split:
-        """[E_a, E_b] = D(a, b) - D(b, a), split."""
-        F = _minus(D(ka, kb), D.back(ka, kb))
-        return Split() if F is None else self.split(F)
+        """[E_a, E_b] = D(a, b) - D(b, a), split: the group's field is
+        the bracket on mixed blocks, and D(a, b) on like ones."""
+        h, v = D.part("h", ka, kb), D.part("v", ka, kb)
+        if ka != kb:
+            return Split(h, v)
+        return Split(_minus(h, _swap(h)), _minus(v, _swap(v)))
 
     def bott_entry(self, D: "Derivatives", ka: str, kb: str) -> Split:
         """``bott_split`` of E_a and E_b: D(a, b) for like blocks, the
         bracket for mixed ones, projected onto the block of b."""
-        F = D(ka, kb) if ka == kb else _minus(D(ka, kb), D.back(ka, kb))
-        return self._onto(kb, F)
+        part = D.part(kb, ka, kb)
+        return Split(part, None) if kb == "h" else Split(None, part)
 
     def torsion_entry(self, D: "Derivatives", ka: str, kb: str) -> Split:
         """``torsion_transform`` of E_a and E_b: [E_b, E_a] projected
         vertically on two horizontal blocks, else zero."""
         if ka == "v" or kb == "v":
             return Split()
-        return self._onto("v", _minus(D.back(ka, kb), D(ka, kb)))
+        v = D.part("v", ka, kb)
+        return Split(None, _minus(_swap(v), v))
 
     def lc_entry(self, D: "Derivatives", eps_rel: float, ka: str,
                  kb: str) -> Split:
@@ -498,12 +502,6 @@ class FoliationModel:
         a, b = _pair(ka, kb)
         return self._lc(D.E(a), D.E(b), eps_rel, self.bott_entry(D, ka, kb),
                         self.torsion_entry(D, ka, kb))
-
-    def _onto(self, kind: str, F: PointField | None) -> Split:
-        """pi_H F or pi_V F, for ``kind`` "h" or "v"."""
-        if F is None:
-            return Split()
-        return Split(h=self.pi_h(F)) if kind == "h" else Split(v=self.pi_v(F))
 
     # -- three-index entries at a point batch, from 1-jets -------------------
     #
@@ -603,6 +601,24 @@ class FoliationModel:
                                     "must be the projections pi_H e_mu")
         return FrameBatch(self, pts, jets, G, x, z, tuple(
             (W, hess[s]) if hess[s].any() else None for W, s in blocks))
+
+
+def _jet_supports(fb: "FrameBatch", starts: list[int]) -> list[dict]:
+    """Per run of points beginning at ``starts`` and per block of frame
+    fields: whether its jets are finite, and the coordinates j where some
+    value, Jacobian row d F^j or column d_j F is not 0.0."""
+    out = [{} for _ in starts]
+    for block in "hv":
+        value, jac = (part[fb.frame_slice(block)] for part in fb.jets)
+        # a sum is finite only if every term is
+        finite = np.isfinite(np.add.reduceat(
+            value.sum(axis=(0, 2)) + jac.sum(axis=(0, 2, 3)), starts))
+        values = np.logical_or.reduceat((value != 0).any(axis=0), starts)
+        nonzero = np.logical_or.reduceat((jac != 0).any(axis=0), starts)
+        for d, *parts in zip(out, finite, values, nonzero.any(axis=2),
+                             nonzero.any(axis=1)):
+            d[block] = tuple(parts)
+    return out
 
 
 def _pair_sum(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -738,6 +754,29 @@ class FrameBatch:
             f[0].reshape(-1, f[0].shape[2]) @ f[1]).reshape(
                 P, -1, N, N, N).swapaxes(0, 1) for f in self.hessians)
 
+    @cached_property
+    def _supports(self) -> dict:
+        """``_jet_supports`` of this batch, by block."""
+        return _jet_supports(self, [0])[0]
+
+    def meets(self, ka: str, kb: str, keep: int) -> bool:
+        """Whether D(a, b) = dE_b E_a (1-jet dE_b dE_a + d^2E_b E_a) may be
+        nonzero: False only when the Hessians of kb are the exact 0.0 (or
+        not read), no nonzero column j of dE_b meets a nonzero E_a^j (or row
+        of dE_a), and both blocks are finite, so that a NaN propagates."""
+        if keep and self.hessians["hv".index(kb)] is not None:
+            return True
+        finite_a, values_a, rows_a, _ = self._supports[ka]
+        finite_b, _, _, columns_b = self._supports[kb]
+        read = values_a | rows_a if keep else values_a
+        return not (finite_a and finite_b) or bool((columns_b & read).any())
+
+    @cached_property
+    def _chunk_supports(self) -> list[dict]:
+        """``_jet_supports`` of every chunk of ``chunks``, formed once."""
+        return _jet_supports(self, [c.start for c in point_chunks(
+            len(self.points))])
+
     def chunks(self):
         """``(c, view)`` for the consecutive point slices ``c`` of
         ``point_chunks``: a batch over ``points[c]`` whose arrays, jets and
@@ -746,13 +785,15 @@ class FrameBatch:
         and the frame Hessians of its own points only (``_fields_at``,
         ``_frame_hessians``), so no array of those over the sample is
         kept."""
-        for c in point_chunks(len(self.points)):
+        for c, supports in zip(point_chunks(len(self.points)),
+                               self._chunk_supports):
             view = FrameBatch(self.model, self.points[c],
                               tuple(part[:, c] for part in self.jets),
                               self.metric[c], self.x[c], self.z[c],
                               tuple(None if f is None else (f[0][c], f[1])
                                     for f in self.hessians))
             view.__dict__["_metric_frame"] = self._metric_frame[c]
+            view.__dict__["_supports"] = supports
             yield c, view
 
     def fields(self, keep: int = 2):
@@ -838,33 +879,58 @@ class FieldsAt:
 
 class Derivatives:
     """The derivative table D(a, b) = D_{E_a} E_b of the frame fields at a
-    batch's points, which every two-index entry is read off: ``D(ka, kb)``
-    over the whole blocks ka and kb ("h" or "v"), as a jet laid out by
-    (a, b), or None where it is zero.
-
-    Each block pair is one derivative of order-2 jets, of order 1 (values
-    only with ``keep=0``), built on first use.  A block whose parts are all
-    exactly 0.0 is stored as None: on a group every block but hh, since
-    Z_a = d/dz_a is constant and no frame field depends on z.
+    batch's points: ``D(ka, kb)`` over the whole blocks ka and kb, a jet
+    laid out by (a, b) of order 1 (values only with ``keep=0``), or None
+    where its factors cannot meet (on a group every block but hh).  The
+    entries read the projections of the block groups' fields (``part``).
     """
 
     def __init__(self, fb: FrameBatch, keep: int):
         self.E = fb.fields(keep)
-        self._n_vars = fb.model.ambient_dim
+        self._fb = fb
+        self._keep = keep
         self._jets: dict[tuple[str, str], PointField | None] = {}
 
-    def __call__(self, ka: str, kb: str) -> PointField | None:
-        if (ka, kb) not in self._jets:
-            a, b = _pair(ka, kb)
-            N = self._n_vars
-            F = self.E(b).total(N).along(self.E(a).total(N))
-            self._jets[ka, kb] = None if F.is_zero() else F
-        return self._jets[ka, kb]
+    def _cached(self, key: tuple[str, str], make) -> PointField | None:
+        if key not in self._jets:
+            self._jets[key] = make()
+        return self._jets[key]
 
-    def back(self, ka: str, kb: str) -> PointField | None:
-        """D(b, a), laid out by (a, b): a transposed view."""
-        F = self(kb, ka)
-        return None if F is None else F._map(lambda part: part.swapaxes(0, 1))
+    def __call__(self, ka: str, kb: str) -> PointField | None:
+        if not self._fb.meets(ka, kb, self._keep):
+            return None
+        a, b = _pair(ka, kb)
+        N = self._fb.model.ambient_dim
+        return self.E(b).total(N).along(self.E(a).total(N))
+
+    def part(self, kind: str, ka: str, kb: str) -> PointField | None:
+        """pi_V (``kind`` "v") or pi_H ("h") of the group field F, laid out
+        by (a, b), or None where it is exactly zero.  pi_H F is F - pi_V F
+        on a group, and the pi_H matrix on the sphere, where the 1-jet of
+        <F, p> p ran slower in numpy."""
+        if (ka, kb) == ("v", "h"):       # [E_v, E_h] = -[E_h, E_v]^T
+            return self._cached((kind, "vh"), lambda: _neg(
+                _swap(self.part(kind, "h", "v"))))
+        group = ka + kb
+        return self._cached((kind, group),
+                            lambda: _nonzero(self._project(kind, group)))
+
+    def _field(self, group: str) -> PointField | None:
+        def make():
+            if group == "hv":
+                return _minus(self("h", "v"), _swap(self("v", "h")))
+            return self(*group)
+        return self._cached(("field", group), make)
+
+    def _project(self, kind: str, group: str) -> PointField | None:
+        F, model = self._field(group), self._fb.model
+        if F is None:
+            return None
+        if kind == "v":
+            return model.pi_v(F)
+        if model.backend == SPHERE:
+            return model.pi_h(F)
+        return _minus(F, self.part("v", *group))
 
 
 class PairBuild:
@@ -909,11 +975,31 @@ class PairBuild:
                              for f in (res.h, res.v)]
 
 
+def _plus(F, G):
+    """F + G for fields or jets of which either may be None (zero)."""
+    if G is None:
+        return F
+    return G if F is None else F + G
+
+
 def _minus(F: PointField | None, G: PointField | None) -> PointField | None:
     """F - G for jets of which either may be None (zero)."""
     if G is None:
         return F
     return -G if F is None else F - G
+
+
+def _neg(F: PointField | None) -> PointField | None:
+    return None if F is None else -F
+
+
+def _swap(F: PointField | None) -> PointField | None:
+    """F laid out by (b, a), as a view."""
+    return None if F is None else F._map(lambda part: part.swapaxes(0, 1))
+
+
+def _nonzero(F: PointField | None) -> PointField | None:
+    return None if F is None or F.is_zero() else F
 
 
 def _pair(ka: str, kb: str) -> tuple[Slot, Slot]:
@@ -972,11 +1058,12 @@ def _contract2(fb: FrameBatch, name: str, entry_fn, d1: str,
     """Frame components of a two-index entry ``entry_fn(D, ka, kb)`` over
     the slot domains d1 and d2: a read-only view (P, f1, f2, n+m) of the
     components built once per batch over every frame index, one point
-    chunk at a time, each block pair read off its own derivative table of
-    values (keep 0)."""
+    chunk at a time, each read off one derivative table of values (keep 0)
+    per chunk."""
     def chunk(view, first, second, out):
-        view.assemble((first, second), lambda a, b: entry_fn(
-            Derivatives(view, 0), a.block, b.block), out)
+        D = Derivatives(view, 0)
+        view.assemble((first, second),
+                      lambda a, b: entry_fn(D, a.block, b.block), out)
     vals = fb.eval_entry(name, ("hv", "hv"), _chunked(fb, chunk))
     return vals[:, fb.frame_slice(d1), fb.frame_slice(d2)]
 

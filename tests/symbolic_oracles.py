@@ -16,7 +16,7 @@ import weakref
 import numpy as np
 
 from htfoliation.analysis import (_blocks, _components, _degree_block,
-                                  fischer_scales, gamma_jets,
+                                  fischer_scales, gamma_evaluator,
                                   sub_laplacian_poly)
 from htfoliation.errors import DimensionMismatchError, InvalidModelError
 from htfoliation.foliation import SPHERE, Split
@@ -52,7 +52,7 @@ def euclidean_gradient(f: Polynomial) -> PolyField:
 
 def poly_jets(fs, pts) -> tuple[np.ndarray, np.ndarray]:
     """The 2-jets of the polynomials ``fs`` at the points, as
-    ``analysis.gamma_jets`` takes them: gradients (F, P, N) and Hessians
+    ``analysis.gamma_evaluator`` takes them: gradients (F, P, N) and Hessians
     (F, P, N, N), the 1-jets of the gradient fields."""
     return field_jets([euclidean_gradient(f) for f in fs], MonomialCache(pts))
 
@@ -118,7 +118,7 @@ def gamma_calculus(model, f: Polynomial, p) -> dict[str, float]:
     """Pointwise carre-du-champ data: Gamma(f) = ||grad_H f||^2, its vertical
     companion, both iterated forms, and the horizontal Laplacian."""
     pts = _on_chart(model, p)[None]
-    vals = gamma_jets(model, *poly_jets([f], pts), MonomialCache(pts))
+    vals = gamma_evaluator(model, MonomialCache(pts))(*poly_jets([f], pts))
     return {k: float(v[0, 0]) for k, v in vals.items()}
 
 

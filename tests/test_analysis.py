@@ -146,8 +146,8 @@ class TestGammaJets:
         fs = [sparse_random_polynomial(N, 3, rng) for _ in range(2)]
         fs.append(random_polynomial(N, 2, rng))
         pts = sample_points(model.chart, 3, 5)
-        got = analysis.gamma_jets(model, *poly_jets(fs, pts),
-                                  MonomialCache(pts))
+        got = analysis.gamma_evaluator(model, MonomialCache(pts))(
+            *poly_jets(fs, pts))
         for i, f in enumerate(fs):
             for key, poly in gamma_polys(model, f).items():
                 want = poly.evaluate(pts)
@@ -356,11 +356,12 @@ class TestIntegrationByParts:
 def polynomial_trials(monkeypatch, fs) -> int:
     """Make ``check_cd_inequality`` test the 2-jets of the polynomials
     ``fs`` in place of the ones it draws; returns the trial count to pass."""
-    gamma_jets = analysis.gamma_jets
+    gamma_evaluator = analysis.gamma_evaluator
 
-    def from_polynomials(model, grad, hess, cache):
-        return gamma_jets(model, *poly_jets(fs, cache.points), cache)
-    monkeypatch.setattr(analysis, "gamma_jets", from_polynomials)
+    def from_polynomials(model, cache):
+        evaluate = gamma_evaluator(model, cache)
+        return lambda grad, hess: evaluate(*poly_jets(fs, cache.points))
+    monkeypatch.setattr(analysis, "gamma_evaluator", from_polynomials)
     return len(fs)
 
 
@@ -400,7 +401,7 @@ class TestCurvatureDimension:
         grad = rng.standard_normal((trials, points, N))
         hess = rng.standard_normal((trials, points, N, N))
         hess = 0.5 * (hess + hess.transpose(0, 1, 3, 2))
-        vals = analysis.gamma_jets(model, grad, hess, MonomialCache(pts))
+        vals = analysis.gamma_evaluator(model, MonomialCache(pts))(grad, hess)
         want = min(float(((vals["gamma2"] + nu * vals["gamma2_v"])
                           - ((vals["delta_f"] ** 2) / n
                              + (K - m / nu) * vals["gamma"]

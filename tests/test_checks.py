@@ -407,6 +407,43 @@ class TestLemmaIdentities:
             assert rep.status == "pass", rep.check_name
 
 
+def commutator_by_einsum(rh_endo, J, t_comp, nt_v, kappa):
+    """The residuals of ``checks._commutator_residuals`` from their
+    definition, one einsum per term over every (i, j, a) at once, in the
+    layout [p, i, j, a, k, u]: [R_H(x_i, x_j), J_a] against
+    sum_b T^b_ij (nabla_b J)_a + sum_b (nabla_a T)^b_ij J_b and against
+    kappa sum_{b != a} ((J_b)_ji J_a J_b - (J_a J_b)_ji J_b)."""
+    m = J.shape[1]
+    comm = (np.einsum("pijkl,palu->pijaku", rh_endo, J)
+            - np.einsum("pakl,pijlu->pijaku", J, rh_endo))
+    cov = (np.einsum("pbij,pbauk->pijaku", t_comp, nt_v)
+           + np.einsum("pabij,pbku->pijaku", nt_v, J))
+    pairs = np.einsum("pakl,pblu->pabku", J, J)
+    pairs[:, np.arange(m), np.arange(m)] = 0.0
+    kap = (np.einsum("pbji,pabku->pijaku", J, pairs)
+           - np.einsum("pabji,pbku->pijaku", pairs, J))
+    return (float(np.abs(comm - cov).max()),
+            0.0 if kappa is None else float(np.abs(comm - kappa * kap).max()))
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (4, 3), (8, 3), (8, 7)])
+@pytest.mark.parametrize("kappa", [None, 2.0])
+def test_commutator_residuals_match_their_definition(n, m, kappa):
+    # seeded random inputs, so that no term is zero, with R_H read through
+    # the same transposed view of a curvature array as the check reads it
+    rng = np.random.default_rng(100 * n + m)
+    P = 5
+    R = rng.standard_normal((P, n, n + m, n + m, n + m))
+    rh_endo = R[:, :, :n, :n, :n].transpose(0, 1, 2, 4, 3)
+    J, t_comp = rng.standard_normal((2, P, m, n, n))
+    nt_v = rng.standard_normal((P, m, m, n, n))
+    got = checks._commutator_residuals(rh_endo, J, t_comp, nt_v, kappa)
+    want = commutator_by_einsum(rh_endo, J, t_comp, nt_v, kappa)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-13 * max(1.0, w), (got, want)
+    assert want[0] > 1.0 and (kappa is None or want[1] > 1.0)
+
+
 # Each connection-dependent check on a model or a kappa that breaks it.
 BROKEN_INPUTS = {
     "yang-mills-sheared": lambda s7: [

@@ -612,6 +612,127 @@ class TestDerivativeTable:
                 assert (D(ka, kb) is None) == zero, model.name
 
 
+def oracle_entries(model, fb, keep, eps_rel):
+    """The two-index entries as each entry projected its own differences of
+    the derivative table: D(a, b) = D_{E_a} E_b multiplied out for every
+    block pair, the bracket split(D(a, b) - D(b, a)^T), the connection
+    D(a, b) (like blocks) or that bracket (mixed) projected onto the block
+    of b, torsion pi_V(D(b, a)^T - D(a, b)) on two horizontal blocks, and
+    the rescaled Levi-Civita derivative from those; keyed (label, ka, kb)."""
+    N = model.ambient_dim
+    E = fb.fields(keep)
+    D = {(ka, kb): E(fol.Slot(kb, 1, 2)).total(N).along(
+        E(fol.Slot(ka, 0, 2)).total(N)) for ka in "hv" for kb in "hv"}
+    back = lambda ka, kb: D[kb, ka]._map(lambda part: part.swapaxes(0, 1))
+    onto = lambda k, F: (Split(h=model.pi_h(F)) if k == "h"
+                         else Split(v=model.pi_v(F)))
+    out = {}
+    for ka, kb in itertools.product("hv", repeat=2):
+        bracket_ab = D[ka, kb] - back(ka, kb)
+        out["bracket", ka, kb] = model.split(bracket_ab)
+        out["bott", ka, kb] = onto(kb, D[ka, kb] if ka == kb else bracket_ab)
+        out["torsion", ka, kb] = (onto("v", back(ka, kb) - D[ka, kb])
+                                  if ka == kb == "h" else Split())
+        a, b = fol._pair(ka, kb)
+        out["lc", ka, kb] = model._lc(E(a), E(b), eps_rel,
+                                      out["bott", ka, kb],
+                                      out["torsion", ka, kb])
+    return out
+
+
+class TestProjectedTable:
+    """Every two-index entry is read off the projections of its block
+    group's field, formed once per table, and no block of D whose factors
+    cannot meet is multiplied."""
+
+    @pytest.mark.parametrize("name", [s.name for s in models.catalog()]
+                             + ["tilted-heisenberg-quat", "tilted-at-z0",
+                                "sheared"])
+    def test_entries_equal_the_per_entry_projections(self, name,
+                                                     catalog_models):
+        # at z_0 = 0 the tilted Z_0 has no x_0 component, but a nonzero
+        # Jacobian row x_0, so D(v, h) is 0.0 in value and not in its 1-jet
+        model = {"tilted-heisenberg-quat": tilted_heisenberg_quat,
+                 "tilted-at-z0": tilted_heisenberg_quat,
+                 "sheared": sheared_heisenberg}.get(
+                     name, lambda: catalog_models[name])()
+        pts = sample_points(model.chart, 3, 23)
+        if name == "tilted-at-z0":
+            pts[:, model.n] = 0.0
+        fb = model.frame_batch(pts)
+        eps_rel = 0.25
+        builders = {"bracket": model.bracket_entry, "bott": model.bott_entry,
+                    "torsion": model.torsion_entry,
+                    "lc": functools.partial(lc_builder, model, eps_rel)}
+        for keep in (1, 0):
+            want = oracle_entries(model, fb, keep, eps_rel)
+            D = fol.Derivatives(fb, keep)
+            for (label, ka, kb), split in want.items():
+                got = builders[label](D, ka, kb)
+                attrs = ("value", "jacobian") if keep else ("value",)
+                for part, attr in itertools.product("hv", attrs):
+                    w, g = (0.0 if getattr(x, part) is None
+                            else getattr(getattr(x, part), attr)
+                            for x in (split, got))
+                    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
+                    assert (float(np.abs(g - w).max(initial=0.0))
+                            <= 1e-14 * scale), (label, ka, kb, keep, part,
+                                                attr)
+
+    @pytest.mark.parametrize("name, multiplied", [
+        ("heisenberg-quat", {("h", "h")}),
+        ("tilted-heisenberg-quat", {("h", "h"), ("h", "v"), ("v", "h"),
+                                    ("v", "v")})])
+    def test_only_blocks_whose_factors_meet_are_multiplied(
+            self, name, multiplied, catalog_models, monkeypatch):
+        # Z_a = d/dz_a is constant and E_h' has nonzero columns only at x,
+        # so on the catalog group every block but hh is skipped before its
+        # product; the tilt s z_0 d/dx_0 of Z_0 meets both blocks
+        model = (tilted_heisenberg_quat() if name.startswith("tilted")
+                 else catalog_models[name])
+        fb = model.frame_batch(sample_points(model.chart, 3, 24))
+        along, products, ran = PointField.along, [], set()
+
+        class Recorded(fol.Derivatives):
+            def __call__(self, ka, kb):
+                F = super().__call__(ka, kb)
+                if F is not None:
+                    ran.add((ka, kb))
+                return F
+
+        def count(self, X):
+            # the formulas read order-1 jets, the table order-2 frame jets
+            if self.order == 2:
+                products.append(X)
+            return along(self, X)
+        monkeypatch.setattr(fol, "Derivatives", Recorded)
+        monkeypatch.setattr(PointField, "along", count)
+        for build in (model.nabla_t_entry, model.curvature_entry):
+            products.clear()
+            ran.clear()
+            build(fb, *("hv",) * 3)
+            assert ran == multiplied, (build.__name__, ran)
+            assert len(products) == len(multiplied), build.__name__
+
+    def test_a_nan_keeps_its_block(self, heis_quat):
+        # a NaN in the Jacobian of a vertical frame field at one point of
+        # the second chunk: that chunk multiplies the blocks which read it,
+        # and they read NaN; the first chunk still skips them
+        model = heis_quat
+        fb = model.frame_batch(sample_points(model.chart,
+                                             fol.POINT_CHUNK + 4, 25))
+        fb.jets[1][model.n, fol.POINT_CHUNK + 1, 0, 0] = np.nan
+        (_, first), (_, second) = fb.chunks()
+        for keep in (1, 0):
+            clean, planted = (fol.Derivatives(view, keep)
+                              for view in (first, second))
+            for ka in "hv":
+                assert clean(ka, "v") is None
+                F = planted(ka, "v")
+                assert F is not None and np.isnan(F.value).any(), (ka, keep)
+            assert clean("v", "h") is None
+
+
 class TestSpanPartials:
     """The symbolic table of the exact partials d_j E_a, built in one
     vectorized pass (``geometry.field_partials``), equals the per-call

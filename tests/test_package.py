@@ -205,6 +205,23 @@ def test_jets_run_one_per_point_kernel():
                     (path.name, line)
 
 
+def test_two_index_entries_only_read_the_table():
+    """Every projection of a two-index entry goes through the derivative
+    table, which projects each block group's field once: the entry builders
+    reference no projection, split or matrix application."""
+    tree = ast.parse((PACKAGE / "foliation.py").read_text())
+    model = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+                 and node.name == "FoliationModel")
+    methods = {node.name: node for node in model.body
+               if isinstance(node, ast.FunctionDef)}
+    banned = {"pi_h", "pi_v", "split", "_onto", "apply_matrix"}
+    for name in ("bracket_entry", "bott_entry", "torsion_entry", "lc_entry"):
+        used = {node.attr if isinstance(node, ast.Attribute) else node.id
+                for node in ast.walk(methods[name])
+                if isinstance(node, (ast.Attribute, ast.Name))}
+        assert not used & banned, (name, sorted(used & banned))
+
+
 def test_commands_build_no_polynomial_above_degree_2(monkeypatch):
     """The model fields have degree <= 2, the CD trials are 2-jets and the
     spectra move packed exponents, so no command needs a polynomial of

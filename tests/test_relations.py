@@ -18,6 +18,7 @@ HOPF = ["complex-hopf-s3", "complex-hopf-s5", "quaternionic-hopf-s7",
 GROUPS = ["heisenberg", "heisenberg-quat", "heisenberg-quat-mixed",
           "heisenberg-oct"]
 STRICT = [s.name for s in models.catalog() if s.strict_htype]
+ROUND = [s.name for s in models.catalog() if not s.strict_htype]
 
 
 def orthogonal(k: int, seed: int) -> np.ndarray:
@@ -38,13 +39,15 @@ class TestIsometricCopies:
     """Conjugating a model's defining matrices by orthogonal ones gives an
     isometric copy of the same foliation, in other coordinates."""
 
-    @pytest.mark.parametrize("name", HOPF)
+    @pytest.mark.parametrize("name", HOPF + ROUND)
     def test_sphere_copies_keep_every_verdict_at_rounding_level(
             self, name, catalog_models):
         # the vertical fields Q A_a Q^T p: the horizontal spanning family
         # pi_H e_mu is overcomplete in any coordinates, and the weights of
         # the frame over it must not amplify rounding (at the greedy
-        # Gram-Schmidt weights, up to 540, rows reached 8.6e-9 and failed)
+        # Gram-Schmidt weights, up to 540, rows reached 8.6e-9 and failed);
+        # the unnormalized round spheres fail the h-type fit and the CD
+        # check by design, and their copies must fail them too
         model = catalog_models[name]
         spec = models.get_spec(name)
         want = verify(model)
@@ -55,7 +58,8 @@ class TestIsometricCopies:
             for row, orig in zip(verify(copy), want, strict=True):
                 assert (row["check"], row["status"]) == (orig["check"],
                                                          orig["status"])
-                assert row.get("max_residual", 0.0) <= 1e-11, (seed, row)
+                if orig["status"] != "fail":
+                    assert row.get("max_residual", 0.0) <= 1e-11, (seed, row)
 
     @pytest.mark.parametrize("name", GROUPS)
     def test_group_copies_match_the_original(self, name, catalog_models):
