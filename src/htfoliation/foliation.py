@@ -73,9 +73,13 @@ Every two-index entry is read off the derivative table D(a, b) =
 D_{E_a} E_b (Derivatives) as signed transposes of the projections V = pi_V F
 and H = pi_H F of its block group's field F: D(k, k) for hh and vv, the
 bracket G = D(h, v) - D(v, h)^T for hv.  Each is formed once, when first
-read; a block of D whose factors cannot meet is never multiplied
-(FrameBatch.meets), and a part that is exactly zero is None, so no formula
-term runs on it.  A three-index build (PairBuild) makes one table per block
+read.  The frame fields carry the coordinate supports of their blocks
+(PointField.support, read off each chunk's jets once), which the jet
+arithmetic propagates: a block of D, a projection or a formula product
+whose factors cannot meet is None without running (on a group every
+block of D but hh, and every product of nabla T and R past the table),
+as is a part that is exactly zero, so no formula term runs on it.  A
+sphere's blocks are full and carry no support.  A three-index build (PairBuild) makes one table per block
 group when its formula first reads a two-index entry of that group, and
 builds every declared entry of the group from it; the torsion values read
 one table per point chunk.
@@ -99,8 +103,9 @@ import numpy as np
 from .errors import (DegenerateFrameError, DimensionMismatchError,
                      InvalidModelError)
 from .geometry import (AmbientChart, MonomialCache, Polynomial, PolyField,
-                       PointField, _pointwise, bracket, directional_derivative,
-                       field_jets, field_partials, gram_schmidt_at)
+                       PointField, Support, _pointwise, bracket,
+                       directional_derivative, field_jets, field_partials,
+                       gram_schmidt_at, matrix_support)
 
 #: highest polynomial degree of a spanning field: it makes Hessians constant
 MAX_SPAN_DEGREE = 2
@@ -321,15 +326,20 @@ class FoliationModel:
     def pi_v(self, F):
         """The vertical part, along the stored vertical fields; on a jet, one
         pointwise projector matrix with its 1-jet (``FieldsAt``), and None
-        (no part) for a jet that is exactly zero."""
+        (no part) for a jet that is None or exactly zero, or whose
+        projection cannot be nonzero (see PointField)."""
+        if F is None:
+            return None
         if isinstance(F, PointField):
             return None if F.is_zero() else F.apply_matrix(*F.at.pi_v)
         return vertical_part(F, *self._symbolic_fields[:2])
 
     def pi_h(self, F):
         """The horizontal part (tangent to the sphere on that backend); on a
-        jet, one pointwise projector matrix with its 1-jet, and None for a
-        jet that is exactly zero."""
+        jet, one pointwise projector matrix with its 1-jet, and None as for
+        ``pi_v``."""
+        if F is None:
+            return None
         if isinstance(F, PointField):
             return None if F.is_zero() else F.apply_matrix(*F.at.pi_h)
         vertical, coframe, position = self._symbolic_fields
@@ -447,9 +457,10 @@ class FoliationModel:
         if Ws.v is None or Xs.h is None:
             return Split()
         wc = self.vertical_coefficients(Ws.v)
+        terms = (Xs.h.apply_matrix(B / self.epsilon)
+                 for B in self._j_matrices)
         return Split(h=self.pi_h(type(Xs.h).sum_of(self.ambient_dim, [
-            Xs.h.apply_matrix(B / self.epsilon).scale(c)
-            for c, B in zip(wc, self._j_matrices)])))
+            F.scale(c) for c, F in zip(wc, terms) if F is not None])))
 
     def lc_variation_split(self, F, G, eps_rel: float) -> Split:
         """Levi-Civita connection of g_eps = g_H + (1/eps_rel) g_V, with g the
@@ -605,8 +616,9 @@ class FoliationModel:
 
 def _jet_supports(fb: "FrameBatch", starts: list[int]) -> list[dict]:
     """Per run of points beginning at ``starts`` and per block of frame
-    fields: whether its jets are finite, and the coordinates j where some
-    value, Jacobian row d F^j or column d_j F is not 0.0."""
+    fields, the Support of its jets: whether they are finite, and the
+    coordinates j where some value, Jacobian row d F^j or column d_j F is
+    not 0.0; None for a block whose masks are full."""
     out = [{} for _ in starts]
     for block in "hv":
         value, jac = (part[fb.frame_slice(block)] for part in fb.jets)
@@ -615,9 +627,10 @@ def _jet_supports(fb: "FrameBatch", starts: list[int]) -> list[dict]:
             value.sum(axis=(0, 2)) + jac.sum(axis=(0, 2, 3)), starts))
         values = np.logical_or.reduceat((value != 0).any(axis=0), starts)
         nonzero = np.logical_or.reduceat((jac != 0).any(axis=0), starts)
-        for d, *parts in zip(out, finite, values, nonzero.any(axis=2),
-                             nonzero.any(axis=1)):
-            d[block] = tuple(parts)
+        for d, ok, *masks in zip(out, finite, values, nonzero.any(axis=2),
+                                 nonzero.any(axis=1)):
+            d[block] = (None if all(mask.all() for mask in masks)
+                        else Support(bool(ok), *masks))
     return out
 
 
@@ -729,7 +742,8 @@ class FrameBatch:
     def _fields_at(self) -> "FieldsAt":
         """The model's coframe and projections at the points, from the
         1-jets of its vertical fields and coframe: pi_V = sum_a Z_a theta^a,
-        and pi_H = I - pi_V (- p p^T on the sphere)."""
+        and pi_H = I - pi_V (- p p^T on the sphere), with their supports
+        when a block of frame fields carries one."""
         N, m = self.points.shape[1], self.z.shape[1]
         (z, t), (dz, dt) = ((part[-2 * m:-m], part[-m:]) for part in self.jets)
         pv = _pair_sum(z, t)
@@ -740,8 +754,10 @@ class FrameBatch:
             ph -= p[:, :, None] * p[:, None, :]
             dph -= (eye[None, :, :, None] * p[:, None, None, :]
                     + p[:, :, None, None] * eye[None, None])
+        tracked = any(s is not None for s in self._supports.values())
         return FieldsAt(tuple(PointField(t[a], dt[a]) for a in range(len(t))),
-                        (pv, dpv), (ph, dph))
+                        *((A, dA, matrix_support(A, dA) if tracked else None)
+                          for A, dA in ((pv, dpv), (ph, dph))))
 
     @cached_property
     def _frame_hessians(self) -> tuple:
@@ -758,18 +774,6 @@ class FrameBatch:
     def _supports(self) -> dict:
         """``_jet_supports`` of this batch, by block."""
         return _jet_supports(self, [0])[0]
-
-    def meets(self, ka: str, kb: str, keep: int) -> bool:
-        """Whether D(a, b) = dE_b E_a (1-jet dE_b dE_a + d^2E_b E_a) may be
-        nonzero: False only when the Hessians of kb are the exact 0.0 (or
-        not read), no nonzero column j of dE_b meets a nonzero E_a^j (or row
-        of dE_a), and both blocks are finite, so that a NaN propagates."""
-        if keep and self.hessians["hv".index(kb)] is not None:
-            return True
-        finite_a, values_a, rows_a, _ = self._supports[ka]
-        finite_b, _, _, columns_b = self._supports[kb]
-        read = values_a | rows_a if keep else values_a
-        return not (finite_a and finite_b) or bool((columns_b & read).any())
 
     @cached_property
     def _chunk_supports(self) -> list[dict]:
@@ -799,12 +803,14 @@ class FrameBatch:
     def fields(self, keep: int = 2):
         """The frame fields as Splits of order-2 jets (of order 1 with
         ``keep`` 0, which reads no Hessian): ``E(slot)`` for the whole block
-        of a Slot, placed along its axis.  ``keep`` truncates what formulas
-        compute from them (see PointField)."""
+        of a Slot, placed along its axis, with the block's support.  ``keep``
+        truncates what formulas compute from them (see PointField)."""
         (value, jac), (n, m) = self.jets, self._sizes.values()
         hessians = self._frame_hessians if keep else (None, None)
-        h, v = (PointField(value[s], jac[s], hess, self._fields_at, keep)
-                for s, hess in zip((slice(0, n), slice(n, n + m)), hessians))
+        h, v = (PointField(value[s], jac[s], hess, self._fields_at, keep,
+                           self._supports[k])
+                for k, s, hess in zip("hv", (slice(0, n), slice(n, n + m)),
+                                      hessians))
 
         def E(slot: Slot) -> Split:
             if slot.block == "h":
@@ -869,26 +875,26 @@ class Slot(NamedTuple):
 class FieldsAt:
     """The model's fields at a batch's points, which the formulas combine
     with the jets there (``PointField.at``): the coframe as order-1 jets, and
-    pi_V and pi_H as pointwise matrices with their 1-jets, the arguments of
-    ``PointField.apply_matrix``."""
+    pi_V and pi_H as pointwise matrices with their 1-jets and supports (or
+    None), the arguments of ``PointField.apply_matrix``."""
 
     coframe: tuple[PointField, ...]
-    pi_v: tuple[np.ndarray, np.ndarray]
-    pi_h: tuple[np.ndarray, np.ndarray]
+    pi_v: tuple
+    pi_h: tuple
 
 
 class Derivatives:
     """The derivative table D(a, b) = D_{E_a} E_b of the frame fields at a
     batch's points: ``D(ka, kb)`` over the whole blocks ka and kb, a jet
     laid out by (a, b) of order 1 (values only with ``keep=0``), or None
-    where its factors cannot meet (on a group every block but hh).  The
-    entries read the projections of the block groups' fields (``part``).
+    where its factors cannot meet (on a group every block but hh; see
+    PointField).  The entries read the projections of the block groups'
+    fields (``part``).
     """
 
     def __init__(self, fb: FrameBatch, keep: int):
         self.E = fb.fields(keep)
         self._fb = fb
-        self._keep = keep
         self._jets: dict[tuple[str, str], PointField | None] = {}
 
     def _cached(self, key: tuple[str, str], make) -> PointField | None:
@@ -897,23 +903,20 @@ class Derivatives:
         return self._jets[key]
 
     def __call__(self, ka: str, kb: str) -> PointField | None:
-        if not self._fb.meets(ka, kb, self._keep):
-            return None
         a, b = _pair(ka, kb)
         N = self._fb.model.ambient_dim
         return self.E(b).total(N).along(self.E(a).total(N))
 
     def part(self, kind: str, ka: str, kb: str) -> PointField | None:
         """pi_V (``kind`` "v") or pi_H ("h") of the group field F, laid out
-        by (a, b), or None where it is exactly zero.  pi_H F is F - pi_V F
-        on a group, and the pi_H matrix on the sphere, where the 1-jet of
-        <F, p> p ran slower in numpy."""
+        by (a, b), or None where it is exactly zero."""
         if (ka, kb) == ("v", "h"):       # [E_v, E_h] = -[E_h, E_v]^T
             return self._cached((kind, "vh"), lambda: _neg(
                 _swap(self.part(kind, "h", "v"))))
-        group = ka + kb
+        group, model = ka + kb, self._fb.model
+        project = model.pi_v if kind == "v" else model.pi_h
         return self._cached((kind, group),
-                            lambda: _nonzero(self._project(kind, group)))
+                            lambda: _nonzero(project(self._field(group))))
 
     def _field(self, group: str) -> PointField | None:
         def make():
@@ -921,16 +924,6 @@ class Derivatives:
                 return _minus(self("h", "v"), _swap(self("v", "h")))
             return self(*group)
         return self._cached(("field", group), make)
-
-    def _project(self, kind: str, group: str) -> PointField | None:
-        F, model = self._field(group), self._fb.model
-        if F is None:
-            return None
-        if kind == "v":
-            return model.pi_v(F)
-        if model.backend == SPHERE:
-            return model.pi_h(F)
-        return _minus(F, self.part("v", *group))
 
 
 class PairBuild:
@@ -970,8 +963,7 @@ class PairBuild:
         D = Derivatives(self._fb, 1)
         for entry, built, ka, kb in self._groups.pop(group):
             res = entry(D, ka, kb)
-            built[ka, kb] = [None if f is None else
-                             PointField(f.value, f.jacobian, None, f.at, 0)
+            built[ka, kb] = [None if f is None else f.truncated(0)
                              for f in (res.h, res.v)]
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -531,17 +531,62 @@ class PointScalar:
         self.gradient = gradient
 
 
+class Support(NamedTuple):
+    """Where a jet may be nonzero (``PointField.support``): whether its parts
+    are finite, and boolean masks (N,) of the coordinates j where some value
+    F^j, some Jacobian row d F^j or some column d_j F is not 0.0, over every
+    leading entry and point."""
+
+    finite: bool
+    values: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+
+class MatrixSupport(NamedTuple):
+    """Where matrices A and their 1-jet dA (``PointField.apply_matrix``) may
+    be nonzero: whether they are finite, the rows and columns of A, and the
+    rows i, directions k and columns j of ``dA[..., i, k, j]``."""
+
+    finite: bool
+    rows: np.ndarray
+    cols: np.ndarray
+    d_rows: np.ndarray
+    d_dirs: np.ndarray
+    d_cols: np.ndarray
+
+
+def matrix_support(A: np.ndarray, dA: np.ndarray | None = None
+                   ) -> MatrixSupport:
+    """The support of matrices A (..., N, N) and of their 1-jet dA
+    (..., N, N, N), read off their entries (no dA: nothing in its masks)."""
+    N = A.shape[-1]
+    nz = (A != 0).reshape(-1, N, N)
+    d_nz = (np.zeros((1, N, N, N), dtype=bool) if dA is None
+            else (dA != 0).reshape(-1, N, N, N))
+    finite = bool(np.isfinite(A).all() and (dA is None
+                                            or np.isfinite(dA).all()))
+    return MatrixSupport(finite, nz.any(axis=(0, 2)), nz.any(axis=(0, 1)),
+                         d_nz.any(axis=(0, 2, 3)), d_nz.any(axis=(0, 1, 3)),
+                         d_nz.any(axis=(0, 1, 2)))
+
+
+def _meet(a: np.ndarray, b: np.ndarray) -> bool:
+    return bool((a & b).any())
+
+
 class PointField:
     """A vector field known at a point batch through its jet of order <= 2.
 
     ``value`` has shape (..., P, N), ``jacobian`` (..., P, N, N) with
     ``jacobian[..., i, j] = d_j F^i``, and ``hessian`` (..., P, N, N, N) with
     ``hessian[..., i, j, k] = d_j d_k F^i``, where P may be 1 for a Hessian
-    that does not depend on the point, or the scalar 0.0 for a Hessian known
-    to vanish, which no arithmetic stores or multiplies.  Leading axes index
-    a batch of fields and broadcast in arithmetic.  It offers the field
-    operations that the connection formulas use, so those formulas run
-    unchanged on symbolic fields and on jets.
+    that does not depend on the point, or the scalar 0.0 for a Jacobian or
+    a Hessian known to vanish, which no arithmetic stores or multiplies.
+    Leading axes index a batch of fields and broadcast in arithmetic.  It
+    offers the field operations that the connection formulas use, so those
+    formulas run unchanged on symbolic fields and on jets; where they give
+    a jet that is exactly zero, a product or a projection may give None.
 
     The arithmetic is truncated Taylor arithmetic (Griewank and Walther,
     *Evaluating Derivatives*, ch. 13): a sum or a product has the lowest
@@ -553,33 +598,60 @@ class PointField:
     with constant coefficients keep every part.  ``at`` is whatever the
     creator attaches about the points (the foliation engine: its model's
     fields there); arithmetic carries it.
+
+    ``support`` (a Support, or None for unknown, which skips all of this)
+    is where the value and the Jacobian may be nonzero.  It propagates as
+    the sparsity pattern does in forward-mode differentiation (Griewank
+    and Walther, ch. 7):
+    - linear maps on the leading axes (selection, placement, negation,
+      constant scaling) keep it; a non-finite constant clears ``finite``;
+    - a sum or a difference takes the union, finite if both operands are;
+    - ``F.along(X)`` has a value only if the columns of J_F meet the values
+      of X, on the rows of J_F, and a Jacobian J_F J_X only if those
+      columns meet the rows of J_X; a Hessian term (a Hessian array and a
+      value of X) makes the Jacobian full;
+    - ``apply_matrix`` follows the same rules for A, A J_F and dA . F, with
+      the matrices' support (MatrixSupport);
+    - scaling by a PointScalar gives None.
+    A product of finite operands runs only the parts that can be nonzero
+    (a Jacobian that cannot is the scalar 0.0), and a product none of whose
+    parts can be is None without running.  A non-finite operand runs the
+    dense product, so that a NaN propagates.
     """
 
-    __slots__ = ("value", "jacobian", "hessian", "at", "keep")
+    __slots__ = ("value", "jacobian", "hessian", "at", "keep", "support")
 
     def __init__(self, value: np.ndarray, jacobian: np.ndarray | None = None,
-                 hessian: np.ndarray | None = None, at=None, keep: int = 2):
+                 hessian: np.ndarray | None = None, at=None, keep: int = 2,
+                 support: Support | None = None):
         self.value = value
         self.jacobian = jacobian
         self.hessian = None if jacobian is None else hessian
         self.at = at
         self.keep = keep
+        self.support = support
 
     @property
     def order(self) -> int:
         return 0 if self.jacobian is None else 1 if self.hessian is None else 2
 
-    def _new(self, value, jacobian=None, hessian=None,
-             keep=None) -> "PointField":
+    def _new(self, value, jacobian=None, hessian=None, keep=None,
+             support=None) -> "PointField":
         return PointField(value, jacobian, hessian, self.at,
-                          self.keep if keep is None else keep)
+                          self.keep if keep is None else keep, support)
 
     def _map(self, fn) -> "PointField":
-        """Apply one linear map to every stored part (a vanishing Hessian
-        stays 0.0)."""
+        """Apply one linear map to every stored part (a vanishing part stays
+        0.0), keeping the support."""
         return self._new(*(fn(part) if isinstance(part, np.ndarray) else part
                            for part in (self.value, self.jacobian,
-                                        self.hessian)))
+                                        self.hessian)), support=self.support)
+
+    def truncated(self, keep: int) -> "PointField":
+        """This jet to order 1, with its support, computing at most order
+        ``keep`` in what follows."""
+        return PointField(self.value, self.jacobian, None, self.at, keep,
+                          self.support)
 
     def __getitem__(self, index) -> "PointField":
         """Select fields along the leading axes."""
@@ -590,8 +662,13 @@ class PointField:
         order = min(self.order, other.order, keep)
         pairs = zip((self.value, self.jacobian, self.hessian),
                     (other.value, other.jacobian, other.hessian))
-        return self._new(*(op(a, b) for a, b in list(pairs)[:order + 1]),
-                         keep=keep)
+        s, t = self.support, other.support
+        support = None if s is None or t is None else Support(
+            s.finite and t.finite, s.values | t.values, s.rows | t.rows,
+            s.cols | t.cols)
+        return self._new(*(_sum(a, b, op)
+                           for a, b in list(pairs)[:order + 1]),
+                         keep=keep, support=support)
 
     def __add__(self, other: "PointField") -> "PointField":
         return self._combine(other, np.add)
@@ -605,17 +682,26 @@ class PointField:
     def scale(self, s) -> "PointField":
         """Multiply by a constant or by a PointScalar (Leibniz rule)."""
         if not isinstance(s, PointScalar):
-            return self._map(lambda part: part * s)
+            out = self._map(lambda part: part * s)
+            if out.support is not None and not np.isfinite(s):
+                out.support = out.support._replace(finite=False)
+            return out
         value = self.value * s.value[..., None]
         if min(self.order, self.keep) < 1 or s.gradient is None:
             return self._new(value)
+        term = self.value[..., :, None] * s.gradient[..., None, :]
+        if not isinstance(self.jacobian, np.ndarray):
+            return self._new(value, term)
         jacobian = self.jacobian * s.value[..., None, None]
-        jacobian += self.value[..., :, None] * s.gradient[..., None, :]
+        jacobian += term
         return self._new(value, jacobian)
 
     @classmethod
-    def sum_of(cls, n_vars: int, fields) -> "PointField":
+    def sum_of(cls, n_vars: int, fields) -> "PointField | None":
+        """The sum of the fields, None for none."""
         fields = list(fields)
+        if not fields:
+            return None
         out = fields[0]
         for f in fields[1:]:
             out = out + f
@@ -626,55 +712,137 @@ class PointField:
         value = np.einsum("...n,...n->...", self.value, other.value)
         if min(self.order, other.order, self.keep, other.keep) < 1:
             return PointScalar(value)
-        grad = ((other.value[..., None, :] @ self.jacobian)
-                + (self.value[..., None, :] @ other.jacobian))[..., 0, :]
-        return PointScalar(value, grad)
+        grad = 0.0
+        for a, b in ((self, other), (other, self)):
+            if isinstance(a.jacobian, np.ndarray):
+                grad = _sum(grad, b.value[..., None, :] @ a.jacobian, np.add)
+        if not isinstance(grad, np.ndarray):
+            grad = np.zeros(value.shape + (1, self.value.shape[-1]))
+        return PointScalar(value, grad[..., 0, :])
 
-    def apply_matrix(self, matrix, jacobian=None) -> "PointField":
+    def apply_matrix(self, matrix, jacobian=None,
+                     support: MatrixSupport | None = None
+                     ) -> "PointField | None":
         """F -> A F for a constant matrix A (N, N), or for pointwise matrices
         A (P, N, N) known through their 1-jet, given as ``jacobian``
-        (P, N, N, N) with ``jacobian[p, i, k, j] = d_k A^i_j``."""
+        (P, N, N, N) with ``jacobian[p, i, k, j] = d_k A^i_j``, and their
+        ``support`` (None for unknown; a constant matrix's is read off it).
+        None where the product is exactly zero (see PointField)."""
         A = np.asarray(matrix, dtype=np.float64)
-        if jacobian is None:
-            hessian = self.hessian
-            if isinstance(hessian, np.ndarray):
-                flat = hessian.reshape(hessian.shape[:-2] + (-1,))
-                hessian = (A @ flat).reshape(hessian.shape)
-            return self._new(self.value @ A.T, None if self.jacobian is None
-                             else A @ self.jacobian, hessian)
-        value = _pointwise(A, self.value)
-        if min(self.order, self.keep) < 1:
-            return self._new(value)
-        out = A @ self.jacobian
-        P, N = jacobian.shape[:2]
-        out += _pointwise(jacobian.reshape(P, N * N, N),
-                          self.value).reshape(out.shape)
-        return self._new(value, out)
+        if jacobian is not None:
+            jet = min(self.order, self.keep) >= 1
+            run, support = _plan(support, self.support, jet)
+            if not any(run):
+                return None
+            value, out = self._apply(A, jacobian, A.shape[:-1], run, jet)
+            return self._new(value, out, support=support)
+        if self.support is not None:
+            support = matrix_support(A)
+        run, out = _plan(support, self.support, self.jacobian is not None)
+        # A H: the Hessian's own support is not kept, so it runs whenever A
+        # has a nonzero column
+        H = self.hessian
+        if isinstance(H, np.ndarray):
+            H = ((A @ H.reshape(H.shape[:-2] + (-1,))).reshape(H.shape)
+                 if out is None or support.cols.any() else 0.0)
+        if not (any(run) or isinstance(H, np.ndarray)):
+            return None
+        J = self.jacobian
+        if J is not None:
+            J = A @ J if run[1] and isinstance(J, np.ndarray) else 0.0
+        return self._new(self.value @ A.T if run[0]
+                         else np.zeros_like(self.value), J, H, support=out)
 
-    def along(self, X: "PointField") -> "PointField":
-        """The derivative D_X F, one order below F (and no higher than X)."""
+    def along(self, X: "PointField") -> "PointField | None":
+        """The derivative D_X F, one order below F (and no higher than X);
+        None where it is exactly zero (see PointField)."""
         if self.jacobian is None:
             raise ValueError("an order-0 jet cannot be differentiated")
         keep = min(self.keep, X.keep)
-        value = _pointwise(self.jacobian, X.value)
-        if min(self.order - 1, X.order, keep) < 1:
-            return self._new(value, keep=keep)
-        out = self.jacobian @ X.jacobian
-        H = self.hessian
-        if isinstance(H, np.ndarray):
-            # sum_j H[..., i, k, j] x_j = sum_j H[..., i, j, k] x_j, since
-            # Hessians are symmetric
-            N = H.shape[-1]
-            out += _pointwise(H.reshape(H.shape[:-3] + (N * N, N)),
-                              X.value).reshape(out.shape)
-        return self._new(value, out, keep=keep)
+        jet = min(self.order - 1, X.order, keep) >= 1
+        # sum_j H[..., i, k, j] x_j = sum_j H[..., i, j, k] x_j, since
+        # Hessians are symmetric: H is the 1-jet of J_F as apply_matrix
+        # reads it
+        H, s = self.hessian, self.support
+        if s is not None and X.support is not None:
+            full = np.full(len(s.rows), isinstance(H, np.ndarray))
+            s = MatrixSupport(s.finite, s.rows, s.cols, full, full, full)
+        run, support = _plan(s, X.support, jet)
+        if not any(run):
+            return None
+        value, out = X._apply(self.jacobian, H, self.value.shape, run, jet)
+        return self._new(value, out, keep=keep, support=support)
+
+    def _apply(self, M, dM, lead: tuple, run: tuple, jet: bool):
+        """The value M x and, when ``jet``, the Jacobian M J_x + dM . x,
+        with ``(dM . x)[..., i, k] = sum_j dM[..., i, k, j] x^j``, of
+        pointwise matrices M (..., P, R, N) with their 1-jet dM
+        (..., P, R, N, N) applied to this jet x, running only the parts
+        ``run`` (``_plan``) and multiplying no part that is the scalar 0.0:
+        a value that is not run is zeros of the broadcast of ``lead`` and
+        x's value, a Jacobian 0.0."""
+        if run[0] and isinstance(M, np.ndarray):
+            value = _pointwise(M, self.value)
+        else:
+            value = np.zeros(np.broadcast_shapes(lead, self.value.shape))
+        if not jet:
+            return value, None
+        out = 0.0
+        if run[1] and isinstance(M, np.ndarray) and isinstance(
+                self.jacobian, np.ndarray):
+            out = M @ self.jacobian
+        if run[2] and isinstance(dM, np.ndarray):
+            N = dM.shape[-1]
+            term = _pointwise(dM.reshape(dM.shape[:-3] + (N * N, N)),
+                              self.value).reshape(value.shape + (N,))
+            if isinstance(out, np.ndarray):
+                out += term
+            else:
+                out = term
+        return value, out
 
     def is_zero(self) -> bool:
-        return not any(isinstance(part, np.ndarray) and part.any() for part
-                       in (self.value, self.jacobian, self.hessian))
+        for part in (self.value, self.jacobian, self.hessian):
+            if isinstance(part, np.ndarray) and part.any():
+                return False
+        return True
 
     def __repr__(self):
         return f"PointField({self.value.shape}, order {self.order})"
+
+
+def _sum(a, b, op):
+    """``op(a, b)``, np.add or np.subtract, of jet parts of which either may
+    be the scalar 0.0."""
+    if isinstance(b, np.ndarray):
+        if isinstance(a, np.ndarray):
+            return op(a, b)
+        return -b if op is np.subtract else b
+    return a
+
+
+#: ``_plan`` of a product that runs dense: every part, no support (the
+#: Jacobian's terms run only when it is computed)
+_DENSE = ((True, True, True), None)
+
+
+def _plan(m: MatrixSupport | None, s: Support | None, jet: bool
+          ) -> tuple[tuple[bool, bool, bool], Support | None]:
+    """Which parts of a product A F can be nonzero, for matrices A with
+    their 1-jet dA (support ``m``) and a jet F (support ``s``): the value
+    A F, then the terms A J_F and dA . F of the Jacobian when ``jet``; and
+    the product's support.  Every part, with no support, unless both
+    supports are known and finite."""
+    if m is None or s is None or not (m.finite and s.finite):
+        return _DENSE
+    run = (_meet(m.cols, s.values), jet and _meet(m.cols, s.rows),
+           jet and _meet(m.d_cols, s.values))
+    none = np.zeros(len(m.rows), dtype=bool)
+    return run, Support(True, m.rows if run[0] else none,
+                        (m.rows if run[1] else none)
+                        | (m.d_rows if run[2] else none),
+                        (s.cols if run[1] else none)
+                        | (m.d_dirs if run[2] else none))
 
 
 def _pointwise(T: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -725,7 +893,8 @@ class AmbientChart:
 
 def directional_derivative(X, f):
     """Exact derivative D_X f = sum_i X^i d_i f for f a Polynomial or
-    PolyField, or for f a PointField with Jacobians (see PointField.along)."""
+    PolyField, or for f a PointField with Jacobians (see PointField.along,
+    which gives None for a derivative that is exactly zero)."""
     if isinstance(f, PointField):
         return f.along(X)
     if isinstance(f, PolyField):
@@ -741,8 +910,12 @@ def directional_derivative(X, f):
 
 
 def bracket(X: PolyField, Y: PolyField) -> PolyField:
-    """Lie bracket [X, Y] = D_X Y - D_Y X, exact."""
-    return directional_derivative(X, Y) - directional_derivative(Y, X)
+    """Lie bracket [X, Y] = D_X Y - D_Y X, exact; on jets, either derivative
+    may be None (zero), and so may the bracket."""
+    a, b = directional_derivative(X, Y), directional_derivative(Y, X)
+    if b is None:
+        return a
+    return -b if a is None else a - b
 
 
 # ---------------------------------------------------------------------------

@@ -618,9 +618,16 @@ def oracle_entries(model, fb, keep, eps_rel):
     block pair, the bracket split(D(a, b) - D(b, a)^T), the connection
     D(a, b) (like blocks) or that bracket (mixed) projected onto the block
     of b, torsion pi_V(D(b, a)^T - D(a, b)) on two horizontal blocks, and
-    the rescaled Levi-Civita derivative from those; keyed (label, ka, kb)."""
+    the rescaled Levi-Civita derivative from those; keyed (label, ka, kb).
+    The frame fields' supports are stripped, so that every product runs
+    dense and none is skipped."""
     N = model.ambient_dim
-    E = fb.fields(keep)
+    fields = fb.fields(keep)
+
+    def E(slot):
+        return Split(*(None if f is None else PointField(
+            f.value, f.jacobian, f.hessian, f.at, f.keep)
+            for f in (fields(slot).h, fields(slot).v)))
     D = {(ka, kb): E(fol.Slot(kb, 1, 2)).total(N).along(
         E(fol.Slot(ka, 0, 2)).total(N)) for ka in "hv" for kb in "hv"}
     back = lambda ka, kb: D[kb, ka]._map(lambda part: part.swapaxes(0, 1))
@@ -701,10 +708,12 @@ class TestProjectedTable:
                 return F
 
         def count(self, X):
-            # the formulas read order-1 jets, the table order-2 frame jets
-            if self.order == 2:
+            # the formulas read order-1 jets, the table order-2 frame jets;
+            # a product that cannot be nonzero is None and does not run
+            out = along(self, X)
+            if self.order == 2 and out is not None:
                 products.append(X)
-            return along(self, X)
+            return out
         monkeypatch.setattr(fol, "Derivatives", Recorded)
         monkeypatch.setattr(PointField, "along", count)
         for build in (model.nabla_t_entry, model.curvature_entry):
@@ -714,15 +723,17 @@ class TestProjectedTable:
             assert ran == multiplied, (build.__name__, ran)
             assert len(products) == len(multiplied), build.__name__
 
+    @np.errstate(invalid="ignore")
     def test_a_nan_keeps_its_block(self, heis_quat):
         # a NaN in the Jacobian of a vertical frame field at one point of
         # the second chunk: that chunk multiplies the blocks which read it,
-        # and they read NaN; the first chunk still skips them
+        # and they read NaN, up to the three-index entries; the first chunk
+        # still skips them, and its entries stay exactly zero
         model = heis_quat
         fb = model.frame_batch(sample_points(model.chart,
                                              fol.POINT_CHUNK + 4, 25))
         fb.jets[1][model.n, fol.POINT_CHUNK + 1, 0, 0] = np.nan
-        (_, first), (_, second) = fb.chunks()
+        (c1, first), (c2, second) = fb.chunks()
         for keep in (1, 0):
             clean, planted = (fol.Derivatives(view, keep)
                               for view in (first, second))
@@ -731,6 +742,40 @@ class TestProjectedTable:
                 F = planted(ka, "v")
                 assert F is not None and np.isnan(F.value).any(), (ka, keep)
             assert clean("v", "h") is None
+        for read in (fol.nabla_t_frame, curvature_components):
+            values = read(fb)
+            assert not values[c1].any(), read.__name__
+            assert np.isnan(values[c2]).any(), read.__name__
+
+    @pytest.mark.parametrize("name", ["heisenberg", "heisenberg-quat",
+                                      "heisenberg-quat-mixed",
+                                      "heisenberg-oct",
+                                      "quaternionic-hopf-s7"])
+    def test_no_formula_product_is_exactly_zero(self, name, catalog_models,
+                                                monkeypatch):
+        # on the groups nabla T and R vanish, and every product whose
+        # factors cannot meet is None without running; on the sphere every
+        # block is full, and as many products run as without supports (67
+        # derivatives and 49 matrix products at 3 points)
+        model = catalog_models[name]
+        fb = model.frame_batch(sample_points(model.chart, 3, 12))
+        ran, zero = [], []
+        for method in ("along", "apply_matrix"):
+            raw = getattr(PointField, method)
+
+            def counted(self, *args, _raw=raw, _name=method):
+                out = _raw(self, *args)
+                if out is not None:
+                    ran.append(_name)
+                    if out.is_zero():
+                        zero.append(_name)
+                return out
+            monkeypatch.setattr(PointField, method, counted)
+        model.nabla_t_entry(fb, *("hv",) * 3)
+        model.curvature_entry(fb, *("hv",) * 3)
+        assert zero == []
+        if model.backend == "sphere":
+            assert (ran.count("along"), ran.count("apply_matrix")) == (67, 49)
 
 
 class TestSpanPartials:
@@ -948,7 +993,7 @@ class TestPairSums:
         fb = model.frame_batch(sample_points(model.chart, 16, 3))
         m = model.m
         (z, t), (dz, dt) = ((part[-2 * m:-m], part[-m:]) for part in fb.jets)
-        pv, dpv = fb._fields_at.pi_v
+        pv, dpv, _ = fb._fields_at.pi_v
         assert_relative(pv, np.einsum("api,apj->pij", z, t))
         assert_relative(dpv, np.einsum("apik,apj->pikj", dz, t)
                         + np.einsum("api,apjk->pikj", z, dt))

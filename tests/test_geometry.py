@@ -537,3 +537,192 @@ class TestPointwise:
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
         assert got.shape == tuple(np.broadcast_shapes(lt, lx)) + (P, N * N)
         assert got.strides[-1] == 8
+
+
+def support_of(value, jacobian, hessian=None):
+    """The Support of a jet read off its arrays: finite parts, and the
+    coordinates of its nonzero (or non-finite) values, Jacobian rows and
+    columns over every leading entry and point."""
+    N = value.shape[-1]
+    parts = [p for p in (value, jacobian, hessian) if isinstance(p, np.ndarray)]
+    nz = jacobian.reshape(-1, N, N) != 0
+    return geo.Support(all(np.isfinite(p).all() for p in parts),
+                       (value.reshape(-1, N) != 0).any(axis=0),
+                       nz.any(axis=(0, 2)), nz.any(axis=(0, 1)))
+
+
+def sparse(rng, shape, masks):
+    """An array of ``shape`` whose trailing axes are nonzero exactly on the
+    product of ``masks`` (one per trailing axis), with the same pattern at
+    every leading entry and point; every entry there is a random +-[0.5, 2]."""
+    pattern = np.ones((), dtype=bool)
+    for mask in masks:
+        pattern = pattern[..., None] & mask
+    out = np.zeros(shape)
+    size = shape[:len(shape) - len(masks)] + (int(pattern.sum()),)
+    out[..., pattern] = rng.uniform(0.5, 2.0, size) * rng.choice([-1, 1], size)
+    return out
+
+
+def masks(rng, count, N):
+    """``count`` random coordinate masks, all empty if one is, so that a
+    sparse block is empty exactly when its masks say so."""
+    out = [rng.random(N) < 0.4 for _ in range(count)]
+    if not all(m.any() for m in out):
+        out = [np.zeros(N, dtype=bool)] * count
+    return out
+
+
+def plant(rng, arrays):
+    """Write a NaN or an inf at a random entry of one of the arrays."""
+    a = arrays[rng.integers(len(arrays))]
+    a[tuple(rng.integers(s) for s in a.shape)] = rng.choice([np.nan, np.inf])
+
+
+class TestSupports:
+    """A jet carries where it may be nonzero (PointField.support), and a
+    product none of whose parts can be nonzero is None without running.  On
+    seeded random sparse jets, with partial overlaps, planted NaN and inf,
+    and terms where only the Hessian is nonzero, every operation is checked
+    against the same operation on the jets with their supports stripped:
+    a product is None exactly when that dense product is 0.0 and finite,
+    and otherwise equals it entry for entry, with a support that covers
+    every nonzero entry."""
+
+    P, N = 3, 5
+
+    def jet(self, rng, lead, hessian=None, nan=False):
+        P, N = self.P, self.N
+        value = sparse(rng, lead + (P, N), [rng.random(N) < 0.4])
+        jacobian = sparse(rng, lead + (P, N, N), masks(rng, 2, N))
+        if hessian is None:
+            hessian = rng.random() < 0.3
+        if hessian:
+            hessian = rng.standard_normal(lead + (P, N, N, N))
+            hessian = hessian + hessian.swapaxes(-1, -2)
+        else:
+            hessian = 0.0
+        if nan:
+            plant(rng, [value, jacobian])
+        return geo.PointField(value, jacobian, hessian,
+                              support=support_of(value, jacobian, hessian))
+
+    @staticmethod
+    def strip(F):
+        return geo.PointField(F.value, F.jacobian, F.hessian, keep=F.keep)
+
+    @staticmethod
+    def check(got, want, finite=True):
+        """``got`` from jets with supports, ``want`` the dense result;
+        ``finite`` when every operand is (a non-finite one runs the dense
+        product, even where its NaN is in a part the product does not
+        read)."""
+        parts = [p for p in (want.value, want.jacobian, want.hessian)
+                 if isinstance(p, np.ndarray)]
+        zero = all(np.isfinite(p).all() and not p.any() for p in parts)
+        if zero and finite:
+            assert got is None
+        if got is None:
+            assert zero
+            return
+        assert got.order == want.order
+        for g, w in zip((got.value, got.jacobian, got.hessian),
+                        (want.value, want.jacobian, want.hessian)):
+            if w is not None:
+                np.testing.assert_array_equal(np.broadcast_to(g, np.shape(w)),
+                                              w)
+        s = got.support
+        if s is None:
+            return
+        N = got.value.shape[-1]
+        if s.finite:
+            assert all(np.isfinite(p).all() for p in parts)
+        assert not (got.value.reshape(-1, N)[:, ~s.values]).any()
+        if isinstance(got.jacobian, np.ndarray):
+            nz = got.jacobian.reshape(-1, N, N) != 0
+            assert not nz[:, ~s.rows].any() and not nz[:, :, ~s.cols].any()
+
+    def products(self, rng, nan):
+        """(name, jets with supports -> result) of every operation, on jets
+        laid out as the formulas lay them out (F along one key axis, X along
+        the other), the jets, and whether the matrices and the constant are
+        finite."""
+        P, N = self.P, self.N
+        F, G = (self.jet(rng, (1, 2), nan=nan and rng.random() < 0.5)
+                for _ in range(2))
+        X = self.jet(rng, (2, 1), nan=nan and rng.random() < 0.5)
+        A = sparse(rng, (P, N, N), masks(rng, 2, N))
+        dA = sparse(rng, (P, N, N, N), masks(rng, 3, N))
+        C = sparse(rng, (N, N), masks(rng, 2, N))
+        if nan and rng.random() < 0.3:
+            plant(rng, [A, dA, C])
+        M = geo.matrix_support(A, dA)
+        c = rng.choice([0.5, -2.0, np.inf]) if nan else 0.5
+        return [("along", lambda F, G, X: F.along(X)),
+                ("along-order-1", lambda F, G, X: F.truncated(2).along(X)),
+                ("apply-pointwise", lambda F, G, X: F.apply_matrix(
+                    A, dA, None if F.support is None else M)),
+                ("apply-constant", lambda F, G, X: X.apply_matrix(C)),
+                ("sum", lambda F, G, X: F + G),
+                ("difference", lambda F, G, X: F - X),
+                ("sum-along", lambda F, G, X: (F - G).along(X)),
+                ("along-sum", lambda F, G, X: X.along(F + G)),
+                ("placed", lambda F, G, X: F[:, ::-1]._map(
+                    lambda p: p.swapaxes(0, 1)).along(-X)),
+                ("scaled", lambda F, G, X: F.scale(c).along(X))
+                ], (F, G, X), M.finite and c != np.inf
+
+    @pytest.mark.parametrize("nan", [False, True], ids=["finite", "planted"])
+    @np.errstate(invalid="ignore", over="ignore")
+    def test_products_of_random_sparse_jets(self, nan):
+        for seed in range(150):
+            rng = np.random.default_rng(seed)
+            ops, jets, finite = self.products(rng, nan)
+            finite = finite and all(F.support.finite for F in jets)
+            for name, op in ops:
+                want = op(*map(self.strip, jets))
+                assert want is not None, name
+                try:
+                    self.check(op(*jets), want, finite)
+                except AssertionError as err:
+                    raise AssertionError(f"seed {seed}, {name}") from err
+
+    def test_only_the_hessian_term(self):
+        # J_F cannot meet X, but F's Hessian meets X's value: the product
+        # is its Hessian term alone, and runs
+        rng = np.random.default_rng(3)
+        P, N = self.P, self.N
+        x, y = np.arange(N) < 2, np.arange(N) >= 2
+        value = sparse(rng, (P, N), [y])
+        F = geo.PointField(value, sparse(rng, (P, N, N), [y, y]),
+                           rng.standard_normal((P, N, N, N)))
+        X = geo.PointField(sparse(rng, (P, N), [x]),
+                           sparse(rng, (P, N, N), [x, x]), 0.0)
+        for f in (F, X):
+            f.support = support_of(f.value, f.jacobian, f.hessian)
+        got = F.along(X)
+        self.check(got, self.strip(F).along(self.strip(X)))
+        assert got is not None and not got.value.any()
+        assert got.support.rows.all() and got.support.cols.all()
+        F.hessian = 0.0
+        assert F.along(X) is None
+
+    @np.errstate(invalid="ignore")
+    def test_a_nan_runs_the_product_it_would_skip(self):
+        # the NaN sits in a column of J_F that X's value does not reach:
+        # the masks alone would skip the product, and NaN * 0 is NaN
+        rng = np.random.default_rng(4)
+        P, N = self.P, self.N
+        x, y = np.arange(N) < 2, np.arange(N) >= 2
+        jacobian = sparse(rng, (P, N, N), [y, y])
+        F = geo.PointField(sparse(rng, (P, N), [y]), jacobian, 0.0)
+        X = geo.PointField(sparse(rng, (P, N), [x]),
+                           sparse(rng, (P, N, N), [x, x]), 0.0)
+        for f in (F, X):
+            f.support = support_of(f.value, f.jacobian)
+        assert F.along(X) is None
+        jacobian[1, 3, 4] = np.nan
+        F.support = support_of(F.value, F.jacobian)
+        got = F.along(X)
+        self.check(got, self.strip(F).along(self.strip(X)))
+        assert np.isnan(got.value[1, 3]) and got.support is None

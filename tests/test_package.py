@@ -222,6 +222,35 @@ def test_two_index_entries_only_read_the_table():
         assert not used & banned, (name, sorted(used & banned))
 
 
+def support_reads(source: str) -> list[str]:
+    """Where ``source`` reads a jet's support (the ``support`` attribute) or
+    calls the helpers that combine supports (``_plan``, ``_meet``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = (node.attr if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                else node.id if isinstance(node, ast.Name) else None)
+        if name in ("support", "_plan", "_meet"):
+            found.append(f"{node.lineno}: {name}")
+    return found
+
+
+def test_only_geometry_propagates_supports():
+    """The jets' supports are combined by the jet arithmetic alone: the
+    other modules read a block's support off its arrays and hand it to the
+    jets, and the derivative table keeps no rule of its own (no
+    ``meets``)."""
+    assert support_reads("a = F.support\nF.support = s\nb = _plan(m, s)\n") \
+        == ["1: support", "3: _plan"]
+    found = {path.name: support_reads(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "geometry.py"}
+    assert {name: f for name, f in found.items() if f} == {}
+    foliation = ast.parse((PACKAGE / "foliation.py").read_text())
+    assert "meets" not in {node.name for node in ast.walk(foliation)
+                           if isinstance(node, ast.FunctionDef)}
+
+
 def test_commands_build_no_polynomial_above_degree_2(monkeypatch):
     """The model fields have degree <= 2, the CD trials are 2-jets and the
     spectra move packed exponents, so no command needs a polynomial of
