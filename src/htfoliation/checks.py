@@ -7,6 +7,12 @@ vertical Clifford derivatives, horizontal Einstein constants, curvature
 constancy of the rescaled metric, the commutator and sectional-norm
 identities) sit at rounding level when the model is built correctly; the
 checks measure, they do not assume.
+
+A kept tensor that is exactly zero without being read (``exact_zero``: nabla
+T and R on a group) is not multiplied or reduced: each term with such a
+factor is dropped, where the term's other factors are finite, so that the
+residual is the one the dense arithmetic gives, NaN included.  Residuals
+are combined with NaN-propagating maxima (``_worst``).
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 from . import geometry as geo
 from .errors import InvalidModelError, NotApplicableError
 from .foliation import (FoliationModel, FrameBatch, curvature_components,
-                        j_endomorphisms, lc_curvature_components,
+                        exact_zero, j_endomorphisms, lc_curvature_components,
                         nabla_t_components, nabla_t_frame, point_chunks,
                         ricci_horizontal, torsion_components,
                         vertical_sectional)
@@ -59,6 +65,21 @@ class CheckReport:
                 f"max_residual={self.max_residual:.3e} tol={self.tolerance:.1e}")
 
 
+def _worst(*residuals) -> float:
+    """The largest of ``residuals``, NaN if any is NaN (the builtin max
+    keeps its first argument against a NaN)."""
+    return float(np.max(residuals))
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """max |a|, without reading an exact zero."""
+    return 0.0 if exact_zero(a) else float(np.abs(a).max())
+
+
+def _finite(*arrays: np.ndarray) -> bool:
+    return all(np.isfinite(a).all() for a in arrays)
+
+
 def frame_batch_for(model: FoliationModel, points: int, seed: int) -> FrameBatch:
     """Adapted frames over the model's deterministic sample, cached so that
     successive checks on one model share every evaluated tensor.  A cached
@@ -86,8 +107,8 @@ def check_foliation_axioms(model: FoliationModel, points: int = 64,
     1-jets at its own sample.  It builds no adapted frame, because
     Gram-Schmidt can fail on the models it must reject."""
     cache = geo.MonomialCache(geo.sample_points(model.chart, points, seed))
-    worst = max(np.abs(block).max()
-                for block in model.metric_lie_derivatives(cache))
+    worst = _worst(*(np.abs(block).max()
+                     for block in model.metric_lie_derivatives(cache)))
     return CheckReport.from_residual("foliation-axioms", worst, tol, points)
 
 
@@ -114,7 +135,7 @@ def check_h_type(model: FoliationModel, points: int = 64, seed: int = 42,
     target = lam * np.eye(model.m)[None, :, :, None, None] \
         * np.eye(model.n)[None, None, None, :, :]
     fit_residual = float(np.abs(S - target).max())
-    worst = max(fit_residual, spread, abs(lam - 1.0))
+    worst = _worst(fit_residual, spread, abs(lam - 1.0))
     return CheckReport(
         "h-type", "pass" if worst <= tol else "fail", worst, tol, points,
         {"lambda": lam, "lambda_spread": spread, "fit_residual": fit_residual})
@@ -135,8 +156,7 @@ def classify_torsion(model: FoliationModel, points: int = 32, seed: int = 42,
     """Strongest parallelism class of the torsion measured on the sample."""
     fb = frame_batch_for(model, points, seed)
     nt_all = nabla_t_components(fb, "all")                 # (P, n+m, m, n, n)
-    full = float(np.abs(nt_all).max())
-    horiz = float(np.abs(nt_all[:, :model.n]).max())
+    full, horiz = _max_abs(nt_all), _max_abs(nt_all[:, :model.n])
     ym = check_yang_mills(model, points, seed, tol)
     details = {"full_residual": full, "horizontal_residual": horiz,
                "yang_mills_residual": ym.max_residual}
@@ -179,13 +199,13 @@ def check_parallel_clifford(model: FoliationModel, points: int = 32,
             f"model is not H-type (lambda = {ht.details['lambda']:.6g})")
     fb = frame_batch_for(model, points, seed)
     nt_v = nabla_t_components(fb, "v")                     # (P, m, m, n, n)
-    horiz = float(np.abs(nabla_t_components(fb, "h")).max())
+    horiz = _max_abs(nabla_t_components(fb, "h"))
     if horiz > tol:
         raise InvalidModelError(
             f"torsion is not horizontally parallel (residual {horiz:.3e})")
     if model.m == 1:
         return CheckReport.from_residual(
-            "parallel-clifford", float(np.abs(nt_v).max()), tol, points,
+            "parallel-clifford", _max_abs(nt_v), tol, points,
             {"kappa": None, "psi": "zero"})
     worst, details = clifford_fit(j_endomorphisms(fb), nt_v)
     return CheckReport.from_residual("parallel-clifford", worst, tol, points,
@@ -226,7 +246,7 @@ def clifford_fit(J: np.ndarray, nt_v: np.ndarray) -> tuple[float, dict]:
     off_blade = float(np.abs(psi[:, ~on_blade]).max())
     kappa = float(np.mean(estimates))
     spread = float(np.abs(estimates - kappa).max())
-    return max(worst_fit, off_blade, spread), {
+    return _worst(worst_fit, off_blade, spread), {
         "kappa": kappa, "kappa_spread": spread, "fit_residual": worst_fit,
         "off_blade": off_blade}
 
@@ -334,8 +354,8 @@ def check_curvature_constancy(model: FoliationModel, kappa: float,
     eye = np.eye(n + m)
     rhs = (kappa / 2.0) * (np.einsum("bc,ad->abcd", ghat, eye[n:])
                            - np.einsum("ac,bd->abcd", ghat[n:], eye))
-    worst = max(float(np.abs(lhs[c] - rhs).max())
-                for c in point_chunks(len(fb.points)))
+    worst = _worst(*(np.abs(lhs[c] - rhs).max()
+                     for c in point_chunks(len(fb.points))))
     details = {"kappa": kappa, "rho": kappa / 2.0}
     if model.backend == "sphere":
         gram = fb.frame @ fb.frame.swapaxes(1, 2)
@@ -372,9 +392,9 @@ def check_oneill(model: FoliationModel, points: int = 32, seed: int = 42,
         closed_h = np.empty_like(direct_h)
         closed_h[..., :n] = (-0.5 / eps) * nabla_j
         closed_h[..., n:] = -0.5 * nabla_t + (0.25 / eps) * t_j
-        worst = max(worst, float(np.abs(direct_h - closed_h).max()))
         direct_v = lc_curvature_components(fb, eps, "v", "v")
-        worst = max(worst, float(np.abs(direct_v - r_v).max()))
+        worst = _worst(worst, np.abs(direct_h - closed_h).max(),
+                       np.abs(direct_v - r_v).max())
     return CheckReport.from_residual("oneill-variation", worst, tol, points,
                                      {"eps_values": list(eps_values)})
 
@@ -407,17 +427,19 @@ def check_lemma_identities(model: FoliationModel, points: int = 32,
     # then vertical, one point chunk at a time, so that the residual exists
     # one chunk of one half at a time; R_H and R_V are the all-horizontal
     # and all-vertical blocks of R, and the nabla T term is subtracted on
-    # every block
+    # every block; 0 - 0 where both are exact zeros
     worst = 0.0
     for domain, block in (("h", slice(None, n)), ("v", slice(n, None))):
         R = curvature_components(fb, domain, "all", "all")  # [p, u, v, w]
         if domain == "h":              # R_H(x_i, x_j) as endomorphisms
             rh_endo = R[:, :, :n, :n, :n].transpose(0, 1, 2, 4, 3)
         nt = nabla_t_frame(fb, "all", domain, "all").transpose(0, 2, 3, 1, 4)
+        if exact_zero(R) and exact_zero(nt):
+            continue
         for c in point_chunks(len(fb.points)):
             resid = R[c] - nt[c]
             resid[:, :, block, block] = -nt[c][:, :, block, block]
-            worst = max(worst, float(np.abs(resid, out=resid).max()))
+            worst = _worst(worst, np.abs(resid, out=resid).max())
     reports.append(CheckReport.from_residual(
         "curvature-decomposition", worst, tol, points))
 
@@ -427,7 +449,8 @@ def check_lemma_identities(model: FoliationModel, points: int = 32,
     for c in point_chunks(len(fb.points)):
         cov, kap = _commutator_residuals(rh_endo[c], J[c], t_comp[c],
                                          nt_v[c], kappa_form)
-        worst_cov, worst_kappa = max(worst_cov, cov), max(worst_kappa, kap)
+        worst_cov, worst_kappa = _worst(worst_cov, cov), _worst(worst_kappa,
+                                                                kap)
     reports.append(CheckReport.from_residual(
         "commutator-covariant", worst_cov, tol, points))
     if kappa_form is not None:
@@ -438,17 +461,19 @@ def check_lemma_identities(model: FoliationModel, points: int = 32,
     worst_sect = 0.0
     if m >= 2:
         per_i = (nt_v ** 2).sum(axis=-1)                   # (P, m, m, n)
-        target = np.broadcast_to(sect[..., None], per_i.shape)
         mask = ~np.eye(m, dtype=bool)
-        worst_sect = float(np.abs((per_i - target)[:, mask]).max())
+        worst_sect = float(np.abs((per_i - sect[..., None])[:, mask]).max())
     reports.append(CheckReport.from_residual(
         "vertical-sectional-norm", worst_sect, tol, points))
 
     nt_h = nabla_t_components(fb, "h")                     # (P, n, m, n, n)
-    lhs_e = np.einsum("paki,pkaij->paij", J, nt_h)
-    rhs_e = np.einsum("pali,pialj->paij", J, nt_h)
+    trace = 0.0
+    if not (exact_zero(nt_h) and _finite(J)):
+        lhs_e = np.einsum("paki,pkaij->paij", J, nt_h)
+        rhs_e = np.einsum("pali,pialj->paij", J, nt_h)
+        trace = float(np.abs(lhs_e - rhs_e).max())
     reports.append(CheckReport.from_residual(
-        "ym-helper-trace", float(np.abs(lhs_e - rhs_e).max()), tol, points))
+        "ym-helper-trace", trace, tol, points))
     return reports
 
 
@@ -461,19 +486,27 @@ def _commutator_residuals(rh_endo: np.ndarray, J: np.ndarray,
     and nabla_{z_a} T (P, m, m, n, n).  One i at a time, in the layout
     [p, j, a, k, u]: R_H J_a against the J_a side by side (read through a
     transposed view), J_a R_H against them stacked, and each sum over b
-    one matmul per point."""
+    one matmul per point.  The commutator is dropped for an exact-zero R_H,
+    the covariant form for an exact-zero nabla T and the kappa form for
+    kappa 0, where their other factors are finite."""
     P, m, n = J.shape[:3]
-    rh_endo = np.ascontiguousarray(rh_endo)
+    shape = (P, n, m, n, n)
+    with_rh = not (exact_zero(rh_endo) and _finite(J))
+    with_nt = not (exact_zero(nt_v) and _finite(J, t_comp))
+    with_kappa = kappa is not None and not (kappa == 0 and _finite(J))
     beside = J.transpose(0, 2, 1, 3).reshape(P, 1, n, m * n)  # [p, k, (a, u)]
     stacked = J.reshape(P, 1, m * n, n)                       # [p, (a, k), u]
     J_b = J.reshape(P, m, n * n)
 
     def rows(x, *axes):             # the left factors [i, p, rows, b]
         return np.ascontiguousarray(x.transpose(*axes)).reshape(n, P, -1, m)
-    # sum_b T^b_{ij} (nabla_b J)_a + sum_b (nabla_a T)^b_{ij} J_b
-    t_rows, nt_rows = rows(t_comp, 2, 0, 3, 1), rows(nt_v, 3, 0, 4, 1, 2)
-    dJ = nt_v.transpose(0, 1, 2, 4, 3).reshape(P, m, -1)
-    if kappa is not None:
+    if with_rh:
+        rh_endo = np.ascontiguousarray(rh_endo)
+    if with_nt:
+        # sum_b T^b_{ij} (nabla_b J)_a + sum_b (nabla_a T)^b_{ij} J_b
+        t_rows, nt_rows = rows(t_comp, 2, 0, 3, 1), rows(nt_v, 3, 0, 4, 1, 2)
+        dJ = nt_v.transpose(0, 1, 2, 4, 3).reshape(P, m, -1)
+    if with_kappa:
         # sum_{b != a} (J_b)_{ji} J_a J_b - (J_a J_b)_{ji} J_b
         pairs = J[:, :, None] @ J[:, None, :]      # J_a J_b, (P, m, m, n, n)
         pairs[:, np.arange(m), np.arange(m)] = 0.0            # only b != a
@@ -481,18 +514,29 @@ def _commutator_residuals(rh_endo: np.ndarray, J: np.ndarray,
         pairs_ba = pairs.transpose(0, 2, 1, 3, 4).reshape(P, m, -1)
     worst_cov = worst_kappa = 0.0
     for i in range(n):
-        M = rh_endo[:, i]                                   # [p, j, k, u]
-        comm = (stacked @ M).reshape(P, n, m, n, n)
-        right = (M @ beside).reshape(P, n, n, m, n).transpose(0, 1, 3, 2, 4)
-        np.subtract(right, comm, out=comm)                  # [p, j, a, k, u]
-        cov = (t_rows[i] @ dJ).reshape(comm.shape)
-        cov += (nt_rows[i] @ J_b).reshape(comm.shape)
-        cov -= comm
-        worst_cov = max(worst_cov, float(np.abs(cov, out=cov).max()))
-        if kappa is not None:
-            kap = (j_rows[i] @ pairs_ba).reshape(comm.shape)
-            kap -= (pair_rows[i] @ J_b).reshape(comm.shape)
+        comm = cov = kap = None
+        if with_rh:
+            M = rh_endo[:, i]                               # [p, j, k, u]
+            comm = (stacked @ M).reshape(shape)
+            right = (M @ beside).reshape(P, n, n, m, n).swapaxes(2, 3)
+            np.subtract(right, comm, out=comm)              # [p, j, a, k, u]
+        if with_nt:
+            cov = (t_rows[i] @ dJ).reshape(shape)
+            cov += (nt_rows[i] @ J_b).reshape(shape)
+        if with_kappa:
+            kap = (j_rows[i] @ pairs_ba).reshape(shape)
+            kap -= (pair_rows[i] @ J_b).reshape(shape)
             kap *= kappa
-            kap -= comm
-            worst_kappa = max(worst_kappa, float(np.abs(kap, out=kap).max()))
+        worst_cov = _worst(worst_cov, _residual(cov, comm))
+        if kappa is not None:
+            worst_kappa = _worst(worst_kappa, _residual(kap, comm))
     return worst_cov, worst_kappa
+
+
+def _residual(terms: np.ndarray | None, comm: np.ndarray | None) -> float:
+    """max |terms - comm|, either of them None where it is dropped."""
+    if terms is None:
+        return 0.0 if comm is None else float(np.abs(comm).max())
+    if comm is not None:
+        terms -= comm
+    return float(np.abs(terms, out=terms).max())

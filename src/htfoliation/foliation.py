@@ -87,16 +87,21 @@ one table per point chunk.
 Every formula is pointwise, so every kept entry is built over consecutive
 chunks of at most POINT_CHUNK points (FrameBatch.chunks): each chunk runs
 the formulas on a view batch and adds its components into its slice of the
-one kept zero array, so a build's transient scales with the chunk, not with
-the sample, and a block that is exactly zero is never written.
+kept array, so a build's transient scales with the chunk, not with the
+sample, and a block that is exactly zero is never written.  The kept array
+is allocated at the first write; an entry that no chunk writes (nabla T and
+R on a group) is kept as a read-only zero with every stride 0, which holds
+one element, and so is every view that the readers take of it.
+``exact_zero`` recognises those, so that the checks drop the terms they
+are a factor of.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import NamedTuple, Sequence
+from functools import cached_property, partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -518,8 +523,8 @@ class FoliationModel:
     #
     # Each takes one block string per slot ("hv" for every frame index,
     # "v" for the vertical ones only) and returns the frame components over
-    # the frame vectors of those blocks, (P, F1, F2, F3, n+m) (see
-    # FrameBatch.assemble), added into ``out`` when it is given.  The
+    # the frame vectors of those blocks, (P, F1, F2, F3, n+m), or adds them
+    # into the array that ``out()`` returns (see FrameBatch.assemble).  The
     # formula runs on slots (Slot), once per block triple.  It reads the
     # frame fields and the two-index entries as jets truncated to values
     # (keep 0), so it computes no derivative that it does not use.  The
@@ -527,7 +532,7 @@ class FoliationModel:
     # (PairBuild).
 
     def nabla_t_entry(self, fb: "FrameBatch", d, a, b,
-                      out: np.ndarray | None = None) -> np.ndarray:
+                      out: Callable | None = None) -> np.ndarray | None:
         """(nabla_{E_d} T)(E_a, E_b), vertical-valued."""
         E, build = fb.fields(keep=0), PairBuild(fb, (d, a, b))
         C = build.pairs(self.bott_entry, (0, 1), (0, 2))
@@ -538,7 +543,7 @@ class FoliationModel:
             - self.torsion_transform(E(a), C(d, b))), out)
 
     def curvature_entry(self, fb: "FrameBatch", a, b, c,
-                        out: np.ndarray | None = None) -> np.ndarray:
+                        out: Callable | None = None) -> np.ndarray | None:
         """R(E_a, E_b) E_c with R(U, V) = [nabla_U, nabla_V] - nabla_{[U,V]}."""
         E, build = fb.fields(keep=0), PairBuild(fb, (a, b, c))
         C = build.pairs(self.bott_entry, (1, 2), (0, 2))
@@ -549,8 +554,8 @@ class FoliationModel:
             - self.bott_split(S(a, b), E(c))), out)
 
     def lc_curvature_entry(self, fb: "FrameBatch", eps_rel: float,
-                           a, b, c, out: np.ndarray | None = None
-                           ) -> np.ndarray:
+                           a, b, c, out: Callable | None = None
+                           ) -> np.ndarray | None:
         """Curvature of the Levi-Civita connection of g_H + (1/eps_rel) g_V."""
         E, build = fb.fields(keep=0), PairBuild(fb, (a, b, c))
         L = build.pairs(lambda D, ka, kb: self.lc_entry(D, eps_rel, ka, kb),
@@ -713,7 +718,9 @@ class FrameBatch:
     def eval_entry(self, name: str, key: tuple, builder,
                    antisym: tuple[int, int] | None = None) -> np.ndarray:
         """Point values ``builder(*key)`` over this batch, built lazily and
-        stored read-only, since readers take views of them.
+        stored read-only, since readers take views of them; a builder may
+        return a zero-strided zero (``zeros``), whose views ``exact_zero``
+        recognises.
 
         ``antisym`` names two key positions in which the table is known to be
         antisymmetric; keys are then canonicalized, so the builder is called
@@ -819,21 +826,24 @@ class FrameBatch:
         return E
 
     def zeros(self, blocks) -> np.ndarray:
-        """A zero array of frame components over one block string per key
-        axis (see ``assemble``), (P, F1, ..., F), its sizes read off the
-        frame and the metric-lowered frame."""
+        """The zero of frame components over one block string per key axis
+        (see ``assemble``), (P, F1, ..., F), its sizes read off the frame and
+        the metric-lowered frame: a read-only broadcast of one 0.0, every
+        stride 0 (``exact_zero``), which ``copy()`` makes dense."""
         size = self._sizes
-        return np.zeros((len(self.points),
-                         *(sum(size[k] for k in s) for s in blocks),
-                         self._metric_frame.shape[-1]))
+        return np.broadcast_to(np.zeros((), self.points.dtype), (
+            len(self.points), *(sum(size[k] for k in s) for s in blocks),
+            self._metric_frame.shape[-1]))
 
     def assemble(self, blocks, formula,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 out: Callable | None = None) -> np.ndarray | None:
         """Frame components of ``formula(*slots) -> Split`` over one block
         string per key axis ("h", "v" or "hv": the frame fields of those
-        blocks, x_i for "h" and z_a for "v", horizontals first), added into
-        ``out`` (a new ``zeros`` array when None) and returned, the last
-        axis holding the n+m frame components of the value.
+        blocks, x_i for "h" and z_a for "v", horizontals first), the last
+        axis holding the n+m frame components of the value: added into the
+        array that ``out()`` returns, called at the first write only, and
+        returned (None when nothing is written); without ``out``, into a new
+        dense zero array.
 
         The formula runs once per combination of the blocks, on one Slot per
         axis, so that every Split part is a pure block and whole blocks of
@@ -843,8 +853,7 @@ class FrameBatch:
         measured (``components``)."""
         P, N = self.points.shape
         size = self._sizes
-        if out is None:
-            out = self.zeros(blocks)
+        target = None if out else self.zeros(blocks).copy()
         for kinds in itertools.product(*blocks):
             res = formula(*(Slot(k, axis, len(blocks))
                             for axis, k in enumerate(kinds)))
@@ -857,9 +866,11 @@ class FrameBatch:
             for s, k in zip(blocks, kinds):
                 start = sum(size[b] for b in s[:s.index(k)])
                 at.append(slice(start, start + size[k]))
-            out[tuple(at)] += self.components(
+            if target is None:
+                target = out()
+            target[tuple(at)] += self.components(
                 np.moveaxis(np.broadcast_to(value, lead + (P, N)), -2, 0))
-        return out
+        return target
 
 
 class Slot(NamedTuple):
@@ -1022,16 +1033,31 @@ def _place(field: PointField, *slots: Slot) -> PointField:
 
 
 def _chunked(fb: FrameBatch, entry_fn):
-    """The builder of a kept entry for ``FrameBatch.eval_entry``: one zero
-    array over the key's block strings, into whose slice ``out`` over each
-    chunk ``entry_fn(view, *blocks, out)`` adds the components of the chunk
-    view (``FrameBatch.chunks``)."""
+    """The builder of a kept entry for ``FrameBatch.eval_entry``: over each
+    chunk view (``FrameBatch.chunks``) ``entry_fn(view, *blocks, out)``
+    adds the components of the view into ``out()``, its slice of the kept
+    array.  That array is the zero-strided ``FrameBatch.zeros`` until a
+    chunk first writes, and a dense copy of it from then on."""
     def build(*blocks):
-        out = fb.zeros(blocks)
+        kept = fb.zeros(blocks)
+
+        def written(c: slice) -> np.ndarray:
+            nonlocal kept
+            if exact_zero(kept):
+                kept = kept.copy()
+            return kept[c]
         for c, view in fb.chunks():
-            entry_fn(view, *blocks, out[c])
-        return out
+            entry_fn(view, *blocks, partial(written, c))
+        return kept
     return build
+
+
+def exact_zero(a: np.ndarray) -> bool:
+    """Whether ``a`` is known to be 0.0 everywhere without reading it: it is
+    not empty and every stride is 0, so it holds one element, which is 0.0.
+    True for a kept entry that no chunk writes and every view of it; False
+    for a dense zero, on which a reader takes its dense route."""
+    return a.size > 0 and not any(a.strides) and bool(a.flat[0] == 0.0)
 
 
 def _contract3(fb: FrameBatch, name: str, entry_fn, d1: str, d2: str,

@@ -444,6 +444,53 @@ def test_commutator_residuals_match_their_definition(n, m, kappa):
     assert want[0] > 1.0 and (kappa is None or want[1] > 1.0)
 
 
+
+def bits(residuals):
+    return np.array(residuals, dtype=np.float64).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("n, m", [(4, 3), (8, 7)])
+@pytest.mark.parametrize("kappa", [None, 0.0, 0.7])
+def test_dropped_terms_change_no_bits(n, m, kappa):
+    # R_H and nabla T as dense zeros, as zero-strided zeros (which the check
+    # does not multiply) or random, with random finite J and torsion: a
+    # zero-strided zero gives the residuals of the dense one bit for bit,
+    # and a NaN planted in J gives NaN on both routes
+    rng = np.random.default_rng(10 * n + m)
+    P = 3
+    J, t_comp = rng.standard_normal((2, P, m, n, n))
+    shapes = ((P, n, n + m, n + m, n + m), (P, m, m, n, n))
+
+    def residuals(J, R, nt_v):
+        rh_endo = R[:, :, :n, :n, :n].transpose(0, 1, 2, 4, 3)
+        return checks._commutator_residuals(rh_endo, J, t_comp, nt_v, kappa)
+    for kinds in itertools.product(("dense", "strided", "random"), repeat=2):
+        dense, strided = [], []
+        for kind, shape in zip(kinds, shapes):
+            a = rng.standard_normal(shape) if kind == "random" \
+                else np.zeros(shape)
+            dense.append(a)
+            strided.append(np.broadcast_to(0.0, shape)
+                           if kind == "strided" else a)
+        assert bits(residuals(J, *strided)) == bits(residuals(J, *dense)), \
+            kinds
+        planted = J.copy()
+        planted[0, 0, 0, 1] = np.nan
+        with np.errstate(invalid="ignore"):
+            for args in (strided, dense):
+                cov, kap = residuals(planted, *args)
+                assert np.isnan(cov) and np.isnan(kap) == (kappa is not None)
+
+
+
+def test_residuals_are_combined_keeping_a_nan():
+    # the builtin max keeps its first argument against a NaN, so a check
+    # that combined its residuals with it could pass on a NaN
+    assert max(0.0, np.nan) == 0.0
+    assert np.isnan(checks._worst(0.0, np.nan, 1.0))
+    assert checks._worst(0.5, np.float64(2.0), 1.0) == 2.0
+
+
 # Each connection-dependent check on a model or a kappa that breaks it.
 BROKEN_INPUTS = {
     "yang-mills-sheared": lambda s7: [

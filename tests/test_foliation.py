@@ -1165,12 +1165,56 @@ class TestPointChunks:
             self, name, catalog_models):
         # on a two-step group with left-invariant frames the torsion is
         # parallel and the Bott connection flat, so every component is an
-        # exact 0.0 after a build over several chunks
+        # exact 0.0 after a build over several chunks; no chunk writes them,
+        # so each is kept as one 0.0 with every stride 0, and so is every
+        # view of it
         model = catalog_models[name]
         fb = model.frame_batch(sample_points(model.chart, 128, 28))
         assert 128 > fol.POINT_CHUNK
-        assert not fol.nabla_t_components(fb).any()
-        assert not curvature_components(fb).any()
+        for read in (fol.nabla_t_components, curvature_components):
+            values = read(fb)
+            assert not values.any()
+            assert fol.exact_zero(values), read.__name__
+            assert values.base.nbytes == values.itemsize, read.__name__
+
+    def test_sphere_nabla_t_and_curvature_stay_dense(self, s7):
+        fb = s7.frame_batch(sample_points(s7.chart, fol.POINT_CHUNK + 4, 28))
+        for read in (fol.nabla_t_components, curvature_components):
+            values = read(fb)
+            assert not fol.exact_zero(values), read.__name__
+            kept = values.base
+            assert kept.flags.c_contiguous and kept.size >= values.size, \
+                read.__name__
+
+
+class TestExactZero:
+    """``exact_zero`` recognises a zero-strided zero and every view of it,
+    in O(1), and answers False for anything else."""
+
+    zero = np.broadcast_to(0.0, (4, 3, 5, 6))
+
+    @pytest.mark.parametrize("view", [
+        lambda z: z, lambda z: z[1:3, :, 2], lambda z: z[..., ::2],
+        lambda z: z.transpose(3, 1, 0, 2), lambda z: np.moveaxis(z, 3, 1),
+        lambda z: z.reshape(12, 30)],
+        ids=["kept", "slice", "step", "transpose", "moveaxis", "reshape"])
+    def test_views_of_a_zero_strided_zero(self, view):
+        assert fol.exact_zero(view(self.zero))
+
+    @pytest.mark.parametrize("array", [
+        np.broadcast_to(2.0, (4, 3)), np.broadcast_to(np.nan, (4, 3)),
+        np.zeros((4, 3)), np.broadcast_to(0.0, (4, 0, 3))],
+        ids=["constant", "nan", "dense-zero", "empty"])
+    def test_anything_else_reads_false(self, array):
+        assert not fol.exact_zero(array)
+
+    def test_a_copying_reshape_reads_false(self):
+        # rows broadcast from one row (strides (0, 8)) cannot be flattened
+        # column-major as a view: the reshape copies them densely
+        rows = np.broadcast_to(np.zeros((1, 3)), (4, 3))
+        flat = rows.T.reshape(12)
+        assert not np.shares_memory(flat, rows)
+        assert not fol.exact_zero(flat)
 
 
 class TestSingleEvaluation:

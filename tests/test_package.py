@@ -251,6 +251,49 @@ def test_only_geometry_propagates_supports():
                            if isinstance(node, ast.FunctionDef)}
 
 
+def layout_reads(source: str, names: set[str]) -> list[str]:
+    """Where ``source`` names one of ``names`` (an attribute or a name), or
+    broadcasts a scalar zero (``broadcast_to`` of a constant 0 or of a
+    ``zeros`` call), which is how a zero-strided zero is built."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name) else None)
+        if name in names:
+            found.append(f"{node.lineno}: {name}")
+        if (isinstance(node, ast.Call) and node.args
+                and ast.unparse(node.func).endswith("broadcast_to")):
+            zero = node.args[0]
+            if (isinstance(zero, ast.Constant) and zero.value == 0) or (
+                    isinstance(zero, ast.Call)
+                    and ast.unparse(zero.func).endswith("zeros")):
+                found.append(f"{node.lineno}: zero broadcast")
+    return found
+
+
+def test_only_foliation_builds_zero_strided_entries():
+    """A kept entry that no chunk writes is a zero-strided zero, which only
+    ``foliation.py`` builds and recognises (``exact_zero``): no other
+    module reads strides or broadcasts a zero, and the checks reach no
+    array layout at all, so they test for a zero only through
+    ``exact_zero``."""
+    assert layout_reads("a = x.strides\nb = np.broadcast_to(0.0, s)\n"
+                        "c = np.broadcast_to(np.zeros(()), s)\n"
+                        "d = np.broadcast_to(g, s)\n", {"strides"}) \
+        == ["1: strides", "2: zero broadcast", "3: zero broadcast"]
+    layout = {"strides", "flat", "base", "flags", "broadcast_to",
+              "as_strided"}
+    found = {path.name: layout_reads(path.read_text(),
+                                     layout if path.name == "checks.py"
+                                     else {"strides", "as_strided"})
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "foliation.py"}
+    assert {name: f for name, f in found.items() if f} == {}
+    checks = ast.parse((PACKAGE / "checks.py").read_text())
+    assert "exact_zero" in {node.id for node in ast.walk(checks)
+                            if isinstance(node, ast.Name)}
+
+
 def test_commands_build_no_polynomial_above_degree_2(monkeypatch):
     """The model fields have degree <= 2, the CD trials are 2-jets and the
     spectra move packed exponents, so no command needs a polynomial of
