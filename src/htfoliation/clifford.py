@@ -72,6 +72,10 @@ class CliffordRepresentation:
 # ---------------------------------------------------------------------------
 # construction of irreducible modules
 
+#: the most generators built; a group model holds at most 7, since it
+#: needs d(m) + m <= 16 ambient coordinates
+MAX_M = 8
+
 _IOTA = np.array([[0.0, -1.0], [1.0, 0.0]])      # rotation by pi/2, iota^2 = -I
 _TAU = np.array([[1.0, 0.0], [0.0, -1.0]])       # reflection, tau^2 = I
 
@@ -112,27 +116,18 @@ def _octonion_left_matrices() -> np.ndarray:
 
 
 def _irreducible_generators(m: int) -> np.ndarray:
-    """One irreducible m-generator system on R^{d(m)}; for m = 3 mod 4 the
-    volume element J_1 ... J_m is normalized to +Identity."""
+    """One irreducible m-generator system on R^{d(m)}, 1 <= m <= MAX_M; for
+    m = 3 mod 4 the volume element J_1 ... J_m is normalized to +Identity."""
     if m == 1:
         gens = _IOTA[None, :, :].copy()
     elif m <= 3:
         gens = _quaternion_right_matrices()[:m].copy()
     elif m <= 7:
         gens = _octonion_left_matrices()[:m].copy()
-    elif m == 8:
+    else:
         oct7 = _octonion_left_matrices()
         gens = np.stack([np.kron(oct7[i], _TAU) for i in range(7)]
                         + [np.kron(np.eye(8), _IOTA)])
-    else:
-        inner = _irreducible_generators(m - 8)
-        eight = _irreducible_generators(8)
-        omega = np.eye(16)
-        for g in eight:
-            omega = omega @ g
-        d = inner.shape[1]
-        gens = np.stack([np.kron(g, omega) for g in inner]
-                        + [np.kron(np.eye(d), g) for g in eight])
     if m % 4 == 3:
         vol = np.eye(gens.shape[1])
         for g in gens:
@@ -151,8 +146,8 @@ def build_representation(m: int, multiplicity: int = 1,
     apart by the sign of the volume element J_1 ... J_m); it is ignored
     otherwise.  Default pattern is all +1.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if not 1 <= m <= MAX_M:
+        raise ValueError(f"m must be in 1..{MAX_M}")
     if multiplicity < 1:
         raise ValueError("multiplicity must be >= 1")
     if chirality_pattern is None:

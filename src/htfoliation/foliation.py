@@ -72,17 +72,18 @@ symbolic compositions up to rounding.
 Every two-index entry is read off the derivative table D(a, b) =
 D_{E_a} E_b (Derivatives) as signed transposes of the projections V = pi_V F
 and H = pi_H F of its block group's field F: D(k, k) for hh and vv, the
-bracket G = D(h, v) - D(v, h)^T for hv.  Each is formed once, when first
-read.  The frame fields carry the coordinate supports of their blocks
-(PointField.support, read off each chunk's jets once), which the jet
-arithmetic propagates: a block of D, a projection or a formula product
-whose factors cannot meet is None without running (on a group every
-block of D but hh, and every product of nabla T and R past the table),
-as is a part that is exactly zero, so no formula term runs on it.  A
-sphere's blocks are full and carry no support.  A three-index build (PairBuild) makes one table per block
-group when its formula first reads a two-index entry of that group, and
-builds every declared entry of the group from it; the torsion values read
-one table per point chunk.
+bracket G = D(h, v) - D(v, h)^T for hv.  Both projections of a group's F
+are formed at its first read, and F is not kept.  The frame fields carry
+the coordinate supports of their blocks (PointField.support, read off each
+chunk's jets once), which the jet arithmetic propagates: a block of D, a
+projection or a formula product whose factors cannot meet is None without
+running (on a group every block of D but hh, and every product of nabla T
+and R past the table), so no formula term runs on it.  No jet is scanned
+for zero: a part that cancels to 0.0 is carried as a dense zero.  A
+sphere's blocks are full and carry no support.  A three-index build over
+one chunk makes one table, and forms each two-index entry from it once per
+block pair, when its formula first reads that pair (_pairs); the torsion
+values read one table per point chunk.
 
 Every formula is pointwise, so every kept entry is built over consecutive
 chunks of at most POINT_CHUNK points (FrameBatch.chunks): each chunk runs
@@ -145,16 +146,17 @@ def point_chunks(count: int) -> list[slice]:
 class Split:
     """A vector field kept as (horizontal part, vertical part).
 
-    Either part may be None (meaning zero).  Keeping fields split avoids
-    re-projecting pure fields, which would inflate polynomial degrees.  The
-    parts are PolyFields, or PointFields of one point batch.
+    Either part may be None (meaning zero); a part is kept as given, and
+    never scanned for zero.  Keeping fields split avoids re-projecting pure
+    fields, which would inflate polynomial degrees.  The parts are
+    PolyFields, or PointFields of one point batch.
     """
 
     __slots__ = ("h", "v")
 
     def __init__(self, h=None, v=None):
-        self.h = None if (h is not None and h.is_zero()) else h
-        self.v = None if (v is not None and v.is_zero()) else v
+        self.h = h
+        self.v = v
 
     def total(self, n_vars: int) -> PolyField:
         if self.h is None and self.v is None:
@@ -331,12 +333,12 @@ class FoliationModel:
     def pi_v(self, F):
         """The vertical part, along the stored vertical fields; on a jet, one
         pointwise projector matrix with its 1-jet (``FieldsAt``), and None
-        (no part) for a jet that is None or exactly zero, or whose
-        projection cannot be nonzero (see PointField)."""
+        (no part) for a jet that is None, or whose projection cannot be
+        nonzero (see PointField)."""
         if F is None:
             return None
         if isinstance(F, PointField):
-            return None if F.is_zero() else F.apply_matrix(*F.at.pi_v)
+            return F.apply_matrix(*F.at.pi_v)
         return vertical_part(F, *self._symbolic_fields[:2])
 
     def pi_h(self, F):
@@ -346,7 +348,7 @@ class FoliationModel:
         if F is None:
             return None
         if isinstance(F, PointField):
-            return None if F.is_zero() else F.apply_matrix(*F.at.pi_h)
+            return F.apply_matrix(*F.at.pi_h)
         vertical, coframe, position = self._symbolic_fields
         return horizontal_part(F, vertical, coframe,
                                position if self.backend == SPHERE else None)
@@ -528,15 +530,14 @@ class FoliationModel:
     # formula runs on slots (Slot), once per block triple.  It reads the
     # frame fields and the two-index entries as jets truncated to values
     # (keep 0), so it computes no derivative that it does not use.  The
-    # two-index entries are declared with the key slots they are read at
-    # (PairBuild).
+    # two-index entries are formed from one derivative table per build, each
+    # block pair at its first read (_pairs).
 
     def nabla_t_entry(self, fb: "FrameBatch", d, a, b,
                       out: Callable | None = None) -> np.ndarray | None:
         """(nabla_{E_d} T)(E_a, E_b), vertical-valued."""
-        E, build = fb.fields(keep=0), PairBuild(fb, (d, a, b))
-        C = build.pairs(self.bott_entry, (0, 1), (0, 2))
-        T = build.pairs(self.torsion_entry, (1, 2))
+        E, D = fb.fields(keep=0), Derivatives(fb, 1)
+        C, T = _pairs(D, self.bott_entry), _pairs(D, self.torsion_entry)
         return fb.assemble((d, a, b), lambda d, a, b: (
             self.bott_split(E(d), T(a, b))
             - self.torsion_transform(C(d, a), E(b))
@@ -545,9 +546,8 @@ class FoliationModel:
     def curvature_entry(self, fb: "FrameBatch", a, b, c,
                         out: Callable | None = None) -> np.ndarray | None:
         """R(E_a, E_b) E_c with R(U, V) = [nabla_U, nabla_V] - nabla_{[U,V]}."""
-        E, build = fb.fields(keep=0), PairBuild(fb, (a, b, c))
-        C = build.pairs(self.bott_entry, (1, 2), (0, 2))
-        S = build.pairs(self.bracket_entry, (0, 1))
+        E, D = fb.fields(keep=0), Derivatives(fb, 1)
+        C, S = _pairs(D, self.bott_entry), _pairs(D, self.bracket_entry)
         return fb.assemble((a, b, c), lambda a, b, c: (
             self.bott_split(E(a), C(b, c))
             - self.bott_split(E(b), C(a, c))
@@ -557,10 +557,9 @@ class FoliationModel:
                            a, b, c, out: Callable | None = None
                            ) -> np.ndarray | None:
         """Curvature of the Levi-Civita connection of g_H + (1/eps_rel) g_V."""
-        E, build = fb.fields(keep=0), PairBuild(fb, (a, b, c))
-        L = build.pairs(lambda D, ka, kb: self.lc_entry(D, eps_rel, ka, kb),
-                        (1, 2), (0, 2))
-        S = build.pairs(self.bracket_entry, (0, 1))
+        E, D = fb.fields(keep=0), Derivatives(fb, 1)
+        L = _pairs(D, lambda D, ka, kb: self.lc_entry(D, eps_rel, ka, kb))
+        S = _pairs(D, self.bracket_entry)
         return fb.assemble((a, b, c), lambda a, b, c: (
             self.lc_variation_split(E(a), L(b, c), eps_rel)
             - self.lc_variation_split(E(b), L(a, c), eps_rel)
@@ -900,18 +899,14 @@ class Derivatives:
     laid out by (a, b) of order 1 (values only with ``keep=0``), or None
     where its factors cannot meet (on a group every block but hh; see
     PointField).  The entries read the projections of the block groups'
-    fields (``part``).
+    fields (``part``).  One table serves a three-index build over one chunk,
+    or a two-index one, and is freed when that build returns.
     """
 
     def __init__(self, fb: FrameBatch, keep: int):
         self.E = fb.fields(keep)
         self._fb = fb
-        self._jets: dict[tuple[str, str], PointField | None] = {}
-
-    def _cached(self, key: tuple[str, str], make) -> PointField | None:
-        if key not in self._jets:
-            self._jets[key] = make()
-        return self._jets[key]
+        self._parts: dict[tuple[str, str], PointField | None] = {}
 
     def __call__(self, ka: str, kb: str) -> PointField | None:
         a, b = _pair(ka, kb)
@@ -920,62 +915,36 @@ class Derivatives:
 
     def part(self, kind: str, ka: str, kb: str) -> PointField | None:
         """pi_V (``kind`` "v") or pi_H ("h") of the group field F, laid out
-        by (a, b), or None where it is exactly zero."""
-        if (ka, kb) == ("v", "h"):       # [E_v, E_h] = -[E_h, E_v]^T
-            return self._cached((kind, "vh"), lambda: _neg(
-                _swap(self.part(kind, "h", "v"))))
-        group, model = ka + kb, self._fb.model
-        project = model.pi_v if kind == "v" else model.pi_h
-        return self._cached((kind, group),
-                            lambda: _nonzero(project(self._field(group))))
-
-    def _field(self, group: str) -> PointField | None:
-        def make():
-            if group == "hv":
-                return _minus(self("h", "v"), _swap(self("v", "h")))
-            return self(*group)
-        return self._cached(("field", group), make)
+        by (a, b), or None where the supports rule it out.  Both projections
+        of F are formed at the group's first read, and F is not kept."""
+        key = kind, ka + kb
+        if key not in self._parts:
+            if (ka, kb) == ("v", "h"):       # [E_v, E_h] = -[E_h, E_v]^T
+                self._parts[key] = _neg(_swap(self.part(kind, "h", "v")))
+            else:
+                F = (_minus(self("h", "v"), _swap(self("v", "h")))
+                     if (ka, kb) == ("h", "v") else self(ka, kb))
+                model = self._fb.model
+                self._parts["h", ka + kb] = model.pi_h(F)
+                self._parts["v", ka + kb] = model.pi_v(F)
+        return self._parts[key]
 
 
-class PairBuild:
-    """One three-index build over one block string per key axis: the
-    two-index entries that its formula reads, and their derivative tables.
+def _pairs(D: Derivatives, entry) -> Callable[[Slot, Slot], Split]:
+    """``S(a, b)`` for two Slots: ``entry(D, ka, kb) -> Split`` over their
+    whole blocks, formed once per block pair at its first read, truncated
+    to values (keep 0) and placed along their axes as a view."""
+    built: dict[tuple[str, str], list] = {}
 
-    ``pairs`` declares an entry with the key slot pairs it is read at, and
-    returns ``S(a, b)`` for two Slots, a placed view of the entry over their
-    whole blocks, kept as jets truncated to values (keep 0).  The block
-    pairs of the declared entries fall into three groups, {h, h}, {h, v} and
-    {v, v}.  When the formula first reads a pair of a group, every declared
-    entry of the group is built from one derivative table."""
-
-    def __init__(self, fb: FrameBatch, blocks):
-        self._fb = fb
-        self._kinds = blocks
-        self._groups: dict[str, list] = {}
-
-    def pairs(self, entry, *slots):
-        """``entry(D, ka, kb) -> Split``, read at the key slot pairs
-        ``slots`` of the build."""
-        built: dict[tuple[str, str], list] = {}
-        for ka, kb in sorted({(x, y) for i, j in slots
-                              for x in self._kinds[i]
-                              for y in self._kinds[j]}):
-            self._groups.setdefault(_group(ka, kb), []).append(
-                (entry, built, ka, kb))
-
-        def S(a: Slot, b: Slot) -> Split:
-            if (a.block, b.block) not in built:
-                self._build(_group(a.block, b.block))
-            return Split(*(None if f is None else _place(f, a, b)
-                           for f in built[a.block, b.block]))
-        return S
-
-    def _build(self, group: str) -> None:
-        D = Derivatives(self._fb, 1)
-        for entry, built, ka, kb in self._groups.pop(group):
-            res = entry(D, ka, kb)
-            built[ka, kb] = [None if f is None else f.truncated(0)
-                             for f in (res.h, res.v)]
+    def S(a: Slot, b: Slot) -> Split:
+        key = a.block, b.block
+        if key not in built:
+            res = entry(D, *key)
+            built[key] = [None if f is None else f.truncated(0)
+                          for f in (res.h, res.v)]
+        return Split(*(None if f is None else _place(f, a, b)
+                       for f in built[key]))
+    return S
 
 
 def _plus(F, G):
@@ -1001,18 +970,9 @@ def _swap(F: PointField | None) -> PointField | None:
     return None if F is None else F._map(lambda part: part.swapaxes(0, 1))
 
 
-def _nonzero(F: PointField | None) -> PointField | None:
-    return None if F is None or F.is_zero() else F
-
-
 def _pair(ka: str, kb: str) -> tuple[Slot, Slot]:
     """The slots of a two-index entry over the blocks ka and kb."""
     return Slot(ka, 0, 2), Slot(kb, 1, 2)
-
-
-def _group(ka: str, kb: str) -> str:
-    """The block group of a block pair: "hh", "hv" or "vv"."""
-    return "".join(sorted(ka + kb))
 
 
 def _place(field: PointField, *slots: Slot) -> PointField:

@@ -801,12 +801,6 @@ class PointField:
                 out = term
         return value, out
 
-    def is_zero(self) -> bool:
-        for part in (self.value, self.jacobian, self.hessian):
-            if isinstance(part, np.ndarray) and part.any():
-                return False
-        return True
-
     def __repr__(self):
         return f"PointField({self.value.shape}, order {self.order})"
 

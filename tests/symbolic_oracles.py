@@ -46,6 +46,13 @@ def from_terms(n_vars: int, terms: dict[tuple[int, ...], float]
                                                dtype=np.float64)))
 
 
+def jet_is_zero(F: PointField) -> bool:
+    """Whether every stored part of a jet is 0.0 everywhere, by a scan of
+    its arrays (a part held as the scalar 0.0 is)."""
+    return not any(isinstance(part, np.ndarray) and part.any()
+                   for part in (F.value, F.jacobian, F.hessian))
+
+
 def euclidean_gradient(f: Polynomial) -> PolyField:
     return PolyField([f.partial(i) for i in range(f.n_vars)])
 

@@ -180,6 +180,8 @@ class TestRepresentations:
             cl.build_representation(0)
         with pytest.raises(ValueError):
             cl.build_representation(3, 2, [1])
+        with pytest.raises(ValueError, match=r"1\.\.8"):
+            cl.build_representation(9)
 
     def test_json_round_trip_and_rejection(self):
         rep = cl.build_representation(3)

@@ -19,8 +19,8 @@ from htfoliation.foliation import (Split, curvature_components,
 from htfoliation.geometry import (MonomialCache, PointField, Polynomial,
                                   PolyField, bracket, field_jets,
                                   sample_points)
-from symbolic_oracles import (from_terms, metric_poly, order2_jet,
-                              span_split, symbolic_curvature,
+from symbolic_oracles import (from_terms, jet_is_zero, metric_poly,
+                              order2_jet, span_split, symbolic_curvature,
                               symbolic_lc_curvature, symbolic_nabla_t,
                               symbolic_tables)
 from test_checks import sheared_heisenberg, tilted_heisenberg_quat
@@ -526,11 +526,11 @@ def lc_builder(model, eps_rel, D, ka, kb):
 
 
 class TestDerivativeTable:
-    """The two-index entries of one three-index build are read off one
-    derivative table D(a, b) = D_{E_a} E_b per block group, which builds
-    each block pair once and is freed by scope: no table is alive after the
-    build returns, and no live table holds a block while a formula runs.
-    Its zero blocks are found by value."""
+    """The two-index entries of a three-index build over one chunk are read
+    off one derivative table D(a, b) = D_{E_a} E_b, which builds each block
+    pair once and is freed when the build returns; each entry is formed
+    once per block pair, when the formula first reads that pair.  Its zero
+    blocks are found by value."""
 
     @pytest.mark.parametrize("name", ["quaternionic-hopf-s7",
                                       "heisenberg-quat"])
@@ -561,19 +561,22 @@ class TestDerivativeTable:
         else:
             getattr(model, f"{entry}_entry")(fb, *every)
         assert 0 < len(counted) <= 4, counted
-        assert 0 < len(tables) <= 3
-        assert all(table() is None for table in tables)
+        assert len(tables) == 1
+        assert tables[0]() is None
 
     @pytest.mark.parametrize("name", ["quaternionic-hopf-s7",
                                       "tilted-heisenberg-quat"])
-    def test_no_table_holds_a_block_while_a_formula_runs(
-            self, name, catalog_models, monkeypatch):
+    def test_one_table_per_chunk_build(self, name, catalog_models,
+                                       monkeypatch):
+        # each chunk of each three-index entry makes one table, the only one
+        # alive while its formula runs, and freed when the chunk returns
         if name == "tilted-heisenberg-quat":
             model = tilted_heisenberg_quat()
         else:
             model = catalog_models[name]
-        fb = model.frame_batch(sample_points(model.chart, 3, 19))
-        tables, live = [], []
+        fb = model.frame_batch(sample_points(model.chart,
+                                             fol.POINT_CHUNK + 3, 19))
+        tables, alive = [], set()
 
         class Recorded(fol.Derivatives):
             def __init__(self, *args, **kwargs):
@@ -583,21 +586,62 @@ class TestDerivativeTable:
 
         def watched(self, blocks, formula, out=None):
             def run(*slots):
-                res = formula(*slots)
-                alive = [t for t in (table() for table in tables)
-                         if t is not None]
-                if any(F is not None for t in alive
-                       for F in t._jets.values()):
-                    live.append(slots)
-                return res
+                alive.add(sum(table() is not None for table in tables))
+                return formula(*slots)
             return assemble(self, blocks, run, out)
         monkeypatch.setattr(fol, "Derivatives", Recorded)
         monkeypatch.setattr(fol.FrameBatch, "assemble", watched)
-        fol.nabla_t_components(fb)
-        fol.curvature_components(fb)
-        fol.lc_curvature_components(fb, 0.25)
-        assert tables and live == []
+        made = []
+        for read in (fol.nabla_t_components, curvature_components,
+                     lambda fb: fol.lc_curvature_components(fb, 0.25)):
+            before = len(tables)
+            read(fb)
+            made.append(len(tables) - before)
+        assert made == [2, 2, 2]
+        assert alive == {1}
         assert all(table() is None for table in tables)
+
+    @pytest.mark.parametrize("name", ["quaternionic-hopf-s7",
+                                      "tilted-heisenberg-quat"])
+    @pytest.mark.parametrize("entry", ["nabla_t", "curvature",
+                                       "lc_curvature"])
+    def test_entries_built_at_first_read(self, name, entry, catalog_models,
+                                         monkeypatch):
+        # every builder call is made by the first read of its block pair,
+        # and no pair is built twice or without being read
+        if name == "tilted-heisenberg-quat":
+            model = tilted_heisenberg_quat()
+        else:
+            model = catalog_models[name]
+        fb = model.frame_batch(sample_points(model.chart, 3, 21))
+        pairs, log, made = fol._pairs, [], []
+
+        def recorded(D, entry_fn):
+            tag = len(made)
+            made.append(tag)
+
+            def build(D, ka, kb):
+                log.append(("build", tag, ka, kb))
+                return entry_fn(D, ka, kb)
+            S = pairs(D, build)
+
+            def read(a, b):
+                log.append(("read", tag, a.block, b.block))
+                return S(a, b)
+            return read
+        monkeypatch.setattr(fol, "_pairs", recorded)
+        every = ("hv",) * 3
+        if entry == "lc_curvature":
+            model.lc_curvature_entry(fb, 0.25, *every)
+        else:
+            getattr(model, f"{entry}_entry")(fb, *every)
+        reads = {e[1:] for e in log if e[0] == "read"}
+        builds = [e[1:] for e in log if e[0] == "build"]
+        assert len(made) == 2 and len(builds) == len(reads) > 0
+        for k, event in enumerate(log):
+            if event[0] == "build":
+                first_read = log.index(("read",) + event[1:])
+                assert first_read == k - 1, (event, log[:k])
 
     def test_zero_blocks_are_decided_by_value(self, heis_quat):
         # Z_a = d/dz_a and no spanning field depends on z, so every block
@@ -756,7 +800,9 @@ class TestProjectedTable:
         # on the groups nabla T and R vanish, and every product whose
         # factors cannot meet is None without running; on the sphere every
         # block is full, and as many products run as without supports (67
-        # derivatives and 49 matrix products at 3 points)
+        # derivatives and 50 matrix products at 3 points, the pi_H of the
+        # vv field among them: a table forms both projections of a block
+        # group's field at once)
         model = catalog_models[name]
         fb = model.frame_batch(sample_points(model.chart, 3, 12))
         ran, zero = [], []
@@ -767,7 +813,7 @@ class TestProjectedTable:
                 out = _raw(self, *args)
                 if out is not None:
                     ran.append(_name)
-                    if out.is_zero():
+                    if jet_is_zero(out):
                         zero.append(_name)
                 return out
             monkeypatch.setattr(PointField, method, counted)
@@ -775,7 +821,7 @@ class TestProjectedTable:
         model.curvature_entry(fb, *("hv",) * 3)
         assert zero == []
         if model.backend == "sphere":
-            assert (ran.count("along"), ran.count("apply_matrix")) == (67, 49)
+            assert (ran.count("along"), ran.count("apply_matrix")) == (67, 50)
 
 
 class TestSpanPartials:
@@ -1185,6 +1231,21 @@ class TestPointChunks:
             kept = values.base
             assert kept.flags.c_contiguous and kept.size >= values.size, \
                 read.__name__
+
+    @pytest.mark.parametrize("name", ["complex-hopf-s3", "complex-hopf-s5"])
+    def test_circle_fibre_cancellations_are_carried(self, name,
+                                                    catalog_models):
+        # with one vertical field the bracket [z, z] and the vvv triples of
+        # R and R^ghat cancel to exactly 0.0; no jet is scanned for zero, so
+        # they are written as dense zeros into kept arrays that stay dense
+        model = catalog_models[name]
+        fb = model.frame_batch(sample_points(model.chart,
+                                             fol.POINT_CHUNK + 4, 29))
+        for vvv in (curvature_components(fb, "v", "v", "v"),
+                    fol.lc_curvature_components(fb, 0.25, "v", "v")):
+            assert vvv.shape[1:4] == (1, 1, 1)
+            assert np.all(vvv == 0.0)
+            assert not fol.exact_zero(vvv)
 
 
 class TestExactZero:

@@ -251,6 +251,27 @@ def test_only_geometry_propagates_supports():
                            if isinstance(node, ast.FunctionDef)}
 
 
+def test_no_jet_is_scanned_for_zero():
+    """The supports decide which jets are None; no jet is scanned for zero
+    (PointField has no ``is_zero``, and ``foliation.py`` calls no
+    ``.is_zero()``), and no block-group build (``PairBuild``) stands
+    between a three-index formula and its derivative table."""
+    geometry_tree = ast.parse((PACKAGE / "geometry.py").read_text())
+    point_field = next(node for node in geometry_tree.body
+                       if isinstance(node, ast.ClassDef)
+                       and node.name == "PointField")
+    assert "is_zero" not in {node.name for node in point_field.body
+                             if isinstance(node, ast.FunctionDef)}
+    foliation = ast.parse((PACKAGE / "foliation.py").read_text())
+    calls = [node.lineno for node in ast.walk(foliation)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "is_zero"]
+    assert calls == []
+    assert "PairBuild" not in {node.name for node in ast.walk(foliation)
+                               if isinstance(node, ast.ClassDef)}
+
+
 def layout_reads(source: str, names: set[str]) -> list[str]:
     """Where ``source`` names one of ``names`` (an attribute or a name), or
     broadcasts a scalar zero (``broadcast_to`` of a constant 0 or of a
