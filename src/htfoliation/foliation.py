@@ -72,8 +72,9 @@ symbolic compositions up to rounding.
 Every two-index entry is read off the derivative table D(a, b) =
 D_{E_a} E_b (Derivatives) as signed transposes of the projections V = pi_V F
 and H = pi_H F of its block group's field F: D(k, k) for hh and vv, the
-bracket G = D(h, v) - D(v, h)^T for hv.  Both projections of a group's F
-are formed at its first read, and F is not kept.  The frame fields carry
+bracket G = D(h, v) - D(v, h)^T for hv.  F and each of its projections
+are formed at their first read, so a projection that no entry reads is
+never formed.  The frame fields carry
 the coordinate supports of their blocks (PointField.support, read off each
 chunk's jets once), which the jet arithmetic propagates: a block of D, a
 projection or a formula product whose factors cannot meet is None without
@@ -94,7 +95,12 @@ is allocated at the first write; an entry that no chunk writes (nabla T and
 R on a group) is kept as a read-only zero with every stride 0, which holds
 one element, and so is every view that the readers take of it.
 ``exact_zero`` recognises those, so that the checks drop the terms they
-are a factor of.
+are a factor of.  Which products a chunk's formulas run is decided by its
+supports (those of its frame blocks and of pi_V and pi_H, read off once
+per batch, chunk by chunk) and by the batch's constants, so a chunk whose
+supports equal those of an earlier chunk that wrote nothing is skipped
+(_chunked): on a group nabla T and R run one chunk per batch.  A chunk
+with an unknown or non-finite support runs dense and is never skipped.
 """
 
 from __future__ import annotations
@@ -638,6 +644,18 @@ def _jet_supports(fb: "FrameBatch", starts: list[int]) -> list[dict]:
     return out
 
 
+def _support_key(supports: dict) -> bytes | None:
+    """The masks of a chunk's supports (``FrameBatch._supports``), which
+    with the batch's constants (the Hessians' presence, the constant
+    J-matrices, the block structure) decide every product that its formulas
+    run; None when one is unknown or not finite, since its products then
+    run dense."""
+    if any(s is None or not s.finite for s in supports.values()):
+        return None
+    return np.concatenate([mask for s in supports.values()
+                           for mask in s[1:]]).tobytes()
+
+
 def _pair_sum(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """sum_a U[a, p, r...] V[a, p, c...], shape (P, r..., c...), as one
     matmul per point, [p, r, a] @ [p, a, c]: the pointwise products of the
@@ -745,11 +763,11 @@ class FrameBatch:
     # -- jets ------------------------------------------------------------------
 
     @cached_property
-    def _fields_at(self) -> "FieldsAt":
-        """The model's coframe and projections at the points, from the
-        1-jets of its vertical fields and coframe: pi_V = sum_a Z_a theta^a,
-        and pi_H = I - pi_V (- p p^T on the sphere), with their supports
-        when a block of frame fields carries one."""
+    def _projections(self) -> tuple:
+        """pi_V = sum_a Z_a theta^a and pi_H = I - pi_V (- p p^T on the
+        sphere) at the points, each as matrices (P, N, N) with their 1-jet
+        (P, N, N, N), ``[p, i, k, j] = d_k A^i_j``, from the 1-jets of the
+        vertical fields and the coframe."""
         N, m = self.points.shape[1], self.z.shape[1]
         (z, t), (dz, dt) = ((part[-2 * m:-m], part[-m:]) for part in self.jets)
         pv = _pair_sum(z, t)
@@ -760,10 +778,18 @@ class FrameBatch:
             ph -= p[:, :, None] * p[:, None, :]
             dph -= (eye[None, :, :, None] * p[:, None, None, :]
                     + p[:, :, None, None] * eye[None, None])
-        tracked = any(s is not None for s in self._supports.values())
-        return FieldsAt(tuple(PointField(t[a], dt[a]) for a in range(len(t))),
-                        *((A, dA, matrix_support(A, dA) if tracked else None)
-                          for A, dA in ((pv, dpv), (ph, dph))))
+        return (pv, dpv), (ph, dph)
+
+    @cached_property
+    def _fields_at(self) -> "FieldsAt":
+        """The model's coframe at the points, from the 1-jets of its
+        coframe, and its projections there (``_projections``) with their
+        supports (``_supports``)."""
+        m, supports = self.z.shape[1], self._supports
+        t, dt = (part[-m:] for part in self.jets)
+        return FieldsAt(tuple(PointField(t[a], dt[a]) for a in range(m)),
+                        *(A + (supports[k],) for A, k in zip(
+                            self._projections, ("pi_v", "pi_h"))))
 
     @cached_property
     def _frame_hessians(self) -> tuple:
@@ -778,12 +804,27 @@ class FrameBatch:
 
     @cached_property
     def _supports(self) -> dict:
-        """``_jet_supports`` of this batch, by block."""
-        return _jet_supports(self, [0])[0]
+        """The supports of this batch's blocks of frame fields ("h", "v";
+        ``_jet_supports``) and, when a block carries one, the MatrixSupports
+        of its projections ("pi_v", "pi_h"; else None).  A chunk view
+        takes its chunk's dict (``_chunk_supports``) and adds the
+        projections' to it in place when they are missing, so that they
+        are read once per chunk, off the matrices that its first view forms
+        for its own build."""
+        supports = (self.__dict__.pop("_chunk", None)
+                    or _jet_supports(self, [0])[0])
+        if "pi_v" not in supports:
+            tracked = supports["h"] is not None or supports["v"] is not None
+            supports["pi_v"], supports["pi_h"] = (
+                (matrix_support(*A) for A in self._projections) if tracked
+                else (None, None))
+        return supports
 
     @cached_property
     def _chunk_supports(self) -> list[dict]:
-        """``_jet_supports`` of every chunk of ``chunks``, formed once."""
+        """``_supports`` of every chunk of ``chunks``, formed once per
+        batch: the blocks' for every chunk at once, the projections' by
+        the first view of each chunk that reads them."""
         return _jet_supports(self, [c.start for c in point_chunks(
             len(self.points))])
 
@@ -791,10 +832,11 @@ class FrameBatch:
         """``(c, view)`` for the consecutive point slices ``c`` of
         ``point_chunks``: a batch over ``points[c]`` whose arrays, jets and
         metric-lowered frame are this batch's, sliced along the point axis,
-        so no field is evaluated again.  Each view forms the projections
-        and the frame Hessians of its own points only (``_fields_at``,
+        so no field is evaluated again, and whose supports are its chunk's
+        (``_chunk_supports``).  Each view forms the projections and the
+        frame Hessians of its own points only (``_projections``,
         ``_frame_hessians``), so no array of those over the sample is
-        kept."""
+        kept.  Only ``_chunked`` iterates the views."""
         for c, supports in zip(point_chunks(len(self.points)),
                                self._chunk_supports):
             view = FrameBatch(self.model, self.points[c],
@@ -803,7 +845,7 @@ class FrameBatch:
                               tuple(None if f is None else (f[0][c], f[1])
                                     for f in self.hessians))
             view.__dict__["_metric_frame"] = self._metric_frame[c]
-            view.__dict__["_supports"] = supports
+            view.__dict__["_chunk"] = supports
             yield c, view
 
     def fields(self, keep: int = 2):
@@ -906,6 +948,7 @@ class Derivatives:
     def __init__(self, fb: FrameBatch, keep: int):
         self.E = fb.fields(keep)
         self._fb = fb
+        self._fields: dict[str, PointField | None] = {}
         self._parts: dict[tuple[str, str], PointField | None] = {}
 
     def __call__(self, ka: str, kb: str) -> PointField | None:
@@ -915,18 +958,24 @@ class Derivatives:
 
     def part(self, kind: str, ka: str, kb: str) -> PointField | None:
         """pi_V (``kind`` "v") or pi_H ("h") of the group field F, laid out
-        by (a, b), or None where the supports rule it out.  Both projections
-        of F are formed at the group's first read, and F is not kept."""
-        key = kind, ka + kb
+        by (a, b), or None where the supports rule it out.  F and each of
+        its projections are formed at their first read; the projections
+        are kept with the table, and F until both are formed."""
+        group = ka + kb
+        key = kind, group
         if key not in self._parts:
             if (ka, kb) == ("v", "h"):       # [E_v, E_h] = -[E_h, E_v]^T
                 self._parts[key] = _neg(_swap(self.part(kind, "h", "v")))
             else:
-                F = (_minus(self("h", "v"), _swap(self("v", "h")))
-                     if (ka, kb) == ("h", "v") else self(ka, kb))
+                if group not in self._fields:
+                    self._fields[group] = (
+                        _minus(self("h", "v"), _swap(self("v", "h")))
+                        if group == "hv" else self(ka, kb))
                 model = self._fb.model
-                self._parts["h", ka + kb] = model.pi_h(F)
-                self._parts["v", ka + kb] = model.pi_v(F)
+                project = model.pi_h if kind == "h" else model.pi_v
+                self._parts[key] = project(self._fields[group])
+                if all((k, group) in self._parts for k in "hv"):
+                    del self._fields[group]     # no projection needs F
         return self._parts[key]
 
 
@@ -997,17 +1046,27 @@ def _chunked(fb: FrameBatch, entry_fn):
     chunk view (``FrameBatch.chunks``) ``entry_fn(view, *blocks, out)``
     adds the components of the view into ``out()``, its slice of the kept
     array.  That array is the zero-strided ``FrameBatch.zeros`` until a
-    chunk first writes, and a dense copy of it from then on."""
+    chunk first writes, and a dense copy of it from then on.  A chunk whose
+    supports (``_support_key``) equal those of an earlier chunk of the
+    build that wrote nothing is skipped, since its formulas would run no
+    product that the earlier chunk did not, and write nothing either."""
     def build(*blocks):
-        kept = fb.zeros(blocks)
+        kept, silent, writes = fb.zeros(blocks), set(), []
 
         def written(c: slice) -> np.ndarray:
             nonlocal kept
+            writes.append(c)
             if exact_zero(kept):
                 kept = kept.copy()
             return kept[c]
         for c, view in fb.chunks():
+            key = _support_key(view._supports)
+            if key in silent:
+                continue
+            before = len(writes)
             entry_fn(view, *blocks, partial(written, c))
+            if len(writes) == before and key is not None:
+                silent.add(key)
         return kept
     return build
 

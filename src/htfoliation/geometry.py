@@ -561,14 +561,15 @@ def matrix_support(A: np.ndarray, dA: np.ndarray | None = None
     """The support of matrices A (..., N, N) and of their 1-jet dA
     (..., N, N, N), read off their entries (no dA: nothing in its masks)."""
     N = A.shape[-1]
-    nz = (A != 0).reshape(-1, N, N)
-    d_nz = (np.zeros((1, N, N, N), dtype=bool) if dA is None
-            else (dA != 0).reshape(-1, N, N, N))
+    # the union over the leading axes first, then the small masks
+    nz = (A != 0).reshape(-1, N, N).any(axis=0)
+    d_nz = (np.zeros((N, N, N), dtype=bool) if dA is None
+            else (dA != 0).reshape(-1, N, N, N).any(axis=0))
     finite = bool(np.isfinite(A).all() and (dA is None
                                             or np.isfinite(dA).all()))
-    return MatrixSupport(finite, nz.any(axis=(0, 2)), nz.any(axis=(0, 1)),
-                         d_nz.any(axis=(0, 2, 3)), d_nz.any(axis=(0, 1, 3)),
-                         d_nz.any(axis=(0, 1, 2)))
+    return MatrixSupport(finite, nz.any(axis=1), nz.any(axis=0),
+                         d_nz.any(axis=(1, 2)), d_nz.any(axis=(0, 2)),
+                         d_nz.any(axis=(0, 1)))
 
 
 def _meet(a: np.ndarray, b: np.ndarray) -> bool:

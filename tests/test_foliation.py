@@ -800,9 +800,9 @@ class TestProjectedTable:
         # on the groups nabla T and R vanish, and every product whose
         # factors cannot meet is None without running; on the sphere every
         # block is full, and as many products run as without supports (67
-        # derivatives and 50 matrix products at 3 points, the pi_H of the
-        # vv field among them: a table forms both projections of a block
-        # group's field at once)
+        # derivatives and 49 matrix products at 3 points: a table forms
+        # only the projections that the formulas read, so not the pi_H of
+        # the vv field)
         model = catalog_models[name]
         fb = model.frame_batch(sample_points(model.chart, 3, 12))
         ran, zero = [], []
@@ -821,7 +821,7 @@ class TestProjectedTable:
         model.curvature_entry(fb, *("hv",) * 3)
         assert zero == []
         if model.backend == "sphere":
-            assert (ran.count("along"), ran.count("apply_matrix")) == (67, 50)
+            assert (ran.count("along"), ran.count("apply_matrix")) == (67, 49)
 
 
 class TestSpanPartials:
@@ -1222,6 +1222,80 @@ class TestPointChunks:
             assert not values.any()
             assert fol.exact_zero(values), read.__name__
             assert values.base.nbytes == values.itemsize, read.__name__
+
+    @pytest.mark.parametrize("name, points", [
+        ("heisenberg", 128), ("heisenberg-quat", 128),
+        ("heisenberg-quat-mixed", 128), ("heisenberg-oct", 128),
+        ("quaternionic-hopf-s7", 2 * fol.POINT_CHUNK + 3)])
+    def test_chunks_each_build_runs(self, name, points, catalog_models,
+                                    monkeypatch):
+        # every chunk of a group has the supports of the first, which
+        # writes no nabla T and no R, so each of those builds runs one
+        # chunk; the torsion writes, so it runs them all, and so does
+        # every build on the sphere, whose blocks carry no support
+        model = catalog_models[name]
+        fb = model.frame_batch(sample_points(model.chart, points, 30))
+        chunks = len(fol.point_chunks(points))
+        assemble, entries, runs = fol.FrameBatch.assemble, [], []
+
+        def counted(self, *args, **kwargs):
+            runs.append(len(self.points))
+            return assemble(self, *args, **kwargs)
+        monkeypatch.setattr(fol.FrameBatch, "assemble", counted)
+
+        def recorded(entry):
+            raw = getattr(fol.FoliationModel, entry)
+
+            def run(self, *args):
+                entries.append(entry)
+                return raw(self, *args)
+            return run
+        for entry in ("nabla_t_entry", "curvature_entry"):
+            monkeypatch.setattr(fol.FoliationModel, entry, recorded(entry))
+        built = {}
+        for label, read in (
+                ("torsion", torsion_components),
+                ("nabla_t", fol.nabla_t_components),
+                ("curvature", curvature_components),
+                ("lc_curvature",
+                 lambda fb: fol.lc_curvature_components(fb, 0.25))):
+            runs.clear()
+            read(fb)
+            built[label] = len(runs)
+        if model.backend == "group":
+            assert chunks == 8
+            assert built == {"torsion": 8, "nabla_t": 1, "curvature": 1,
+                             "lc_curvature": 8}
+            assert entries == ["nabla_t_entry", "curvature_entry"]
+        else:
+            assert chunks == 3
+            assert built == dict.fromkeys(built, 3)
+            assert entries == ["nabla_t_entry"] * 3 + ["curvature_entry"] * 3
+
+    def test_the_skip_reads_the_masks(self, heis_quat):
+        # exact zeros planted in one coordinate of the horizontal frame
+        # fields' jets over the first chunk: a build that writes only where
+        # that coordinate is in a view's support writes nothing there, and
+        # the second chunk, finite like the first but with another mask,
+        # is still built and written
+        model = heis_quat
+        fb = model.frame_batch(sample_points(model.chart,
+                                             2 * fol.POINT_CHUNK, 31))
+        (value, jac), h = fb.jets, fb.frame_slice("h")
+        c1, c2 = fol.point_chunks(2 * fol.POINT_CHUNK)
+        value[h, c1, 0] = 0.0
+        jac[h, c1, 0, :] = 0.0
+        jac[h, c1, :, 0] = 0.0
+        ran = []
+
+        def entry(view, first, second, out):
+            ran.append(view._supports["h"].values[0])
+            if ran[-1]:
+                out()[...] = 1.0
+        kept = fol._chunked(fb, entry)("hv", "hv")
+        assert ran == [False, True]
+        assert not kept[c1].any()
+        assert (kept[c2] == 1.0).all()
 
     def test_sphere_nabla_t_and_curvature_stay_dense(self, s7):
         fb = s7.frame_batch(sample_points(s7.chart, fol.POINT_CHUNK + 4, 28))

@@ -272,6 +272,20 @@ def test_no_jet_is_scanned_for_zero():
                                if isinstance(node, ast.ClassDef)}
 
 
+def test_one_chunk_loop():
+    """Every kept entry is built through ``foliation._chunked``, which skips
+    the chunks that cannot write: nothing else in the package reaches
+    ``FrameBatch.chunks``, so no second build path bypasses the skip."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            found += [(path.name, getattr(top, "name", None))
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr == "chunks"]
+    assert found == [("foliation.py", "_chunked")]
+
+
 def layout_reads(source: str, names: set[str]) -> list[str]:
     """Where ``source`` names one of ``names`` (an attribute or a name), or
     broadcasts a scalar zero (``broadcast_to`` of a constant 0 or of a
