@@ -25,6 +25,9 @@ iterated forms are evaluated at points instead (``gamma_evaluator``):
 
 Every operator is affine, so the commutators are second-order operators
 and all five quantities need only the 2-jet of f and the operators' 1-jets.
+They run one point chunk at a time, as matmuls: the operators' forms in
+grad f and Hess f over the chunk, then those forms on each 2-jet, so their
+temporaries scale with the chunk.
 
 Spectra need no integration: the vertical fields are linear, so on the
 sphere the operator maps each space P_k of homogeneous polynomials to
@@ -48,7 +51,8 @@ import numpy as np
 from .checks import CheckReport, frame_batch_for
 from .errors import (BoundNotApplicableError, InvalidModelError,
                      SizeLimitError, UnsupportedBackendError)
-from .foliation import SPHERE, FoliationModel, ricci_horizontal
+from .foliation import (SPHERE, FoliationModel, point_chunks,
+                        ricci_horizontal)
 from .geometry import (MonomialCache, Polynomial, PolyField,
                        directional_derivative, exponent_shifts, field_jets)
 
@@ -96,11 +100,12 @@ def operators(model: FoliationModel) -> Operators:
 def affine_jets(fields: Sequence[PolyField], cache: MonomialCache
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Values (K, P, N) at the cache's points and the constant Jacobians
-    (K, N, N) of affine fields v(x) = A x + c."""
+    (K, N, N) of affine fields v(x) = A x + c, as compact copies, so that
+    the jets of every point are not kept with them."""
     if any(c.degree() > 1 for F in fields for c in F.components):
         raise InvalidModelError("operator fields must be affine")
     values, jacobians = field_jets(fields, cache)
-    return values, jacobians[:, 0]
+    return values.copy(), jacobians[:, 0].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -121,64 +126,92 @@ def gamma_evaluator(model: FoliationModel, cache: MonomialCache):
     """``evaluate(grad, hess)``: Gamma(f), Gamma^V(f), Gamma_2(f),
     Gamma_2^V(f) and Delta_H f at the cache's points, each of shape (F, P),
     for F functions f given by their 2-jets there: gradients ``grad``
-    (F, P, N) and symmetric Hessians ``hess`` (F, P, N, N).  The operators'
-    jets, S, beta and Q are formed once; the commutator coefficients,
-    (K, P, N, N) per field list, per call.
+    (F, P, N) and symmetric Hessians ``hess`` (F, P, N, N).
 
     With S = sum_k s_k v_k v_k^T, L = S : Hess + beta . grad, where the
     affine beta = sum_k s_k A_k v_k + b has the Jacobian
     Q = sum_k s_k A_k^2 + A_b.  For an affine T = t . grad with Jacobian
-    A_T, grad(T f) = A_T^T grad f + Hess t, so Gamma(T f) needs no third
+    A_T, grad(T f) = A_T^T grad f + Hess t, so D_l T f = grad f . A_T v_l
+    + v_l . Hess t and Gamma(T f) = sum_l s_l (D_l T f)^2 need no third
     derivative, and neither does the commutator, in which they cancel:
 
         [L, T] f = (A_T beta - Q t) . grad f
                    + 2 (A_T S - sum_k s_k (A_k t) v_k^T) : Hess f.
+
+    Q is formed once, the rest per point chunk (``point_chunks``): the
+    forms linear in grad f (t, A_T v_l, the first term and beta) and in
+    Hess f (the second term and S) by matmuls over the chunk, then their
+    action on each trial's jet by per-point matmuls in which the trial
+    axis is a stack axis, so a trial's values do not depend on the
+    others.
     """
     ops = operators(model)
     s = np.asarray(ops.signs)
-    v, A = affine_jets(ops.fields, cache)
+    (v, A), (w, Aw) = (affine_jets(f, cache) for f in (ops.fields,
+                                                        ops.vertical))
     b, Ab = affine_jets([ops.drift], cache)
-    S = np.einsum("k,kpi,kpj->pij", s, v, v)
-    beta = np.einsum("k,kij,kpj->pi", s, A, v) + b[0]
-    Q = np.einsum("k,kij,kjl->il", s, A, A) + Ab[0]
+    K, N = A.shape[:2]
+    sA = s[:, None, None] * A                                  # [l, i, j]
+    Q = sA.transpose(1, 0, 2).reshape(N, K * N) @ A.reshape(K * N, N) + Ab[0]
+    sA_beta = sA.transpose(0, 2, 1).reshape(K * N, N)          # [(l, j), i]
+    two_sA = 2.0 * sA.transpose(2, 0, 1).reshape(N, K * N)     # [j, (l, i)]
+    # both lists as one, T_k = D_1 .. D_K, Z_1 .. Z_m
+    T = K + len(Aw)
+    rows = np.concatenate([A, Aw]).reshape(T * N, N)           # [(k, i), j]
 
-    def along(grad, hess, t, At):
-        """T f, Gamma(T f) and [L, T] f, each (F, K, P), for the affine
-        fields of values t (K, P, N) and Jacobians At (K, N, N)."""
-        Tf = np.einsum("kpi,fpi->fkp", t, grad)
-        dTf = (np.einsum("kji,fpj->fkpi", At, grad)
-               + np.einsum("fpij,kpj->fkpi", hess, t))
-        first = (np.einsum("kij,pj->kpi", At, beta)
-                 - np.einsum("ij,kpj->kpi", Q, t))
-        second = (np.einsum("kil,plj->kpij", At, S)
-                  - np.einsum("l,lij,kpj,lpm->kpim", s, A, t, v,
-                              optimize=True))
-        comm = (np.einsum("kpi,fpi->fkp", first, grad)
-                + 2.0 * np.einsum("kpij,fpij->fkp", second, hess,
-                                  optimize=True))
-        return Tf, np.einsum("fkpi,pij,fkpj->fkp", dTf, S, dTf,
-                             optimize=True), comm
-    fields = ((v, A), affine_jets(ops.vertical, cache))
+    def forms(c: slice):
+        """The chunk's forms in grad f (P, N, R) and in Hess f
+        (P, N N, T + 1), and its v (P, K, N) and t^T (P, N, T)."""
+        vc = v[:, c].swapaxes(0, 1)                            # [p, l, i]
+        P = len(vc)
+        t = np.concatenate([v[:, c], w[:, c]])                 # [k, p, i]
+        t_flat, v_flat = t.reshape(T * P, N), vc.reshape(P * K, N)
+        S = (vc.swapaxes(1, 2) * s) @ vc
+        beta = v_flat.reshape(P, K * N) @ sA_beta + b[0, c]
+        first = ((beta @ rows.T).reshape(P, T, N)
+                 - (t_flat @ Q.T).reshape(T, P, N).swapaxes(0, 1))
+        Av = (v_flat @ rows.T).reshape(P, K * T, N)            # [p, (l, k), j]
+        lowered = (t_flat @ two_sA).reshape(T, P, K, N)        # [k, p, l, i]
+        second = rows @ (S + S) - (
+            lowered.transpose(1, 0, 3, 2).reshape(P, T * N, K) @ vc)
+        return (np.concatenate([t.swapaxes(0, 1), Av, first, beta[:, None]],
+                               axis=1).swapaxes(1, 2),
+                np.concatenate([second.reshape(P, T, N * N),
+                                S.reshape(P, 1, N * N)], axis=1).swapaxes(1, 2),
+                vc, t.transpose(1, 2, 0))
+
+    def values(grad, hess, c: slice) -> tuple[np.ndarray, ...]:
+        """The five quantities over the chunk's points, each (F, P)."""
+        grad_forms, hess_forms, vc, tT = forms(c)
+        # each trial's jet as a row vector
+        lin = (grad[:, :, None] @ grad_forms)[:, :, 0]
+        quad = (hess.reshape(hess.shape[:2] + (1, N * N)) @ hess_forms)[:, :, 0]
+        Tf, gAv, first = np.split(lin[..., :-1], [T, T * (K + 1)], axis=-1)
+        # D_l T_k f = grad f . A_k v_l + v_l . Hess t_k, [l, k]
+        DTf = gAv.reshape(gAv.shape[:2] + (K, T)) + vc @ (hess @ tT)
+        iterated = Tf * (first + quad[..., :-1]) + s @ (DTf * DTf)
+        Tf2 = Tf * Tf
+        return (Tf2[..., :K] @ s, ops.weight * Tf2[..., K:].sum(axis=-1),
+                iterated[..., :K] @ s,
+                ops.weight * iterated[..., K:].sum(axis=-1),
+                lin[..., -1] + quad[..., -1])
 
     def evaluate(grad, hess) -> dict[str, np.ndarray]:
-        (Df, gamma_D, comm_D), (Zf, gamma_Z, comm_Z) = (
-            along(grad, hess, *f) for f in fields)
-        return {"gamma": np.einsum("k,fkp->fp", s, Df * Df),
-                "gamma_v": ops.weight * (Zf * Zf).sum(axis=1),
-                "gamma2": np.einsum("k,fkp->fp", s, Df * comm_D + gamma_D),
-                "gamma2_v": ops.weight * (Zf * comm_Z + gamma_Z).sum(axis=1),
-                "delta_f": (np.einsum("pi,fpi->fp", beta, grad)
-                            + np.einsum("pij,fpij->fp", S, hess))}
+        out = np.empty((5,) + grad.shape[:2])
+        for c in point_chunks(grad.shape[1]):
+            out[:, :, c] = values(grad[:, c], hess[:, c], c)
+        return dict(zip(("gamma", "gamma_v", "gamma2", "gamma2_v",
+                         "delta_f"), out))
     return evaluate
 
 
-#: trials per chunk of ``check_cd_inequality``: the Hessians drawn and the
-#: ``gamma_evaluator`` intermediates grow with one chunk, not with
-#: ``trials``.  ``cd heisenberg-oct --points 128 --trials 200`` on 2 vCPUs
-#: with BLAS on one thread, for chunks of 5 / 10 / 20 trials: 63.3 / 65.6 /
-#: 73.7 MB peak RSS; the trials take 0.65 / 0.49 / 0.40 s (median of seven
-#: in-process runs), since each chunk forms the commutator coefficients.
-#: The defaults of ``cd`` (20) and ``verify`` (10) are one chunk.
+#: trials per chunk of ``check_cd_inequality``: the Hessians drawn grow
+#: with one chunk, not with ``trials``, and ``gamma_evaluator`` forms its
+#: operator forms once per chunk and point chunk.  ``cd heisenberg-oct
+#: --points 128 --trials 200`` on 2 vCPUs with BLAS on one thread, for
+#: chunks of 5 / 10 / 20 trials: 55.9 / 58.5 / 61.7 MB peak RSS; the trials
+#: take 0.32 / 0.26 / 0.23 s (median of seven in-process runs).  The
+#: defaults of ``cd`` (20) and ``verify`` (10) are one chunk.
 CD_TRIAL_CHUNK = 20
 
 

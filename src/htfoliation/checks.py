@@ -123,18 +123,29 @@ def _sym_products(J: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.swapaxes(1, 2))
 
 
+def _h_type_fit(fb: FrameBatch) -> tuple[float, float, float]:
+    """lambda, its spread over the points and vertical directions, and the
+    largest residual of the fit sym(J_a^T J_b) = lambda delta_ab I, formed
+    once per batch: ``check_parallel_clifford`` reads the fit that
+    ``check_h_type`` made."""
+    if "h_type_fit" not in fb.fits:
+        S = _sym_products(j_endomorphisms(fb))              # (P, m, m, n, n)
+        m, n = S.shape[1], S.shape[-1]
+        diag_means = np.einsum("paall->pa", S) / n
+        lam = float(diag_means.mean())
+        target = lam * np.eye(m)[None, :, :, None, None] \
+            * np.eye(n)[None, None, None, :, :]
+        fb.fits["h_type_fit"] = (lam, float(np.abs(diag_means - lam).max()),
+                                 float(np.abs(S - target).max()))
+    return fb.fits["h_type_fit"]
+
+
 def check_h_type(model: FoliationModel, points: int = 64, seed: int = 42,
                  tol: float = TOL_CURVATURE) -> CheckReport:
     """Fit the scalar in <J_Z X, J_Z Y> = lambda ||Z||^2 <X, Y> from the frame
     J matrices; pass iff lambda = 1 within tolerance and the fit is tight."""
-    fb = frame_batch_for(model, points, seed)
-    S = _sym_products(j_endomorphisms(fb))
-    diag_means = np.einsum("paall->pa", S) / model.n
-    lam = float(diag_means.mean())
-    spread = float(np.abs(diag_means - lam).max())
-    target = lam * np.eye(model.m)[None, :, :, None, None] \
-        * np.eye(model.n)[None, None, None, :, :]
-    fit_residual = float(np.abs(S - target).max())
+    lam, spread, fit_residual = _h_type_fit(frame_batch_for(model, points,
+                                                            seed))
     worst = _worst(fit_residual, spread, abs(lam - 1.0))
     return CheckReport(
         "h-type", "pass" if worst <= tol else "fail", worst, tol, points,

@@ -682,8 +682,8 @@ def _frame_parts(part: np.ndarray, blocks) -> np.ndarray:
 @dataclass
 class FrameBatch:
     """Adapted frames over a point batch, the jets there of the frame fields
-    and of the model's vertical fields and coframe, and the evaluated-value
-    cache.
+    and of the model's vertical fields and coframe, the evaluated-value
+    cache and the checks' fits made over the batch (``fits``).
 
     ``jets`` holds values (n + 3m, P, N) and Jacobians (n + 3m, P, N, N) of
     the frame fields x_i = sum_mu W_{i,mu} E_mu and z_a (the weights W frozen
@@ -701,6 +701,7 @@ class FrameBatch:
     z: np.ndarray        # (P, m, N)
     hessians: tuple
     _values: dict = field(default_factory=dict)
+    fits: dict = field(default_factory=dict)
 
     @cached_property
     def frame(self) -> np.ndarray:

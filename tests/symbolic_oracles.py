@@ -5,8 +5,9 @@ Each route builds its result as exact polynomials, independently of the
 code it checks: the model metric through the projections ``pi_h``/``pi_v``,
 the connection tables and the three-index entries as compositions of the
 connection formulas on polynomial fields, the round Laplacian through the
-homogeneous decomposition, the Gamma calculus as products of polynomials,
-and the spectral matrices one monomial at a time.  ``eigenpairs`` adds the
+homogeneous decomposition, the Gamma calculus as products of polynomials
+(and, from 2-jets, as whole-sample einsums), and the spectral matrices one
+monomial at a time.  ``eigenpairs`` adds the
 eigenfunctions that the package's spectra do not build.
 """
 
@@ -16,10 +17,11 @@ import weakref
 import numpy as np
 
 from htfoliation.analysis import (_blocks, _components, _degree_block,
-                                  fischer_scales, gamma_evaluator,
+                                  affine_jets, fischer_scales,
+                                  gamma_evaluator, operators,
                                   sub_laplacian_poly)
 from htfoliation.errors import DimensionMismatchError, InvalidModelError
-from htfoliation.foliation import SPHERE, Split
+from htfoliation.foliation import SPHERE, FoliationModel, Split
 from htfoliation.geometry import (UNIT_SPHERE, MonomialCache, PointField,
                                   Polynomial, PolyField, _dedup,
                                   _sphere_moment_fraction, bracket,
@@ -127,6 +129,64 @@ def gamma_calculus(model, f: Polynomial, p) -> dict[str, float]:
     pts = _on_chart(model, p)[None]
     vals = gamma_evaluator(model, MonomialCache(pts))(*poly_jets([f], pts))
     return {k: float(v[0, 0]) for k, v in vals.items()}
+
+
+def gamma_reference(model: FoliationModel, cache: MonomialCache):
+    """The whole-sample einsum route that ``analysis.gamma_evaluator``
+    replaced, with its signature.
+
+    ``evaluate(grad, hess)``: Gamma(f), Gamma^V(f), Gamma_2(f),
+    Gamma_2^V(f) and Delta_H f at the cache's points, each of shape (F, P),
+    for F functions f given by their 2-jets there: gradients ``grad``
+    (F, P, N) and symmetric Hessians ``hess`` (F, P, N, N).  The operators'
+    jets, S, beta and Q are formed once; the commutator coefficients,
+    (K, P, N, N) per field list, per call.
+
+    With S = sum_k s_k v_k v_k^T, L = S : Hess + beta . grad, where the
+    affine beta = sum_k s_k A_k v_k + b has the Jacobian
+    Q = sum_k s_k A_k^2 + A_b.  For an affine T = t . grad with Jacobian
+    A_T, grad(T f) = A_T^T grad f + Hess t, so Gamma(T f) needs no third
+    derivative, and neither does the commutator, in which they cancel:
+
+        [L, T] f = (A_T beta - Q t) . grad f
+                   + 2 (A_T S - sum_k s_k (A_k t) v_k^T) : Hess f.
+    """
+    ops = operators(model)
+    s = np.asarray(ops.signs)
+    v, A = affine_jets(ops.fields, cache)
+    b, Ab = affine_jets([ops.drift], cache)
+    S = np.einsum("k,kpi,kpj->pij", s, v, v)
+    beta = np.einsum("k,kij,kpj->pi", s, A, v) + b[0]
+    Q = np.einsum("k,kij,kjl->il", s, A, A) + Ab[0]
+
+    def along(grad, hess, t, At):
+        """T f, Gamma(T f) and [L, T] f, each (F, K, P), for the affine
+        fields of values t (K, P, N) and Jacobians At (K, N, N)."""
+        Tf = np.einsum("kpi,fpi->fkp", t, grad)
+        dTf = (np.einsum("kji,fpj->fkpi", At, grad)
+               + np.einsum("fpij,kpj->fkpi", hess, t))
+        first = (np.einsum("kij,pj->kpi", At, beta)
+                 - np.einsum("ij,kpj->kpi", Q, t))
+        second = (np.einsum("kil,plj->kpij", At, S)
+                  - np.einsum("l,lij,kpj,lpm->kpim", s, A, t, v,
+                              optimize=True))
+        comm = (np.einsum("kpi,fpi->fkp", first, grad)
+                + 2.0 * np.einsum("kpij,fpij->fkp", second, hess,
+                                  optimize=True))
+        return Tf, np.einsum("fkpi,pij,fkpj->fkp", dTf, S, dTf,
+                             optimize=True), comm
+    fields = ((v, A), affine_jets(ops.vertical, cache))
+
+    def evaluate(grad, hess) -> dict[str, np.ndarray]:
+        (Df, gamma_D, comm_D), (Zf, gamma_Z, comm_Z) = (
+            along(grad, hess, *f) for f in fields)
+        return {"gamma": np.einsum("k,fkp->fp", s, Df * Df),
+                "gamma_v": ops.weight * (Zf * Zf).sum(axis=1),
+                "gamma2": np.einsum("k,fkp->fp", s, Df * comm_D + gamma_D),
+                "gamma2_v": ops.weight * (Zf * comm_Z + gamma_Z).sum(axis=1),
+                "delta_f": (np.einsum("pi,fpi->fp", beta, grad)
+                            + np.einsum("pij,fpij->fp", S, hess))}
+    return evaluate
 
 
 def eigenpairs(model, degree: int) -> tuple[np.ndarray, list[Polynomial]]:

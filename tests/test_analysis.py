@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,14 +10,15 @@ import pytest
 from htfoliation import analysis, models
 from htfoliation.errors import (BoundNotApplicableError, InvalidModelError,
                                 SizeLimitError, UnsupportedBackendError)
+from htfoliation.foliation import POINT_CHUNK
 from htfoliation.geometry import (MonomialCache, Polynomial,
                                   directional_derivative, integrate_sphere,
                                   sample_points)
 from symbolic_oracles import (degree_block_dense, eigenpairs, from_terms,
-                              gamma_calculus, gamma_polys, poly_jets,
-                              random_polynomial, sparse_random_polynomial,
-                              sphere_laplacian, sub_laplacian,
-                              sub_laplacian_apply)
+                              gamma_calculus, gamma_polys, gamma_reference,
+                              poly_jets, random_polynomial,
+                              sparse_random_polynomial, sphere_laplacian,
+                              sub_laplacian, sub_laplacian_apply)
 from test_checks import sheared_s3
 
 
@@ -155,6 +157,30 @@ class TestGammaJets:
                 np.testing.assert_allclose(got[key][i], want, rtol=0,
                                            atol=1e-12 * scale,
                                            err_msg=f"{key} of f{i}")
+
+    @pytest.mark.parametrize("name", [s.name for s in models.catalog()])
+    def test_matches_the_einsum_reference(self, name, catalog_models):
+        # random 2-jets at three point chunks, the last one partial
+        model = catalog_models[name]
+        pts = sample_points(model.chart, 2 * POINT_CHUNK + 3, 6)
+        cache = MonomialCache(pts)
+        grad, hess = random_jets(4, *pts.shape, seed=44)
+        got = analysis.gamma_evaluator(model, cache)(grad, hess)
+        want = gamma_reference(model, cache)(grad, hess)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            err = np.abs(got[key] - value)
+            assert (err <= 1e-13 * np.maximum(1.0, np.abs(value))).all(), \
+                (key, float(err.max()))
+
+
+def random_jets(trials: int, points: int, N: int, seed: int):
+    """Standard normal gradients (trials, points, N) and symmetrized
+    standard normal Hessians (trials, points, N, N)."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    grad = rng.standard_normal((trials, points, N))
+    hess = rng.standard_normal((trials, points, N, N))
+    return grad, 0.5 * (hess + hess.transpose(0, 1, 3, 2))
 
 
 class TestRayleighRitz:
@@ -409,6 +435,42 @@ class TestCurvatureDimension:
                    for nu in nus)
         assert rep.details["trials"] == trials
         assert rep.details["min_margin"] == want
+
+    @pytest.mark.parametrize("name", [s.name for s in models.catalog()])
+    def test_values_do_not_depend_on_the_trial_batch(self, name,
+                                                     catalog_models):
+        # each trial is a stack entry of every product, so the first three
+        # of a batch equal a batch of those three, bit for bit
+        model = catalog_models[name]
+        pts = sample_points(model.chart, POINT_CHUNK + 3, 8)
+        evaluate = analysis.gamma_evaluator(model, MonomialCache(pts))
+        grad, hess = random_jets(analysis.CD_TRIAL_CHUNK, *pts.shape, seed=45)
+        every, first = evaluate(grad, hess), evaluate(grad[:3], hess[:3])
+        for key, value in first.items():
+            assert np.array_equal(every[key][:3], value), key
+
+    @pytest.mark.parametrize("name", ["heisenberg-oct",
+                                      "quaternionic-hopf-s7"])
+    def test_transient_scales_with_the_chunk(self, name, catalog_models):
+        # the traced peak of one evaluation above its inputs and outputs: at
+        # 4 chunks of points it stays near that of one chunk (it grew about
+        # 4x when the forms were built over the whole sample)
+        model = catalog_models[name]
+
+        def transient(points):
+            pts = sample_points(model.chart, points, 29)
+            evaluate = analysis.gamma_evaluator(model, MonomialCache(pts))
+            jets = random_jets(analysis.CD_TRIAL_CHUNK, *pts.shape, seed=46)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = evaluate(*jets)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - base - sum(v.nbytes for v in out.values())
+        one, four = transient(POINT_CHUNK), transient(4 * POINT_CHUNK)
+        assert 0 < four <= 1.5 * one, (one, four)
 
     def test_no_trial_functions_rejected(self, heis):
         # no sampled f would make a vacuous pass

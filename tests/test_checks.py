@@ -131,6 +131,19 @@ class TestHType:
         rep = checks.check_h_type(degenerate_two_step(), points=8, seed=1)
         assert rep.status == "fail"
 
+    def test_fit_made_once_per_batch(self, monkeypatch):
+        # parallel-clifford reads the fit that h-type made on its batch; a
+        # new model has no batch yet
+        model = models.get_model("heisenberg-quat")
+        fits = []
+        sym_products = checks._sym_products
+        monkeypatch.setattr(checks, "_sym_products",
+                            lambda J: fits.append(1) or sym_products(J))
+        assert checks.check_h_type(model, points=8, seed=1).status == "pass"
+        rep = checks.check_parallel_clifford(model, points=8, seed=1)
+        assert rep.status == "pass"
+        assert len(fits) == 1
+
 
 class TestYangMills:
     def test_groups_exact_zero(self, heis_quat, heis_oct):
