@@ -31,11 +31,13 @@ temporaries scale with the chunk.
 
 Spectra need no integration: the vertical fields are linear, so on the
 sphere the operator maps each space P_k of homogeneous polynomials to
-itself (after lifting the degree-lowering part by ||x||^2).  Its exact
-matrix there comes from moves on the packed exponents, read off the same
-list (an affine D sends x^alpha to sum_r alpha_r (A x + c)_r x^(alpha-e_r)),
-and is diagonalized block by block along the connected components of its
-sparsity pattern.
+itself (after lifting the degree-lowering part by ||x||^2).  There the
+list's round part Delta - E^2 - (N - 2) E is the round Laplacian Delta_S,
+in closed form (Delta lowers one exponent by two, and E is k on P_k), so
+L = Delta_S - sum_a Z_a^2 and only the Z_a take moves on the packed
+exponents (an affine Z sends x^alpha to sum_r alpha_r (A x + c)_r
+x^(alpha-e_r)).  The exact matrix is diagonalized block by block along
+the connected components of its sparsity pattern.
 """
 
 from __future__ import annotations
@@ -321,20 +323,19 @@ def monomial_count(n_vars: int, k: int) -> int:
 
 #: Largest dim P_k whose spectrum ``rayleigh_ritz`` computes, checked before
 #: P_k is enumerated.  Every catalog sphere reaches degree 6 below it; the
-#: moves on P_6 of quaternionic-hopf-s11 (12376 monomials) give 340k
-#: triples in 0.4 s.
+#: block of P_6 of quaternionic-hopf-s11 (12376 monomials) is 340k triples,
+#: built in 0.45 s.
 MAX_DEGREE_MONOMIALS = 15_000
 #: Largest sum of squared block sizes over the two degrees of a spectrum,
 #: checked before any block is assembled.  Blocks are solved one at a time
 #: and only their eigenvalues kept, so it bounds the eigensolve time (below
 #: the largest block size times this sum) and the dense buffers of the
 #: largest block (8 bytes per entry each).  Measured on 2 vCPUs through the
-#: CLI at the largest degree each catalog sphere is admitted for:
-#: complex-hopf-s3 at 30 (13.6M entries, largest block 1376) 1.9 s and
-#: 100 MB, complex-hopf-s5 at 13 (14.0M, 1092) 1.8 s and 87 MB,
-#: quaternionic-hopf-s7 at 8 (6.6M, 835) 1.1 s and 78 MB, and
-#: quaternionic-hopf-s11 at 6 (10.8M, 880) 1.8 s and 132 MB, most of it
-#: the exponent moves.
+#: CLI at the largest degree each catalog sphere is admitted for (medians
+#: of five runs): complex-hopf-s3 at 30 (13.6M entries, largest block 1376)
+#: 2.2 s and 104 MB, complex-hopf-s5 at 13 (14.0M, 1092) 1.9 s and 86 MB,
+#: quaternionic-hopf-s7 at 8 (6.6M, 835) 1.0 s and 64 MB, and
+#: quaternionic-hopf-s11 at 6 (10.8M, 880) 1.5 s and 82 MB.
 MAX_BLOCK_ENTRIES = 16_000_000
 
 
@@ -354,70 +355,63 @@ def _coalesce(col, key, coef):
 def _apply_affine(A: np.ndarray, c: np.ndarray, shifts: np.ndarray, mask: int,
                   col, key, coef):
     """The operator v . grad, v = A x + c, on the terms ``coef x^key`` of each
-    column, by moves on the packed exponents:
+    column, by moves on the packed exponents: one pass over the nonzeros
+    (r, t) of M = [A | c], with e_t = 0 for the column of c,
 
-        x^alpha -> sum_r alpha_r (sum_t A[r, t] x^(alpha - e_r + e_t)
-                                  + c_r x^(alpha - e_r)).
-
-    Only the rows r with A[r] or c[r] nonzero give terms, so only they
-    scan the exponents.
+        x^alpha -> sum_(r, t) alpha_r M[r, t] x^(alpha - e_r + e_t).
     """
-    unit = np.int64(1) << shifts
-    out = []
-    for r in np.flatnonzero(A.any(axis=1) | (c != 0.0)):
-        alpha_r = (key >> shifts[r]) & mask
-        sel = np.flatnonzero(alpha_r)
-        if sel.size == 0:
-            continue
-        lowered, weight = key[sel] - unit[r], coef[sel] * alpha_r[sel]
-        out += [(col[sel], lowered + unit[t], weight * A[r, t])
-                for t in np.flatnonzero(A[r])]
-        if c[r] != 0.0:
-            out.append((col[sel], lowered, weight * c[r]))
-    if not out:
-        return col[:0], key[:0], coef[:0]
-    return _coalesce(*map(np.concatenate, zip(*out)))
+    M = np.c_[A, c]
+    r, t = np.nonzero(M)
+    unit = np.r_[np.int64(1) << shifts, 0]
+    alpha = (key >> shifts[r, None]) & mask               # [(r, t), term]
+    i, p = np.nonzero(alpha)
+    return _coalesce(col[p], key[p] - unit[r[i]] + unit[t[i]],
+                     coef[p] * alpha[i, p] * M[r[i], t[i]])
 
 
-def _degree_block(model: FoliationModel, k: int) -> tuple[np.ndarray, ...]:
-    """Matrix of -Delta_H on the homogeneous polynomials of degree k, as
-    coalesced nonzero triples (rows, cols, values).
+def _degree_block(model: FoliationModel, k: int,
+                  vertical: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> tuple[np.ndarray, ...]:
+    """Matrix of -Delta_H = -Delta_S + Cas, Cas = -sum_a Z_a^2, on the
+    homogeneous polynomials of degree k, as coalesced nonzero triples
+    (rows, cols, values).
 
     Returns the sorted monomial keys, the Fischer scales sqrt(alpha!) and
-    the triples in the orthonormal basis x^alpha / sqrt(alpha!).  Each
-    operator of the list is affine, so it acts on the exponent arrays
-    (``_apply_affine``): each D_k twice, the drift once, each coalesced into
-    a running sum so that only one operator's raw terms exist at a time.
-    The sphere backend's vertical fields are linear (its
-    ``vertical_matrices``), so Delta_H x^alpha has parts of degree k and
-    k - 2 only; the latter times ||x||^2 = sum_i x_i^2 is the same function
-    on the sphere.
+    the triples in the orthonormal basis x^alpha / sqrt(alpha!).  The round
+    part is in closed form: the coordinate fields give Delta, which moves
+    x^alpha to alpha_i (alpha_i - 1) x^(alpha - 2 e_i), of degree k - 2,
+    lifted by ||x||^2 = sum_j x_j^2 (the same function on the sphere), and
+    the Euler field and the drift give -E^2 - (N - 2) E = -k (k + N - 2) on
+    the diagonal.  The vertical fields are linear (the sphere's
+    ``vertical_matrices``), so each Z_a^2 stays in degree k: two
+    ``_apply_affine`` moves from the affine jets ``vertical`` (values,
+    Jacobians), which a caller building several degrees reads once.
     """
     N = model.ambient_dim
     shifts, mask = exponent_shifts(N)
     combos = np.array(list(itertools.combinations_with_replacement(range(N), k)),
                       dtype=np.int64)
     keys = np.sort((np.int64(1) << shifts)[combos].sum(axis=1))
-    exponents = lambda packed: (packed[:, None] >> shifts) & mask
-    scale = fischer_scales(exponents(keys).tolist())
-    ops = operators(model)
-    values, jacobians = affine_jets(ops.fields + (ops.drift,),
-                                    MonomialCache(np.zeros((1, N))))
-    col, key, coef = (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)
-    for A, c, s, times in zip(jacobians, values[:, 0], ops.signs + (1.0,),
-                              [2] * len(ops.fields) + [1]):
-        term = (np.arange(keys.size), keys, np.full(keys.size, s))
-        for _ in range(times):
-            term = _apply_affine(A, c, shifts, mask, *term)
-        col, key, coef = _coalesce(*map(np.concatenate,
-                                        zip((col, key, coef), term)))
-    degree = exponents(key).sum(axis=1)
-    low = degree == k - 2
-    lifted = (key[low][:, None] + (np.int64(2) << shifts)).ravel()
+    alpha = (keys[:, None] >> shifts) & mask
+    scale = fischer_scales(alpha.tolist())
+    p, i = np.nonzero(alpha > 1)
+    two = np.int64(2) << shifts
     col, key, coef = _coalesce(
-        np.concatenate([col[degree == k], np.repeat(col[low], N)]),
-        np.concatenate([key[degree == k], lifted]),
-        np.concatenate([coef[degree == k], np.repeat(coef[low], N)]))
+        np.r_[np.arange(keys.size), np.repeat(p, N)],
+        np.r_[keys, ((keys[p] - two[i])[:, None] + two).ravel()],
+        np.r_[np.full(keys.size, -k * (k + N - 2.0)),
+              np.repeat(alpha[p, i] * (alpha[p, i] - 1.0), N)])
+    if vertical is None:
+        vertical = affine_jets(model.vertical_fields,
+                               MonomialCache(np.zeros((1, N))))
+    values, jacobians = vertical
+    for A, c in zip(jacobians, values[:, 0]):
+        term = (np.arange(keys.size), keys, np.full(keys.size, -1.0))
+        for _ in range(2):
+            term = _apply_affine(A, c, shifts, mask, *term)
+        # a running sum, freed before each sort
+        col, key, coef = map(np.concatenate, zip((col, key, coef), term))
+        col, key, coef = _coalesce(col, key, coef)
     rows = np.searchsorted(keys, key)
     return keys, scale, rows, col, -coef * scale[rows] / scale[col]
 
@@ -483,9 +477,11 @@ def rayleigh_ritz(model: FoliationModel, degree: int) -> SpectrumResult:
         raise SizeLimitError(
             f"degree {degree} spans {size} monomials in {N} variables, more "
             f"than the {MAX_DEGREE_MONOMIALS} a spectrum is computed for")
+    vertical = affine_jets(model.vertical_fields,
+                           MonomialCache(np.zeros((1, N))))
     parts, entries = [], 0
     for k in range(max(degree - 1, 0), degree + 1):
-        keys, _, rows, cols, vals = _degree_block(model, k)
+        keys, _, rows, cols, vals = _degree_block(model, k, vertical)
         label = _components(keys.size, rows, cols)
         entries += int((np.bincount(label) ** 2).sum())
         parts.append((label, rows, cols, vals))

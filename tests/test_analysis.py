@@ -293,6 +293,48 @@ class TestMoveEngine:
             got[rows, cols] = vals
             assert np.array_equal(got, want), (name, k)
 
+    def test_only_the_vertical_fields_take_moves(self, s3, s7, monkeypatch):
+        # the round part is in closed form: each degree moves each Z_a twice
+        # and no coordinate field, Euler field or drift, from vertical jets
+        # read once per spectrum
+        apply, read = analysis._apply_affine, analysis.affine_jets
+        for model in (s3, s7):
+            moved, jets = [], []
+            monkeypatch.setattr(
+                analysis, "_apply_affine",
+                lambda A, *args: moved.append(A) or apply(A, *args))
+            monkeypatch.setattr(
+                analysis, "affine_jets",
+                lambda F, cache: jets.append(F) or read(F, cache))
+            analysis.rayleigh_ritz(model, 3)
+            assert len(jets) == 1 and jets[0] is model.vertical_fields
+            assert len(moved) == 2 * model.m * 2
+            for A in moved:
+                assert any(np.array_equal(A, Z)
+                           for Z in model.vertical_matrices)
+
+    @pytest.mark.parametrize("name", ["complex-hopf-s3", "complex-hopf-s5",
+                                      "quaternionic-hopf-s7",
+                                      "quaternionic-hopf-s11"])
+    def test_round_part_is_the_round_laplacian(self, name, catalog_models):
+        # without the vertical moves the block is -Delta_S on P_k, the sum of
+        # the harmonic spaces H_j, j = k, k - 2, ..., with j (j + N - 2) on
+        # each
+        model = catalog_models[name]
+        N = model.ambient_dim
+        no_fields = (np.zeros((0, 1, N)), np.zeros((0, N, N)))
+        for k in range(5):
+            keys, _, rows, cols, vals = analysis._degree_block(model, k,
+                                                               no_fields)
+            dense = np.zeros((keys.size, keys.size))
+            dense[rows, cols] = vals
+            want = [j * (j + N - 2) for j in range(k % 2, k + 1, 2)
+                    for _ in range(math.comb(N + j - 1, j) - (
+                        math.comb(N + j - 3, j - 2) if j > 1 else 0))]
+            assert np.abs(dense - dense.T).max() < 1e-12
+            np.testing.assert_allclose(np.linalg.eigvalsh(dense), want,
+                                       rtol=0, atol=1e-10)
+
     def test_spectra_build_no_polynomial(self, s7, monkeypatch):
         def refuse(*args):
             raise AssertionError("sub_laplacian_poly called")
