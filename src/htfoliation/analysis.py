@@ -263,12 +263,13 @@ def check_cd_inequality(model: FoliationModel, K: float, trials: int = 20,
             rhs = (vals["delta_f"] ** 2) / n \
                 + (K - m / nu) * vals["gamma"] + (n / 4.0) * vals["gamma_v"]
             margins.append((lhs - rhs).min())
-    # np.min propagates NaN, so a NaN margin fails instead of being skipped
+    # np.min and np.maximum propagate NaN, so a NaN margin fails instead of
+    # being skipped
     margin = float(np.min(margins, initial=np.inf))
-    return CheckReport("cd-inequality", "pass" if margin >= -tol else "fail",
-                       float(np.maximum(0.0, -margin)), tol, points,
-                       {"min_margin": margin, "K": K, "nu_values": list(nus),
-                        "trials": trials})
+    return CheckReport.from_residual(
+        "cd-inequality", np.maximum(0.0, -margin), tol, points,
+        {"min_margin": margin, "K": K, "nu_values": list(nus),
+         "trials": trials})
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +292,10 @@ class SpectrumResult:
     eigenvalues: list[float]
     gram_asymmetry: float
 
-    def smallest_nonzero(self, tol: float = 1e-8) -> float:
+    def smallest_nonzero(self) -> float:
+        """The first eigenvalue above 1e-8."""
         for ev in self.eigenvalues:
-            if ev > tol:
+            if ev > 1e-8:
                 return ev
         raise ValueError("no nonzero eigenvalue in the computed window")
 
@@ -370,7 +372,7 @@ def _apply_affine(A: np.ndarray, c: np.ndarray, shifts: np.ndarray, mask: int,
 
 
 def _degree_block(model: FoliationModel, k: int,
-                  vertical: tuple[np.ndarray, np.ndarray] | None = None
+                  vertical: tuple[np.ndarray, np.ndarray]
                   ) -> tuple[np.ndarray, ...]:
     """Matrix of -Delta_H = -Delta_S + Cas, Cas = -sum_a Z_a^2, on the
     homogeneous polynomials of degree k, as coalesced nonzero triples
@@ -382,10 +384,10 @@ def _degree_block(model: FoliationModel, k: int,
     x^alpha to alpha_i (alpha_i - 1) x^(alpha - 2 e_i), of degree k - 2,
     lifted by ||x||^2 = sum_j x_j^2 (the same function on the sphere), and
     the Euler field and the drift give -E^2 - (N - 2) E = -k (k + N - 2) on
-    the diagonal.  The vertical fields are linear (the sphere's
-    ``vertical_matrices``), so each Z_a^2 stays in degree k: two
-    ``_apply_affine`` moves from the affine jets ``vertical`` (values,
-    Jacobians), which a caller building several degrees reads once.
+    the diagonal.  The vertical fields are linear (Z_a = A_a p), so each
+    Z_a^2 stays in degree k: two ``_apply_affine`` moves from the affine
+    jets ``vertical`` (values, Jacobians), which a caller building several
+    degrees reads once.
     """
     N = model.ambient_dim
     shifts, mask = exponent_shifts(N)
@@ -401,9 +403,6 @@ def _degree_block(model: FoliationModel, k: int,
         np.r_[keys, ((keys[p] - two[i])[:, None] + two).ravel()],
         np.r_[np.full(keys.size, -k * (k + N - 2.0)),
               np.repeat(alpha[p, i] * (alpha[p, i] - 1.0), N)])
-    if vertical is None:
-        vertical = affine_jets(model.vertical_fields,
-                               MonomialCache(np.zeros((1, N))))
     values, jacobians = vertical
     for A, c in zip(jacobians, values[:, 0]):
         term = (np.arange(keys.size), keys, np.full(keys.size, -1.0))

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -147,8 +146,8 @@ def check_h_type(model: FoliationModel, points: int = 64, seed: int = 42,
     lam, spread, fit_residual = _h_type_fit(frame_batch_for(model, points,
                                                             seed))
     worst = _worst(fit_residual, spread, abs(lam - 1.0))
-    return CheckReport(
-        "h-type", "pass" if worst <= tol else "fail", worst, tol, points,
+    return CheckReport.from_residual(
+        "h-type", worst, tol, points,
         {"lambda": lam, "lambda_spread": spread, "fit_residual": fit_residual})
 
 
@@ -271,17 +270,26 @@ class QuaternionicReport:
     residual: float
 
 
+def _sigmas(fb: FrameBatch) -> np.ndarray:
+    """sigma = J_1 J_2 J_3 at each point of the batch, (P, n, n), formed
+    once per batch: ``check_einstein`` reads the one that
+    ``detect_quaternionic`` made."""
+    if "sigma" not in fb.fits:
+        J = j_endomorphisms(fb)
+        fb.fits["sigma"] = np.einsum("pij,pjk,pkl->pil", J[:, 0], J[:, 1],
+                                     J[:, 2])
+    return fb.fits["sigma"]
+
+
 def detect_quaternionic(model: FoliationModel, points: int = 8, seed: int = 42,
                         tol: float = TOL_CURVATURE) -> QuaternionicReport:
     """For m = 3, classify sigma = J_1 J_2 J_3 as +/-Identity (quaternionic)
     or report the eigenspace split of the involution otherwise."""
     if model.m != 3:
         return QuaternionicReport("not-applicable", None, None, None, 0.0)
-    fb = frame_batch_for(model, points, seed)
-    J = j_endomorphisms(fb)
+    sigmas = _sigmas(frame_batch_for(model, points, seed))
     n = model.n
     eye = np.eye(n)
-    sigmas = np.einsum("pij,pjk,pkl->pil", J[:, 0], J[:, 1], J[:, 2])
     res_plus = float(np.abs(sigmas - eye).max())
     res_minus = float(np.abs(sigmas + eye).max())
     if res_plus <= tol:
@@ -320,17 +328,15 @@ def check_einstein(model: FoliationModel, points: int = 32, seed: int = 42,
             predicted = kappa * (n / 2.0 + 4.0) * eye[None]
             formula = "kappa*(n/2 + 4)"
         else:
-            J = j_endomorphisms(fb)
-            sigmas = np.einsum("pij,pjk,pkl->pil", J[:, 0], J[:, 1], J[:, 2])
             gap = quat.dim_plus - quat.dim_minus
             predicted = (kappa * (n / 4.0 + 4.0) * eye[None]
-                         + (kappa / 4.0) * gap * sigmas)
+                         + (kappa / 4.0) * gap * _sigmas(fb))
             formula = "kappa*(n/4 + 4) + kappa/4*(dim+ - dim-)*sigma"
-    worst = float(np.abs(measured - predicted).max())
-    return CheckReport(
-        "einstein-horizontal", "pass" if worst <= tol else "fail", worst, tol,
-        points, {"kappa": kappa, "formula": formula,
-                 "measured_constant": float(measured[0, 0, 0])})
+    worst = np.abs(measured - predicted).max()
+    return CheckReport.from_residual(
+        "einstein-horizontal", worst, tol, points,
+        {"kappa": kappa, "formula": formula,
+         "measured_constant": float(measured[0, 0, 0])})
 
 
 # ---------------------------------------------------------------------------
@@ -371,16 +377,18 @@ def check_curvature_constancy(model: FoliationModel, kappa: float,
     if model.backend == "sphere":
         gram = fb.frame @ fb.frame.swapaxes(1, 2)
         details["ghat_round_residual"] = float(np.abs(gram - ghat).max())
-    return CheckReport("curvature-constancy",
-                       "pass" if worst <= tol else "fail", worst, tol, points,
-                       details)
+    return CheckReport.from_residual("curvature-constancy", worst, tol,
+                                     points, details)
+
+
+#: the relative vertical scales eps at which ``check_oneill`` compares routes
+ONEILL_EPS = (0.25, 1.0)
 
 
 def check_oneill(model: FoliationModel, points: int = 32, seed: int = 42,
-                 tol: float = TOL_CURVATURE,
-                 eps_values: Sequence[float] = (0.25, 1.0)) -> CheckReport:
+                 tol: float = TOL_CURVATURE) -> CheckReport:
     """Two-route check of the rescaled-metric curvature with one vertical
-    slot, in frame components.
+    slot, in frame components, at each eps of ``ONEILL_EPS``.
 
     Direct route: nested derivatives of the rescaled Levi-Civita connection.
     Closed form: -1/2 (nabla_V T)(X,Y) - 1/(2 eps) (nabla_X J)_V Y
@@ -398,7 +406,7 @@ def check_oneill(model: FoliationModel, points: int = 32, seed: int = 42,
                     torsion_components(fb))
     r_v = curvature_components(fb, "v", "v", "v")
     worst = 0.0
-    for eps in eps_values:
+    for eps in ONEILL_EPS:
         direct_h = lc_curvature_components(fb, eps, "h", "h")  # (P, m, n, n, F)
         closed_h = np.empty_like(direct_h)
         closed_h[..., :n] = (-0.5 / eps) * nabla_j
@@ -407,7 +415,7 @@ def check_oneill(model: FoliationModel, points: int = 32, seed: int = 42,
         worst = _worst(worst, np.abs(direct_h - closed_h).max(),
                        np.abs(direct_v - r_v).max())
     return CheckReport.from_residual("oneill-variation", worst, tol, points,
-                                     {"eps_values": list(eps_values)})
+                                     {"eps_values": list(ONEILL_EPS)})
 
 
 # ---------------------------------------------------------------------------

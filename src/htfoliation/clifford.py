@@ -36,19 +36,21 @@ class CliffordRepresentation:
     n: int
     generators: np.ndarray  # (m, n, n)
 
-    def validate(self, tol: float = 1e-12) -> None:
+    def validate(self) -> None:
+        """Raise unless the generators are skew and satisfy the relations
+        to within 1e-12."""
         gens = self.generators
         if gens.shape != (self.m, self.n, self.n):
             raise DimensionMismatchError("generator array has wrong shape")
         eye = np.eye(self.n)
         for i in range(self.m):
             # written as ``not <=`` so that a NaN fails the bound
-            if not np.abs(gens[i] + gens[i].T).max() <= tol:
+            if not np.abs(gens[i] + gens[i].T).max() <= 1e-12:
                 raise ValueError(f"generator {i} is not skew-symmetric")
             for j in range(i, self.m):
                 anti = gens[i] @ gens[j] + gens[j] @ gens[i]
                 target = -2.0 * eye if i == j else 0.0
-                if not np.abs(anti - target).max() <= tol:
+                if not np.abs(anti - target).max() <= 1e-12:
                     raise ValueError(
                         f"generators {i},{j} violate the anticommutation relation")
 
@@ -57,7 +59,7 @@ class CliffordRepresentation:
                 "generators": [g.tolist() for g in self.generators]}
 
     @classmethod
-    def from_json(cls, obj: dict | str, tol: float = 1e-12) -> "CliffordRepresentation":
+    def from_json(cls, obj: dict | str) -> "CliffordRepresentation":
         if isinstance(obj, str):
             obj = json.loads(obj)
         for key in ("m", "n"):
@@ -65,7 +67,7 @@ class CliffordRepresentation:
                 raise InvalidModelError(f"{key} must be a JSON integer")
         rep = cls(obj["m"], obj["n"],
                   np.asarray(obj["generators"], dtype=np.float64))
-        rep.validate(tol)
+        rep.validate()
         return rep
 
 

@@ -33,6 +33,10 @@ needed, because W is constant within each point's arithmetic.
 The formulas (projections, the connection, torsion, J and the rescaled
 Levi-Civita connection) are written once, against a few field operations
 that both symbolic fields (PolyField) and point jets (PointField) provide.
+J, defined by the torsion, <J_Z X, Y> = <Z, T(X, Y)>, applies one constant
+matrix per vertical field, read off the fields' Jacobians at the origin
+(_j_matrices), so the model keeps no copy of the matrices it was built
+from.
 Every spanning field is a polynomial of degree <= 2, so its order-2 jet at a
 point batch is exact and cheap: values and Jacobians at the points, and one
 point-independent Hessian from the exact partials d_j E_a, the model's only
@@ -81,7 +85,8 @@ projection or a formula product whose factors cannot meet is None without
 running (on a group every block of D but hh, and every product of nabla T
 and R past the table), so no formula term runs on it.  No jet is scanned
 for zero: a part that cancels to 0.0 is carried as a dense zero.  A
-sphere's blocks are full and carry no support.  A three-index build over
+sphere's blocks are full and carry no support, and neither does a block
+with a non-finite jet, so that a NaN propagates.  A three-index build over
 one chunk makes one table, and forms each two-index entry from it once per
 block pair, when its formula first reads that pair (_pairs); the torsion
 values read one table per point chunk.
@@ -100,7 +105,8 @@ supports (those of its frame blocks and of pi_V and pi_H, read off once
 per batch, chunk by chunk) and by the batch's constants, so a chunk whose
 supports equal those of an earlier chunk that wrote nothing is skipped
 (_chunked): on a group nabla T and R run one chunk per batch.  A chunk
-with an unknown or non-finite support runs dense and is never skipped.
+with a support that is None (unknown, or over a non-finite part) runs
+dense and is never skipped.
 """
 
 from __future__ import annotations
@@ -224,9 +230,7 @@ class FoliationModel:
     def __init__(self, name: str, backend: str, chart: AmbientChart,
                  n: int, m: int, epsilon: float,
                  vertical_fields: Sequence[PolyField],
-                 horizontal_fields: Sequence[PolyField],
-                 generators: np.ndarray | None = None,
-                 vertical_matrices: np.ndarray | None = None):
+                 horizontal_fields: Sequence[PolyField]):
         if backend not in (GROUP, SPHERE):
             raise InvalidModelError(f"unknown backend {backend!r}")
         if not 0 < epsilon < np.inf:
@@ -247,12 +251,6 @@ class FoliationModel:
         self.epsilon = float(epsilon)
         self.vertical_fields = tuple(vertical_fields)
         self.horizontal_fields = tuple(horizontal_fields)
-        self.generators = generators          # group backend: (m, n, n)
-        self.vertical_matrices = vertical_matrices  # sphere backend: (m, N, N)
-        if backend == GROUP and generators is None:
-            raise InvalidModelError("group backend needs generator matrices")
-        if backend == SPHERE and vertical_matrices is None:
-            raise InvalidModelError("sphere backend needs vertical matrices")
         for i, F in enumerate(self.horizontal_fields + self.vertical_fields):
             keys = np.concatenate([c.keys for c in F.components])
             degree = Polynomial(N, keys, np.ones(keys.size)).degree()
@@ -449,18 +447,24 @@ class FoliationModel:
 
     @cached_property
     def _j_matrices(self) -> np.ndarray:
-        """B_a with J(Z_a, X) = pi_H(B_a X) / epsilon for horizontal X.
+        """B_a with J(Z_a, X) = pi_H(B_a X) / epsilon for horizontal X,
+        read off the Jacobians of the model's fields at the origin (one
+        ``field_jets`` call).
 
         Sphere: for round-orthonormal linear vertical fields Z_a = A_a p one
-        has <Z_a, T(X, Y)>_0 = 2 <A_a X, Y>, so B_a = 2 A_a.  Group: the
-        horizontal coordinates of J(Z_a, X) are G_a^T applied to those of X,
-        and pi_H lifts them to sum_j c_j X_j, so B_a is G_a^T padded by
-        zeros."""
-        if self.backend == SPHERE:
-            return 2.0 * np.asarray(self.vertical_matrices, dtype=np.float64)
+        has <Z_a, T(X, Y)>_0 = 2 <A_a X, Y>, so B_a = 2 A_a = 2 dZ_a.
+        Group: X_i^{n+a} = (G_a x)_i / 2 (the rows that the coframe is read
+        from, ``_symbolic_fields``), the horizontal coordinates of J(Z_a, X)
+        are G_a^T applied to those of X, and pi_H lifts them to
+        sum_j c_j X_j, so B_a is G_a^T padded by zeros:
+        B_a[j, i] = 2 d_j X_i^{n+a}."""
         n, N = self.n, self.ambient_dim
+        origin = MonomialCache(np.zeros((1, N)))
+        if self.backend == SPHERE:
+            return 2.0 * field_jets(self.vertical_fields, origin)[1][:, 0]
+        jac = field_jets(self.horizontal_fields, origin)[1][:, 0]  # [i, r, j]
         B = np.zeros((self.m, N, N))
-        B[:, :n, :n] = np.transpose(self.generators, (0, 2, 1))
+        B[:, :n, :n] = 2.0 * jac[:, n:, :n].transpose(1, 2, 0)
         return B
 
     def j_transform(self, W, X) -> Split:
@@ -626,9 +630,9 @@ class FoliationModel:
 
 def _jet_supports(fb: "FrameBatch", starts: list[int]) -> list[dict]:
     """Per run of points beginning at ``starts`` and per block of frame
-    fields, the Support of its jets: whether they are finite, and the
-    coordinates j where some value, Jacobian row d F^j or column d_j F is
-    not 0.0; None for a block whose masks are full."""
+    fields, the Support of its jets: the coordinates j where some value,
+    Jacobian row d F^j or column d_j F is not 0.0; None for a block whose
+    masks are full or whose jets are not finite."""
     out = [{} for _ in starts]
     for block in "hv":
         value, jac = (part[fb.frame_slice(block)] for part in fb.jets)
@@ -639,8 +643,8 @@ def _jet_supports(fb: "FrameBatch", starts: list[int]) -> list[dict]:
         nonzero = np.logical_or.reduceat((jac != 0).any(axis=0), starts)
         for d, ok, *masks in zip(out, finite, values, nonzero.any(axis=2),
                                  nonzero.any(axis=1)):
-            d[block] = (None if all(mask.all() for mask in masks)
-                        else Support(bool(ok), *masks))
+            d[block] = (None if not ok or all(mask.all() for mask in masks)
+                        else Support(*masks))
     return out
 
 
@@ -648,12 +652,12 @@ def _support_key(supports: dict) -> bytes | None:
     """The masks of a chunk's supports (``FrameBatch._supports``), which
     with the batch's constants (the Hessians' presence, the constant
     J-matrices, the block structure) decide every product that its formulas
-    run; None when one is unknown or not finite, since its products then
-    run dense."""
-    if any(s is None or not s.finite for s in supports.values()):
+    run; None when one is None (unknown, or over a non-finite part), since
+    its products then run dense."""
+    if any(s is None for s in supports.values()):
         return None
     return np.concatenate([mask for s in supports.values()
-                           for mask in s[1:]]).tobytes()
+                           for mask in s]).tobytes()
 
 
 def _pair_sum(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -849,7 +853,7 @@ class FrameBatch:
             view.__dict__["_chunk"] = supports
             yield c, view
 
-    def fields(self, keep: int = 2):
+    def fields(self, keep: int):
         """The frame fields as Splits of order-2 jets (of order 1 with
         ``keep`` 0, which reads no Hessian): ``E(slot)`` for the whole block
         of a Slot, placed along its axis, with the block's support.  ``keep``
@@ -1049,14 +1053,14 @@ def _chunked(fb: FrameBatch, entry_fn):
     array.  That array is the zero-strided ``FrameBatch.zeros`` until a
     chunk first writes, and a dense copy of it from then on.  A chunk whose
     supports (``_support_key``) equal those of an earlier chunk of the
-    build that wrote nothing is skipped, since its formulas would run no
-    product that the earlier chunk did not, and write nothing either."""
+    build that wrote nothing (its ``entry_fn`` returned None, as
+    ``FrameBatch.assemble`` does) is skipped, since its formulas would run
+    no product that the earlier chunk did not, and write nothing either."""
     def build(*blocks):
-        kept, silent, writes = fb.zeros(blocks), set(), []
+        kept, silent = fb.zeros(blocks), set()
 
         def written(c: slice) -> np.ndarray:
             nonlocal kept
-            writes.append(c)
             if exact_zero(kept):
                 kept = kept.copy()
             return kept[c]
@@ -1064,9 +1068,8 @@ def _chunked(fb: FrameBatch, entry_fn):
             key = _support_key(view._supports)
             if key in silent:
                 continue
-            before = len(writes)
-            entry_fn(view, *blocks, partial(written, c))
-            if len(writes) == before and key is not None:
+            wrote = entry_fn(view, *blocks, partial(written, c))
+            if wrote is None and key is not None:
                 silent.add(key)
         return kept
     return build
@@ -1100,8 +1103,8 @@ def _contract2(fb: FrameBatch, name: str, entry_fn, d1: str,
     per chunk."""
     def chunk(view, first, second, out):
         D = Derivatives(view, 0)
-        view.assemble((first, second),
-                      lambda a, b: entry_fn(D, a.block, b.block), out)
+        return view.assemble((first, second),
+                             lambda a, b: entry_fn(D, a.block, b.block), out)
     vals = fb.eval_entry(name, ("hv", "hv"), _chunked(fb, chunk))
     return vals[:, fb.frame_slice(d1), fb.frame_slice(d2)]
 

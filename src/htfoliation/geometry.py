@@ -279,16 +279,15 @@ class Polynomial:
 
     # -- presentation ------------------------------------------------------
 
-    def to_string(self, names: Sequence[str] | None = None) -> str:
-        """Canonical rendering in increasing packed-key order."""
+    def to_string(self) -> str:
+        """Canonical rendering in increasing packed-key order, the
+        variables named x0, x1, ..."""
         if self.is_zero:
             return "0"
-        if names is None:
-            names = [f"x{i}" for i in range(self.n_vars)]
         exps = self.exponents()
         pieces = []
         for t in range(self.n_terms):
-            factors = [f"{names[i]}^{e}" if e > 1 else names[i]
+            factors = [f"x{i}^{e}" if e > 1 else f"x{i}"
                        for i, e in enumerate(exps[t]) if e > 0]
             mono = "*".join(factors) if factors else "1"
             pieces.append(f"{self.coeffs[t]:g}*{mono}")
@@ -532,23 +531,21 @@ class PointScalar:
 
 
 class Support(NamedTuple):
-    """Where a jet may be nonzero (``PointField.support``): whether its parts
-    are finite, and boolean masks (N,) of the coordinates j where some value
-    F^j, some Jacobian row d F^j or some column d_j F is not 0.0, over every
-    leading entry and point."""
+    """Where a jet with finite parts may be nonzero (``PointField.support``;
+    a jet with a non-finite part carries None): boolean masks (N,) of the
+    coordinates j where some value F^j, some Jacobian row d F^j or some
+    column d_j F is not 0.0, over every leading entry and point."""
 
-    finite: bool
     values: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
 
 
 class MatrixSupport(NamedTuple):
-    """Where matrices A and their 1-jet dA (``PointField.apply_matrix``) may
-    be nonzero: whether they are finite, the rows and columns of A, and the
-    rows i, directions k and columns j of ``dA[..., i, k, j]``."""
+    """Where finite matrices A and their 1-jet dA (``PointField.
+    apply_matrix``) may be nonzero: the rows and columns of A, and the rows
+    i, directions k and columns j of ``dA[..., i, k, j]``."""
 
-    finite: bool
     rows: np.ndarray
     cols: np.ndarray
     d_rows: np.ndarray
@@ -557,17 +554,18 @@ class MatrixSupport(NamedTuple):
 
 
 def matrix_support(A: np.ndarray, dA: np.ndarray | None = None
-                   ) -> MatrixSupport:
+                   ) -> MatrixSupport | None:
     """The support of matrices A (..., N, N) and of their 1-jet dA
-    (..., N, N, N), read off their entries (no dA: nothing in its masks)."""
+    (..., N, N, N), read off their entries (no dA: nothing in its masks);
+    None when a part is not finite."""
+    if not (np.isfinite(A).all() and (dA is None or np.isfinite(dA).all())):
+        return None
     N = A.shape[-1]
     # the union over the leading axes first, then the small masks
     nz = (A != 0).reshape(-1, N, N).any(axis=0)
     d_nz = (np.zeros((N, N, N), dtype=bool) if dA is None
             else (dA != 0).reshape(-1, N, N, N).any(axis=0))
-    finite = bool(np.isfinite(A).all() and (dA is None
-                                            or np.isfinite(dA).all()))
-    return MatrixSupport(finite, nz.any(axis=1), nz.any(axis=0),
+    return MatrixSupport(nz.any(axis=1), nz.any(axis=0),
                          d_nz.any(axis=(1, 2)), d_nz.any(axis=(0, 2)),
                          d_nz.any(axis=(0, 1)))
 
@@ -600,13 +598,15 @@ class PointField:
     creator attaches about the points (the foliation engine: its model's
     fields there); arithmetic carries it.
 
-    ``support`` (a Support, or None for unknown, which skips all of this)
-    is where the value and the Jacobian may be nonzero.  It propagates as
+    ``support`` (a Support, or None for unknown or for a jet with a
+    non-finite part, which skips all of this) is where the value and the
+    Jacobian may be nonzero.  It propagates as
     the sparsity pattern does in forward-mode differentiation (Griewank
     and Walther, ch. 7):
     - linear maps on the leading axes (selection, placement, negation,
-      constant scaling) keep it; a non-finite constant clears ``finite``;
-    - a sum or a difference takes the union, finite if both operands are;
+      constant scaling) keep it; scaling by a non-finite constant gives None;
+    - a sum or a difference takes the union, None if either operand has
+      None;
     - ``F.along(X)`` has a value only if the columns of J_F meet the values
       of X, on the rows of J_F, and a Jacobian J_F J_X only if those
       columns meet the rows of J_X; a Hessian term (a Hessian array and a
@@ -614,10 +614,11 @@ class PointField:
     - ``apply_matrix`` follows the same rules for A, A J_F and dA . F, with
       the matrices' support (MatrixSupport);
     - scaling by a PointScalar gives None.
-    A product of finite operands runs only the parts that can be nonzero
-    (a Jacobian that cannot is the scalar 0.0), and a product none of whose
-    parts can be is None without running.  A non-finite operand runs the
-    dense product, so that a NaN propagates.
+    A product of operands with supports runs only the parts that can be
+    nonzero (a Jacobian that cannot is the scalar 0.0), and a product none
+    of whose parts can be is None without running.  An operand without one,
+    a non-finite one included, runs the dense product, so that a NaN
+    propagates.
     """
 
     __slots__ = ("value", "jacobian", "hessian", "at", "keep", "support")
@@ -665,8 +666,7 @@ class PointField:
                     (other.value, other.jacobian, other.hessian))
         s, t = self.support, other.support
         support = None if s is None or t is None else Support(
-            s.finite and t.finite, s.values | t.values, s.rows | t.rows,
-            s.cols | t.cols)
+            s.values | t.values, s.rows | t.rows, s.cols | t.cols)
         return self._new(*(_sum(a, b, op)
                            for a, b in list(pairs)[:order + 1]),
                          keep=keep, support=support)
@@ -684,8 +684,8 @@ class PointField:
         """Multiply by a constant or by a PointScalar (Leibniz rule)."""
         if not isinstance(s, PointScalar):
             out = self._map(lambda part: part * s)
-            if out.support is not None and not np.isfinite(s):
-                out.support = out.support._replace(finite=False)
+            if not np.isfinite(s):
+                out.support = None
             return out
         value = self.value * s.value[..., None]
         if min(self.order, self.keep) < 1 or s.gradient is None:
@@ -767,7 +767,7 @@ class PointField:
         H, s = self.hessian, self.support
         if s is not None and X.support is not None:
             full = np.full(len(s.rows), isinstance(H, np.ndarray))
-            s = MatrixSupport(s.finite, s.rows, s.cols, full, full, full)
+            s = MatrixSupport(s.rows, s.cols, full, full, full)
         run, support = _plan(s, X.support, jet)
         if not any(run):
             return None
@@ -827,13 +827,13 @@ def _plan(m: MatrixSupport | None, s: Support | None, jet: bool
     their 1-jet dA (support ``m``) and a jet F (support ``s``): the value
     A F, then the terms A J_F and dA . F of the Jacobian when ``jet``; and
     the product's support.  Every part, with no support, unless both
-    supports are known and finite."""
-    if m is None or s is None or not (m.finite and s.finite):
+    supports are known."""
+    if m is None or s is None:
         return _DENSE
     run = (_meet(m.cols, s.values), jet and _meet(m.cols, s.rows),
            jet and _meet(m.d_cols, s.values))
     none = np.zeros(len(m.rows), dtype=bool)
-    return run, Support(True, m.rows if run[0] else none,
+    return run, Support(m.rows if run[0] else none,
                         (m.rows if run[1] else none)
                         | (m.d_rows if run[2] else none),
                         (s.cols if run[1] else none)
@@ -921,12 +921,11 @@ def bracket(X: PolyField, Y: PolyField) -> PolyField:
 GRAM_SCHMIDT_TOL = 1e-10
 
 
-def gram_schmidt_at(vectors, metric=None):
+def gram_schmidt_at(vectors, metric):
     """Orthonormalize ``vectors`` (P, k, N) at each of P points against a
     bilinear form, deterministically, in one vectorized pass over the points.
 
-    ``metric`` may be None (Euclidean), one (N, N) matrix or one per point
-    (P, N, N).  Returns the basis (P, k, N), the expansion coefficients W
+    ``metric`` is one (N, N) matrix or one per point (P, N, N).  Returns the basis (P, k, N), the expansion coefficients W
     (P, k, k) with basis[p, i] = sum_j W[p, i, j] * vectors[p, j], and the
     kept mask (P, k).  A vector that is near-dependent on its predecessors at
     a point (within ``GRAM_SCHMIDT_TOL``) is skipped there: its rows of the
@@ -936,8 +935,7 @@ def gram_schmidt_at(vectors, metric=None):
     """
     V = np.asarray(vectors, dtype=np.float64)
     P, k, N = V.shape
-    G = np.broadcast_to(np.eye(N) if metric is None
-                        else np.asarray(metric, dtype=np.float64), (P, N, N))
+    G = np.broadcast_to(np.asarray(metric, dtype=np.float64), (P, N, N))
 
     def inner(u, v):
         return ((u[:, None, :] @ G) @ v[:, :, None])[:, 0, 0]

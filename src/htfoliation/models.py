@@ -83,7 +83,7 @@ def group_model_from_matrices(generators, epsilon: float = 1.0,
         horizontal.append(PolyField(comps))
     vertical = [PolyField.basis(N, n + a) for a in range(m)]
     return FoliationModel(name, GROUP, chart, n, m, epsilon,
-                          vertical, horizontal, generators=gens)
+                          vertical, horizontal)
 
 
 def htype_group(rep: CliffordRepresentation, epsilon: float = 1.0,
@@ -116,7 +116,7 @@ def _sphere_model(name: str, matrices: np.ndarray, epsilon: float) -> FoliationM
     horizontal = [horizontal_part(PolyField.basis(N, mu), vertical, vertical,
                                   position) for mu in range(N)]
     return FoliationModel(name, SPHERE, chart, N - 1 - m, m, epsilon,
-                          vertical, horizontal, vertical_matrices=matrices)
+                          vertical, horizontal)
 
 
 def complex_hopf(k: int, epsilon: float = 4.0,

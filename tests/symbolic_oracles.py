@@ -16,10 +16,12 @@ import weakref
 
 import numpy as np
 
+from htfoliation import models
 from htfoliation.analysis import (_blocks, _components, _degree_block,
                                   affine_jets, fischer_scales,
                                   gamma_evaluator, operators,
                                   sub_laplacian_poly)
+from htfoliation.clifford import build_representation
 from htfoliation.errors import DimensionMismatchError, InvalidModelError
 from htfoliation.foliation import SPHERE, FoliationModel, Split
 from htfoliation.geometry import (UNIT_SPHERE, MonomialCache, PointField,
@@ -189,6 +191,29 @@ def gamma_reference(model: FoliationModel, cache: MonomialCache):
     return evaluate
 
 
+def defining_matrices(name: str) -> np.ndarray:
+    """The matrices that the catalog model ``name`` is built from, formed
+    by their own builders: a group's Clifford generators G_a (m, n, n) from
+    ``build_representation`` with the spec's params, a sphere's vertical
+    matrices A_a (m, N, N), Z_a = A_a p."""
+    spec = models.get_spec(name)
+    if spec.kind == "htype-group":
+        params = spec.params
+        return build_representation(params["m"], params["multiplicity"],
+                                    params.get("chirality")).generators
+    N = spec.n + spec.m + 1
+    if spec.kind == "complex-hopf":
+        return models._complex_structure(N)[None]
+    return models._quaternion_right_blocks(N)
+
+
+def degree_block(model, k: int) -> tuple[np.ndarray, ...]:
+    """``_degree_block`` of degree k, from the vertical fields' affine
+    jets read at the origin, as ``rayleigh_ritz`` reads them."""
+    return _degree_block(model, k, affine_jets(
+        model.vertical_fields, MonomialCache(np.zeros((1, model.ambient_dim)))))
+
+
 def eigenpairs(model, degree: int) -> tuple[np.ndarray, list[Polynomial]]:
     """The spectrum of ``rayleigh_ritz`` in increasing order, with a
     homogeneous eigenfunction for each eigenvalue: one ``eigh`` per block of
@@ -197,7 +222,7 @@ def eigenpairs(model, degree: int) -> tuple[np.ndarray, list[Polynomial]]:
     N = model.ambient_dim
     lams, funcs = [], []
     for k in range(max(degree - 1, 0), degree + 1):
-        keys, scale, rows, cols, vals = _degree_block(model, k)
+        keys, scale, rows, cols, vals = degree_block(model, k)
         label = _components(keys.size, rows, cols)
         for members, A in _blocks(label, rows, cols, vals):
             lam, vecs = np.linalg.eigh(0.5 * (A + A.T))

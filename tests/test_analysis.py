@@ -14,7 +14,8 @@ from htfoliation.foliation import POINT_CHUNK
 from htfoliation.geometry import (MonomialCache, Polynomial,
                                   directional_derivative, integrate_sphere,
                                   sample_points)
-from symbolic_oracles import (degree_block_dense, eigenpairs, from_terms,
+from symbolic_oracles import (defining_matrices, degree_block,
+                              degree_block_dense, eigenpairs, from_terms,
                               gamma_calculus, gamma_polys, gamma_reference,
                               poly_jets, random_polynomial,
                               sparse_random_polynomial, sphere_laplacian,
@@ -283,8 +284,7 @@ class TestMoveEngine:
         model = sheared_s3() if name == "sheared-s3" else catalog_models[name]
         for k in range(4):
             keys, scale, want = degree_block_dense(model, k)
-            got_keys, got_scale, rows, cols, vals = analysis._degree_block(
-                model, k)
+            got_keys, got_scale, rows, cols, vals = degree_block(model, k)
             np.testing.assert_array_equal(got_keys, keys)
             np.testing.assert_array_equal(got_scale, scale)
             assert np.unique(rows * keys.size + cols).size == rows.size
@@ -311,7 +311,7 @@ class TestMoveEngine:
             assert len(moved) == 2 * model.m * 2
             for A in moved:
                 assert any(np.array_equal(A, Z)
-                           for Z in model.vertical_matrices)
+                           for Z in defining_matrices(model.name))
 
     @pytest.mark.parametrize("name", ["complex-hopf-s3", "complex-hopf-s5",
                                       "quaternionic-hopf-s7",
@@ -364,7 +364,7 @@ class TestMoveEngine:
             assert np.flatnonzero(label == c)[0] == c
 
     def test_blocks_reassemble_the_matrix(self, s7):
-        keys, _, rows, cols, vals = analysis._degree_block(s7, 4)
+        keys, _, rows, cols, vals = degree_block(s7, 4)
         label = analysis._components(keys.size, rows, cols)
         dense = np.zeros((keys.size, keys.size))
         dense[rows, cols] = vals

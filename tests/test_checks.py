@@ -26,8 +26,7 @@ def sheared_heisenberg():
         Polynomial.zero(N),
         Polynomial.constant(N, 1.0)])
     return FoliationModel("sheared", "group", heis.chart, heis.n, heis.m, 1.0,
-                          [bad_vertical], heis.horizontal_fields,
-                          generators=heis.generators)
+                          [bad_vertical], heis.horizontal_fields)
 
 
 def sheared_s3():
@@ -49,8 +48,7 @@ def tilted_heisenberg_quat():
     comps[0] = from_terms(N, {z0: 0.3})
     vertical = [PolyField(comps)] + list(hq.vertical_fields[1:])
     return FoliationModel("tilted", "group", hq.chart, hq.n, hq.m, 1.0,
-                          vertical, hq.horizontal_fields,
-                          generators=hq.generators)
+                          vertical, hq.horizontal_fields)
 
 
 def degenerate_two_step():

@@ -1,6 +1,5 @@
 import dataclasses
 import functools
-import inspect
 import itertools
 import tracemalloc
 import weakref
@@ -19,10 +18,10 @@ from htfoliation.foliation import (Split, curvature_components,
 from htfoliation.geometry import (MonomialCache, PointField, Polynomial,
                                   PolyField, bracket, field_jets,
                                   sample_points)
-from symbolic_oracles import (from_terms, jet_is_zero, metric_poly,
-                              order2_jet, span_split, symbolic_curvature,
-                              symbolic_lc_curvature, symbolic_nabla_t,
-                              symbolic_tables)
+from symbolic_oracles import (defining_matrices, from_terms, jet_is_zero,
+                              metric_poly, order2_jet, span_split,
+                              symbolic_curvature, symbolic_lc_curvature,
+                              symbolic_nabla_t, symbolic_tables)
 from test_checks import sheared_heisenberg, tilted_heisenberg_quat
 
 
@@ -78,8 +77,7 @@ class TestFrames:
         order = [1, 0] + list(range(2, s5.ambient_dim))
         swapped = fol.FoliationModel(
             "swapped", "sphere", s5.chart, s5.n, s5.m, s5.epsilon,
-            s5.vertical_fields, [s5.horizontal_fields[i] for i in order],
-            vertical_matrices=s5.vertical_matrices)
+            s5.vertical_fields, [s5.horizontal_fields[i] for i in order])
         pts = sample_points(s5.chart, 8, 3)
         s5.frame_batch(pts)
         with pytest.raises(InvalidModelError, match="pi_H e_mu"):
@@ -90,8 +88,7 @@ class TestFrames:
         broken = fol.FoliationModel(
             "broken", "group", heis.chart, heis.n, heis.m, 1.0,
             heis.vertical_fields,
-            [heis.horizontal_fields[0], heis.horizontal_fields[0]],
-            generators=heis.generators)
+            [heis.horizontal_fields[0], heis.horizontal_fields[0]])
         with pytest.raises(DegenerateFrameError):
             broken.frame_batch(np.zeros((1, 3)))
 
@@ -124,7 +121,7 @@ class TestBottConnection:
             for b in range(model.span_count):
                 assert symbolic_tables(model).bott(a, b).total(
                     model.ambient_dim).is_zero()
-        gens = model.generators
+        gens = defining_matrices(model.name)
         F = model.n + model.m
         c = np.zeros((F, F, F))
         for k in range(model.m):
@@ -208,7 +205,24 @@ class TestTorsionAndJ:
     def test_group_j_matrices_recover_generators(self, name, catalog_models):
         model = catalog_models[name]
         J = fol.torsion(model, np.zeros(model.ambient_dim))
-        np.testing.assert_allclose(J, model.generators, atol=1e-13)
+        np.testing.assert_allclose(J, defining_matrices(name), atol=1e-13)
+
+    def test_j_matrices_are_read_off_the_fields(self, catalog_models):
+        # B_a of J(Z_a, X) = pi_H(B_a X) / epsilon, read off the fields'
+        # Jacobians, is the padded G_a^T on a group and 2 A_a on a sphere,
+        # for the matrices of the builders; the test models keep the
+        # horizontal fields, and so the generators, of their catalog model
+        cases = [(model, name) for name, model in catalog_models.items()] + [
+            (sheared_heisenberg(), "heisenberg"),
+            (tilted_heisenberg_quat(), "heisenberg-quat")]
+        for model, name in cases:
+            M, N = defining_matrices(name), model.ambient_dim
+            if model.backend == "group":
+                want = np.zeros((model.m, N, N))
+                want[:, :model.n, :model.n] = M.transpose(0, 2, 1)
+            else:
+                want = 2.0 * M
+            np.testing.assert_array_equal(model._j_matrices, want, name)
 
     def test_j_skew_and_pairing(self, s7):
         fb = frame_batch_for(s7, 8, 4)
@@ -331,7 +345,7 @@ class TestBaseCurvatureOracle:
         model = hopf(k, epsilon=epsilon)
         fb = model.frame_batch(sample_points(model.chart, points, 42))
         got = curvature_components(fb, "h", "h", "h")[..., :model.n]
-        want = self.base_curvature(fb, np.asarray(model.vertical_matrices))
+        want = self.base_curvature(fb, defining_matrices(model.name))
         assert np.abs(got - want).max() <= 1e-12
 
     @pytest.mark.parametrize("points", [8, 32])
@@ -377,10 +391,10 @@ def oracle_keys(model):
 
 def ghat_scales(name):
     """Relative vertical scales at which the checks evaluate R^ghat:
-    curvature-constancy at 1 / (2 kappa), check_oneill at its defaults."""
+    curvature-constancy at 1 / (2 kappa), check_oneill at ONEILL_EPS."""
     kappa = models.get_spec(name).expected_kappa
-    oneill = inspect.signature(checks.check_oneill).parameters["eps_values"]
-    return sorted({*oneill.default, *([1.0 / (2.0 * kappa)] if kappa else [])})
+    return sorted({*checks.ONEILL_EPS,
+                   *([1.0 / (2.0 * kappa)] if kappa else [])})
 
 
 def spanning_batch(fb):
@@ -778,6 +792,9 @@ class TestProjectedTable:
                                              fol.POINT_CHUNK + 4, 25))
         fb.jets[1][model.n, fol.POINT_CHUNK + 1, 0, 0] = np.nan
         (c1, first), (c2, second) = fb.chunks()
+        # the planted block carries no support, so its products run dense
+        assert first._supports["v"] is not None
+        assert second._supports["v"] is None
         for keep in (1, 0):
             clean, planted = (fol.Derivatives(view, keep)
                               for view in (first, second))
@@ -863,7 +880,7 @@ class TestJetProjections:
             for k in range(N) for l in range(k, N) if rng.random() < 0.3})
             for _ in range(N)]) + PolyField.constant(rng.integers(-2, 3, N))
         f = order2_jet(F, fb.points, at=fb._fields_at)
-        E = fb.fields()
+        E = fb.fields(2)
         # the frame fields x_1 and z_0 against their spanning expansions,
         # with the weights frozen at each point
         wh, wv = frame_weights(fb)
@@ -893,8 +910,7 @@ class TestJetProjections:
         with pytest.raises(InvalidModelError) as err:
             fol.FoliationModel("cubic", "group", heis.chart, heis.n, heis.m,
                                1.0, heis.vertical_fields,
-                               [cubic, heis.horizontal_fields[1]],
-                               generators=heis.generators)
+                               [cubic, heis.horizontal_fields[1]])
         message = str(err.value)
         assert "\n" not in message and "degree 3" in message
 

@@ -127,14 +127,15 @@ def gram_schmidt_loop(vectors, G, tol=1e-10):
 
 class TestGramSchmidt:
     def test_textbook_examples(self):
-        basis, _, _ = gram_schmidt_at(one([1.0, 0.0], [0.0, 2.0]))
+        basis, _, _ = gram_schmidt_at(one([1.0, 0.0], [0.0, 2.0]), np.eye(2))
         np.testing.assert_allclose(basis[0], [[1, 0], [0, 1]], atol=1e-15)
-        basis, _, _ = gram_schmidt_at(one([1.0, 1.0], [1.0, 0.0]))
+        basis, _, _ = gram_schmidt_at(one([1.0, 1.0], [1.0, 0.0]), np.eye(2))
         r = 1 / np.sqrt(2)
         np.testing.assert_allclose(basis[0], [[r, r], [r, -r]], atol=1e-15)
 
     def test_degenerate_vector_is_skipped(self):
-        basis, W, kept = gram_schmidt_at(one([1.0, 1.0], [1.0, 1.0 + 1e-14]))
+        basis, W, kept = gram_schmidt_at(one([1.0, 1.0], [1.0, 1.0 + 1e-14]),
+                                         np.eye(2))
         assert kept.tolist() == [[True, False]]
         assert not basis[0, 1].any() and not W[0, 1].any()
 
@@ -538,14 +539,15 @@ class TestPointwise:
 
 
 def support_of(value, jacobian, hessian=None):
-    """The Support of a jet read off its arrays: finite parts, and the
-    coordinates of its nonzero (or non-finite) values, Jacobian rows and
-    columns over every leading entry and point."""
+    """The Support of a jet read off its arrays: the coordinates of its
+    nonzero values, Jacobian rows and columns over every leading entry and
+    point; None when a part is not finite."""
     N = value.shape[-1]
     parts = [p for p in (value, jacobian, hessian) if isinstance(p, np.ndarray)]
+    if not all(np.isfinite(p).all() for p in parts):
+        return None
     nz = jacobian.reshape(-1, N, N) != 0
-    return geo.Support(all(np.isfinite(p).all() for p in parts),
-                       (value.reshape(-1, N) != 0).any(axis=0),
+    return geo.Support((value.reshape(-1, N) != 0).any(axis=0),
                        nz.any(axis=(0, 2)), nz.any(axis=(0, 1)))
 
 
@@ -633,8 +635,7 @@ class TestSupports:
         if s is None:
             return
         N = got.value.shape[-1]
-        if s.finite:
-            assert all(np.isfinite(p).all() for p in parts)
+        assert all(np.isfinite(p).all() for p in parts)
         assert not (got.value.reshape(-1, N)[:, ~s.values]).any()
         if isinstance(got.jacobian, np.ndarray):
             nz = got.jacobian.reshape(-1, N, N) != 0
@@ -644,7 +645,7 @@ class TestSupports:
         """(name, jets with supports -> result) of every operation, on jets
         laid out as the formulas lay them out (F along one key axis, X along
         the other), the jets, and whether the matrices and the constant are
-        finite."""
+        finite (the matrices then carry a support)."""
         P, N = self.P, self.N
         F, G = (self.jet(rng, (1, 2), nan=nan and rng.random() < 0.5)
                 for _ in range(2))
@@ -668,7 +669,7 @@ class TestSupports:
                 ("placed", lambda F, G, X: F[:, ::-1]._map(
                     lambda p: p.swapaxes(0, 1)).along(-X)),
                 ("scaled", lambda F, G, X: F.scale(c).along(X))
-                ], (F, G, X), M.finite and c != np.inf
+                ], (F, G, X), M is not None and c != np.inf
 
     @pytest.mark.parametrize("nan", [False, True], ids=["finite", "planted"])
     @np.errstate(invalid="ignore", over="ignore")
@@ -676,7 +677,7 @@ class TestSupports:
         for seed in range(150):
             rng = np.random.default_rng(seed)
             ops, jets, finite = self.products(rng, nan)
-            finite = finite and all(F.support.finite for F in jets)
+            finite = finite and all(F.support is not None for F in jets)
             for name, op in ops:
                 want = op(*map(self.strip, jets))
                 assert want is not None, name

@@ -14,8 +14,7 @@ def rescaled(model, epsilon: float):
     """The same fields under a new vertical metric scale."""
     return FoliationModel(model.name, model.backend, model.chart, model.n,
                           model.m, epsilon, model.vertical_fields,
-                          model.horizontal_fields, model.generators,
-                          model.vertical_matrices)
+                          model.horizontal_fields)
 
 
 def normalize_to_htype(model, points: int = 16, seed: int = 7,

@@ -11,6 +11,7 @@ import pytest
 from htfoliation import cli, models
 from htfoliation import foliation as fol
 from htfoliation.geometry import sample_points
+from symbolic_oracles import defining_matrices
 from test_foliation import ghat_scales
 
 HOPF = ["complex-hopf-s3", "complex-hopf-s5", "quaternionic-hopf-s7",
@@ -51,7 +52,7 @@ class TestIsometricCopies:
         model = catalog_models[name]
         spec = models.get_spec(name)
         want = verify(model)
-        A = model.vertical_matrices
+        A = defining_matrices(name)
         for seed in range(3):
             Q = orthogonal(model.ambient_dim, seed)
             copy = models._sphere_model(name, Q @ A @ Q.T, spec.epsilon)
@@ -68,7 +69,7 @@ class TestIsometricCopies:
         model = catalog_models[name]
         spec = models.get_spec(name)
         want = verify(model)
-        G = model.generators
+        G = defining_matrices(name)
         for seed in range(3):
             P, Q = orthogonal(model.m, seed), orthogonal(model.n, seed + 10)
             gens = np.einsum("ab,bij->aij", P, Q @ G @ Q.T)
